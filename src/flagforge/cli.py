@@ -32,6 +32,10 @@ class Session:
     """Named models, objects, and the command list of one session file."""
 
     def __init__(self, data: dict, seed: int = 0):
+        if not isinstance(data, dict):
+            raise SessionError(
+                f"a session must be a JSON object, not {type(data).__name__}"
+            )
         self.seed = seed
         self.models = {}
         self.subspaces = {}
@@ -42,6 +46,10 @@ class Session:
         self.tc_subalgebras = {}
         self.algebras = {}
         self.commands = data.get("commands", [])
+        if not isinstance(self.commands, list) or not all(
+            isinstance(c, dict) for c in self.commands
+        ):
+            raise SessionError("'commands' must be a list of JSON objects")
         try:
             for name, d in data.get("models", {}).items():
                 self.models[name] = serial.model_from_json(d)
@@ -104,6 +112,14 @@ def _verdict(value):
     return repr(value)
 
 
+class _Command(dict):
+    """A command's fields; a missing one is a session error, not a per-command
+    KeyError."""
+
+    def __missing__(self, key):
+        raise SessionError(f"command {self.get('cmd')!r} lacks the field {key!r}")
+
+
 class Runner:
     def __init__(self, session: Session):
         self.s = session
@@ -113,7 +129,7 @@ class Runner:
         handler = getattr(self, "cmd_" + str(kind).replace("-", "_"), None)
         if handler is None:
             raise SessionError(f"unknown command {kind!r}")
-        return handler(cmd)
+        return handler(_Command(cmd))
 
     # -- command handlers ---------------------------------------------------
 

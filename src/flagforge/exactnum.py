@@ -22,6 +22,19 @@ class NonSquare(ValueError):
     """Raised when an operation needs a square matrix and got a rectangle."""
 
 
+class CheckFailed(AssertionError):
+    """A self-certification failed: the result it guards is wrong.
+
+    Raised explicitly, so `python -O` cannot strip the check.  `check`
+    names the property that failed and `witness` holds the object that
+    shows it."""
+
+    def __init__(self, check: str, witness=None):
+        self.check = check
+        self.witness = witness
+        super().__init__(check)
+
+
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction."""
     if isinstance(x, Fraction):
@@ -54,12 +67,22 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _of(cls, entries) -> "Matrix":
+        """Wrap rectangular rows that already hold Fractions, without
+        coercing or validating them again."""
+        m = object.__new__(cls)
+        m.entries = entries
+        m.rows = len(entries)
+        m.cols = len(entries[0]) if entries else 0
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[QZERO] * cols for _ in range(rows)])
+        return cls._of([[QZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
+        return cls._of([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -93,19 +116,22 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return Matrix._of([
+            [a + b if b else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ])
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return Matrix._of([
+            [a - b if b else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ])
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix([[c * v for v in row] for row in self.entries])
+        return Matrix._of([[c * v if v else v for v in row] for row in self.entries])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -123,10 +149,10 @@ class Matrix:
                         if b:
                             acc[j] += a * b
             out.append(acc)
-        return Matrix(out)
+        return Matrix._of(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._of([list(col) for col in zip(*self.entries)])
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -207,13 +233,13 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     # normalize pivots to 1 (back to rationals)
     out = []
     for row, c in zip(ech, pivots):
-        pv = Fraction(row[c])
-        out.append([Fraction(v) / pv for v in row])
+        pv = row[c]
+        out.append([Fraction(v, pv) if v else QZERO for v in row])
     while len(out) < m.rows:
         out.append([QZERO] * m.cols)
     if not out:
         out = [[QZERO] * m.cols for _ in range(m.rows)]
-    return Matrix(out) if m.cols else Matrix.zero(m.rows, 0), pivots
+    return Matrix._of(out) if m.cols else Matrix.zero(m.rows, 0), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -384,7 +410,8 @@ def poly_squarefree_part(p):
     """p / gcd(p, p'), monic: the radical of p."""
     g = poly_gcd(p, poly_derivative(p))
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        raise CheckFailed("gcd(p, p') does not divide p", (p, g, r))
     if q:
         q = [v / q[-1] for v in q]
     return q
@@ -402,13 +429,6 @@ def poly_eval_matrix(p, m: Matrix) -> Matrix:
         acc = acc * m
         if c:
             acc = acc + Matrix.identity(n).scale(c)
-    return acc
-
-
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = QZERO
-    for c in reversed(p):
-        acc = acc * x + c
     return acc
 
 
@@ -489,7 +509,7 @@ def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
         u = poly_mod(poly_mul(u, poly_sub([Fraction(2)], poly_mul(dqs, u))), chi)
         s = poly_mod(poly_sub(s, poly_mul(qs, u)), chi)
     else:
-        raise AssertionError("Newton lifting did not stabilize")
+        raise CheckFailed("Newton lifting did not stabilize", m)
     ss = poly_eval_matrix(s, m)
     nil = m - ss
     return ss, nil
@@ -507,8 +527,3 @@ def _compose_mod(p, s, mod):
 
 def is_nilpotent(m: Matrix) -> bool:
     return charpoly(m)[:-1] == [QZERO] * m.rows
-
-
-def is_semisimple(m: Matrix) -> bool:
-    """Squarefree minimal polynomial (absolutely semisimple over extensions)."""
-    return poly_is_squarefree(minpoly(m))

@@ -17,11 +17,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .exactnum import (
+    CheckFailed,
     Matrix,
-    charpoly,
     in_row_space,
     is_nilpotent,
     jordan_chevalley,
@@ -57,13 +55,18 @@ class CertificationFailed(RuntimeError):
 
 
 class MatSpan:
-    """Subspace of n x n matrices, stored as RREF rows of flattened entries."""
+    """Subspace of n x n matrices, stored as RREF rows of flattened entries.
 
-    __slots__ = ("n", "rows")
+    `pivots[k]` is the pivot column of `rows[k]`; each row's nonzero
+    entries are kept as (column, value) pairs for reduction."""
+
+    __slots__ = ("n", "rows", "pivots", "_support")
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self.rows = row_space_basis([list(r) for r in rows], n * n)
+        self._support = [[(j, w) for j, w in enumerate(r) if w] for r in self.rows]
+        self.pivots = [sup[0][0] for sup in self._support]
 
     @staticmethod
     def from_matrices(n: int, mats) -> "MatSpan":
@@ -73,11 +76,26 @@ class MatSpan:
     def dim(self) -> int:
         return len(self.rows)
 
+    def _coords(self, v):
+        """Coordinates of the flattened vector v, or None if v is outside.
+
+        RREF pivots are 1 and cleared from the other rows, so the
+        coordinates are the entries of v at the pivot columns."""
+        coords = [v[p] for p in self.pivots]
+        v = list(v)
+        for c, sup in zip(coords, self._support):
+            if c:
+                for j, w in sup:
+                    v[j] -= c * w
+        if any(v):
+            return None
+        return coords
+
     def member(self, m: Matrix) -> bool:
-        return in_row_space(m.flatten(), self.rows)
+        return self._coords(m.flatten()) is not None
 
     def contains(self, other: "MatSpan") -> bool:
-        return all(in_row_space(r, self.rows) for r in other.rows)
+        return all(self._coords(r) is not None for r in other.rows)
 
     def __eq__(self, other):
         return isinstance(other, MatSpan) and self.n == other.n and self.rows == other.rows
@@ -86,7 +104,8 @@ class MatSpan:
         return hash((self.n, tuple(tuple(r) for r in self.rows)))
 
     def matrices(self) -> list[Matrix]:
-        return [unflatten(r, self.n) for r in self.rows]
+        n = self.n
+        return [Matrix._of([r[i * n:(i + 1) * n] for i in range(n)]) for r in self.rows]
 
     def sum(self, other: "MatSpan") -> "MatSpan":
         return MatSpan(self.n, self.rows + other.rows)
@@ -109,25 +128,24 @@ class MatSpan:
         return MatSpan(self.n, out)
 
     def coords_of(self, m: Matrix):
-        """Coefficients over the RREF row basis, or None.
-
-        RREF pivots are 1 and cleared from the other rows, so the coordinates
-        can be read off directly at the pivot columns."""
-        v = m.flatten()
-        coords = []
-        for row in self.rows:
-            p = next(j for j, w in enumerate(row) if w)
-            c = v[p]
-            coords.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return coords
+        """Coefficients over the RREF row basis, or None."""
+        return self._coords(m.flatten())
 
 
 def unflatten(row, n: int) -> Matrix:
     return Matrix([[row[i * n + j] for j in range(n)] for i in range(n)])
+
+
+def _lin_comb(coeffs, mats, n: int) -> Matrix:
+    """sum_k coeffs[k] mats[k], over n x n matrices."""
+    acc = [[QZERO] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for arow, mrow in zip(acc, m.entries):
+                for j, v in enumerate(mrow):
+                    if v:
+                        arow[j] += c * v
+    return Matrix._of(acc)
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
@@ -145,7 +163,11 @@ def bracket_span(a: MatSpan, b: MatSpan) -> MatSpan:
 def derived_series(s: MatSpan) -> list[MatSpan]:
     series = [s]
     while series[-1].dim:
-        nxt = bracket_span(series[-1], series[-1])
+        # [x, x] = 0 and [y, x] = -[x, y]: one bracket per unordered pair
+        mats = series[-1].matrices()
+        nxt = MatSpan.from_matrices(
+            s.n, [bracket(x, y) for x, y in itertools.combinations(mats, 2)]
+        )
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -171,22 +193,41 @@ def is_nilpotent_span(s: MatSpan) -> bool:
 
 
 class FdLieAlgebra:
-    """Matrix Lie algebra: an ambient size and a bracket-closed basis."""
+    """Matrix Lie algebra: an ambient size and a bracket-closed basis.
 
-    __slots__ = ("n", "basis", "span", "_ad", "_killing")
+    The basis is the RREF basis of the span, so coordinate vectors from
+    `span.coords_of` always agree with basis indexing.  Construction
+    brackets every pair of basis elements once, to check closure, and keeps
+    the coordinates of [x_i, x_j] as the structure constants
+    `consts[i][j]`.  The ad matrices, the Killing form and the derived
+    algebra are computed from them on first use and cached; so is the
+    certified solvable radical (`solvable_radical`).  The caches assume
+    that the basis is never mutated after construction.
+    """
+
+    __slots__ = (
+        "n", "basis", "span", "consts",
+        "_ad", "_killing", "_derived", "_derived_coords", "_radical",
+    )
 
     def __init__(self, n: int, basis):
         self.n = n
         gens = [Matrix(b.entries) if isinstance(b, Matrix) else Matrix(b) for b in basis]
         self.span = MatSpan.from_matrices(n, gens)
-        # canonical basis = RREF span matrices, so coordinate vectors from
-        # span.coords_of always agree with basis indexing
         self.basis = self.span.matrices()
-        for a, b in itertools.combinations(self.basis, 2):
-            if not self.span.member(bracket(a, b)):
+        d = len(self.basis)
+        self.consts = [[[QZERO] * d for _ in range(d)] for _ in range(d)]
+        for i, j in itertools.combinations(range(d), 2):
+            c = self.span.coords_of(bracket(self.basis[i], self.basis[j]))
+            if c is None:
                 raise ValueError("basis is not closed under the bracket")
+            self.consts[i][j] = c
+            self.consts[j][i] = [-v for v in c]
         self._ad = None
         self._killing = None
+        self._derived = None
+        self._derived_coords = None
+        self._radical = None
 
     @property
     def dim(self) -> int:
@@ -196,18 +237,11 @@ class FdLieAlgebra:
         return self.span.member(m)
 
     def ad_matrices(self) -> list[Matrix]:
+        """ad(x_i) in basis coordinates: column j is consts[i][j]."""
         if self._ad is None:
-            d = self.dim
-            cols_per = []
-            for x in self.basis:
-                cols = []
-                for y in self.basis:
-                    c = self.span.coords_of(bracket(x, y))
-                    cols.append(c)
-                cols_per.append(
-                    Matrix.from_rows(list(map(list, zip(*cols)))) if d else Matrix([])
-                )
-            self._ad = cols_per
+            self._ad = [
+                Matrix._of([list(r) for r in zip(*row)]) for row in self.consts
+            ]
         return self._ad
 
     def killing(self) -> Matrix:
@@ -217,11 +251,27 @@ class FdLieAlgebra:
             k = [[QZERO] * d for _ in range(d)]
             for i in range(d):
                 for j in range(i, d):
-                    val = trace_of_product(ads[i], ads[j]) if d else QZERO
+                    val = trace_of_product(ads[i], ads[j])
                     k[i][j] = val
                     k[j][i] = val
-            self._killing = Matrix(k)
+            self._killing = Matrix._of(k)
         return self._killing
+
+    def derived_coords(self) -> list:
+        """RREF basis of [g, g] in basis coordinates."""
+        if self._derived_coords is None:
+            self._derived_coords = row_space_basis(
+                [c for i, row in enumerate(self.consts) for c in row[i + 1:]], self.dim
+            )
+        return self._derived_coords
+
+    def derived(self) -> MatSpan:
+        """The derived algebra [g, g]."""
+        if self._derived is None:
+            self._derived = MatSpan.from_matrices(
+                self.n, [_lin_comb(r, self.basis, self.n) for r in self.derived_coords()]
+            )
+        return self._derived
 
     def subspan(self, mats) -> MatSpan:
         s = MatSpan.from_matrices(self.n, mats)
@@ -255,31 +305,27 @@ def lie_close(n: int, gens) -> FdLieAlgebra:
 
 def solvable_radical(g: FdLieAlgebra) -> MatSpan:
     """Killing-perp of the derived subalgebra (exact, char 0), verified
-    solvable by its derived series."""
+    solvable by its derived series.  Computed once per algebra and cached
+    on it."""
+    if g._radical is not None:
+        return g._radical
     d = g.dim
     if d == 0:
-        return MatSpan(g.n)
-    dg = bracket_span(g.span, g.span)
-    kill = g.killing()
-    rows = []
-    for m in dg.matrices():
-        mu = g.span.coords_of(m)
-        rows.append([
-            sum((kill.entries[i][j] * mu[j] for j in range(d)), QZERO)
-            for i in range(d)
-        ])
+        g._radical = MatSpan(g.n)
+        return g._radical
+    kill = g.killing().entries
+    rows = [
+        [sum((kill[i][j] * mu[j] for j in range(d) if mu[j]), QZERO) for i in range(d)]
+        for mu in g.derived_coords()
+    ]
     if not rows:
         rows = [[QZERO] * d]
-    coeff_kernel = kernel(Matrix(rows))
-    mats = []
-    for lam in coeff_kernel:
-        acc = Matrix.zero(g.n, g.n)
-        for c, b in zip(lam, g.basis):
-            if c:
-                acc = acc + b.scale(c)
-        mats.append(acc)
-    rad = MatSpan.from_matrices(g.n, mats)
-    assert is_solvable_span(rad), "Killing-perp radical failed the solvability check"
+    rad = MatSpan.from_matrices(
+        g.n, [_lin_comb(lam, g.basis, g.n) for lam in kernel(Matrix(rows))]
+    )
+    if not is_solvable_span(rad):
+        raise CheckFailed("Killing-perp radical is not solvable", rad)
+    g._radical = rad
     return rad
 
 
@@ -315,19 +361,15 @@ def linear_nilradical(g: FdLieAlgebra, seed: int = 0) -> MatSpan:
                 rows.append([res[r] for res in resids])
         prev = level
     coeffs = kernel(Matrix(rows)) if rows else []
-    mats = []
-    for lam in coeffs:
-        acc = Matrix.zero(g.n, g.n)
-        for c, b in zip(lam, actions):
-            if c:
-                acc = acc + b.scale(c)
-        mats.append(acc)
-    nil = MatSpan.from_matrices(g.n, mats)
-    for m in nil.matrices():
-        assert is_nilpotent(m), "nilradical candidate is not nilpotent"
+    nil = MatSpan.from_matrices(g.n, [_lin_comb(lam, actions, g.n) for lam in coeffs])
+    nil_mats = nil.matrices()
+    for m in nil_mats:
+        if not is_nilpotent(m):
+            raise CheckFailed("nilradical candidate is not nilpotent", m)
     for b in g.basis:
-        for m in nil.matrices():
-            assert nil.member(bracket(b, m)), "nilradical is not an ideal"
+        for m in nil_mats:
+            if not nil.member(bracket(b, m)):
+                raise CheckFailed("nilradical is not an ideal", (b, m))
     return nil
 
 
@@ -383,6 +425,8 @@ def _theta_battery(actions, rng, dim, rounds):
 
 
 def _min_poly_factors(theta: Matrix):
+    import sympy  # the only user; importing it costs more than the rest of the package
+
     coeffs = minpoly(theta)
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ")
@@ -420,7 +464,7 @@ def find_proper_submodule(actions, dim, rng, rounds: int = 30):
                 ann_rows = row_space_basis([list(v) for v in ann], dim)
                 if 0 < len(ann_rows) < dim:
                     return ann_rows
-                raise AssertionError("dual spin produced a trivial annihilator")
+                raise CheckFailed("dual spin produced a trivial annihilator", theta)
             return None
     raise CertificationFailed(
         "no nullity-one element found; increase rounds or change the seed"
@@ -475,7 +519,8 @@ def _restrict_actions(actions, sub_rows, dim):
                 for i in range(dim)
             ]
             coords = solve(basis_cols, img)
-            assert coords is not None, "submodule is not invariant"
+            if coords is None:
+                raise CheckFailed("submodule is not invariant", (a, r))
             cols.append(coords)
         out.append(Matrix.from_rows(list(map(list, zip(*cols)))) if k else Matrix([]))
     return out
@@ -532,13 +577,10 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
     xs = [g.basis[j] for j in free]
     m = len(xs)
 
-    def reduce_mod_rad_coeffs(mat: Matrix):
-        return _reduce_vector(g.span.coords_of(mat), rad_coeff_rows)
-
     c = {}
     for i in range(m):
         for j in range(i + 1, m):
-            resid = reduce_mod_rad_coeffs(bracket(xs[i], xs[j]))
+            resid = _reduce_vector(g.consts[free[i]][free[j]], rad_coeff_rows)
             c[i, j] = [resid[k] for k in free]
 
     series = derived_series(rad)
@@ -559,28 +601,29 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
                 seen.append(row)
         if not w_mats:
             break
+        # RREF basis of the quotient level / nxt, as residues modulo nxt:
+        # quotient coordinates are the residue's entries at its pivots
+        quo_basis = row_space_basis(
+            [_reduce_vector(r, nxt_rows) for r in level_rows], g.dim
+        )
+        quo_pivots = [next(j for j, w in enumerate(b) if w) for b in quo_basis]
 
         def quo_coords(mat: Matrix):
             resid = _reduce_vector(g.span.coords_of(mat), nxt_rows)
-            co = _coords_against(resid, level_rows, nxt_rows)
-            return co
+            return [resid[p] for p in quo_pivots]
 
         width = len(w_mats)
-        dim_q = None
+        dim_q = len(quo_pivots)
         eq_rows = []
         rhs = []
         bracket_cache = [
             [quo_coords(bracket(xs[i], w)) for w in w_mats] for i in range(m)
         ]
+        unit_cache = [quo_coords(w) for w in w_mats]
         for i in range(m):
             for j in range(i + 1, m):
-                defect = bracket(xs[i], xs[j])
-                for k, coeff in enumerate(c[i, j]):
-                    if coeff:
-                        defect = defect - xs[k].scale(coeff)
+                defect = bracket(xs[i], xs[j]) - _lin_comb(c[i, j], xs, g.n)
                 dvec = quo_coords(defect)
-                if dim_q is None:
-                    dim_q = len(dvec)
                 row_block = [[QZERO] * (m * width) for _ in range(dim_q)]
                 for a in range(width):
                     for r in range(dim_q):
@@ -590,7 +633,7 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
                     coeff = c[i, j][k]
                     if coeff:
                         for a in range(width):
-                            base = _unit_quo(a, w_mats, quo_coords)
+                            base = unit_cache[a]
                             for r in range(dim_q):
                                 row_block[r][k * width + a] -= coeff * base[r]
                 for r in range(dim_q):
@@ -599,52 +642,25 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
                         rhs.append(-dvec[r])
         if eq_rows:
             sol = solve(Matrix(eq_rows), rhs)
-            assert sol is not None, "Levi lifting system is inconsistent"
+            if sol is None:
+                raise CheckFailed("Levi lifting system is inconsistent", (g, level))
             for i in range(m):
-                corr = Matrix.zero(g.n, g.n)
-                for a in range(width):
-                    coeff = sol[i * width + a]
-                    if coeff:
-                        corr = corr + w_mats[a].scale(coeff)
-                xs[i] = xs[i] + corr
+                xs[i] = xs[i] + _lin_comb(sol[i * width:(i + 1) * width], w_mats, g.n)
     levi = FdLieAlgebra(g.n, xs) if xs else FdLieAlgebra(g.n, [])
     _verify_levi(g, rad, levi)
     return levi
 
 
-def _unit_quo(a, w_mats, quo_coords):
-    return quo_coords(w_mats[a])
-
-
-def _coords_against(resid_coeffs, level_rows, nxt_rows):
-    """Coordinates of a radical element modulo the next derived term, in the
-    pivot-complement basis of the current term."""
-    reduced_level = []
-    pivots = []
-    for r in level_rows:
-        red = _reduce_vector(r, nxt_rows)
-        reduced_level.append(red)
-    basis = row_space_basis(reduced_level, len(resid_coeffs))
-    coords = []
-    v = list(resid_coeffs)
-    for b in basis:
-        p = next((j for j, w in enumerate(b) if w), None)
-        coords.append(v[p] / b[p] if p is not None else QZERO)
-        if p is not None and v[p]:
-            cc = v[p] / b[p]
-            v = [x - cc * y for x, y in zip(v, b)]
-    return coords
-
-
 def _verify_levi(g, rad, levi):
-    assert levi.span.intersect(rad).dim == 0, "Levi meets the radical"
-    dg = bracket_span(g.span, g.span)
-    meet = rad.intersect(dg)
-    assert meet.sum(levi.span).dim == dg.dim, "Levi does not complement r cap [g,g]"
-    assert dg.contains(levi.span), "Levi is not inside the derived subalgebra"
-    if levi.dim:
-        killing = levi.killing()
-        assert len(kernel(killing)) == 0, "Killing form on the Levi is degenerate"
+    if levi.span.intersect(rad).dim:
+        raise CheckFailed("Levi meets the radical", levi)
+    dg = g.derived()
+    if rad.intersect(dg).sum(levi.span).dim != dg.dim:
+        raise CheckFailed("Levi does not complement r cap [g,g]", levi)
+    if not dg.contains(levi.span):
+        raise CheckFailed("Levi is not inside the derived subalgebra", levi)
+    if levi.dim and kernel(levi.killing()):
+        raise CheckFailed("Killing form on the Levi is degenerate", levi)
 
 
 def splittable_closure(g: FdLieAlgebra) -> FdLieAlgebra:
@@ -696,18 +712,24 @@ def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
         if torus_elems:
             y = _commuting_correction(g, y, torus_elems, nil_in_cent)
         ss, nl = jordan_chevalley(y)
-        assert nil.member(nl), "nilpotent part escaped the nilradical"
+        if not nil.member(nl):
+            raise CheckFailed("nilpotent part escaped the nilradical", y)
         torus_elems.append(ss)
     torus = FdLieAlgebra(g.n, torus_elems)
     g_red = FdLieAlgebra(g.n, levi.basis + torus_elems)
-    assert g_red.span.intersect(nil).dim == 0
-    assert g_red.span.sum(nil).dim == g.dim
+    if g_red.span.intersect(nil).dim:
+        raise CheckFailed("reductive part meets the nilradical", g_red)
+    if g_red.span.sum(nil).dim != g.dim:
+        raise CheckFailed("reductive part and nilradical do not span g", g_red)
     for t in torus_elems:
-        assert poly_is_squarefree(minpoly(t))
+        if not poly_is_squarefree(minpoly(t)):
+            raise CheckFailed("torus element is not semisimple", t)
         for s in torus_elems:
-            assert bracket(t, s).is_zero()
+            if not bracket(t, s).is_zero():
+                raise CheckFailed("torus is not commutative", (t, s))
         for l in levi.basis:
-            assert bracket(t, l).is_zero()
+            if not bracket(t, l).is_zero():
+                raise CheckFailed("torus does not centralize the Levi", (t, l))
     return FdDecomposition(nil, levi, torus, g_red)
 
 
@@ -725,14 +747,7 @@ def _centralizer_span(g: FdLieAlgebra, inside: MatSpan, of_basis) -> MatSpan:
     coeffs = kernel(Matrix(rows)) if rows else [
         [Fraction(1) if i == j else QZERO for j in range(width)] for i in range(width)
     ]
-    out = []
-    for lam in coeffs:
-        acc = Matrix.zero(g.n, g.n)
-        for c, m in zip(lam, mats):
-            if c:
-                acc = acc + m.scale(c)
-        out.append(acc)
-    return MatSpan.from_matrices(g.n, out)
+    return MatSpan.from_matrices(g.n, [_lin_comb(lam, mats, g.n) for lam in coeffs])
 
 
 def _commuting_correction(g, y, torus_elems, nil_span):
@@ -740,7 +755,8 @@ def _commuting_correction(g, y, torus_elems, nil_span):
     mats = nil_span.matrices()
     if not mats:
         for t in torus_elems:
-            assert bracket(t, y).is_zero()
+            if not bracket(t, y).is_zero():
+                raise CheckFailed("torus element does not commute", (t, y))
         return y
     rows = []
     rhs = []
@@ -751,12 +767,9 @@ def _commuting_correction(g, y, torus_elems, nil_span):
                 rows.append([bracket(t, m).entries[r][c] for m in mats])
                 rhs.append(target.entries[r][c])
     sol = solve(Matrix(rows), rhs)
-    assert sol is not None, "no commuting correction exists"
-    delta = Matrix.zero(g.n, g.n)
-    for c, m in zip(sol, mats):
-        if c:
-            delta = delta + m.scale(c)
-    return y - delta
+    if sol is None:
+        raise CheckFailed("no commuting correction exists", y)
+    return y - _lin_comb(sol, mats, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +785,8 @@ def _semisimple_parts_span(h_basis, n):
         if not ss.is_zero():
             parts.append(ss)
     for a, b in itertools.combinations(parts, 2):
-        assert bracket(a, b).is_zero(), "semisimple parts fail to commute"
+        if not bracket(a, b).is_zero():
+            raise CheckFailed("semisimple parts fail to commute", (a, b))
     return MatSpan.from_matrices(n, parts)
 
 
@@ -787,13 +801,7 @@ def centralizer_in(k: FdLieAlgebra, of_mats) -> FdLieAlgebra:
                 rows.append([bracket(b, m).entries[r][c] for b in k.basis])
     if not rows:
         return k
-    mats = []
-    for lam in kernel(Matrix(rows)):
-        acc = Matrix.zero(k.n, k.n)
-        for cc, b in zip(lam, k.basis):
-            if cc:
-                acc = acc + b.scale(cc)
-        mats.append(acc)
+    mats = [_lin_comb(lam, k.basis, k.n) for lam in kernel(Matrix(rows))]
     return FdLieAlgebra(k.n, MatSpan.from_matrices(k.n, mats).matrices())
 
 
@@ -822,13 +830,7 @@ def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
         if nxt_rows == current:
             break
         current = nxt_rows
-    mats = []
-    for lam in current:
-        acc = Matrix.zero(k.n, k.n)
-        for c, b in zip(lam, k.basis):
-            if c:
-                acc = acc + b.scale(c)
-        mats.append(acc)
+    mats = [_lin_comb(lam, k.basis, k.n) for lam in current]
     return FdLieAlgebra(k.n, MatSpan.from_matrices(k.n, mats).matrices())
 
 
@@ -846,8 +848,8 @@ def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
     Route D: h equals the centralizer of the semisimple parts of h.
     Route E: the semisimple parts form a maximal toral subalgebra whose
     centralizer is h.  Route F: h equals its own Fitting null component.
-    Positive verdicts are additionally asserted self-normalizing and
-    nilpotent.
+    A disagreement between the routes, or a positive verdict that is not
+    self-normalizing, raises CheckFailed.
     """
     rng = rng or random.Random(0)
     for b in h_basis:
@@ -863,9 +865,9 @@ def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
     via_f = fitting_null(k, h_alg.basis).span == h_span
 
     if not nilpotent:
-        verdict = CartanVerdict(False, False, False, via_f)
-        assert not via_f, "Fitting route accepted a non-nilpotent subalgebra"
-        return verdict
+        if via_f:
+            raise CheckFailed("Fitting route accepted a non-nilpotent subalgebra", h_basis)
+        return CartanVerdict(False, False, False, via_f)
 
     ss_span = _semisimple_parts_span(h_alg.basis, k.n)
     z = centralizer_in(k, ss_span.matrices())
@@ -875,11 +877,10 @@ def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
     via_e = toral_maximal and z.span == h_span
 
     verdict = CartanVerdict(via_d, via_d, via_e, via_f)
-    assert via_d == via_e == via_f, "Cartan routes disagree"
-    if verdict.is_cartan:
-        normalizer = _normalizer_in(k, h_span)
-        assert normalizer == h_span, "Cartan candidate is not self-normalizing"
-        assert nilpotent
+    if not via_d == via_e == via_f:
+        raise CheckFailed("Cartan routes disagree", (h_basis, verdict))
+    if verdict.is_cartan and _normalizer_in(k, h_span) != h_span:
+        raise CheckFailed("Cartan candidate is not self-normalizing", h_basis)
     return verdict
 
 
@@ -916,18 +917,7 @@ def _normalizer_in(k: FdLieAlgebra, h_span: MatSpan) -> MatSpan:
     if not coeff_rows:
         return k.span
     sols = kernel(Matrix(coeff_rows))
-    mats = []
-    for lam in sols:
-        acc = Matrix.zero(k.n, k.n)
-        for c, b in zip(lam, k.basis):
-            if c:
-                acc = acc + b.scale(c)
-        mats.append(acc)
-    return MatSpan.from_matrices(k.n, mats)
-
-
-def _flatten_all(mats):
-    return [m.flatten() for m in mats]
+    return MatSpan.from_matrices(k.n, [_lin_comb(lam, k.basis, k.n) for lam in sols])
 
 
 def cartan_from_torus(k: FdLieAlgebra, torus_mats) -> FdLieAlgebra:
@@ -1035,10 +1025,11 @@ def invariant_taut_couple(k: FdLieAlgebra, seed: int = 0) -> InvariantCoupleRepo
     n_formula = _nilradical_formula_span(k.n, chain)
     p_alg = FdLieAlgebra(k.n, p_plus_span.matrices())
     n_oracle = linear_nilradical(p_alg, seed)
-    assert n_formula == n_oracle, "nilradical formula disagrees with the oracle"
+    if n_formula != n_oracle:
+        raise CheckFailed("nilradical formula disagrees with the oracle", (chain, seed))
     n_k = linear_nilradical(k, seed)
-    meet = n_oracle.intersect(k.span)
-    assert n_k == meet, "n_k != n_p cap k"
+    if n_k != n_oracle.intersect(k.span):
+        raise CheckFailed("n_k != n_p cap k", (chain, seed))
     return InvariantCoupleReport(chain, p_plus_span, n_formula, n_oracle, n_k, seed)
 
 
@@ -1154,7 +1145,7 @@ def _borel_restriction_check(p: FdLieAlgebra, rng) -> bool:
     b_span = stab.intersect(p.span)
     if not _is_maximal_solvable_in(b_span, p, rng):
         return False
-    dp = bracket_span(p.span, p.span)
+    dp = p.derived()
     try:
         dp_alg = FdLieAlgebra(p.n, dp.matrices())
     except ValueError:
@@ -1187,12 +1178,15 @@ def parabolic_bijection_check(
     if not _is_maximal_solvable_in(b_red, g_red, rng):
         raise NotParabolicInput("constructed candidate is not maximal solvable")
     q = lie_close(g.n, dec.nilradical.matrices() + p_red.matrices())
-    assert q.dim == dec.nilradical.sum(p_red).dim, "n_g + p_red is not a subalgebra"
+    if q.dim != dec.nilradical.sum(p_red).dim:
+        raise CheckFailed("n_g + p_red is not a subalgebra", (p_red_basis, seed))
     borel_g = dec.nilradical.sum(b_red)
-    assert q.span.contains(borel_g)
-    assert _is_maximal_solvable_in(borel_g, g, rng), "n_g + b_red is not a Borel of g"
-    round_trip = q.span.intersect(g_red.span)
-    assert round_trip == p_red, "round trip does not recover p_red"
+    if not q.span.contains(borel_g):
+        raise CheckFailed("n_g + b_red is not inside n_g + p_red", (p_red_basis, seed))
+    if not _is_maximal_solvable_in(borel_g, g, rng):
+        raise CheckFailed("n_g + b_red is not a Borel of g", (p_red_basis, seed))
+    if q.span.intersect(g_red.span) != p_red:
+        raise CheckFailed("round trip does not recover p_red", (p_red_basis, seed))
     return q
 
 

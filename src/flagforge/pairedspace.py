@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .epcore import EpSeq, EpSet, stabilization_window
-from .exactnum import Matrix, kernel, rat, row_space_basis
+from .exactnum import CheckFailed, Matrix, kernel, rat, row_space_basis
 
 SIDE_V = "V"
 SIDE_W = "V*"
@@ -449,7 +449,8 @@ class Subspace:
         else:
             gens = []
         result = Subspace.span(self.model, self.side, common, gens)
-        assert self.contains(result) and other.contains(result)
+        if not (self.contains(result) and other.contains(result)):
+            raise CheckFailed("intersection is not inside both subspaces", (self, other))
         return result
 
     def _finite_generators(self, cut: int) -> list[dict]:

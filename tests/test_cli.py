@@ -1,7 +1,9 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,10 +219,24 @@ def test_cli_end_to_end(tmp_path):
     assert report["passed"]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     assert main(["run", str(bad_json)]) == 2
+    malformed = {
+        "toplevel_array": [{"cmd": "fd", "op": "radical", "alg": "a"}],
+        "missing_op": {
+            "algebras": {"a": {"n": 2, "basis": [[["1", "0"], ["0", "0"]]]}},
+            "commands": [{"cmd": "fd", "alg": "a"}],
+        },
+    }
+    for name, data in malformed.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["run", str(path), "--report", str(tmp_path / "m.json")]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     failing = tmp_path / "failing.json"
     data = json.loads(json.dumps(AUGMENTED_SESSION))
     data["commands"] = [
@@ -228,6 +244,21 @@ def test_cli_exit_codes(tmp_path):
     ]
     failing.write_text(json.dumps(data))
     assert main(["run", str(failing), "--report", str(tmp_path / "r.json")]) == 1
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # sympy serves only the meataxe, so importing the CLI must not pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, flagforge.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_round_trip_serialization():

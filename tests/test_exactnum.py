@@ -187,3 +187,39 @@ def test_poly_gcd_squarefree():
     p = [F(2), F(-3), F(0), F(1)]
     g = poly_gcd(p, poly_derivative(p))
     assert g == [F(-1), F(1)]
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _plain_grid(r, c):
+    return st.lists(st.lists(small_fractions, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda s: st.tuples(_plain_grid(s[0], s[1]), _plain_grid(s[0], s[1]),
+                            _plain_grid(s[1], s[2]), small_fractions)
+    )
+)
+def test_matrix_arithmetic_matches_fraction_loops(args):
+    a, b, c, k = args
+    r, m, p = len(a), len(a[0]), len(c[0])
+    want = {
+        "+": [[a[i][j] + b[i][j] for j in range(m)] for i in range(r)],
+        "-": [[a[i][j] - b[i][j] for j in range(m)] for i in range(r)],
+        "scale": [[k * a[i][j] for j in range(m)] for i in range(r)],
+        "*": [[sum((a[i][t] * c[t][j] for t in range(m)), Fraction(0)) for j in range(p)]
+              for i in range(r)],
+    }
+    got = {
+        "+": M(a) + M(b),
+        "-": M(a) - M(b),
+        "scale": M(a).scale(k),
+        "*": M(a) * M(c),
+    }
+    for op, mat in got.items():
+        assert mat.entries == want[op], op
+        assert (mat.rows, mat.cols) == (len(want[op]), len(want[op][0])), op
+        assert all(type(v) is Fraction for row in mat.entries for v in row), op

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flagforge.exactnum import Matrix, charpoly, is_nilpotent, kernel
+from flagforge.exactnum import CheckFailed, Matrix, charpoly, is_nilpotent, kernel
 from flagforge.finoracle import (
     CartanVerdict,
     FdLieAlgebra,
@@ -362,3 +368,111 @@ def test_parabolic_bijection_rejects_torus():
     g = FdLieAlgebra(3, gl_basis(3))
     with pytest.raises(NotParabolicInput):
         parabolic_bijection_check(g, diagonal_basis(3))
+
+
+# ---------------------------------------------------------------------------
+# structure constants against the direct computation
+# ---------------------------------------------------------------------------
+
+
+def _reference_ad(g):
+    """ad(x) for every basis x: all d^2 brackets, read back by coords_of."""
+    return [
+        Matrix.from_rows(list(map(list, zip(*[g.span.coords_of(bracket(x, y)) for y in g.basis]))))
+        for x in g.basis
+    ]
+
+
+def _reference_killing(ads):
+    d = len(ads)
+    return Matrix([[(ads[i] * ads[j]).trace() for j in range(d)] for i in range(d)])
+
+
+def _reference_radical(g):
+    """Killing-perp of bracket_span(g, g), with the Killing form computed
+    from the reference ad matrices."""
+    d = g.dim
+    if d == 0:
+        return MatSpan(g.n)
+    kill = _reference_killing(_reference_ad(g))
+    rows = []
+    for m in bracket_span(g.span, g.span).matrices():
+        mu = g.span.coords_of(m)
+        rows.append([sum((kill[i, j] * mu[j] for j in range(d)), F(0)) for i in range(d)])
+    mats = []
+    for lam in kernel(Matrix(rows or [[F(0)] * d])):
+        acc = Matrix.zero(g.n, g.n)
+        for c, b in zip(lam, g.basis):
+            acc = acc + b.scale(c)
+        mats.append(acc)
+    return MatSpan.from_matrices(g.n, mats)
+
+
+@st.composite
+def _closed_algebras(draw):
+    n = draw(st.integers(2, 4))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+    gens = draw(
+        st.lists(
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return lie_close(n, [Matrix(m) for m in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_closed_algebras())
+def test_structure_constants_match_direct_brackets(g):
+    ads = _reference_ad(g)
+    assert g.ad_matrices() == ads
+    assert g.killing() == _reference_killing(ads)
+    assert g.derived() == bracket_span(g.span, g.span)
+    assert solvable_radical(g) == _reference_radical(g)
+
+
+# ---------------------------------------------------------------------------
+# certification under python -O
+# ---------------------------------------------------------------------------
+
+
+_INJECTED_FAULTS = """
+import sys
+from flagforge import finoracle
+from flagforge.exactnum import CheckFailed, Matrix
+
+print("optimize", sys.flags.optimize)
+# a zero Killing form makes all of gl_2 Killing-perp to [g, g]: a wrong radical
+g = finoracle.FdLieAlgebra(2, finoracle.gl_basis(2))
+g._killing = Matrix.zero(4, 4)
+try:
+    finoracle.solvable_radical(g)
+except CheckFailed as exc:
+    print("radical", exc.check)
+# a Fitting route that answers all of k disagrees with routes D and E
+finoracle.fitting_null = lambda k, h_basis: k
+k = finoracle.FdLieAlgebra(3, finoracle.gl_basis(3))
+try:
+    finoracle.cartan_queries(k, finoracle.diagonal_basis(3))
+except CheckFailed as exc:
+    print("cartan", exc.check)
+"""
+
+
+def test_certification_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _INJECTED_FAULTS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.splitlines() == [
+        "optimize 1",
+        "radical Killing-perp radical is not solvable",
+        "cartan Cartan routes disagree",
+    ]
+    assert issubclass(CheckFailed, AssertionError)
