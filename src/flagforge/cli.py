@@ -1,6 +1,6 @@
 """Batch front end: load a JSON session, run its commands, emit a report.
 
-Usage: flagforge run session.json [--seed N] [--parallel] [--report out.json]
+Usage: flagforge run session.json [--seed N] [--report out.json]
 
 Exit codes: 0 every assertion passed, 1 at least one `expect` mismatched,
 2 the session failed to parse or referenced an unknown object.
@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import coherence, finitary, finoracle, serial
 from .genflag import classify_flag, fc_flag, make_taut_couple, self_taut_and_iso
@@ -304,12 +303,13 @@ def _check_expect(expect, result):
     return expect == result
 
 
-def run_session(data: dict, seed: int = 0, parallel: bool = False) -> dict:
+def run_session(data: dict, seed: int = 0) -> dict:
+    """Run the commands in file order; a command that refers to a name that
+    a later command registers raises UnresolvedReference."""
     session = Session(data, seed)
     runner = Runner(session)
-    results = [None] * len(session.commands)
-
-    def execute(idx, cmd):
+    results = []
+    for idx, cmd in enumerate(session.commands):
         start = time.perf_counter()
         entry = {"index": idx, "cmd": cmd.get("cmd")}
         try:
@@ -324,24 +324,7 @@ def run_session(data: dict, seed: int = 0, parallel: bool = False) -> dict:
             if "expect" in cmd:
                 entry["expect_ok"] = False
         entry["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        return entry
-
-    registering = [
-        (i, c) for i, c in enumerate(session.commands) if "name" in c
-    ]
-    plain = [(i, c) for i, c in enumerate(session.commands) if "name" not in c]
-    for idx, cmd in registering:
-        results[idx] = execute(idx, cmd)
-    if parallel and plain:
-        with ThreadPoolExecutor() as pool:
-            for idx, entry in zip(
-                [i for i, _ in plain],
-                pool.map(lambda ic: execute(*ic), plain),
-            ):
-                results[idx] = entry
-    else:
-        for idx, cmd in plain:
-            results[idx] = execute(idx, cmd)
+        results.append(entry)
     passed = all(e.get("expect_ok", True) and "error" not in e for e in results)
     return {"seed": seed, "passed": passed, "results": results}
 
@@ -352,7 +335,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a session file")
     run_p.add_argument("session", help="path to the session JSON")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--parallel", action="store_true")
     run_p.add_argument("--report", help="write the report JSON here")
     args = parser.parse_args(argv)
 
@@ -370,7 +352,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report = run_session(data, seed=args.seed, parallel=args.parallel)
+        report = run_session(data, seed=args.seed)
     except SessionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epcore import stabilization_window
-from .exactnum import Matrix, kernel, row_space_basis
+from .exactnum import Echelon, Matrix, kernel, row_space_basis, sparse
 from .finitary import FinitaryElement, in_joint_stabilizer, in_nilradical, truncate_element
 from .genflag import FinitePairFlag, TautCouple
 from .pairedspace import (
@@ -67,34 +67,10 @@ def _span_rows(rows, width):
     return row_space_basis([list(r) for r in rows], width)
 
 
-def _rows_stable(mat: Matrix, rows, width) -> bool:
-    """Whether mat maps the row span into itself."""
-    basis = _span_rows(rows, width)
-    for r in basis:
-        img = [
-            sum((mat.entries[i][c] * r[c] for c in range(width)), QZERO)
-            for i in range(width)
-        ]
-        from .exactnum import in_row_space
-
-        if not in_row_space(img, basis):
-            return False
-    return True
-
-
-def _rows_into(mat: Matrix, rows, target_rows, width) -> bool:
-    basis = _span_rows(rows, width)
-    target = _span_rows(target_rows, width)
-    from .exactnum import in_row_space
-
-    for r in basis:
-        img = [
-            sum((mat.entries[i][c] * r[c] for c in range(width)), QZERO)
-            for i in range(width)
-        ]
-        if not in_row_space(img, target):
-            return False
-    return True
+def _rows_into(mat: Matrix, rows, target_rows) -> bool:
+    """Whether mat maps the span of rows into the span of target_rows."""
+    target = Echelon(map(sparse, target_rows))
+    return not any(target.reduce(sparse(mat.apply(r))) for r in rows)
 
 
 @dataclass
@@ -171,12 +147,7 @@ def compare_element(x: FinitaryElement, levels=None, samples: int = 4) -> Cohere
         for i in range(min(n, samples)):
             v = Vector.basis_vector(model, SIDE_V, i)
             lhs = truncate_vector(x.act_on_v(v), n)
-            col = truncate_vector(v, n)
-            rhs = [
-                sum((mat.entries[r][c] * col[c] for c in range(len(col))), QZERO)
-                for r in range(mat.rows)
-            ]
-            if lhs != rhs:
+            if lhs != mat.apply(truncate_vector(v, n)):
                 ok = False
         report.checks.append({"level": n, "check": "action", "ok": ok})
     return report
@@ -198,7 +169,6 @@ def compare_couple(t: TautCouple, levels=None, seed: int = 0, samples: int = 6):
     f_chain = t.f_flag.chain[1:-1]
     g_chain = t.g_flag.chain[1:-1]
     for n in levels:
-        tm = truncate_model(model, n)
         f_rows = [truncate_subspace(s, n) for s in f_chain]
         g_rows = [truncate_subspace(s, n) for s in g_chain]
         ok_joint = True
@@ -206,9 +176,9 @@ def compare_couple(t: TautCouple, levels=None, seed: int = 0, samples: int = 6):
         for x in battery:
             xv = truncate_element(x, n, SIDE_V)
             xw = truncate_element(x, n, SIDE_W)
-            fin_joint = all(
-                _rows_stable(xv, rows, tm.v_dim) for rows in f_rows
-            ) and all(_rows_stable(xw, rows, tm.w_dim) for rows in g_rows)
+            fin_joint = all(_rows_into(xv, rows, rows) for rows in f_rows) and all(
+                _rows_into(xw, rows, rows) for rows in g_rows
+            )
             if fin_joint != in_joint_stabilizer(x, t):
                 ok_joint = False
             if fin_joint:
@@ -217,7 +187,6 @@ def compare_couple(t: TautCouple, levels=None, seed: int = 0, samples: int = 6):
                         xv,
                         truncate_subspace(t.f_flag.chain[fi + 1], n),
                         truncate_subspace(t.f_flag.chain[fi], n),
-                        tm.v_dim,
                     )
                     for fi, _ in t.c_pairs
                 )

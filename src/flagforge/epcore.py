@@ -165,21 +165,6 @@ class EpSet:
         return out
 
 
-def set_op(kind: str, a: EpSet, b: EpSet | None = None) -> EpSet:
-    """Boolean set algebra dispatch (union, intersection, complement, difference)."""
-    if kind == "complement":
-        return a.complement()
-    if b is None:
-        raise ValueError(f"{kind} needs two operands")
-    if kind == "union":
-        return a.union(b)
-    if kind == "intersection":
-        return a.intersection(b)
-    if kind == "difference":
-        return a.difference(b)
-    raise ValueError(f"unknown set operation {kind!r}")
-
-
 @dataclass(frozen=True)
 class EpSeq:
     """Eventually periodic rational sequence in canonical form."""
@@ -303,12 +288,7 @@ class EpLinearSolution:
         return len(self.masked_rows)
 
     def is_admissible(self, d) -> bool:
-        d = [rat(v) for v in d]
-        for i in range(self.constraints.rows):
-            if sum((self.constraints.entries[i][k] * d[k] for k in range(len(d))),
-                   Fraction(0)):
-                return False
-        return True
+        return not any(self.constraints.apply([rat(v) for v in d]))
 
     def corrections(self, d) -> dict[int, Fraction]:
         d = [rat(v) for v in d]

@@ -1,14 +1,21 @@
-"""Exact rational arithmetic and dense exact linear algebra.
+"""Exact rational arithmetic and exact linear algebra.
 
 Everything here works over the rationals (``fractions.Fraction``), with no
-floating point anywhere.  Matrices are small and dense; elimination is done
-on integer-rescaled rows so the bulk of the work runs on Python ints.
+floating point anywhere.  Elimination has two kernels:
+
+- batch: `rref` (and `rank`, `kernel`, `solve`, `row_space_basis` on top of
+  it) reduces a whole dense `Matrix` at once, on integer-rescaled rows, so
+  the bulk of the work runs on Python ints;
+- incremental: `Echelon` is a reduced echelon basis of sparse rows grown
+  one row at a time, for reducing vectors against a span, reading their
+  coordinates and testing membership.
 
 Polynomials are dense coefficient lists, index = degree.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 
@@ -165,6 +172,11 @@ class Matrix:
     def flatten(self) -> list[Fraction]:
         return [v for row in self.entries for v in row]
 
+    def apply(self, vec) -> list[Fraction]:
+        """The matrix-vector product self . vec, vec given as a list."""
+        nz = [(c, v) for c, v in enumerate(vec) if v]
+        return [sum((row[c] * v for c, v in nz if row[c]), QZERO) for row in self.entries]
+
 
 def _int_rows(rows):
     """Rescale rational rows to primitive integer rows (per-row scaling)."""
@@ -246,22 +258,6 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def trace_of_product(a: Matrix, b: Matrix) -> Fraction:
-    """tr(a b) without forming the product."""
-    if a.cols != b.rows or a.rows != b.cols:
-        raise ValueError("shape mismatch")
-    total = QZERO
-    for i in range(a.rows):
-        arow = a.entries[i]
-        for k in range(a.cols):
-            v = arow[k]
-            if v:
-                w = b.entries[k][i]
-                if w:
-                    total += v * w
-    return total
-
-
 def row_space_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
     """RREF basis of the span of the given rational rows."""
     if not rows:
@@ -296,15 +292,84 @@ def solve(m: Matrix, rhs: list[Fraction]):
     return x
 
 
-def in_row_space(row: list[Fraction], basis_rows: list[list[Fraction]]) -> bool:
-    """Whether row lies in the span of RREF basis_rows."""
-    v = list(row)
-    for b in basis_rows:
-        p = next((j for j, w in enumerate(b) if w), None)
-        if p is not None and v[p]:
-            c = v[p] / b[p]
-            v = [a - c * w for a, w in zip(v, b)]
-    return all(not a for a in v)
+def sparse(vec) -> dict:
+    """The nonzero entries {column: value} of a dense vector."""
+    return {j: v for j, v in enumerate(vec) if v}
+
+
+def dense(row: dict, width: int) -> list[Fraction]:
+    """The dense vector of length width with the entries of a sparse row."""
+    return [row.get(j, QZERO) for j in range(width)]
+
+
+def axpy(target: dict, coeff: Fraction, row: dict) -> None:
+    """target += coeff * row on sparse rows, in place.  coeff is nonzero and
+    row holds no zeros; entries that cancel are dropped from target."""
+    for k, v in row.items():
+        old = target.get(k)
+        if old is None:
+            target[k] = coeff * v
+        else:
+            val = old + coeff * v
+            if val:
+                target[k] = val
+            else:
+                del target[k]
+
+
+class Echelon:
+    """Reduced echelon basis of sparse rows {column: Fraction}, grown one row
+    at a time.
+
+    Columns are any sortable keys.  Every row's pivot is its smallest column,
+    every pivot is 1 and is cleared from the other rows, so the coordinates
+    of a vector in the span are its entries at the pivots, and the rows do
+    not depend on the order in which the span was given."""
+
+    __slots__ = ("_rows", "pivots")
+
+    def __init__(self, rows=()):
+        self._rows: dict = {}  # pivot -> row
+        self.pivots: list = []  # sorted
+        for row in rows:
+            self.add(row)
+
+    def rows(self) -> list[dict]:
+        """The basis rows in pivot order.  They are the basis' own dicts:
+        read them, do not change them."""
+        return [self._rows[p] for p in self.pivots]
+
+    def reduce(self, row: dict) -> dict:
+        """The residual of row: a new dict equal to row minus its entries at
+        the pivots times their rows, so it vanishes at every pivot."""
+        out = {k: v for k, v in row.items() if v}
+        # a pivot's entry is untouched by the other rows, which vanish there
+        for p, c in [(p, c) for p, c in out.items() if p in self._rows]:
+            axpy(out, -c, self._rows[p])
+        return out
+
+    def coords(self, row: dict):
+        """Coordinates of row over rows(), or None if it is outside the span."""
+        if self.reduce(row):
+            return None
+        return [row.get(p, QZERO) for p in self.pivots]
+
+    def add(self, row: dict) -> bool:
+        """Extend the basis by row; False when row is already in the span."""
+        new = self.reduce(row)
+        if not new:
+            return False
+        p = min(new)
+        pv = new[p]
+        if pv != 1:
+            new = {k: v / pv for k, v in new.items()}
+        for other in self._rows.values():
+            c = other.get(p)
+            if c:
+                axpy(other, -c, new)
+        self._rows[p] = new
+        insort(self.pivots, p)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .epcore import stabilization_window
-from .exactnum import Matrix, rat, solve
+from .exactnum import CheckFailed, Echelon, Matrix, axpy, rat
 from .genflag import (
     BasisOrderFlag,
     FinitePairFlag,
@@ -56,38 +56,28 @@ class FinitaryElement:
 
     def __init__(self, model, terms=()):
         self.model = model
-        basis: dict = {}
-        payload: dict = {}
+        rows = []
+        echelon = Echelon()
         for v, w in terms:
             if v.side != SIDE_V or w.side != SIDE_W:
                 raise SideMismatch("terms must be (V, V*) pairs")
             if v.model != model or w.model != model:
                 raise ModelMismatch("term vectors from a different model")
             row = v.to_sparse()
-            w_cur = w
-            while row:
-                p = min(row)
-                if p in basis:
-                    c = row[p]
-                    payload[p] = payload[p].add(w_cur.scale(c))
-                    brow = basis[p]
-                    row = _axpy(row, -c, brow)
-                else:
-                    pv = row[p]
-                    new_row = {k: val / pv for k, val in row.items()}
-                    new_pay = w_cur.scale(pv)
-                    for q in list(basis):
-                        if p in basis[q]:
-                            c = basis[q][p]
-                            new_pay = new_pay.add(payload[q].scale(c))
-                            basis[q] = _axpy(basis[q], -c, new_row)
-                    basis[p] = new_row
-                    payload[p] = new_pay
-                    break
+            echelon.add(row)
+            rows.append((row, w.to_sparse()))
+        # v_t = sum_p v_t[p] b_p over the reduced echelon basis b_p of the
+        # v_t, so sum_t v_t (x) w_t = sum_p b_p (x) (sum_t v_t[p] w_t)
         out = []
-        for p in sorted(basis):
-            if not payload[p].is_zero():
-                out.append((Vector.from_sparse(model, SIDE_V, basis[p]), payload[p]))
+        for p, b in zip(echelon.pivots, echelon.rows()):
+            payload: dict = {}
+            for row, w in rows:
+                c = row.get(p)
+                if c:
+                    axpy(payload, c, w)
+            if payload:
+                v = Vector.from_sparse(model, SIDE_V, b)
+                out.append((v, Vector.from_sparse(model, SIDE_W, payload)))
         self.terms = tuple(out)
 
     @staticmethod
@@ -158,32 +148,6 @@ class FinitaryElement:
     def _check(self, other):
         if self.model != other.model:
             raise ModelMismatch("elements from different models")
-
-
-def _axpy(row: dict, coeff, other: dict) -> dict:
-    out = dict(row)
-    for k, v in other.items():
-        val = out.get(k, QZERO) + coeff * v
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
-
-
-def elem_algebra(op: str, *args):
-    """Dispatch surface for the element operations."""
-    table = {
-        "add": lambda x, y: x.add(y),
-        "scale": lambda x, c: x.scale(c),
-        "bracket": lambda x, y: x.bracket(y),
-        "trace": lambda x: x.trace(),
-        "act_on_V": lambda x, u: x.act_on_v(u),
-        "act_on_Vstar": lambda x, y: x.act_on_vstar(y),
-    }
-    if op not in table:
-        raise ValueError(f"unknown element operation {op!r}")
-    return table[op](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -320,42 +284,21 @@ def block_matrix(x: FinitaryElement, t: TautCouple, gamma: int) -> Matrix:
     if dim == math.inf:
         raise ValueError("block has an infinite-dimensional quotient")
     model = x.model
-    reps = []
     gap = f_succ.aligned.difference(f_pred.aligned)
     cands = [
         Vector.basis_vector(model, SIDE_V, i)
         for i in gap.members_below(gap.threshold)
     ] + list(f_succ.corrections)
-    basis_rows = []
-    keys: list = []
-    for c in cands:
-        r = f_pred.residual(c)
-        row = r.to_sparse()
-        if row and not _in_span(row, basis_rows):
-            reps.append(r)
-            basis_rows.append(row)
-            keys = sorted(set(keys) | set(row))
+    # quotient basis: the reduced echelon basis of the residuals modulo pred
+    quotient = Echelon(f_pred.residual(c).to_sparse() for c in cands)
     cols = []
-    for r in reps:
-        image = f_pred.residual(x.act_on_v(r))
-        coords = _coords_in(image.to_sparse(), basis_rows)
+    for row in quotient.rows():
+        image = f_pred.residual(x.act_on_v(Vector.from_sparse(model, SIDE_V, row)))
+        coords = quotient.coords(image.to_sparse())
         if coords is None:
-            raise AssertionError("image left the block span")
+            raise CheckFailed("image left the block span", image)
         cols.append(coords)
     return Matrix.from_rows(list(map(list, zip(*cols)))) if cols else Matrix([])
-
-
-def _in_span(row: dict, rows: list[dict]) -> bool:
-    return _coords_in(row, rows) is not None
-
-
-def _coords_in(row: dict, rows: list[dict]):
-    if not rows:
-        return [] if not row else None
-    keys = sorted(set(row) | set().union(*rows))
-    mat_cols = [[r.get(k, QZERO) for r in rows] for k in keys]
-    rhs = [row.get(k, QZERO) for k in keys]
-    return solve(Matrix(mat_cols), rhs)
 
 
 def in_pminus(x: FinitaryElement, t: TautCouple, ambient: str = "gl") -> bool:
@@ -519,14 +462,6 @@ def lambda_map(x: FinitaryElement) -> FinitaryElement:
 def s_map(x: FinitaryElement) -> FinitaryElement:
     """Symmetrization landing in sp(V) (antisymmetric form)."""
     return x.add(flip(x))
-
-
-def so_sp_ops(kind: str, x: FinitaryElement) -> FinitaryElement:
-    if kind == "lambda":
-        return lambda_map(x)
-    if kind == "s":
-        return s_map(x)
-    raise ValueError(f"unknown so/sp operation {kind!r}")
 
 
 _FORM_OF_KIND = {"so": "symmetric", "sp": "antisymmetric"}

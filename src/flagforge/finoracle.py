@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from .exactnum import (
     CheckFailed,
+    Echelon,
     Matrix,
-    in_row_space,
+    dense,
     is_nilpotent,
     jordan_chevalley,
     kernel,
@@ -29,7 +30,7 @@ from .exactnum import (
     poly_is_squarefree,
     row_space_basis,
     solve,
-    trace_of_product,
+    sparse,
 )
 
 QZERO = Fraction(0)
@@ -57,16 +58,15 @@ class CertificationFailed(RuntimeError):
 class MatSpan:
     """Subspace of n x n matrices, stored as RREF rows of flattened entries.
 
-    `pivots[k]` is the pivot column of `rows[k]`; each row's nonzero
-    entries are kept as (column, value) pairs for reduction."""
+    `echelon` holds the same rows in sparse form, for reduction,
+    coordinates and membership."""
 
-    __slots__ = ("n", "rows", "pivots", "_support")
+    __slots__ = ("n", "rows", "echelon")
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self.rows = row_space_basis([list(r) for r in rows], n * n)
-        self._support = [[(j, w) for j, w in enumerate(r) if w] for r in self.rows]
-        self.pivots = [sup[0][0] for sup in self._support]
+        self.echelon = Echelon(map(sparse, self.rows))
 
     @staticmethod
     def from_matrices(n: int, mats) -> "MatSpan":
@@ -76,26 +76,11 @@ class MatSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _coords(self, v):
-        """Coordinates of the flattened vector v, or None if v is outside.
-
-        RREF pivots are 1 and cleared from the other rows, so the
-        coordinates are the entries of v at the pivot columns."""
-        coords = [v[p] for p in self.pivots]
-        v = list(v)
-        for c, sup in zip(coords, self._support):
-            if c:
-                for j, w in sup:
-                    v[j] -= c * w
-        if any(v):
-            return None
-        return coords
-
     def member(self, m: Matrix) -> bool:
-        return self._coords(m.flatten()) is not None
+        return not self.echelon.reduce(sparse(m.flatten()))
 
     def contains(self, other: "MatSpan") -> bool:
-        return all(self._coords(r) is not None for r in other.rows)
+        return not any(map(self.echelon.reduce, other.echelon.rows()))
 
     def __eq__(self, other):
         return isinstance(other, MatSpan) and self.n == other.n and self.rows == other.rows
@@ -117,19 +102,13 @@ class MatSpan:
             [r[k] for r in self.rows] + [-r[k] for r in other.rows]
             for k in range(self.n * self.n)
         ]
-        mixed = kernel(Matrix(cols))
-        out = []
-        for lam in mixed:
-            vec = [QZERO] * (self.n * self.n)
-            for c, r in zip(lam[: len(self.rows)], self.rows):
-                if c:
-                    vec = [a + c * b for a, b in zip(vec, r)]
-            out.append(vec)
-        return MatSpan(self.n, out)
+        k = len(self.rows)
+        rows_t = Matrix._of([list(c) for c in zip(*self.rows)])
+        return MatSpan(self.n, [rows_t.apply(lam[:k]) for lam in kernel(Matrix(cols))])
 
     def coords_of(self, m: Matrix):
         """Coefficients over the RREF row basis, or None."""
-        return self._coords(m.flatten())
+        return self.echelon.coords(sparse(m.flatten()))
 
 
 def unflatten(row, n: int) -> Matrix:
@@ -245,16 +224,23 @@ class FdLieAlgebra:
         return self._ad
 
     def killing(self) -> Matrix:
+        """K_ij = tr(ad x_i ad x_j) = sum_{k,l} c[i][l][k] c[j][k][l], summed
+        over the nonzero constants c[i][l][k]."""
         if self._killing is None:
-            ads = self.ad_matrices()
+            c = self.consts
             d = self.dim
-            k = [[QZERO] * d for _ in range(d)]
+            nonzero = [
+                [(l, k, v) for l, cl in enumerate(ci) for k, v in enumerate(cl) if v]
+                for ci in c
+            ]
+            kill = [[QZERO] * d for _ in range(d)]
             for i in range(d):
                 for j in range(i, d):
-                    val = trace_of_product(ads[i], ads[j])
-                    k[i][j] = val
-                    k[j][i] = val
-            self._killing = Matrix._of(k)
+                    cj = c[j]
+                    val = sum((v * cj[k][l] for l, k, v in nonzero[i] if cj[k][l]), QZERO)
+                    kill[i][j] = val
+                    kill[j][i] = val
+            self._killing = Matrix._of(kill)
         return self._killing
 
     def derived_coords(self) -> list:
@@ -313,11 +299,8 @@ def solvable_radical(g: FdLieAlgebra) -> MatSpan:
     if d == 0:
         g._radical = MatSpan(g.n)
         return g._radical
-    kill = g.killing().entries
-    rows = [
-        [sum((kill[i][j] * mu[j] for j in range(d) if mu[j]), QZERO) for i in range(d)]
-        for mu in g.derived_coords()
-    ]
+    kill = g.killing()
+    rows = [kill.apply(mu) for mu in g.derived_coords()]
     if not rows:
         rows = [[QZERO] * d]
     rad = MatSpan.from_matrices(
@@ -345,21 +328,15 @@ def linear_nilradical(g: FdLieAlgebra, seed: int = 0) -> MatSpan:
     chain = composition_series(actions, g.n, random.Random(seed))
     # chain: increasing list of RREF row bases ending at the full space
     rows = []
-    prev: list = []
+    prev = Echelon()
     for level in chain:
         for w in level:
-            if in_row_space(w, prev):
+            if not prev.reduce(sparse(w)):
                 continue
-            resids = []
-            for a in actions:
-                img = [
-                    sum((a.entries[i][c] * w[c] for c in range(g.n)), QZERO)
-                    for i in range(g.n)
-                ]
-                resids.append(_reduce_vector(img, prev))
+            resids = [prev.reduce(sparse(a.apply(w))) for a in actions]
             for r in range(g.n):
-                rows.append([res[r] for res in resids])
-        prev = level
+                rows.append([res.get(r, QZERO) for res in resids])
+        prev = Echelon(map(sparse, level))
     coeffs = kernel(Matrix(rows)) if rows else []
     nil = MatSpan.from_matrices(g.n, [_lin_comb(lam, actions, g.n) for lam in coeffs])
     nil_mats = nil.matrices()
@@ -373,16 +350,6 @@ def linear_nilradical(g: FdLieAlgebra, seed: int = 0) -> MatSpan:
     return nil
 
 
-def _reduce_vector(vec, rows):
-    v = list(vec)
-    for r in rows:
-        p = next((j for j, w in enumerate(r) if w), None)
-        if p is not None and v[p]:
-            c = v[p] / r[p]
-            v = [a - c * w for a, w in zip(v, r)]
-    return v
-
-
 # ---------------------------------------------------------------------------
 # meataxe: submodules, irreducibility, composition series
 # ---------------------------------------------------------------------------
@@ -391,19 +358,15 @@ def _reduce_vector(vec, rows):
 def spin(vectors, actions, dim) -> list:
     """RREF basis of the smallest subspace containing vectors and closed
     under the action matrices."""
-    rows = row_space_basis([list(v) for v in vectors], dim)
-    queue = list(rows)
+    span = Echelon()
+    queue = [list(v) for v in vectors if span.add(sparse(v))]
     while queue:
         v = queue.pop()
         for a in actions:
-            img = [
-                sum((a.entries[i][c] * v[c] for c in range(dim)), QZERO)
-                for i in range(dim)
-            ]
-            if not in_row_space(img, rows):
-                rows = row_space_basis(rows + [img], dim)
+            img = a.apply(v)
+            if span.add(sparse(img)):
                 queue.append(img)
-    return rows
+    return [dense(r, dim) for r in span.rows()]
 
 
 def _theta_battery(actions, rng, dim, rounds):
@@ -480,13 +443,14 @@ def composition_series(actions, dim, rng) -> list:
     if sub is None:
         return [_identity_rows(dim)]
     k = len(sub)
-    sub_actions = _restrict_actions(actions, sub, dim)
+    sub_actions = _restrict_actions(actions, sub)
     quo_actions, lift = _quotient_actions(actions, sub, dim)
     lower = composition_series(sub_actions, k, rng)
     upper = composition_series(quo_actions, dim - k, rng)
+    sub_t = Matrix._of([list(c) for c in zip(*sub)])
     chain = []
     for level in lower:
-        chain.append(row_space_basis([_combine(sub, r) for r in level], dim))
+        chain.append(row_space_basis([sub_t.apply(r) for r in level], dim))
     for level in upper:
         rows = [lift(r) for r in level]
         chain.append(row_space_basis([list(s) for s in sub] + rows, dim))
@@ -499,42 +463,27 @@ def _identity_rows(dim):
     ]
 
 
-def _combine(sub_rows, coeffs):
-    out = [QZERO] * len(sub_rows[0])
-    for c, r in zip(coeffs, sub_rows):
-        if c:
-            out = [a + c * b for a, b in zip(out, r)]
-    return out
-
-
-def _restrict_actions(actions, sub_rows, dim):
-    k = len(sub_rows)
-    basis_cols = Matrix([[sub_rows[j][i] for j in range(k)] for i in range(dim)])
+def _restrict_actions(actions, sub_rows):
+    sub = Echelon(map(sparse, sub_rows))
     out = []
     for a in actions:
         cols = []
         for r in sub_rows:
-            img = [
-                sum((a.entries[i][c] * r[c] for c in range(dim)), QZERO)
-                for i in range(dim)
-            ]
-            coords = solve(basis_cols, img)
+            coords = sub.coords(sparse(a.apply(r)))
             if coords is None:
                 raise CheckFailed("submodule is not invariant", (a, r))
             cols.append(coords)
-        out.append(Matrix.from_rows(list(map(list, zip(*cols)))) if k else Matrix([]))
+        out.append(Matrix.from_rows(list(map(list, zip(*cols)))) if sub_rows else Matrix([]))
     return out
 
 
 def _quotient_actions(actions, sub_rows, dim):
-    pivots = []
-    for r in sub_rows:
-        pivots.append(next(j for j, w in enumerate(r) if w))
-    free = [j for j in range(dim) if j not in pivots]
+    sub = Echelon(map(sparse, sub_rows))
+    free = [j for j in range(dim) if j not in sub.pivots]
 
     def project(vec):
-        resid = _reduce_vector(vec, sub_rows)
-        return [resid[j] for j in free]
+        resid = sub.reduce(sparse(vec))
+        return [resid.get(j, QZERO) for j in free]
 
     out = []
     for a in actions:
@@ -569,19 +518,16 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
     if rad.dim == 0:
         return g
     # complement coordinates modulo the radical
-    rad_coeff_rows = row_space_basis(
-        [g.span.coords_of(m) for m in rad.matrices()], g.dim
-    )
-    pivots = {next(j for j, w in enumerate(r) if w) for r in rad_coeff_rows}
-    free = [j for j in range(g.dim) if j not in pivots]
+    rad_coeffs = Echelon(sparse(g.span.coords_of(m)) for m in rad.matrices())
+    free = [j for j in range(g.dim) if j not in rad_coeffs.pivots]
     xs = [g.basis[j] for j in free]
     m = len(xs)
 
     c = {}
     for i in range(m):
         for j in range(i + 1, m):
-            resid = _reduce_vector(g.consts[free[i]][free[j]], rad_coeff_rows)
-            c[i, j] = [resid[k] for k in free]
+            resid = rad_coeffs.reduce(sparse(g.consts[free[i]][free[j]]))
+            c[i, j] = [resid.get(k, QZERO) for k in free]
 
     series = derived_series(rad)
     series.append(MatSpan(g.n))
@@ -589,31 +535,26 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
         level, nxt = series[t], series[t + 1]
         if not level.dim:
             break
-        nxt_rows = [g.span.coords_of(mat) for mat in nxt.matrices()]
-        level_rows = [g.span.coords_of(mat) for mat in level.matrices()]
+        nxt_coeffs = Echelon(sparse(g.span.coords_of(mat)) for mat in nxt.matrices())
         # corrections only matter modulo the next derived term, so the
-        # unknowns range over complement representatives of that quotient
-        w_mats = []
-        seen = [list(r) for r in nxt_rows]
-        for mat, row in zip(level.matrices(), level_rows):
-            if not in_row_space(row, row_space_basis(seen, g.dim)):
-                w_mats.append(mat)
-                seen.append(row)
+        # unknowns range over complement representatives of that quotient:
+        # the level elements whose residues modulo nxt extend the reduced
+        # echelon basis of the quotient level / nxt
+        quotient = Echelon()
+        w_mats = [
+            mat
+            for mat in level.matrices()
+            if quotient.add(nxt_coeffs.reduce(sparse(g.span.coords_of(mat))))
+        ]
         if not w_mats:
             break
-        # RREF basis of the quotient level / nxt, as residues modulo nxt:
-        # quotient coordinates are the residue's entries at its pivots
-        quo_basis = row_space_basis(
-            [_reduce_vector(r, nxt_rows) for r in level_rows], g.dim
-        )
-        quo_pivots = [next(j for j, w in enumerate(b) if w) for b in quo_basis]
 
         def quo_coords(mat: Matrix):
-            resid = _reduce_vector(g.span.coords_of(mat), nxt_rows)
-            return [resid[p] for p in quo_pivots]
+            resid = nxt_coeffs.reduce(sparse(g.span.coords_of(mat)))
+            return [resid.get(p, QZERO) for p in quotient.pivots]
 
         width = len(w_mats)
-        dim_q = len(quo_pivots)
+        dim_q = len(quotient.pivots)
         eq_rows = []
         rhs = []
         bracket_cache = [
@@ -701,13 +642,8 @@ def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
     cent = _centralizer_span(g, rad, levi.basis)
     nil_in_cent = nil.intersect(cent)
     torus_elems = []
-    comp_rows = []
-    cur = list(nil_in_cent.rows)
-    for r in cent.rows:
-        if not in_row_space(r, cur):
-            comp_rows.append(r)
-            cur = row_space_basis(cur + [r], len(r))
-    for row in comp_rows:
+    seen = Echelon(nil_in_cent.echelon.rows())
+    for row in [r for r in cent.rows if seen.add(sparse(r))]:
         y = unflatten(row, g.n)
         if torus_elems:
             y = _commuting_correction(g, y, torus_elems, nil_in_cent)
@@ -817,14 +753,12 @@ def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
     width = k.dim
     current: list = []
     for _ in range(width + 1):
+        cur = Echelon(map(sparse, current))
         rows = []
         for a in ads:
-            resid_cols = [
-                _reduce_vector([a.entries[i][j] for i in range(width)], current)
-                for j in range(width)
-            ]
+            resid_cols = [cur.reduce(sparse(a.col(j))) for j in range(width)]
             for r in range(width):
-                rows.append([resid_cols[j][r] for j in range(width)])
+                rows.append([col.get(r, QZERO) for col in resid_cols])
         nxt = kernel(Matrix(rows)) if rows else []
         nxt_rows = row_space_basis([list(v) for v in nxt], width)
         if nxt_rows == current:
@@ -904,16 +838,11 @@ def _is_maximal_toral(k, ss_span, z, rng):
 
 def _normalizer_in(k: FdLieAlgebra, h_span: MatSpan) -> MatSpan:
     """{x in k : [x, h] subset h}."""
-    h_mats = h_span.matrices()
     coeff_rows = []
-    for m in h_mats:
+    for m in h_span.matrices():
+        resids = [h_span.echelon.reduce(sparse(bracket(b, m).flatten())) for b in k.basis]
         for r in range(k.n * k.n):
-            row = []
-            for b in k.basis:
-                flat = bracket(b, m).flatten()
-                resid = _reduce_vector(flat, h_span.rows)
-                row.append(resid[r])
-            coeff_rows.append(row)
+            coeff_rows.append([res.get(r, QZERO) for res in resids])
     if not coeff_rows:
         return k.span
     sols = kernel(Matrix(coeff_rows))
@@ -943,24 +872,21 @@ def flag_stabilizer_brute(n: int, chain) -> MatSpan:
     modulo the member must vanish coordinate by coordinate."""
     cond_rows = []
     for level in chain:
-        level_rows = row_space_basis([list(r) for r in level], n)
-        if not level_rows or len(level_rows) == n:
+        level_ech = Echelon(map(sparse, level))
+        if len(level_ech.pivots) in (0, n):
             continue
-        pivots = [next(j for j, v in enumerate(r) if v) for r in level_rows]
-        pivot_set = set(pivots)
+        level_rows = level_ech.rows()
         for w in level_rows:
             for t in range(n):
-                if t in pivot_set:
+                if t in level_ech.pivots:
                     continue  # residual vanishes at pivot coordinates
                 cond = [QZERO] * (n * n)
-                for c in range(n):
-                    if w[c]:
-                        cond[t * n + c] += w[c]
-                for p_row, piv in zip(level_rows, pivots):
-                    if p_row[t]:
-                        for c in range(n):
-                            if w[c]:
-                                cond[piv * n + c] -= p_row[t] * w[c]
+                for c, wc in w.items():
+                    cond[t * n + c] += wc
+                for p_row, piv in zip(level_rows, level_ech.pivots):
+                    if t in p_row:
+                        for c, wc in w.items():
+                            cond[piv * n + c] -= p_row[t] * wc
                 cond_rows.append(cond)
     if not cond_rows:
         return MatSpan(
@@ -1088,9 +1014,9 @@ def fd_parabolic_tests(p: FdLieAlgebra, seed: int = 0) -> ParabolicReport:
     rng = random.Random(seed)
     invs = _invariant_subspaces(p, rng)
     chain_ok = True
-    for a, b in itertools.combinations(invs, 2):
-        a_in_b = all(in_row_space(r, b) for r in a)
-        b_in_a = all(in_row_space(r, a) for r in b)
+    for a, b in itertools.combinations([Echelon(map(sparse, rows)) for rows in invs], 2):
+        a_in_b = not any(map(b.reduce, a.rows()))
+        b_in_a = not any(map(a.reduce, b.rows()))
         if not (a_in_b or b_in_a):
             chain_ok = False
             break
@@ -1105,15 +1031,12 @@ def fd_parabolic_tests(p: FdLieAlgebra, seed: int = 0) -> ParabolicReport:
 def _full_flag_from(p: FdLieAlgebra, rng) -> list:
     """A complete flag refining a composition series of the p-action."""
     series = composition_series(p.basis if p.dim else [], p.n, rng)
+    current = Echelon()
     chain = []
-    prev: list = []
     for level in series:
-        current = list(prev)
         for w in level:
-            if not in_row_space(w, current):
-                current = row_space_basis(current + [w], p.n)
-                chain.append(current)
-        prev = level
+            if current.add(sparse(w)):
+                chain.append([dense(r, p.n) for r in current.rows()])
     return chain
 
 

@@ -3,7 +3,7 @@
 The model has standard dual bases e_i of V and f_j of V* with <e_i, f_j> =
 delta_ij, optionally extended by finitely many augmentation generators on
 either side whose pairing rows against the opposite standard basis are
-eventually periodic sequences.  A nondegesate symmetric or antisymmetric
+eventually periodic sequences.  A nondegenerate symmetric or antisymmetric
 form identifying V* with V can be declared through an index involution.
 
 Subspaces are stored in a canonical form: an eventually periodic aligned
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .epcore import EpSeq, EpSet, stabilization_window
-from .exactnum import CheckFailed, Matrix, kernel, rat, row_space_basis
+from .exactnum import CheckFailed, Echelon, Matrix, axpy, kernel, rat, row_space_basis
 
 SIDE_V = "V"
 SIDE_W = "V*"
@@ -274,49 +274,17 @@ def pair(v: Vector, g: Vector) -> Fraction:
     return total
 
 
-def _sparse_clean(row: dict) -> dict:
-    return {k: v for k, v in row.items() if v}
-
-
-def _sparse_axpy(target: dict, coeff: Fraction, row: dict):
-    for k, v in row.items():
-        val = target.get(k, QZERO) + coeff * v
-        if val:
-            target[k] = val
-        else:
-            target.pop(k, None)
-
-
-def _sparse_rref(rows: list[dict]) -> list[dict]:
-    """Full reduced echelon form of sparse rows, pivots normalized to 1."""
-    basis: dict = {}
-    for raw in rows:
-        row = _sparse_clean(dict(raw))
-        while row:
-            p = min(row)
-            if p in basis:
-                _sparse_axpy(row, -row[p], basis[p])
-            else:
-                pv = row[p]
-                row = {k: v / pv for k, v in row.items()}
-                for other in basis.values():
-                    if p in other:
-                        _sparse_axpy(other, -other[p], row)
-                basis[p] = row
-                break
-    return [basis[k] for k in sorted(basis)]
-
-
 class Subspace:
     """Canonical subspace of V or V*: aligned EpSet plus corrections."""
 
-    __slots__ = ("model", "side", "aligned", "corrections")
+    __slots__ = ("model", "side", "aligned", "corrections", "_echelon")
 
     def __init__(self, model, side, aligned: EpSet, corrections: tuple):
         self.model = model
         self.side = side
         self.aligned = aligned
         self.corrections = corrections
+        self._echelon = None  # of the corrections, built on first reduction
 
     @staticmethod
     def span(model, side, aligned: EpSet = None, gens=()) -> "Subspace":
@@ -324,10 +292,10 @@ class Subspace:
         aligned = aligned if aligned is not None else EpSet.empty()
         rows = [g.to_sparse() for g in gens]
         while True:
-            for row in rows:
-                for key in [k for k in row if k[0] == 1 and aligned.member(k[1])]:
-                    row.pop(key)
-            rows = _sparse_rref(rows)
+            rows = Echelon(
+                {k: v for k, v in row.items() if not (k[0] == 1 and aligned.member(k[1]))}
+                for row in rows
+            ).rows()
             absorbed = [
                 row for row in rows if len(row) == 1 and next(iter(row))[0] == 1
             ]
@@ -383,24 +351,26 @@ class Subspace:
 
     def residual(self, v: Vector) -> Vector:
         """Reduction of v modulo this subspace under the canonical pivot rule."""
+        return Vector.from_sparse(self.model, self.side, self._reduce(v))
+
+    def member(self, v: Vector) -> bool:
+        return not self._reduce(v)
+
+    def _reduce(self, v: Vector) -> dict:
+        """Sparse residual of v: aligned coordinates dropped, then reduced
+        against the corrections."""
         if v.side != self.side:
             raise SideMismatch("vector and subspace sides differ")
         if v.model != self.model:
             raise ModelMismatch("vector and subspace models differ")
+        if self._echelon is None:
+            self._echelon = Echelon(c.to_sparse() for c in self.corrections)
         row = {
             k: val
             for k, val in v.to_sparse().items()
             if not (k[0] == 1 and self.aligned.member(k[1]))
         }
-        for corr in self.corrections:
-            crow = corr.to_sparse()
-            p = min(crow)
-            if p in row:
-                _sparse_axpy(row, -row[p], crow)
-        return Vector.from_sparse(self.model, self.side, row)
-
-    def member(self, v: Vector) -> bool:
-        return self.residual(v).is_zero()
+        return self._echelon.reduce(row)
 
     def contains(self, other: "Subspace") -> bool:
         if self.side != other.side:
@@ -439,7 +409,7 @@ class Subspace:
                 row: dict = {}
                 for coeff, g in zip(lam[: len(gens_a)], gens_a):
                     if coeff:
-                        _sparse_axpy(row, coeff, g)
+                        axpy(row, coeff, g)
                 meet_rows.append(row)
             gens = [
                 Vector.from_sparse(self.model, self.side, row)
@@ -463,14 +433,6 @@ class Subspace:
             raise SideMismatch("subspace sides differ")
         if self.model != other.model:
             raise ModelMismatch("subspace models differ")
-
-
-def subspace_op(kind: str, a: Subspace, b: Subspace) -> Subspace:
-    if kind == "sum":
-        return a.sum(b)
-    if kind == "intersection":
-        return a.intersection(b)
-    raise ValueError(f"unknown subspace operation {kind!r}")
 
 
 def perp(a: Subspace) -> Subspace:

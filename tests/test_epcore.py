@@ -4,7 +4,7 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagforge.epcore import EpSeq, EpSet, ep_linear_solve, set_op, stabilization_window
+from flagforge.epcore import EpSeq, EpSet, ep_linear_solve, stabilization_window
 
 F = Fraction
 
@@ -18,15 +18,15 @@ def members(s, bound=40):
 
 
 def test_complement_evens():
-    assert set_op("complement", EVENS) == ODDS
+    assert EVENS.complement() == ODDS
 
 
 def test_intersection_crt():
-    assert set_op("intersection", EVENS, MULT3) == EpSet.from_residues(6, (0,))
+    assert EVENS.intersection(MULT3) == EpSet.from_residues(6, (0,))
 
 
 def test_union_with_complement_is_everything():
-    assert set_op("union", EVENS, EVENS.complement()) == EpSet.naturals()
+    assert EVENS.union(EVENS.complement()) == EpSet.naturals()
 
 
 def test_canonical_form_absorbs_fake_preperiod():

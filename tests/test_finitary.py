@@ -22,7 +22,6 @@ from flagforge.finitary import (
     block_component,
     block_matrix,
     block_trace,
-    elem_algebra,
     flip,
     in_joint_stabilizer,
     in_nilradical,
@@ -73,22 +72,22 @@ def r1(m, i, j):
 
 def test_trace_rank_one():
     m = plain_model()
-    assert elem_algebra("trace", r1(m, 0, 0)) == 1
-    assert elem_algebra("trace", r1(m, 0, 1)) == 0
+    assert r1(m, 0, 0).trace() == 1
+    assert r1(m, 0, 1).trace() == 0
 
 
 def test_bracket_gl2_identity():
     m = plain_model()
-    b = elem_algebra("bracket", r1(m, 0, 1), r1(m, 1, 0))
+    b = r1(m, 0, 1).bracket(r1(m, 1, 0))
     assert b == r1(m, 0, 0).sub(r1(m, 1, 1))
 
 
 def test_rank_one_action():
     m = plain_model()
-    assert elem_algebra("act_on_V", r1(m, 0, 1), ev(m, 1)) == ev(m, 0)
-    assert elem_algebra("act_on_V", r1(m, 0, 1), ev(m, 0)).is_zero()
+    assert r1(m, 0, 1).act_on_v(ev(m, 1)) == ev(m, 0)
+    assert r1(m, 0, 1).act_on_v(ev(m, 0)).is_zero()
     # dual action carries the minus sign
-    assert elem_algebra("act_on_Vstar", r1(m, 0, 1), fw(m, 0)) == fw(m, 1).scale(-1)
+    assert r1(m, 0, 1).act_on_vstar(fw(m, 0)) == fw(m, 1).scale(-1)
 
 
 def test_canonicalization_merges_terms():

@@ -26,7 +26,6 @@ from flagforge.pairedspace import (
     perp,
     plain_model,
     split_form_model,
-    subspace_op,
     truncate,
     validate_model,
 )
@@ -87,7 +86,7 @@ def test_sum_aligned_plus_correction():
     m = plain_model()
     evens = Subspace.span(m, SIDE_V, EVENS)
     line = Subspace.span(m, SIDE_V, gens=[ev(m, 1)])
-    total = subspace_op("sum", evens, line)
+    total = evens.sum(line)
     # a single basis vector is absorbed into the aligned part
     assert total.aligned == EVENS.union(EpSet.finite({1}))
     assert total.corrections == ()
@@ -97,7 +96,7 @@ def test_intersection_crt():
     m = plain_model()
     evens = Subspace.span(m, SIDE_V, EVENS)
     mult3 = Subspace.span(m, SIDE_V, EpSet.from_residues(3, (0,)))
-    met = subspace_op("intersection", evens, mult3)
+    met = evens.intersection(mult3)
     assert met == Subspace.span(m, SIDE_V, EpSet.from_residues(6, (0,)))
 
 
