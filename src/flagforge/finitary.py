@@ -156,25 +156,66 @@ class FinitaryElement:
 
 
 def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
-    """Whether x . source is contained in target (same side as source)."""
+    """Whether x . source is contained in target (same side as source).
+
+    x = sum_t v_t (x) w_t sends u in V to sum_t <u, w_t> v_t and y in V* to
+    -sum_t <v_t, y> w_t.  So x . source is the image of the span C in Q^r
+    of the pairing rows (<u, w_t>)_t, resp. (<v_t, y>)_t, of the vectors of
+    source under c -> sum_t c_t v_t, resp. -sum_t c_t w_t (the sign does not
+    change membership).  Past the support of the pairing partners w_t,
+    resp. v_t, a basis vector's row depends only on the augmentation rows,
+    which are eventually periodic, so the aligned indices of one
+    stabilization window plus the corrections span C; when no partner has
+    augmentation coordinates, only the aligned indices in their supports
+    give nonzero rows.  One image per echelon row of C decides the test: at
+    most r = len(x.terms) membership tests.
+    """
     model = x.model
     if source.side == SIDE_V:
-        rows = [aug.row for aug in model.w_augs]
-        coeff_vecs = [w for _, w in x.terms]
-        act = x.act_on_v
-        basis_vec = lambda i: Vector.basis_vector(model, SIDE_V, i)
+        aug_rows = [aug.row for aug in model.w_augs]
+        partners = [w for _, w in x.terms]
+        images = [v for v, _ in x.terms]
+        row_of = lambda u: [pair(u, w) for w in partners]
     else:
-        rows = [aug.row for aug in model.v_augs]
-        coeff_vecs = [v for v, _ in x.terms]
-        act = x.act_on_vstar
-        basis_vec = lambda j: Vector.basis_vector(model, SIDE_W, j)
-    support = max((c.support_bound() for c in coeff_vecs), default=0)
-    n_star, p_star = stabilization_window([source.aligned, support] + rows)
-    for i in source.aligned.members_below(n_star + p_star):
-        if not target.member(act(basis_vec(i))):
-            return False
-    for corr in source.corrections:
-        if not target.member(act(corr)):
+        aug_rows = [aug.row for aug in model.v_augs]
+        partners = [v for v, _ in x.terms]
+        images = [w for _, w in x.terms]
+        row_of = lambda y: [pair(v, y) for v in partners]
+    aligned = source.aligned
+    if any(any(c.augs) for c in partners):
+        support = max(c.support_bound() for c in partners)
+        n_star, p_star = stabilization_window([aligned, support] + aug_rows)
+        indices = aligned.members_below(n_star + p_star)
+    else:
+        aug_rows = []
+        indices = {i for c in partners for i in c.basis if aligned.member(i)}
+
+    def rows():
+        for i in indices:
+            tails = [row.value(i) for row in aug_rows]
+            row = {}
+            for t, c in enumerate(partners):
+                val = c.basis.get(i, QZERO)
+                for a, tail in zip(c.augs, tails):
+                    if a:
+                        val += a * tail
+                if val:
+                    row[t] = val
+            yield row
+        for corr in source.corrections:
+            yield {t: c for t, c in enumerate(row_of(corr)) if c}
+
+    span = Echelon()
+    for row in rows():
+        if len(span.pivots) == len(partners):
+            break
+        span.add(row)
+    sparse_images = [u.to_sparse() for u in images] if span.pivots else []
+    for coeffs in span.rows():
+        image: dict = {}
+        for t, c in coeffs.items():
+            axpy(image, c, sparse_images[t])
+        if not target.member(Vector.from_sparse(model, source.side, image)):
             return False
     return True
 
@@ -182,10 +223,11 @@ def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
 def in_stabilizer(x: FinitaryElement, flag) -> bool:
     """Whether x stabilizes every subspace of the flag.
 
-    Finite flags are checked by sampling the aligned part over one
-    stabilization window (the image coefficients are eventually periodic in
-    the basis index) plus the finitely many corrections.  Basis-order flags
-    reduce to the support comparator test.
+    A finite flag is stabilized when x maps each of its members into itself,
+    which `_maps_into` decides in coordinates: the span of the pairing rows
+    of the member against the terms of x, read off one stabilization window
+    of aligned indices plus the corrections, and at most one membership test
+    per term.  Basis-order flags reduce to the support comparator test.
     """
     if isinstance(flag, BasisOrderFlag):
         return _in_basis_flag_stabilizer(x, flag)
@@ -242,7 +284,9 @@ class BlockComponent:
 
 def _chain_component(chain_pred: Subspace, chain_succ: Subspace, v: Vector) -> Vector:
     """Component of v in the pivot-rule complement of pred inside succ."""
-    return chain_pred.residual(v).sub(chain_succ.residual(v))
+    row = chain_pred._reduce(v)
+    axpy(row, Fraction(-1), chain_succ._reduce(v))
+    return Vector.from_sparse(chain_pred.model, chain_pred.side, row)
 
 
 def block_component(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
@@ -476,16 +520,19 @@ def in_algebra_of_form(x: FinitaryElement, kind: str) -> bool:
 
 
 def self_taut_couple(f: FinitePairFlag) -> TautCouple:
-    """The taut couple (f, phi(f)) of a self-taut flag under the form."""
+    """The taut couple (f, phi(f)) of a self-taut flag under the form,
+    cached on the flag."""
     from .genflag import make_taut_couple
     from .pairedspace import form_map_subspace
 
-    model = f.model
-    if model.form_kind == "none":
-        raise NoFormOnModel("model carries no form")
-    g_chain = tuple(form_map_subspace(s) for s in f.chain)
-    g = FinitePairFlag(model, SIDE_W, g_chain)
-    return make_taut_couple(f, g)
+    if f._self_taut is None:
+        model = f.model
+        if model.form_kind == "none":
+            raise NoFormOnModel("model carries no form")
+        g_chain = tuple(form_map_subspace(s) for s in f.chain)
+        g = FinitePairFlag(model, SIDE_W, g_chain)
+        f._self_taut = make_taut_couple(f, g)
+    return f._self_taut
 
 
 def in_so_sp_stabilizer_minus(x: FinitaryElement, f: FinitePairFlag, kind: str) -> bool:

@@ -271,6 +271,11 @@ class FdLieAlgebra:
 
 def lie_close(n: int, gens) -> FdLieAlgebra:
     """Smallest bracket-closed subspace containing the generators."""
+    return FdLieAlgebra(n, _lie_closure_span(n, gens).matrices())
+
+
+def _lie_closure_span(n: int, gens) -> MatSpan:
+    """The span of lie_close(n, gens), without its structure constants."""
     span = MatSpan.from_matrices(n, list(gens))
     while True:
         mats = span.matrices()
@@ -280,7 +285,7 @@ def lie_close(n: int, gens) -> FdLieAlgebra:
             + [bracket(a, b).flatten() for a, b in itertools.combinations(mats, 2)],
         )
         if new.dim == span.dim:
-            return FdLieAlgebra(n, span.matrices())
+            return span
         span = new
 
 
@@ -677,9 +682,10 @@ def _centralizer_span(g: FdLieAlgebra, inside: MatSpan, of_basis) -> MatSpan:
     rows = []
     width = len(mats)
     for b in of_basis:
+        brackets = [bracket(m, b).entries for m in mats]
         for r in range(g.n):
             for cc in range(g.n):
-                rows.append([bracket(m, b).entries[r][cc] for m in mats])
+                rows.append([e[r][cc] for e in brackets])
     coeffs = kernel(Matrix(rows)) if rows else [
         [Fraction(1) if i == j else QZERO for j in range(width)] for i in range(width)
     ]
@@ -698,9 +704,10 @@ def _commuting_correction(g, y, torus_elems, nil_span):
     rhs = []
     for t in torus_elems:
         target = bracket(t, y)
+        brackets = [bracket(t, m).entries for m in mats]
         for r in range(g.n):
             for c in range(g.n):
-                rows.append([bracket(t, m).entries[r][c] for m in mats])
+                rows.append([e[r][c] for e in brackets])
                 rhs.append(target.entries[r][c])
     sol = solve(Matrix(rows), rhs)
     if sol is None:
@@ -732,9 +739,10 @@ def centralizer_in(k: FdLieAlgebra, of_mats) -> FdLieAlgebra:
         return k
     rows = []
     for m in of_mats:
+        brackets = [bracket(b, m).entries for b in k.basis]
         for r in range(k.n):
             for c in range(k.n):
-                rows.append([bracket(b, m).entries[r][c] for b in k.basis])
+                rows.append([e[r][c] for e in brackets])
     if not rows:
         return k
     mats = [_lin_comb(lam, k.basis, k.n) for lam in kernel(Matrix(rows))]
@@ -1045,7 +1053,7 @@ def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra, rng, tries=8
         return False
     candidates = [m for m in ambient.basis if not b_span.member(m)]
     for x in candidates:
-        if is_solvable_span(lie_close(ambient.n, b_span.matrices() + [x]).span):
+        if is_solvable_span(_lie_closure_span(ambient.n, b_span.matrices() + [x])):
             return False
     for _ in range(tries):
         x = Matrix.zero(ambient.n, ambient.n)
@@ -1054,7 +1062,7 @@ def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra, rng, tries=8
             if c:
                 x = x + m.scale(c)
         if not b_span.member(x) and is_solvable_span(
-            lie_close(ambient.n, b_span.matrices() + [x]).span
+            _lie_closure_span(ambient.n, b_span.matrices() + [x])
         ):
             return False
     return True

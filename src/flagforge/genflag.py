@@ -48,12 +48,13 @@ class NotSemiclosed(ValueError):
 class FinitePairFlag:
     """Strictly increasing chain 0 = C_0 < C_1 < ... < C_k = full space."""
 
-    __slots__ = ("model", "side", "chain")
+    __slots__ = ("model", "side", "chain", "_self_taut")
 
     def __init__(self, model, side, chain: tuple[Subspace, ...]):
         self.model = model
         self.side = side
         self.chain = chain
+        self._self_taut = None  # finitary.self_taut_couple, cached on first use
 
     @property
     def pairs(self):

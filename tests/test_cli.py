@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,9 @@ from _corpus import augmented_couple, evens_couple, random_element, trivial_coup
 from flagforge import serial
 from flagforge.cli import SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
-from flagforge.finitary import FinitaryElement
+from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra
 from flagforge.finoracle import FdLieAlgebra, gl_basis, upper_triangular_basis
+from flagforge.genflag import FINITE, OMEGA_DOWN, OMEGA_UP, BasisOrderFlag, Block
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
@@ -283,3 +286,55 @@ def test_round_trip_serialization():
     assert g2.span == g.span
     seq = EpSeq.make([1], [2, 3])
     assert serial.epseq_from_json(serial.epseq_to_json(seq)) == seq
+
+
+def _serial_case(kind):
+    """(value, to_json, from_json) for a type a session can name; readers
+    that need a model or a couple get it bound."""
+    m = dense_line_model()
+    mf = split_form_model("antisymmetric")
+    t = augmented_couple()
+    sub = Subspace.span(
+        m, SIDE_V, EpSet.from_residues(3, (0, 2)), [Vector(m, SIDE_V, {1: 2, 4: -1}, (1,))]
+    )
+    bflag = BasisOrderFlag(
+        plain_model(),
+        (
+            Block(FINITE, points=((0, 1), (2,))),
+            Block(OMEGA_UP, indices=EpSet.from_residues(2, (1,), threshold=3)),
+            Block(OMEGA_DOWN, indices=EpSet.from_residues(2, (0,), threshold=3)),
+        ),
+    )
+    x = random_element(m, random.Random(9), terms=3).add(
+        FinitaryElement.rank_one(Vector.aug_vector(m, SIDE_V, 0), Vector(m, SIDE_W, {2: "1/3"}))
+    )
+    g = FdLieAlgebra(3, upper_triangular_basis(3))
+    te = evens_couple()
+    tc = TraceConditionSubalgebra(te, "gl", [["1/2", -1]])
+    cases = {
+        "model": (mf, serial.model_to_json, serial.model_from_json),
+        "augmented_model": (m, serial.model_to_json, serial.model_from_json),
+        "vector": (sub.corrections[0], serial.vector_to_json, partial(serial.vector_from_json, m)),
+        "subspace": (sub, serial.subspace_to_json, partial(serial.subspace_from_json, m)),
+        "flag": (t.f_flag, serial.flag_to_json, partial(serial.flag_from_json, m)),
+        "basis_flag": (bflag, serial.basis_flag_to_json,
+                       partial(serial.basis_flag_from_json, bflag.model)),
+        "couple": (t, serial.couple_to_json, partial(serial.couple_from_json, m)),
+        "element": (x, serial.element_to_json, partial(serial.element_from_json, m)),
+        "matrix": (g.basis[1].scale(Fraction(-5, 2)), serial.matrix_to_json,
+                   serial.matrix_from_json),
+        "algebra": (g, serial.algebra_to_json, serial.algebra_from_json),
+        "tc_subalgebra": (tc, serial.tc_to_json, partial(serial.tc_from_json, te)),
+    }
+    return cases[kind]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["model", "augmented_model", "vector", "subspace", "flag", "basis_flag",
+     "couple", "element", "matrix", "algebra", "tc_subalgebra"],
+)
+def test_serial_round_trip_is_stable(kind):
+    value, to_json, from_json = _serial_case(kind)
+    encoded = to_json(value)
+    assert to_json(from_json(json.loads(json.dumps(encoded)))) == encoded
