@@ -14,7 +14,14 @@ import sys
 import time
 
 from . import coherence, finitary, finoracle, serial
-from .genflag import classify_flag, fc_flag, make_taut_couple, self_taut_and_iso
+from .genflag import (
+    basis_flag_queries,
+    classify_flag,
+    fc_flag,
+    flag_from_chain,
+    make_taut_couple,
+    self_taut_and_iso,
+)
 from .pairedspace import validate_model
 
 
@@ -49,44 +56,41 @@ class Session:
             isinstance(c, dict) for c in self.commands
         ):
             raise SessionError("'commands' must be a list of JSON objects")
-        try:
-            for name, d in data.get("models", {}).items():
-                self.models[name] = serial.model_from_json(d)
-            for name, d in data.get("subspaces", {}).items():
-                model = self._model_of(d)
-                self.subspaces[name] = serial.subspace_from_json(model, d)
-            for name, d in data.get("flags", {}).items():
-                model = self._model_of(d)
-                chain = [self._resolve_subspace(model, s) for s in d.get("chain", [])]
-                from .genflag import flag_from_chain
-
-                self.flags[name] = flag_from_chain(model, d["side"], chain)
-            for name, d in data.get("basis_flags", {}).items():
-                model = self._model_of(d)
-                self.basis_flags[name] = serial.basis_flag_from_json(model, d)
-            for name, d in data.get("couples", {}).items():
-                f = self._lookup(self.flags, d["f"])
-                g = self._lookup(self.flags, d["g"])
-                self.couples[name] = make_taut_couple(f, g)
-            for name, d in data.get("elements", {}).items():
-                model = self._model_of(d)
-                self.elements[name] = serial.element_from_json(model, d)
-            for name, d in data.get("tc_subalgebras", {}).items():
-                couple = self._lookup(self.couples, d["couple"])
-                self.tc_subalgebras[name] = serial.tc_from_json(couple, d)
-            for name, d in data.get("algebras", {}).items():
-                self.algebras[name] = serial.algebra_from_json(d)
-        except KeyError as exc:
-            raise SessionError(f"missing field {exc}") from exc
+        readers = (  # in dependency order
+            ("models", self.models, serial.model_from_json),
+            ("subspaces", self.subspaces,
+             lambda d: serial.subspace_from_json(self._model_of(d), d)),
+            ("flags", self.flags, self._flag_from_json),
+            ("basis_flags", self.basis_flags,
+             lambda d: serial.basis_flag_from_json(self._model_of(d), d)),
+            ("couples", self.couples,
+             lambda d: make_taut_couple(self._lookup(self.flags, d["f"]),
+                                        self._lookup(self.flags, d["g"]))),
+            ("elements", self.elements,
+             lambda d: serial.element_from_json(self._model_of(d), d)),
+            ("tc_subalgebras", self.tc_subalgebras,
+             lambda d: serial.tc_from_json(self._lookup(self.couples, d["couple"]), d)),
+            ("algebras", self.algebras, serial.algebra_from_json),
+        )
+        for section, table, read in readers:
+            for name, d in _section(data, section):
+                try:
+                    table[name] = read(d)
+                except KeyError as exc:
+                    raise SessionError(f"{section} {name!r}: missing field {exc}") from exc
+                except (TypeError, AttributeError, ValueError) as exc:
+                    raise SessionError(f"{section} {name!r}: {exc}") from exc
 
     def _model_of(self, d: dict):
-        name = d.get("model")
-        if name is None:
-            raise SessionError("object definition lacks a 'model' field")
-        return self._lookup(self.models, name)
+        return self._lookup(self.models, d["model"])
+
+    def _flag_from_json(self, d: dict):
+        model = self._model_of(d)
+        chain = [self._resolve_subspace(model, s) for s in d.get("chain", [])]
+        return flag_from_chain(model, d["side"], chain)
 
     def _lookup(self, table: dict, name):
-        if name not in table:
+        if not isinstance(name, str) or name not in table:
             raise UnresolvedReference(name)
         return table[name]
 
@@ -112,11 +116,37 @@ def _verdict(value):
 
 
 class _Command(dict):
-    """A command's fields; a missing one is a session error, not a per-command
-    KeyError."""
+    """A command's fields; a missing or mistyped one is a session error, not a
+    per-command failure.  `gamma` is an integer, `levels` "auto" or a list of
+    integers, and every other field a string."""
 
     def __missing__(self, key):
-        raise SessionError(f"command {self.get('cmd')!r} lacks the field {key!r}")
+        raise SessionError(f"command {dict.get(self, 'cmd')!r} lacks the field {key!r}")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if key == "levels":
+            ok = value == "auto" or (
+                isinstance(value, list) and all(type(v) is int for v in value))
+        else:
+            ok = type(value) is (int if key == "gamma" else str)
+        if not ok:
+            raise SessionError(f"command {dict.get(self, 'cmd')!r} has a malformed {key!r}")
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def _section(data: dict, name: str):
+    """The (name, definition) items of a top-level section, which must be
+    an object of objects."""
+    section = data.get(name, {})
+    if not isinstance(section, dict) or not all(
+        isinstance(d, dict) for d in section.values()
+    ):
+        raise SessionError(f"{name!r} must be an object of JSON objects")
+    return section.items()
 
 
 class Runner:
@@ -144,8 +174,6 @@ class Runner:
     def cmd_classify_flag(self, cmd):
         name = cmd["flag"]
         if name in self.s.basis_flags:
-            from .genflag import basis_flag_queries
-
             q = basis_flag_queries(self.s.basis_flags[name])
             return {"is_maximal_closed": q.is_maximal_closed}
         flag = self.s._lookup(self.s.flags, name)
@@ -207,8 +235,7 @@ class Runner:
     def cmd_block_trace(self, cmd):
         x = self.s._lookup(self.s.elements, cmd["elem"])
         couple = self.s._lookup(self.s.couples, cmd["couple"])
-        gamma = int(cmd["gamma"])
-        return {"trace": _verdict(finitary.block_trace(x, couple, gamma))}
+        return {"trace": _verdict(finitary.block_trace(x, couple, cmd["gamma"]))}
 
     def cmd_fc_flag(self, cmd):
         flag = self.s._lookup(self.s.flags, cmd["flag"])
@@ -231,8 +258,7 @@ class Runner:
         else:
             raise UnresolvedReference(name)
         levels = cmd.get("levels", "auto")
-        levels = None if levels == "auto" else [int(v) for v in levels]
-        report = coherence.compare(obj, levels, seed=self.s.seed)
+        report = coherence.compare(obj, None if levels == "auto" else levels, seed=self.s.seed)
         return {
             "kind": report.object_kind,
             "levels": report.levels,
@@ -355,9 +381,6 @@ def main(argv=None) -> int:
         report = run_session(data, seed=args.seed)
     except SessionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: invalid session value: {exc}", file=sys.stderr)
         return 2
 
     text = json.dumps(report, indent=2)

@@ -152,18 +152,6 @@ class EpSet:
                 pre.add(i)
         return EpSet.make(n, self.period, pre, residues)
 
-    def iterate(self, limit: int):
-        """Members in increasing order, at most `limit` of them."""
-        out = []
-        n = 0
-        while len(out) < limit:
-            if self.member(n):
-                out.append(n)
-            n += 1
-            if not self.residues and n >= self.threshold:
-                break
-        return out
-
 
 @dataclass(frozen=True)
 class EpSeq:

@@ -259,12 +259,6 @@ class FdLieAlgebra:
             )
         return self._derived
 
-    def subspan(self, mats) -> MatSpan:
-        s = MatSpan.from_matrices(self.n, mats)
-        if not self.span.contains(s):
-            raise ValueError("matrices are not inside the algebra")
-        return s
-
     def __repr__(self):
         return f"FdLieAlgebra(n={self.n}, dim={self.dim})"
 

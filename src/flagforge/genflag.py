@@ -22,7 +22,6 @@ from .pairedspace import (
     Vector,
     closure,
     form_perp,
-    is_closed,
     other_side,
     pair,
     perp,
@@ -136,9 +135,8 @@ def classify_flag(f: FinitePairFlag) -> FlagClassification:
     closed_flag = True
     maximal = True
     kinds = []
-    closures = {s: closure(s) for s in f.chain}
     for pred, succ in f.pairs:
-        cl = closures[pred]
+        cl = closure(pred)
         if cl == pred:
             kinds.append("closed")
             if quotient_dim(pred, succ) != 1:
@@ -148,7 +146,7 @@ def classify_flag(f: FinitePairFlag) -> FlagClassification:
         else:
             kinds.append("neither")
             semiclosed = False
-        if closures[succ] != succ:
+        if closure(succ) != succ:
             closed_flag = False
     closed_flag = closed_flag and semiclosed
     maximal = maximal and semiclosed
@@ -210,13 +208,6 @@ class TautCouple:
     def g_pair(self, j):
         return self.g_flag.chain[j], self.g_flag.chain[j + 1]
 
-    def infinite_c_pairs(self):
-        return [
-            (fi, gj)
-            for fi, gj in self.c_pairs
-            if quotient_dim(*self.f_pair(fi)) == math.inf
-        ]
-
     def __repr__(self):
         return (
             f"TautCouple({self.f_flag.n_pairs()} x {self.g_flag.n_pairs()} pairs, "
@@ -236,14 +227,12 @@ def make_taut_couple(f: FinitePairFlag, g: FinitePairFlag) -> TautCouple:
     model = f.model
     zero_w, full_w = Subspace.zero(model, SIDE_W), Subspace.full(model, SIDE_W)
     zero_v, full_v = Subspace.zero(model, SIDE_V), Subspace.full(model, SIDE_V)
-    f_perps = {s: perp(s) for s in f.chain}
-    g_perps = {s: perp(s) for s in g.chain}
     for s in f.chain:
-        p = f_perps[s]
+        p = perp(s)
         if p not in (zero_w, full_w) and p not in g.chain:
             raise NotTaut(s)
     for s in g.chain:
-        p = g_perps[s]
+        p = perp(s)
         if p not in (zero_v, full_v) and p not in f.chain:
             raise NotTaut(s)
 
@@ -253,11 +242,10 @@ def make_taut_couple(f: FinitePairFlag, g: FinitePairFlag) -> TautCouple:
         pred, succ = f.chain[i], f.chain[i + 1]
         if closure(pred) != pred:
             continue
-        gp = f_perps[succ]
-        j = g_index.get(gp)
+        j = g_index.get(perp(succ))
         if j is None or j >= g.n_pairs():
             raise NotTaut(succ)
-        if g_perps[g.chain[j + 1]] != pred:
+        if perp(g.chain[j + 1]) != pred:
             raise NotTaut(succ)
         c_pairs.append((i, j))
     # the matching must exhaust the closed-predecessor pairs of g
@@ -284,13 +272,12 @@ def pair_leq(t: TautCouple, alpha: int, beta: int) -> bool:
 def fc_flag(f: FinitePairFlag) -> FinitePairFlag:
     """Collapse every dense pair: non-closed members drop out, leaving the
     maximal closed flag inside f."""
-    closures = {s: closure(s) for s in f.chain}
     kept = []
     for idx, s in enumerate(f.chain):
-        if closures[s] == s:
+        if closure(s) == s:
             kept.append(s)
         else:
-            if idx + 1 >= len(f.chain) or closures[s] != f.chain[idx + 1]:
+            if idx + 1 >= len(f.chain) or closure(s) != f.chain[idx + 1]:
                 raise NotSemiclosed("non-closed member whose closure is not its successor")
     return FinitePairFlag(f.model, f.side, tuple(kept))
 
@@ -316,38 +303,33 @@ def self_taut_and_iso(f: FinitePairFlag) -> SelfTautReport:
         from .pairedspace import NoFormOnModel
 
         raise NoFormOnModel("self-tautness needs a form on the model")
-    perps = {s: form_perp(s) for s in f.chain}
+    perps = [form_perp(s) for s in f.chain]  # by chain position
     self_taut = True
-    for s in f.chain:
-        p = perps[s]
+    tags = []
+    for s, p in zip(f.chain, perps):
         if not p.is_zero() and not p.is_full() and p not in f.chain:
             self_taut = False
-    tags = []
-    for s in f.chain:
-        p = perps[s]
         iso = p.contains(s)
         coiso = s.contains(p)
         tags.append("both" if iso and coiso else "isotropic" if iso else
                     "coisotropic" if coiso else "neither")
     bijection = []
     if self_taut:
-        closures = {s: closure(s) for s in f.chain}
         iso_domain = [
             i
             for i in range(f.n_pairs())
-            if closures[f.chain[i]] == f.chain[i]
-            and perps[f.chain[i + 1]].contains(f.chain[i + 1])
+            if closure(f.chain[i]) == f.chain[i]
+            and perps[i + 1].contains(f.chain[i + 1])
         ]
         codomain = [
             i
             for i in range(f.n_pairs())
-            if closures[f.chain[i]] == f.chain[i]
-            and f.chain[i].contains(perps[f.chain[i]])
+            if closure(f.chain[i]) == f.chain[i]
+            and f.chain[i].contains(perps[i])
         ]
         index = {s: i for i, s in enumerate(f.chain)}
         for i in iso_domain:
-            target = perps[f.chain[i + 1]]
-            j = index.get(target)
+            j = index.get(perps[i + 1])
             if j is None or j >= f.n_pairs():
                 raise NotTaut(f.chain[i + 1])
             bijection.append((i, j))
@@ -428,9 +410,6 @@ class BasisOrderFlag:
 
     def leq(self, i: int, j: int) -> bool:
         return self.position(i) <= self.position(j)
-
-    def less(self, i: int, j: int) -> bool:
-        return self.position(i) < self.position(j)
 
     def is_maximal_closed(self) -> bool:
         return all(

@@ -12,6 +12,10 @@ correction vectors in reduced echelon form whose basis support avoids S.
 This class is closed under sum and intersection, and under annihilators
 whenever the annihilator is representable at all; `perp` certifies
 representability exactly and raises NotRepresentable otherwise.
+
+`perp` is cached on the subspace it is asked about, so a closure costs at
+most two annihilator computations per subspace for its lifetime.  Subspaces
+must therefore not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -275,9 +279,12 @@ def pair(v: Vector, g: Vector) -> Fraction:
 
 
 class Subspace:
-    """Canonical subspace of V or V*: aligned EpSet plus corrections."""
+    """Canonical subspace of V or V*: aligned EpSet plus corrections.
 
-    __slots__ = ("model", "side", "aligned", "corrections", "_echelon")
+    Must not be mutated after construction: the echelon of the corrections
+    and `perp(self)` are cached on the object, outside equality and hashing."""
+
+    __slots__ = ("model", "side", "aligned", "corrections", "_echelon", "_perp")
 
     def __init__(self, model, side, aligned: EpSet, corrections: tuple):
         self.model = model
@@ -285,6 +292,7 @@ class Subspace:
         self.aligned = aligned
         self.corrections = corrections
         self._echelon = None  # of the corrections, built on first reduction
+        self._perp = None  # perp(self), computed on first request
 
     @staticmethod
     def span(model, side, aligned: EpSet = None, gens=()) -> "Subspace":
@@ -436,13 +444,19 @@ class Subspace:
 
 
 def perp(a: Subspace) -> Subspace:
-    """Exact annihilator on the opposite side.
+    """Exact annihilator on the opposite side, cached on `a`.
 
     Raises NotRepresentable when the annihilator has an infinite-dimensional
     part that contains no aligned basis vectors (this can only happen when a
     correction carries augmentation coordinates whose pairing tail does not
-    vanish off the aligned set).
+    vanish off the aligned set); a raise is not cached.
     """
+    if a._perp is None:
+        a._perp = _annihilator(a)
+    return a._perp
+
+
+def _annihilator(a: Subspace) -> Subspace:
     model = a.model
     out_side = other_side(a.side)
     out_rows = [aug.row for aug in model.augs(out_side)]

@@ -1,13 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _corpus import augmented_couple, evens_couple, random_element, trivial_couple
 from flagforge import serial
@@ -95,8 +101,8 @@ def test_empty_command_list():
     assert report["passed"] and report["results"] == []
 
 
-def test_fd_commands():
-    session = {
+def _fd_session():
+    return {
         "algebras": {
             "b3": {
                 "n": 3,
@@ -124,14 +130,17 @@ def test_fd_commands():
             {"cmd": "fd", "op": "taut", "alg": "b3", "expect": {"block_dims": [1, 1, 1]}},
         ],
     }
-    report = run_session(session, seed=0)
+
+
+def test_fd_commands():
+    report = run_session(_fd_session(), seed=0)
     assert report["passed"], report
 
 
-def test_member_commands_full_surface():
+def _full_surface_session():
     m_plain = plain_model()
     t = evens_couple(m_plain)
-    session = {
+    return {
         "models": {"m": serial.model_to_json(m_plain)},
         "subspaces": {
             "evens": serial.subspace_to_json(t.f_flag.chain[1]) | {"model": "m"},
@@ -178,7 +187,10 @@ def test_member_commands_full_surface():
             {"cmd": "make-couple", "f": "f", "g": "g", "name": "c2"},
         ],
     }
-    report = run_session(session, seed=1)
+
+
+def test_member_commands_full_surface():
+    report = run_session(_full_surface_session(), seed=1)
     assert report["passed"], report
     tc = next(r for r in report["results"] if r["cmd"] == "truncate-compare")
     assert tc["result"]["ok"]
@@ -225,6 +237,16 @@ def test_cli_exit_codes(tmp_path, capsys):
                 {"cmd": "member", "kind": "joint", "elem": "x", "couple": "c2"},
                 {"cmd": "make-couple", "f": "f", "g": "g", "name": "c2"},
             ],
+        },
+        # every top-level section is an object of objects
+        "models_array": {"models": []},
+        "model_not_object": {"models": {"m": 5}},
+        "subspaces_array": {"subspaces": []},
+        "flag_not_object": {"flags": {"f": 3}},
+        # a serial reader meets a value of the wrong type
+        "aligned_not_object": {
+            "models": {"m": {}},
+            "subspaces": {"s": {"model": "m", "side": "V", "aligned": 7}},
         },
     }
     for name, data in malformed.items():
@@ -338,3 +360,101 @@ def test_serial_round_trip_is_stable(kind):
     value, to_json, from_json = _serial_case(kind)
     encoded = to_json(value)
     assert to_json(from_json(json.loads(json.dumps(encoded)))) == encoded
+
+
+# --- fuzzing the exit-code contract -----------------------------------------
+
+# keys whose string value names an object defined elsewhere in the session
+REFERENCE_KEYS = {"model", "f", "g", "couple", "flag", "elem", "tc", "alg", "object"}
+# keys a reader or command may go without
+OPTIONAL_KEYS = {
+    "v_augs", "w_augs", "cross", "form_kind", "iota", "aligned", "corrections",
+    "threshold", "period", "pre", "repeat", "residues", "chain", "terms", "basis", "augs",
+    "ambient", "constraints", "levels", "name", "expect",
+}
+# replacements of another JSON type that no reader accepts in place of the
+# original (an int is a valid rational and a list a valid `levels`, so
+# strings are swapped for neither)
+SWAPS = {
+    dict: [7, None, "x", [1]],
+    list: [7, None, "x", {"k": 1}],
+    str: [None, True, {"k": 1}],
+    int: [None, "x", [1], {"k": 1}],
+}
+
+
+VALID_SESSIONS = [AUGMENTED_SESSION, _full_surface_session(), _fd_session()]
+
+
+def _structural_mutations():
+    """(session index, path, action, argument) for every structural mutation
+    of the valid sessions: swap a value's type, drop a required field, point
+    a reference at nothing.  Expectations are not input and stay as they are."""
+    out = []
+
+    def walk(si, path, value, key):
+        if key == "expect":
+            return
+        if path:
+            for swap in SWAPS[type(value)]:
+                out.append((si, path, "set", swap))
+            if key in REFERENCE_KEYS or path[-2:-1] == ("chain",):
+                if isinstance(value, str):
+                    out.append((si, path, "set", "nowhere"))
+            # a section or a whole definition is not a field, nor is an
+            # index key of a vector's basis
+            is_field = len(path) > 2 and isinstance(key, str) and not key.isdigit()
+            if is_field and key not in OPTIONAL_KEYS:
+                out.append((si, path, "drop", None))
+        children = value.items() if isinstance(value, dict) else (
+            enumerate(value) if isinstance(value, list) else ())
+        for k, v in children:
+            walk(si, path + (k,), v, k)
+
+    for si, session in enumerate(VALID_SESSIONS):
+        walk(si, (), session, None)
+    return out
+
+
+MUTATIONS = _structural_mutations()
+
+
+def _mutate(session, path, action, arg):
+    """A copy of the session with the mutation applied; a mutated definition
+    keeps no command, a mutated command is the only one kept."""
+    data = copy.deepcopy(session)
+    if path[0] == "commands" and len(path) > 1:
+        data["commands"] = [data["commands"][path[1]]]
+        path = ("commands", 0) + path[2:]
+    elif path[0] != "commands":
+        data["commands"] = []
+    parent = data
+    for k in path[:-1]:
+        parent = parent[k]
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = arg
+    return data
+
+
+def test_structural_mutations_cover_every_kind():
+    actions = {(a, arg == "nowhere") for _, _, a, arg in MUTATIONS}
+    assert actions == {("set", False), ("set", True), ("drop", False)}
+    assert len({si for si, *_ in MUTATIONS}) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MUTATIONS))
+def test_cli_structural_mutations_exit_2(mutation):
+    si, path, action, arg = mutation
+    data = _mutate(VALID_SESSIONS[si], path, action, arg)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        session = Path(tmp) / "session.json"
+        session.write_text(json.dumps(data))
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(session), "--report", str(Path(tmp) / "r.json")])
+    message = err.getvalue()
+    assert code == 2, (mutation, message)
+    assert message.startswith("error: ") and message.count("\n") == 1, message

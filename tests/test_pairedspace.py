@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _corpus import augmented_couple, evens_couple, random_plain_couple, trivial_couple
+from flagforge import pairedspace
 
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix, rank
+from flagforge.genflag import classify_flag, collapsed_couple, fc_flag, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
@@ -303,3 +309,180 @@ def test_form_perp_isotropic_evens():
     assert ann == Subspace.span(
         m, SIDE_V, EpSet.naturals().difference(EpSet.finite({1}))
     )
+
+
+# --- the annihilator cached on the subspace ----------------------------------
+
+MEMO_MODELS = (plain_model(), dense_line_model(), split_form_model("symmetric"))
+# every (model, side); the V side of the dense-line model, the only one whose
+# corrections carry augmentation coordinates, is drawn four times as often
+MEMO_CASES = [(m, side) for m in MEMO_MODELS for side in (SIDE_V, SIDE_W)]
+MEMO_CASES += [(MEMO_MODELS[1], SIDE_V)] * 3
+
+
+@st.composite
+def model_subspaces(draw):
+    """A random subspace of the plain, dense-line or split-form model; on the
+    V side of the dense-line model every correction carries the
+    augmentation coordinate."""
+    m, side = draw(st.sampled_from(MEMO_CASES))
+    period = draw(st.integers(1, 4))
+    residues = draw(st.sets(st.integers(0, period - 1)))
+    threshold = draw(st.integers(0, 3))
+    pre = draw(st.sets(st.integers(0, 2)))
+    n_aug = len(m.augs(side))
+    gens = draw(st.lists(
+        st.tuples(
+            st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=3),
+            st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=n_aug, max_size=n_aug),
+        ),
+        max_size=3,
+    ))
+    aligned = EpSet.from_residues(period, residues, threshold=threshold, pre=pre)
+    return Subspace.span(m, side, aligned, [Vector(m, side, b, a) for b, a in gens])
+
+
+def _fresh(a):
+    return Subspace(a.model, a.side, a.aligned, a.corrections)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_subspaces())
+def test_cached_perp_and_closure_match_fresh_copies(a):
+    try:
+        want = pairedspace._annihilator(_fresh(a))
+    except NotRepresentable:
+        with pytest.raises(NotRepresentable):
+            perp(a)
+        return
+    assert perp(a) == want
+    assert perp(a) is perp(a)
+    try:
+        want_closure = pairedspace._annihilator(_fresh(want))
+    except NotRepresentable:
+        with pytest.raises(NotRepresentable):
+            closure(a)
+        return
+    assert closure(a) == want_closure
+    assert closure(a) == closure(_fresh(a))
+
+
+def test_second_perp_is_the_same_object():
+    m = dense_line_model()
+    a = Subspace.span(m, SIDE_V, EVENS, [Vector(m, SIDE_V, {1: 1, 3: 2})])
+    first = perp(a)
+    assert perp(a) is first
+    assert closure(a) is perp(first)
+
+
+def test_cache_leaves_equality_and_hash_alone():
+    m = plain_model()
+    a = Subspace.span(m, SIDE_V, EVENS, [ev(m, 1).add(ev(m, 3))])
+    twin = _fresh(a)
+    before = hash(a)
+    closure(a)
+    assert a._perp is not None and twin._perp is None
+    assert hash(a) == before == hash(twin)
+    assert a == twin and twin == a
+    assert len({a, twin}) == 1
+
+
+def test_not_representable_raises_on_every_call():
+    m = dense_line_model()
+    aug_line = Subspace.span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
+    for _ in range(3):
+        with pytest.raises(NotRepresentable):
+            perp(aug_line)
+        assert aug_line._perp is None
+
+
+def _count_annihilators(monkeypatch):
+    """Route every uncached annihilator through a counter keyed by the
+    subspace object; the subspaces are kept alive so no id is reused."""
+    asked = []
+    inner = pairedspace._annihilator
+
+    def counted(a):
+        asked.append(a)
+        return inner(a)
+
+    monkeypatch.setattr(pairedspace, "_annihilator", counted)
+    return asked
+
+
+@pytest.mark.parametrize("build", [
+    augmented_couple,
+    *(lambda seed=seed: random_plain_couple(random.Random(seed)) for seed in range(4)),
+])
+def test_genflag_computes_each_annihilator_once(monkeypatch, build):
+    asked = _count_annihilators(monkeypatch)
+    t = build()
+    for flag in (t.f_flag, t.g_flag):
+        classify_flag(flag)
+    t = make_taut_couple(t.f_flag, t.g_flag)
+    collapsed_couple(t)
+    counts = {}
+    for a in asked:
+        counts[id(a)] = counts.get(id(a), 0) + 1
+    assert asked and max(counts.values()) == 1
+    # asking again reuses every annihilator already on the chains
+    done = len(asked)
+    classify_flag(t.f_flag)
+    make_taut_couple(t.f_flag, t.g_flag)
+    assert len(asked) == done
+
+
+# classify_flag of f and g (semiclosed, closed, maximal semiclosed, pair
+# kinds, positions fc_flag keeps), then c_pairs of the couple and of its
+# collapse, as the uncached implementation computed them
+CORPUS_OUTPUTS = {
+    "evens": (
+        (True, True, False, ("closed", "closed"), (0, 1, 2)),
+        (True, True, False, ("closed", "closed"), (0, 1, 2)),
+        ((0, 1), (1, 0)),
+        ((0, 1), (1, 0)),
+    ),
+    "trivial": (
+        (True, True, False, ("closed",), (0, 1)),
+        (True, True, False, ("closed",), (0, 1)),
+        ((0, 0),),
+        ((0, 0),),
+    ),
+    "augmented": (
+        (True, False, False, ("closed", "dense"), (0, 2)),
+        (True, True, False, ("closed",), (0, 1)),
+        ((0, 0),),
+        ((0, 0),),
+    ),
+    "random0": (
+        (True, True, False, ("closed", "closed", "closed"), (0, 1, 2, 3)),
+        (True, True, False, ("closed", "closed", "closed"), (0, 1, 2, 3)),
+        ((0, 2), (1, 1), (2, 0)),
+        ((0, 2), (1, 1), (2, 0)),
+    ),
+    "random5": (
+        (True, True, False, ("closed",) * 4, (0, 1, 2, 3, 4)),
+        (True, True, False, ("closed",) * 4, (0, 1, 2, 3, 4)),
+        ((0, 3), (1, 2), (2, 1), (3, 0)),
+        ((0, 3), (1, 2), (2, 1), (3, 0)),
+    ),
+}
+
+
+def test_genflag_outputs_on_corpus_couples():
+    couples = {
+        "evens": evens_couple(),
+        "trivial": trivial_couple(),
+        "augmented": augmented_couple(),
+        "random0": random_plain_couple(random.Random(0)),
+        "random5": random_plain_couple(random.Random(5)),
+    }
+    for name, t in couples.items():
+        got = []
+        for f in (t.f_flag, t.g_flag):
+            c = classify_flag(f)
+            kept = tuple(f.chain.index(s) for s in fc_flag(f).chain)
+            got.append((c.semiclosed, c.closed, c.maximal_semiclosed, c.pair_closures, kept))
+        again = make_taut_couple(t.f_flag, t.g_flag)
+        got += [again.c_pairs, collapsed_couple(again).c_pairs]
+        assert tuple(got) == CORPUS_OUTPUTS[name], name
