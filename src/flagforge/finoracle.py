@@ -6,8 +6,13 @@ countable model.  It provides solvable radicals, linear nilradicals, Levi
 components, locally reductive parts, Cartan-subalgebra tests, invariant
 taut couples from composition series, and parabolic checks at desk scale.
 
-Randomized searches (the meataxe, torus extension, maximality probes) take
-an explicit seed; given the seed everything is deterministic.
+Brackets and products of basis matrices go through one sparse kernel on
+integer row dicts with a common denominator (`sparse_matrix`); it returns
+flat sparse rows {i * n + j: v} that go straight to `Echelon`.
+
+Randomized searches (the meataxe behind composition series and invariant
+flags, the torus and maximal-solvability probes) take an explicit seed;
+given the seed everything is deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import (
+    QONE,
     CheckFailed,
     Echelon,
     Matrix,
@@ -59,18 +66,36 @@ class MatSpan:
     """Subspace of n x n matrices, stored as RREF rows of flattened entries.
 
     `echelon` holds the same rows in sparse form, for reduction,
-    coordinates and membership."""
+    coordinates and membership; `sparse_matrices` holds them as sparse
+    matrices for the bracket kernel."""
 
-    __slots__ = ("n", "rows", "echelon")
+    __slots__ = ("n", "rows", "echelon", "_sparse")
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self.rows = row_space_basis([list(r) for r in rows], n * n)
         self.echelon = Echelon(map(sparse, self.rows))
+        self._sparse = None
 
     @staticmethod
     def from_matrices(n: int, mats) -> "MatSpan":
         return MatSpan(n, [m.flatten() for m in mats])
+
+    @staticmethod
+    def from_sparse(n: int, rows) -> "MatSpan":
+        """The span of flat sparse rows {i * n + j: v}, reduced one row at a
+        time: brackets of basis matrices are mostly sparse."""
+        span = MatSpan(n)
+        for r in rows:
+            span.echelon.add(r)
+        span.rows = [dense(r, n * n) for r in span.echelon.rows()]
+        return span
+
+    def sparse_matrices(self) -> list[tuple]:
+        """The basis as sparse matrices (see `sparse_matrix`), in basis order."""
+        if self._sparse is None:
+            self._sparse = [sparse_matrix(r, self.n) for r in self.echelon.rows()]
+        return self._sparse
 
     @property
     def dim(self) -> int:
@@ -127,26 +152,83 @@ def _lin_comb(coeffs, mats, n: int) -> Matrix:
     return Matrix._of(acc)
 
 
+# ---------------------------------------------------------------------------
+# the sparse bracket kernel
+# ---------------------------------------------------------------------------
+
+
+def sparse_matrix(row: dict, n: int) -> tuple:
+    """The sparse matrix of a flat sparse row {i * n + j: v}: a common
+    denominator d and the integer row dicts {i: {j: d * v}}, so that the
+    kernel multiplies Python ints and forms one Fraction per entry."""
+    den = 1
+    for v in row.values():
+        den = lcm(den, v.denominator)
+    rows: dict = {}
+    for k, v in row.items():
+        i, j = divmod(k, n)
+        rows.setdefault(i, {})[j] = v.numerator * (den // v.denominator)
+    return den, rows
+
+
+def _sparse_of(m: Matrix) -> tuple:
+    return sparse_matrix(sparse(m.flatten()), m.rows)
+
+
+def _product_into(out: dict, a: dict, b: dict, n: int, sign: int) -> None:
+    """out += sign * a b on integer row dicts, with out a flat sparse row
+    that may hold zeros."""
+    get = out.get
+    for i, arow in a.items():
+        base = i * n
+        for k, x in arow.items():
+            brow = b.get(k)
+            if brow:
+                x *= sign
+                for j, y in brow.items():
+                    out[base + j] = get(base + j, 0) + x * y
+
+
+def _over(out: dict, den: int) -> dict:
+    """The flat sparse row out / den, without its zeros."""
+    return {k: Fraction(v, den) for k, v in out.items() if v}
+
+
+def sparse_product(a: tuple, b: tuple, n: int) -> dict:
+    """The product a b of sparse n x n matrices, as a flat sparse row."""
+    out: dict = {}
+    _product_into(out, a[1], b[1], n, 1)
+    return _over(out, a[0] * b[0])
+
+
+def sparse_bracket(a: tuple, b: tuple, n: int) -> dict:
+    """[a, b] = a b - b a of sparse n x n matrices, as a flat sparse row.
+
+    This is the one bracket of the oracle: `bracket` wraps it for `Matrix`
+    arguments."""
+    out: dict = {}
+    _product_into(out, a[1], b[1], n, 1)
+    _product_into(out, b[1], a[1], n, -1)
+    return _over(out, a[0] * b[0])
+
+
 def bracket(a: Matrix, b: Matrix) -> Matrix:
-    return a * b - b * a
+    n = a.rows
+    return unflatten(dense(sparse_bracket(_sparse_of(a), _sparse_of(b), n), n * n), n)
 
 
 def bracket_span(a: MatSpan, b: MatSpan) -> MatSpan:
-    mats = []
-    for x in a.matrices():
-        for y in b.matrices():
-            mats.append(bracket(x, y))
-    return MatSpan.from_matrices(a.n, mats)
+    ys = b.sparse_matrices()
+    return MatSpan.from_sparse(
+        a.n, [sparse_bracket(x, y, a.n) for x in a.sparse_matrices() for y in ys]
+    )
 
 
 def derived_series(s: MatSpan) -> list[MatSpan]:
     series = [s]
     while series[-1].dim:
         # [x, x] = 0 and [y, x] = -[x, y]: one bracket per unordered pair
-        mats = series[-1].matrices()
-        nxt = MatSpan.from_matrices(
-            s.n, [bracket(x, y) for x, y in itertools.combinations(mats, 2)]
-        )
+        nxt = MatSpan.from_sparse(s.n, _pair_brackets(series[-1]))
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -178,7 +260,8 @@ class FdLieAlgebra:
     `span.coords_of` always agree with basis indexing.  Construction
     brackets every pair of basis elements once, to check closure, and keeps
     the coordinates of [x_i, x_j] as the structure constants
-    `consts[i][j]`.  The ad matrices, the Killing form and the derived
+    `consts[i][j]` (`lie_close` hands over the brackets of its last closure
+    round instead).  The ad matrices, the Killing form and the derived
     algebra are computed from them on first use and cached; so is the
     certified solvable radical (`solvable_radical`).  The caches assume
     that the basis is never mutated after construction.
@@ -190,16 +273,30 @@ class FdLieAlgebra:
     )
 
     def __init__(self, n: int, basis):
-        self.n = n
         gens = [Matrix(b.entries) if isinstance(b, Matrix) else Matrix(b) for b in basis]
-        self.span = MatSpan.from_matrices(n, gens)
-        self.basis = self.span.matrices()
+        span = MatSpan.from_matrices(n, gens)
+        brackets = _pair_brackets(span)
+        if any(map(span.echelon.reduce, brackets)):
+            raise ValueError("basis is not closed under the bracket")
+        self._setup(span, brackets)
+
+    @classmethod
+    def _of(cls, span: MatSpan, brackets: list) -> "FdLieAlgebra":
+        """The algebra on a bracket-closed span, given `_pair_brackets(span)`."""
+        g = object.__new__(cls)
+        g._setup(span, brackets)
+        return g
+
+    def _setup(self, span: MatSpan, brackets: list) -> None:
+        self.n = span.n
+        self.span = span
+        self.basis = span.matrices()
         d = len(self.basis)
         self.consts = [[[QZERO] * d for _ in range(d)] for _ in range(d)]
-        for i, j in itertools.combinations(range(d), 2):
-            c = self.span.coords_of(bracket(self.basis[i], self.basis[j]))
-            if c is None:
-                raise ValueError("basis is not closed under the bracket")
+        # a vector in the span has its coordinates at the pivots
+        pivots = span.echelon.pivots
+        for (i, j), row in zip(itertools.combinations(range(d), 2), brackets):
+            c = [row.get(p, QZERO) for p in pivots]
             self.consts[i][j] = c
             self.consts[j][i] = [-v for v in c]
         self._ad = None
@@ -263,24 +360,27 @@ class FdLieAlgebra:
         return f"FdLieAlgebra(n={self.n}, dim={self.dim})"
 
 
+def _pair_brackets(span: MatSpan) -> list[dict]:
+    """[x_i, x_j] for the basis pairs i < j of span, in lexicographic order,
+    one bracket per unordered pair."""
+    mats = span.sparse_matrices()
+    return [sparse_bracket(a, b, span.n) for a, b in itertools.combinations(mats, 2)]
+
+
 def lie_close(n: int, gens) -> FdLieAlgebra:
-    """Smallest bracket-closed subspace containing the generators."""
-    return FdLieAlgebra(n, _lie_closure_span(n, gens).matrices())
+    """Smallest bracket-closed subspace containing the generators.  The
+    last closure round's brackets are the structure constants."""
+    return FdLieAlgebra._of(*_lie_closure(n, gens))
 
 
-def _lie_closure_span(n: int, gens) -> MatSpan:
-    """The span of lie_close(n, gens), without its structure constants."""
+def _lie_closure(n: int, gens):
+    """The span of lie_close(n, gens) and its `_pair_brackets`."""
     span = MatSpan.from_matrices(n, list(gens))
     while True:
-        mats = span.matrices()
-        new = MatSpan(
-            n,
-            span.rows
-            + [bracket(a, b).flatten() for a, b in itertools.combinations(mats, 2)],
-        )
-        if new.dim == span.dim:
-            return span
-        span = new
+        brackets = _pair_brackets(span)
+        if not any(map(span.echelon.reduce, brackets)):
+            return span, brackets
+        span = MatSpan.from_sparse(n, span.echelon.rows() + brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -312,41 +412,74 @@ def solvable_radical(g: FdLieAlgebra) -> MatSpan:
 
 
 def linear_nilradical(g: FdLieAlgebra, seed: int = 0) -> MatSpan:
-    """Matrix-nilpotent part of the solvable radical.
+    """Matrix-nilpotent part of the solvable radical: the x in rad with
+    tr(x b) = 0 for every b in the unital associative algebra A generated
+    by rad (Dickson's trace criterion, char 0).
 
-    The radical is triangularized over Q by a composition series of its
-    natural module (irreducible quotients force semisimple generators to act
-    through a field, so nilpotence becomes the linear condition of moving
-    each chain step into the previous one).  Every output basis element is
-    verified nilpotent and the span is verified to be an ideal.
+    Lie's theorem triangularizes rad, hence A, over the algebraic closure,
+    so a nilpotent x is strictly triangular there and every tr(x b)
+    vanishes; conversely b = x^(k-1) gives tr(x^k) = 0 for every k, so x is
+    nilpotent.  This is one kernel computation with no randomness: `seed`
+    is accepted for the callers that pass one and is unused.  Every output
+    basis element is verified nilpotent and the span is verified to be an
+    ideal.
     """
     rad = solvable_radical(g)
     if rad.dim == 0:
         return rad
-    actions = rad.matrices()
-    chain = composition_series(actions, g.n, random.Random(seed))
-    # chain: increasing list of RREF row bases ending at the full space
-    rows = []
-    prev = Echelon()
-    for level in chain:
-        for w in level:
-            if not prev.reduce(sparse(w)):
-                continue
-            resids = [prev.reduce(sparse(a.apply(w))) for a in actions]
-            for r in range(g.n):
-                rows.append([res.get(r, QZERO) for res in resids])
-        prev = Echelon(map(sparse, level))
-    coeffs = kernel(Matrix(rows)) if rows else []
-    nil = MatSpan.from_matrices(g.n, [_lin_comb(lam, actions, g.n) for lam in coeffs])
+    n = g.n
+    xs = rad.sparse_matrices()
+    algebra = _associative_closure(rad.echelon.rows(), n)
+    rows = [[_trace_of_product(x, b) for x in xs] for b in algebra]
+    nil = MatSpan.from_matrices(
+        n, [_lin_comb(lam, rad.matrices(), n) for lam in kernel(Matrix._of(rows))]
+    )
     nil_mats = nil.matrices()
     for m in nil_mats:
         if not is_nilpotent(m):
             raise CheckFailed("nilradical candidate is not nilpotent", m)
-    for b in g.basis:
-        for m in nil_mats:
-            if not nil.member(bracket(b, m)):
+    for b, bs in zip(g.basis, g.span.sparse_matrices()):
+        for m, ms in zip(nil_mats, nil.sparse_matrices()):
+            if nil.echelon.reduce(sparse_bracket(bs, ms, n)):
                 raise CheckFailed("nilradical is not an ideal", (b, m))
     return nil
+
+
+def _associative_closure(rows, n: int) -> list[tuple]:
+    """A basis of the unital associative algebra A generated by the flat
+    sparse rows, as sparse matrices: the identity and products, grown by
+    right products until the span is closed under them.  A generator that
+    is already in A is skipped, since A x lies in A."""
+    ident = (1, {i: {i: 1} for i in range(n)})
+    span = Echelon([{i * n + i: QONE for i in range(n)}])
+    basis = [ident]
+    used: list[tuple] = []
+    for row in rows:
+        if not span.reduce(row):
+            continue
+        x = sparse_matrix(row, n)
+        used.append(x)
+        work = [(b, x) for b in basis]
+        while work:
+            b, y = work.pop()
+            prod = sparse_product(b, y, n)
+            if span.add(prod):
+                new = sparse_matrix(prod, n)
+                basis.append(new)
+                work += [(new, z) for z in used]
+    return basis
+
+
+def _trace_of_product(a: tuple, b: tuple) -> Fraction:
+    """tr(a b) of sparse matrices."""
+    brows = b[1]
+    total = 0
+    for i, arow in a[1].items():
+        for j, v in arow.items():
+            w = brows.get(j, {}).get(i)
+            if w:
+                total += v * w
+    return Fraction(total, a[0] * b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +771,7 @@ def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
     nil = linear_nilradical(g, seed)
     rad = solvable_radical(g)
     levi = levi_component(g)
-    cent = _centralizer_span(g, rad, levi.basis)
+    cent = _centralizer_span(g, rad, levi.span.sparse_matrices())
     nil_in_cent = nil.intersect(cent)
     torus_elems = []
     seen = Echelon(nil_in_cent.echelon.rows())
@@ -668,45 +801,46 @@ def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
     return FdDecomposition(nil, levi, torus, g_red)
 
 
+def _condition_rows(cols) -> list[list]:
+    """The rows of the matrix whose columns are the given flat sparse rows,
+    one for each entry where some column is nonzero: the other rows vanish."""
+    return [[c.get(k, QZERO) for c in cols] for k in set().union(*cols)]
+
+
 def _centralizer_span(g: FdLieAlgebra, inside: MatSpan, of_basis) -> MatSpan:
-    """{x in inside : [x, b] = 0 for all b in of_basis}."""
-    mats = inside.matrices()
+    """{x in inside : [x, b] = 0 for all b in of_basis}, of_basis given as
+    sparse matrices."""
+    mats = inside.sparse_matrices()
     if not mats:
         return inside
     rows = []
-    width = len(mats)
     for b in of_basis:
-        brackets = [bracket(m, b).entries for m in mats]
-        for r in range(g.n):
-            for cc in range(g.n):
-                rows.append([e[r][cc] for e in brackets])
-    coeffs = kernel(Matrix(rows)) if rows else [
-        [Fraction(1) if i == j else QZERO for j in range(width)] for i in range(width)
-    ]
-    return MatSpan.from_matrices(g.n, [_lin_comb(lam, mats, g.n) for lam in coeffs])
+        rows += _condition_rows([sparse_bracket(m, b, g.n) for m in mats])
+    if not rows:
+        return inside
+    coeffs = kernel(Matrix._of(rows))
+    return MatSpan.from_matrices(g.n, [_lin_comb(lam, inside.matrices(), g.n) for lam in coeffs])
 
 
 def _commuting_correction(g, y, torus_elems, nil_span):
     """y' = y - delta with delta in the nilradical part and [t, y'] = 0."""
-    mats = nil_span.matrices()
+    mats = nil_span.sparse_matrices()
+    ys = _sparse_of(y)
     if not mats:
         for t in torus_elems:
-            if not bracket(t, y).is_zero():
+            if sparse_bracket(_sparse_of(t), ys, g.n):
                 raise CheckFailed("torus element does not commute", (t, y))
         return y
     rows = []
-    rhs = []
     for t in torus_elems:
-        target = bracket(t, y)
-        brackets = [bracket(t, m).entries for m in mats]
-        for r in range(g.n):
-            for c in range(g.n):
-                rows.append([e[r][c] for e in brackets])
-                rhs.append(target.entries[r][c])
-    sol = solve(Matrix(rows), rhs)
+        ts = _sparse_of(t)
+        # the last column is the right-hand side [t, y]
+        cols = [sparse_bracket(ts, m, g.n) for m in mats] + [sparse_bracket(ts, ys, g.n)]
+        rows += _condition_rows(cols)
+    sol = solve(Matrix._of([r[:-1] for r in rows]), [r[-1] for r in rows])
     if sol is None:
         raise CheckFailed("no commuting correction exists", y)
-    return y - _lin_comb(sol, mats, g.n)
+    return y - _lin_comb(sol, nil_span.matrices(), g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -733,14 +867,11 @@ def centralizer_in(k: FdLieAlgebra, of_mats) -> FdLieAlgebra:
         return k
     rows = []
     for m in of_mats:
-        brackets = [bracket(b, m).entries for b in k.basis]
-        for r in range(k.n):
-            for c in range(k.n):
-                rows.append([e[r][c] for e in brackets])
+        ms = _sparse_of(m)
+        rows += _condition_rows([sparse_bracket(b, ms, k.n) for b in k.span.sparse_matrices()])
     if not rows:
         return k
-    mats = [_lin_comb(lam, k.basis, k.n) for lam in kernel(Matrix(rows))]
-    return FdLieAlgebra(k.n, MatSpan.from_matrices(k.n, mats).matrices())
+    return FdLieAlgebra(k.n, [_lin_comb(lam, k.basis, k.n) for lam in kernel(Matrix._of(rows))])
 
 
 def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
@@ -749,8 +880,8 @@ def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
     if not k.dim:
         return k
     ads = []
-    for b in h_basis:
-        cols = [k.span.coords_of(bracket(b, y)) for y in k.basis]
+    for b in map(_sparse_of, h_basis):
+        cols = [k.span.echelon.coords(sparse_bracket(b, y, k.n)) for y in k.span.sparse_matrices()]
         ads.append(Matrix.from_rows(list(map(list, zip(*cols)))))
     width = k.dim
     current: list = []
@@ -841,13 +972,13 @@ def _is_maximal_toral(k, ss_span, z, rng):
 def _normalizer_in(k: FdLieAlgebra, h_span: MatSpan) -> MatSpan:
     """{x in k : [x, h] subset h}."""
     coeff_rows = []
-    for m in h_span.matrices():
-        resids = [h_span.echelon.reduce(sparse(bracket(b, m).flatten())) for b in k.basis]
-        for r in range(k.n * k.n):
-            coeff_rows.append([res.get(r, QZERO) for res in resids])
+    for m in h_span.sparse_matrices():
+        coeff_rows += _condition_rows(
+            [h_span.echelon.reduce(sparse_bracket(b, m, k.n)) for b in k.span.sparse_matrices()]
+        )
     if not coeff_rows:
         return k.span
-    sols = kernel(Matrix(coeff_rows))
+    sols = kernel(Matrix._of(coeff_rows))
     return MatSpan.from_matrices(k.n, [_lin_comb(lam, k.basis, k.n) for lam in sols])
 
 
@@ -1047,7 +1178,7 @@ def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra, rng, tries=8
         return False
     candidates = [m for m in ambient.basis if not b_span.member(m)]
     for x in candidates:
-        if is_solvable_span(_lie_closure_span(ambient.n, b_span.matrices() + [x])):
+        if is_solvable_span(_lie_closure(ambient.n, b_span.matrices() + [x])[0]):
             return False
     for _ in range(tries):
         x = Matrix.zero(ambient.n, ambient.n)
@@ -1056,7 +1187,7 @@ def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra, rng, tries=8
             if c:
                 x = x + m.scale(c)
         if not b_span.member(x) and is_solvable_span(
-            _lie_closure_span(ambient.n, b_span.matrices() + [x])
+            _lie_closure(ambient.n, b_span.matrices() + [x])[0]
         ):
             return False
     return True

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from flagforge.epcore import EpSet
+from flagforge.exactnum import row_space_basis
 from flagforge.genflag import flag_from_chain, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
@@ -96,3 +97,25 @@ def random_plain_couple(rng):
     f = flag_from_chain(m, SIDE_V, chain)
     g = flag_from_chain(m, SIDE_W, [perp(s) for s in f.chain])
     return make_taut_couple(f, g)
+
+
+def random_chain(n, rng, min_steps=1):
+    """Strictly increasing random subspace chain in Q^n as row lists."""
+    steps = rng.randrange(min_steps, n)
+    dims = sorted(rng.sample(range(1, n), k=min(steps, n - 1)))
+    acc = []
+    chain = []
+    for d in dims:
+        while len(row_space_basis(acc, n)) < d:
+            acc.append([F(rng.randrange(-2, 3)) for _ in range(n)])
+        chain.append(row_space_basis(acc, n))
+    return [lvl for lvl in chain if 0 < len(lvl) < n]
+
+
+def criterion_2_chains():
+    """The (n, chain) pairs of acceptance criterion 2: 50 random flags in
+    Q^n, the last six with n = 7 or 8 and at least two steps."""
+    rng = random.Random(202)
+    for trial in range(50):
+        n = rng.randrange(2, 7) if trial < 44 else rng.randrange(7, 9)
+        yield n, random_chain(n, rng, min_steps=2 if n >= 7 else 1)

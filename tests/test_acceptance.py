@@ -13,8 +13,10 @@ import pytest
 
 from _corpus import (
     augmented_couple,
+    criterion_2_chains,
     evens_couple,
     random_basis_subspaces,
+    random_chain,
     random_element,
     random_plain_couple,
     sample_nilradical,
@@ -90,26 +92,13 @@ def _announce(idx, label, ok, elapsed, budget):
     assert elapsed < budget, f"runtime {elapsed:.1f}s exceeded {budget}s"
 
 
-def _random_chain(n, rng, min_steps=1):
-    """Strictly increasing random subspace chain in Q^n as row lists."""
-    steps = rng.randrange(min_steps, n)
-    dims = sorted(rng.sample(range(1, n), k=min(steps, n - 1)))
-    acc = []
-    chain = []
-    for d in dims:
-        while len(row_space_basis(acc, n)) < d:
-            acc.append([F(rng.randrange(-2, 3)) for _ in range(n)])
-        chain.append(row_space_basis(acc, n))
-    return [lvl for lvl in chain if 0 < len(lvl) < n]
-
-
 def test_criterion_1_stabilizer_formula():
     start = time.monotonic()
     rng = random.Random(101)
     ok = True
     for trial in range(200):
         n = rng.randrange(2, 7) if trial < 190 else rng.randrange(7, 9)
-        chain = _random_chain(n, rng)
+        chain = random_chain(n, rng)
         brute = flag_stabilizer_brute(n, chain)
         formula = stabilizer_formula_span(n, chain)
         if brute.dim != formula.dim or not brute.contains(formula):
@@ -124,11 +113,8 @@ def test_criterion_1_stabilizer_formula():
 
 def test_criterion_2_block_decomposition():
     start = time.monotonic()
-    rng = random.Random(202)
     ok = True
-    for trial in range(50):
-        n = rng.randrange(2, 7) if trial < 44 else rng.randrange(7, 9)
-        chain = _random_chain(n, rng, min_steps=2 if n >= 7 else 1)
+    for trial, (n, chain) in enumerate(criterion_2_chains()):
         full_chain = chain + [row_space_basis(
             [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)], n
         )]
