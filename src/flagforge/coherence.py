@@ -63,10 +63,6 @@ def window_levels(model, objs) -> list[int]:
     return [base, base + p_star, base + 2 * p_star]
 
 
-def _span_rows(rows, width):
-    return row_space_basis([list(r) for r in rows], width)
-
-
 def _rows_into(mat: Matrix, rows, target_rows) -> bool:
     """Whether mat maps the span of rows into the span of target_rows."""
     target = Echelon(map(sparse, target_rows))
@@ -115,10 +111,8 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
                 for i in range(dim_opp)
             ]
         )
-        ours_perp = _span_rows(
-            truncate_subspace(pa, n) + [list(r) for r in rad_opp], dim_opp
-        )
-        ok_perp = _span_rows(fin_perp, dim_opp) == ours_perp
+        ours_perp = row_space_basis(truncate_subspace(pa, n) + rad_opp, dim_opp)
+        ok_perp = row_space_basis(fin_perp, dim_opp) == ours_perp
         report.checks.append({"level": n, "check": "perp", "ok": ok_perp})
         back = (
             kernel(Matrix(fin_perp) * pairing.transpose())
@@ -128,10 +122,8 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
                 for i in range(dim_own)
             ]
         )
-        ours_clo = _span_rows(
-            truncate_subspace(ca, n) + [list(r) for r in rad_own], dim_own
-        )
-        ok_clo = _span_rows(back, dim_own) == ours_clo
+        ours_clo = row_space_basis(truncate_subspace(ca, n) + rad_own, dim_own)
+        ok_clo = row_space_basis(back, dim_own) == ours_clo
         report.checks.append({"level": n, "check": "closure", "ok": ok_clo})
     return report
 

@@ -1,14 +1,12 @@
 """Exact rational arithmetic and exact linear algebra.
 
 Everything here works over the rationals (``fractions.Fraction``), with no
-floating point anywhere.  Elimination has two kernels:
-
-- batch: `rref` (and `rank`, `kernel`, `solve`, `row_space_basis` on top of
-  it) reduces a whole dense `Matrix` at once, on integer-rescaled rows, so
-  the bulk of the work runs on Python ints;
-- incremental: `Echelon` is a reduced echelon basis of sparse rows grown
-  one row at a time, for reducing vectors against a span, reading their
-  coordinates and testing membership.
+floating point anywhere.  Elimination has one kernel, `Echelon`: a reduced
+echelon basis of sparse rows grown one row at a time, for reducing vectors
+against a span, reading their coordinates and testing membership.  The
+batch functions `rref`, `rank`, `kernel`, `solve` and `row_space_basis`
+build one `Echelon` from the rows of their input; a reduced row echelon
+form is unique, so they return what any correct elimination returns.
 
 Polynomials are dense coefficient lists, index = degree.
 """
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import gcd
 
 Rational = Fraction
 
@@ -178,120 +175,6 @@ class Matrix:
         return [sum((row[c] * v for c, v in nz if row[c]), QZERO) for row in self.entries]
 
 
-def _int_rows(rows):
-    """Rescale rational rows to primitive integer rows (per-row scaling)."""
-    out = []
-    for row in rows:
-        den = 1
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [v.numerator * (den // v.denominator) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def _int_row_reduce(rows, cols):
-    """Fraction-free row echelon on integer rows.
-
-    Returns (echelon integer rows, pivot column list).  Rows are kept
-    primitive to control entry growth; good enough at desk scale.
-    """
-    rows = [r[:] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        # find a pivot row
-        p = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            v = rows[i][c]
-            if v:
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                cur = rows[i]
-                new = [a * cur[j] - b * prow[j] for j in range(cols)]
-                gg = 0
-                for w in new:
-                    gg = gcd(gg, w)
-                if gg > 1:
-                    new = [w // gg for w in new]
-                rows[i] = new
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r]], pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns; row space preserved."""
-    rows = _int_rows(m.entries)
-    ech, pivots = _int_row_reduce(rows, m.cols)
-    # normalize pivots to 1 (back to rationals)
-    out = []
-    for row, c in zip(ech, pivots):
-        pv = row[c]
-        out.append([Fraction(v, pv) if v else QZERO for v in row])
-    while len(out) < m.rows:
-        out.append([QZERO] * m.cols)
-    if not out:
-        out = [[QZERO] * m.cols for _ in range(m.rows)]
-    return Matrix._of(out) if m.cols else Matrix.zero(m.rows, 0), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def row_space_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
-    """RREF basis of the span of the given rational rows."""
-    if not rows:
-        return []
-    mat, pivots = rref(Matrix.from_rows(rows))
-    return [mat.row(i) for i in range(len(pivots))]
-
-
-def kernel(m: Matrix) -> list[list[Fraction]]:
-    """Basis of the right null space {x : m x = 0}."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [QZERO] * m.cols
-        vec[f] = QONE
-        for r, c in enumerate(pivots):
-            vec[c] = -red.entries[r][f]
-        basis.append(vec)
-    return basis
-
-
-def solve(m: Matrix, rhs: list[Fraction]):
-    """One solution x of m x = rhs, or None if inconsistent."""
-    aug = Matrix.from_rows([m.row(i) + [rhs[i]] for i in range(m.rows)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [QZERO] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = red.entries[r][m.cols]
-    return x
-
-
 def sparse(vec) -> dict:
     """The nonzero entries {column: value} of a dense vector."""
     return {j: v for j, v in enumerate(vec) if v}
@@ -370,6 +253,51 @@ class Echelon:
         self._rows[p] = new
         insort(self.pivots, p)
         return True
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns; row space preserved."""
+    ech = Echelon(map(sparse, m.entries))
+    rows = [dense(r, m.cols) for r in ech.rows()]
+    rows += [[QZERO] * m.cols for _ in range(m.rows - len(rows))]
+    return Matrix._of(rows), list(ech.pivots)
+
+
+def rank(m: Matrix) -> int:
+    return len(Echelon(map(sparse, m.entries)).pivots)
+
+
+def row_space_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
+    """RREF basis of the span of the given rational rows of length cols."""
+    return [dense(r, cols) for r in Echelon(sparse(map(rat, row)) for row in rows).rows()]
+
+
+def kernel(m: Matrix) -> list[list[Fraction]]:
+    """Basis of the right null space {x : m x = 0}: one vector per free
+    column f, with 1 at f and minus column f of the RREF at the pivots."""
+    ech = Echelon(map(sparse, m.entries))
+    reduced = list(zip(ech.pivots, ech.rows()))
+    basis = []
+    for f in range(m.cols):
+        if f not in ech.pivots:
+            vec = [QZERO] * m.cols
+            vec[f] = QONE
+            for p, row in reduced:
+                if f in row:
+                    vec[p] = -row[f]
+            basis.append(vec)
+    return basis
+
+
+def solve(m: Matrix, rhs: list[Fraction]):
+    """One solution x of m x = rhs, or None if inconsistent."""
+    ech = Echelon(sparse(row + [rat(v)]) for row, v in zip(m.entries, rhs))
+    if m.cols in ech.pivots:
+        return None
+    x = [QZERO] * m.cols
+    for p, row in zip(ech.pivots, ech.rows()):
+        x[p] = row.get(m.cols, QZERO)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -523,25 +451,28 @@ def charpoly(m: Matrix) -> list[Fraction]:
 
 def minpoly(m: Matrix) -> list[Fraction]:
     """Monic minimal polynomial, found by the first linear dependency
-    among I, m, m^2, ..."""
+    among I, m, m^2, ...
+
+    The flattened power m^k is reduced with a tag 1 in column n^2 + k, so a
+    residual with no entry below n^2 is the relation sum_j c_j m^j = 0,
+    with c_k = 1, read off the tag columns."""
     if m.rows != m.cols:
         raise NonSquare("minpoly needs a square matrix")
     n = m.rows
     if n == 0:
         return [QONE]
-    powers = [Matrix.identity(n)]
-    rows = [powers[0].flatten()]
-    while True:
-        powers.append(powers[-1] * m)
-        target = powers[-1].flatten()
-        coeff_matrix = Matrix.from_rows(list(map(list, zip(*rows))))
-        x = solve(coeff_matrix, target)
-        if x is not None:
-            # m^k = sum x_i m^i  ->  minpoly = t^k - sum x_i t^i
-            k = len(rows)
-            p = [-v for v in x] + [QONE]
-            return poly_trim(p)
-        rows.append(target)
+    nn = n * n
+    powers = Echelon()
+    power = Matrix.identity(n)
+    for k in range(n + 1):
+        row = sparse(power.flatten())
+        row[nn + k] = QONE
+        resid = powers.reduce(row)
+        if min(resid) >= nn:
+            return [resid.get(nn + j, QZERO) for j in range(k + 1)]
+        powers.add(resid)
+        power = power * m
+    raise CheckFailed("no dependency among I, m, ..., m^n (Cayley-Hamilton)", m)
 
 
 def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:

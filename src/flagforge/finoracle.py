@@ -63,33 +63,24 @@ class CertificationFailed(RuntimeError):
 
 
 class MatSpan:
-    """Subspace of n x n matrices, stored as RREF rows of flattened entries.
+    """Subspace of n x n matrices, the span of flat sparse rows
+    {i * n + j: v}.
 
-    `echelon` holds the same rows in sparse form, for reduction,
-    coordinates and membership; `sparse_matrices` holds them as sparse
-    matrices for the bracket kernel."""
+    `echelon` holds its reduced echelon basis, for reduction, coordinates
+    and membership; `rows` holds the same basis as dense RREF rows and
+    `sparse_matrices` as sparse matrices for the bracket kernel."""
 
     __slots__ = ("n", "rows", "echelon", "_sparse")
 
     def __init__(self, n: int, rows=()):
         self.n = n
-        self.rows = row_space_basis([list(r) for r in rows], n * n)
-        self.echelon = Echelon(map(sparse, self.rows))
+        self.echelon = Echelon(rows)
+        self.rows = [dense(r, n * n) for r in self.echelon.rows()]
         self._sparse = None
 
     @staticmethod
     def from_matrices(n: int, mats) -> "MatSpan":
-        return MatSpan(n, [m.flatten() for m in mats])
-
-    @staticmethod
-    def from_sparse(n: int, rows) -> "MatSpan":
-        """The span of flat sparse rows {i * n + j: v}, reduced one row at a
-        time: brackets of basis matrices are mostly sparse."""
-        span = MatSpan(n)
-        for r in rows:
-            span.echelon.add(r)
-        span.rows = [dense(r, n * n) for r in span.echelon.rows()]
-        return span
+        return MatSpan(n, [sparse(m.flatten()) for m in mats])
 
     def sparse_matrices(self) -> list[tuple]:
         """The basis as sparse matrices (see `sparse_matrix`), in basis order."""
@@ -118,7 +109,7 @@ class MatSpan:
         return [Matrix._of([r[i * n:(i + 1) * n] for i in range(n)]) for r in self.rows]
 
     def sum(self, other: "MatSpan") -> "MatSpan":
-        return MatSpan(self.n, self.rows + other.rows)
+        return MatSpan(self.n, self.echelon.rows() + other.echelon.rows())
 
     def intersect(self, other: "MatSpan") -> "MatSpan":
         if not self.rows or not other.rows:
@@ -129,7 +120,7 @@ class MatSpan:
         ]
         k = len(self.rows)
         rows_t = Matrix._of([list(c) for c in zip(*self.rows)])
-        return MatSpan(self.n, [rows_t.apply(lam[:k]) for lam in kernel(Matrix(cols))])
+        return MatSpan(self.n, [sparse(rows_t.apply(lam[:k])) for lam in kernel(Matrix(cols))])
 
     def coords_of(self, m: Matrix):
         """Coefficients over the RREF row basis, or None."""
@@ -219,7 +210,7 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
 
 def bracket_span(a: MatSpan, b: MatSpan) -> MatSpan:
     ys = b.sparse_matrices()
-    return MatSpan.from_sparse(
+    return MatSpan(
         a.n, [sparse_bracket(x, y, a.n) for x in a.sparse_matrices() for y in ys]
     )
 
@@ -228,7 +219,7 @@ def derived_series(s: MatSpan) -> list[MatSpan]:
     series = [s]
     while series[-1].dim:
         # [x, x] = 0 and [y, x] = -[x, y]: one bracket per unordered pair
-        nxt = MatSpan.from_sparse(s.n, _pair_brackets(series[-1]))
+        nxt = MatSpan(s.n, _pair_brackets(series[-1]))
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -380,7 +371,7 @@ def _lie_closure(n: int, gens):
         brackets = _pair_brackets(span)
         if not any(map(span.echelon.reduce, brackets)):
             return span, brackets
-        span = MatSpan.from_sparse(n, span.echelon.rows() + brackets)
+        span = MatSpan(n, span.echelon.rows() + brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +529,7 @@ def find_proper_submodule(actions, dim, rng, rounds: int = 30):
     if dim <= 1:
         return None
     if all(a.is_zero() for a in actions):
-        return row_space_basis([[QZERO] * 0 + [Fraction(1)] + [QZERO] * (dim - 1)], dim)
+        return [[QONE] + [QZERO] * (dim - 1)]
     transposed = [a.transpose() for a in actions]
     for theta in _theta_battery(actions, rng, dim, rounds):
         nullity_one = None
@@ -556,7 +547,7 @@ def find_proper_submodule(actions, dim, rng, rounds: int = 30):
             dual_sub = spin([dual_null[0]], transposed, dim)
             if len(dual_sub) < dim:
                 ann = kernel(Matrix(dual_sub))
-                ann_rows = row_space_basis([list(v) for v in ann], dim)
+                ann_rows = row_space_basis(ann, dim)
                 if 0 < len(ann_rows) < dim:
                     return ann_rows
                 raise CheckFailed("dual spin produced a trivial annihilator", theta)
@@ -585,7 +576,7 @@ def composition_series(actions, dim, rng) -> list:
         chain.append(row_space_basis([sub_t.apply(r) for r in level], dim))
     for level in upper:
         rows = [lift(r) for r in level]
-        chain.append(row_space_basis([list(s) for s in sub] + rows, dim))
+        chain.append(row_space_basis(sub + rows, dim))
     return chain
 
 
@@ -719,7 +710,7 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
                 raise CheckFailed("Levi lifting system is inconsistent", (g, level))
             for i in range(m):
                 xs[i] = xs[i] + _lin_comb(sol[i * width:(i + 1) * width], w_mats, g.n)
-    levi = FdLieAlgebra(g.n, xs) if xs else FdLieAlgebra(g.n, [])
+    levi = FdLieAlgebra(g.n, xs)
     _verify_levi(g, rad, levi)
     return levi
 
@@ -892,8 +883,9 @@ def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
             resid_cols = [cur.reduce(sparse(a.col(j))) for j in range(width)]
             for r in range(width):
                 rows.append([col.get(r, QZERO) for col in resid_cols])
-        nxt = kernel(Matrix(rows)) if rows else []
-        nxt_rows = row_space_basis([list(v) for v in nxt], width)
+        # with no generators every element is killed: the kernel is all of k
+        nxt = kernel(Matrix(rows)) if rows else _identity_rows(width)
+        nxt_rows = row_space_basis(nxt, width)
         if nxt_rows == current:
             break
         current = nxt_rows
@@ -1022,11 +1014,8 @@ def flag_stabilizer_brute(n: int, chain) -> MatSpan:
                             cond[piv * n + c] -= p_row[t] * wc
                 cond_rows.append(cond)
     if not cond_rows:
-        return MatSpan(
-            n, [unflatten_unit(i, j, n) for i in range(n) for j in range(n)]
-        )
-    sols = kernel(Matrix(cond_rows))
-    return MatSpan(n, [list(s) for s in sols])
+        return MatSpan(n, [{k: QONE} for k in range(n * n)])
+    return MatSpan(n, map(sparse, kernel(Matrix(cond_rows))))
 
 
 def unflatten_unit(i, j, n):
@@ -1038,9 +1027,7 @@ def unflatten_unit(i, j, n):
 def stabilizer_formula_span(n: int, chain) -> MatSpan:
     """Sum of F'' (x) (F')-annihilator over the consecutive pairs of the
     completed chain 0 = W_0 < W_1 < ... < W_k = full."""
-    levels = sorted(
-        (row_space_basis([list(r) for r in level], n) for level in chain), key=len
-    )
+    levels = sorted((row_space_basis(level, n) for level in chain), key=len)
     dedup: list = [[]]
     for lvl in levels:
         if lvl and lvl != dedup[-1]:
@@ -1094,7 +1081,7 @@ def invariant_taut_couple(k: FdLieAlgebra, seed: int = 0) -> InvariantCoupleRepo
 
 def _nilradical_formula_span(n, chain) -> MatSpan:
     """Sum of F'' (x) (F'')-annihilator over all pairs."""
-    levels = [[]] + [row_space_basis([list(r) for r in lvl], n) for lvl in chain]
+    levels = [[]] + [row_space_basis(lvl, n) for lvl in chain]
     mats = []
     for lvl in levels[1:]:
         ann = kernel(Matrix(lvl)) if lvl else _identity_rows(n)

@@ -265,6 +265,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(failing), "--report", str(tmp_path / "r.json")]) == 1
 
 
+def test_cli_cartan_of_empty_subalgebra(tmp_path):
+    # the zero subalgebra of gl2 is not a Cartan subalgebra on any route
+    gl2 = serial.algebra_to_json(FdLieAlgebra(2, gl_basis(2)))["basis"]
+    session = {
+        "algebras": {"gl2": {"n": 2, "basis": gl2}, "zero": {"n": 2, "basis": []}},
+        "commands": [
+            {"cmd": "fd", "op": "cartan", "alg": "gl2", "sub": "zero",
+             "expect": {"is_cartan": False}},
+        ],
+    }
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(session))
+    report_file = tmp_path / "report.json"
+    assert main(["run", str(path), "--report", str(report_file)]) == 0
+    result = json.loads(report_file.read_text())["results"][0]["result"]
+    assert result == {"is_cartan": False, "via": {"D": False, "E": False, "F": False}}
+
+
 def test_cli_import_leaves_sympy_unloaded():
     # sympy serves only the meataxe, so importing the CLI must not pay for it
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,9 +1,12 @@
-"""Differential tests of the incremental kernel `exactnum.Echelon`.
+"""Differential tests of the elimination kernel `exactnum.Echelon`.
 
-The hand-written eliminations it replaced are kept here as references:
-the sparse reduced echelon form and residual of `pairedspace`, the term
-canonicalization of `finitary.FinitaryElement`, and `in_row_space`,
-`_reduce_vector` and `spin` of `exactnum`/`finoracle`.
+The eliminations it replaced are kept here as references: the sparse
+reduced echelon form and residual of `pairedspace`, the term
+canonicalization of `finitary.FinitaryElement`, `in_row_space`,
+`_reduce_vector` and `spin` of `exactnum`/`finoracle`, the fraction-free
+integer batch elimination behind `rref`, `rank`, `kernel`, `solve` and
+`row_space_basis`, and the solve-per-power `minpoly`.  The references
+work on plain lists of Fractions and import nothing from `exactnum`.
 
 The old sparse echelon form did not reduce a new row against the pivots
 after its own, so its rows depended on the order of the input and could be
@@ -12,8 +15,9 @@ otherwise they must span the same space with the same pivots.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagforge.epcore import EpSet
@@ -21,7 +25,12 @@ from flagforge.exactnum import (
     Echelon,
     Matrix,
     dense,
+    kernel,
+    minpoly,
+    rank,
     row_space_basis,
+    rref,
+    solve,
     sparse,
 )
 from flagforge.finitary import FinitaryElement
@@ -162,7 +171,7 @@ def reduce_vector(vec, rows):
 
 
 def old_spin(vectors, actions, dim):
-    rows = row_space_basis([list(v) for v in vectors], dim)
+    rows = old_row_space_basis([list(v) for v in vectors])
     queue = list(rows)
     while queue:
         v = queue.pop()
@@ -172,9 +181,125 @@ def old_spin(vectors, actions, dim):
                 for i in range(dim)
             ]
             if not in_row_space(img, rows):
-                rows = row_space_basis(rows + [img], dim)
+                rows = old_row_space_basis(rows + [img])
                 queue.append(img)
     return rows
+
+
+def _int_rows(rows):
+    """Rescale rational rows to primitive integer rows (per-row scaling)."""
+    out = []
+    for row in rows:
+        den = 1
+        for v in row:
+            den = den * v.denominator // gcd(den, v.denominator)
+        ints = [v.numerator * (den // v.denominator) for v in row]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        if g > 1:
+            ints = [v // g for v in ints]
+        out.append(ints)
+    return out
+
+
+def _int_row_reduce(rows, cols):
+    """Fraction-free row echelon on integer rows: (echelon integer rows,
+    pivot column list), the rows kept primitive."""
+    rows = [r[:] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        p = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            v = rows[i][c]
+            if v:
+                g = gcd(pv, v)
+                a, b = pv // g, v // g
+                cur = rows[i]
+                new = [a * cur[j] - b * prow[j] for j in range(cols)]
+                gg = 0
+                for w in new:
+                    gg = gcd(gg, w)
+                if gg > 1:
+                    new = [w // gg for w in new]
+                rows[i] = new
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def old_rref(entries, cols):
+    """The old batch `rref` on the rows of a matrix with cols columns: the
+    dense RREF rows padded with zero rows, and the pivot columns."""
+    ech, pivots = _int_row_reduce(_int_rows(entries), cols)
+    out = [[Fraction(v, row[c]) for v in row] for row, c in zip(ech, pivots)]
+    out += [[QZERO] * cols for _ in range(len(entries) - len(out))]
+    return out, pivots
+
+
+def old_row_space_basis(rows):
+    if not rows:
+        return []
+    red, pivots = old_rref(rows, len(rows[0]))
+    return red[: len(pivots)]
+
+
+def old_kernel(entries, cols):
+    red, pivots = old_rref(entries, cols)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            vec = [QZERO] * cols
+            vec[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                vec[c] = -red[r][f]
+            basis.append(vec)
+    return basis
+
+
+def old_solve(entries, cols, rhs):
+    red, pivots = old_rref([row + [v] for row, v in zip(entries, rhs)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [QZERO] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return x
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), QZERO) for col in zip(*b)] for row in a]
+
+
+def old_minpoly(entries):
+    """Solve m^k = sum_{i<k} x_i m^i from scratch for k = 1, 2, ... and
+    return t^k - sum x_i t^i for the first k that has a solution."""
+    n = len(entries)
+    if n == 0:
+        return [Fraction(1)]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    flats = [[v for row in power for v in row]]
+    while True:
+        power = _matmul(power, entries)
+        target = [v for row in power for v in row]
+        x = old_solve([list(r) for r in zip(*flats)], len(flats), target)
+        if x is not None:
+            return [-v for v in x] + [Fraction(1)]
+        flats.append(target)
 
 
 def is_reduced(rows):
@@ -313,7 +438,7 @@ def test_element_terms_match_old(pairs):
 @settings(max_examples=150, deadline=None)
 @given(int_rows, st.lists(st.lists(small, min_size=WIDTH, max_size=WIDTH), max_size=4))
 def test_membership_and_reduction_match_old(rows, probes):
-    basis = row_space_basis([dense(r, WIDTH) for r in rows], WIDTH)
+    basis = old_row_space_basis([dense(r, WIDTH) for r in rows])
     span = Echelon(rows)
     assert [dense(r, WIDTH) for r in span.rows()] == basis
     for vec in probes + basis:
@@ -371,3 +496,78 @@ def test_spin_matches_old(case):
             assert a.apply(v) == [
                 sum((a.entries[i][c] * v[c] for c in range(dim)), QZERO) for i in range(dim)
             ]
+
+
+# ---------------------------------------------------------------------------
+# the batch functions against the integer batch elimination
+# ---------------------------------------------------------------------------
+
+entry = st.fractions(min_value=-3, max_value=3, max_denominator=4) | st.just(QZERO)
+shaped = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda rc: st.lists(
+        st.lists(entry, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+    )
+)
+
+
+def check_batch(entries, rhs):
+    m = Matrix(entries)
+    red, pivots = rref(m)
+    assert (red.entries, pivots) == old_rref(m.entries, m.cols)
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert rank(m) == len(pivots)
+    assert kernel(m) == old_kernel(m.entries, m.cols)
+    assert solve(m, rhs) == old_solve(m.entries, m.cols, rhs)
+    assert row_space_basis(m.entries, m.cols) == old_row_space_basis(m.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped, st.data())
+def test_batch_functions_match_integer_elimination(entries, data):
+    rhs = data.draw(st.lists(entry, min_size=len(entries), max_size=len(entries)))
+    check_batch(entries, rhs)
+    # a consistent right-hand side: the image of a random vector
+    if entries:
+        x = data.draw(st.lists(entry, min_size=len(entries[0]), max_size=len(entries[0])))
+        image = Matrix(entries).apply(x) if x else [QZERO] * len(entries)
+        assert solve(Matrix(entries), image) is not None
+        check_batch(entries, image)
+
+
+def test_batch_functions_edge_shapes():
+    one, two = Fraction(1), Fraction(2)
+    cases = [
+        ([], []),  # no rows
+        ([[], []], [one, QZERO]),  # rows of width 0
+        ([[QZERO] * 3] * 2, [QZERO, QZERO]),  # zero, consistent
+        ([[QZERO] * 3] * 2, [QZERO, one]),  # zero, inconsistent
+        ([[one, two, QZERO, one, one]], [two]),  # wide
+        ([[one], [two], [QZERO], [one]], [one, two, QZERO, one]),  # tall, consistent
+        ([[one], [two], [QZERO], [one]], [one, one, QZERO, one]),  # tall, inconsistent
+        ([[one, one], [one, one]], [one, two]),  # inconsistent
+    ]
+    for entries, rhs in cases:
+        check_batch(entries, rhs)
+    assert solve(Matrix([[one, one], [one, one]]), [one, two]) is None
+    assert kernel(Matrix([[QZERO] * 3])) == [[one, QZERO, QZERO], [QZERO, one, QZERO],
+                                             [QZERO, QZERO, one]]
+    assert row_space_basis([], 4) == [] and row_space_basis([[QZERO] * 4], 4) == []
+
+
+square_matrix = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def _fr(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrix)
+@example(_fr([[0, 0, 0], [0, 0, 0], [0, 0, 0]]))
+@example(_fr([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+@example(_fr([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+@example(_fr([[0, -1], [1, 0]]))
+def test_minpoly_matches_solve_per_power(entries):
+    assert minpoly(Matrix(entries)) == old_minpoly(entries)

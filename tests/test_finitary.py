@@ -43,6 +43,7 @@ from flagforge.genflag import (
     BasisOrderFlag,
     Block,
     flag_from_chain,
+    pair_leq,
 )
 from flagforge.pairedspace import (
     SIDE_V,
@@ -224,6 +225,32 @@ def test_sandwich_random():
             assert in_joint_stabilizer(y, t)
             z = sample_pplus(t, rng)
             assert in_joint_stabilizer(z, t)
+
+
+def _outside(succ, pred, bound=40):
+    """A vector of succ outside pred: a basis vector or correction of succ."""
+    cands = [
+        Vector.basis_vector(succ.model, succ.side, i) for i in succ.aligned.members_below(bound)
+    ]
+    return next(v for v in cands + list(succ.corrections) if not pred.member(v))
+
+
+def test_pplus_tensor_description_both_directions():
+    # p+ = sum of F''_a (x) G''_b over a <= b: a rank-one v (x) w with
+    # v in F''_a \ F'_a and w in G''_b \ G'_b stabilizes both flags exactly
+    # when a <= b
+    couples = [random_plain_couple(random.Random(seed)) for seed in range(30)]
+    verdicts = []
+    for t in couples + [evens_couple()]:
+        f, g = t.f_flag.chain, t.g_flag.chain
+        vs = [_outside(f[a + 1], f[a]) for a in range(t.f_flag.n_pairs())]
+        ws = [_outside(g[b + 1], g[b]) for b in range(t.g_flag.n_pairs())]
+        for a, v in enumerate(vs):
+            for b, w in enumerate(ws):
+                leq = pair_leq(t, a, b)
+                assert in_joint_stabilizer(FinitaryElement.rank_one(v, w), t) == leq, (t, a, b)
+                verdicts.append(leq)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_bracket_closure_into_pminus():

@@ -275,6 +275,12 @@ def test_fitting_null_of_diagonal():
     assert h.span == MatSpan.from_matrices(2, diagonal_basis(2))
 
 
+def test_fitting_null_of_no_generators_is_everything():
+    k = FdLieAlgebra(2, sl_basis(2))
+    assert fitting_null(k, []).span == k.span
+    assert cartan_queries(k, []) == CartanVerdict(False, False, False, False)
+
+
 def test_cartan_conjugated_torus():
     # conjugate the diagonal by a unipotent: still a Cartan subalgebra
     p = Matrix([[1, 1], [0, 1]])
