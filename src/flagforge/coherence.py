@@ -4,7 +4,8 @@ Every comparison runs at the certified window levels of the objects in play:
 any eventually periodic behaviour is pinned down by one threshold and two
 further periods, so exact agreement at those levels certifies agreement at
 every higher level.  Annihilator comparisons hold modulo the degeneracy
-radical of the truncated pairing, which is reported, never an error.
+radical of the truncated pairing, which is reported, never an error.  The
+truncations of models, vectors, subspaces and elements live here as well.
 """
 
 from __future__ import annotations
@@ -15,23 +16,100 @@ from fractions import Fraction
 
 from .epcore import stabilization_window
 from .exactnum import Echelon, Matrix, kernel, row_space_basis, sparse
-from .finitary import FinitaryElement, in_joint_stabilizer, in_nilradical, truncate_element
+from .finitary import FinitaryElement, in_joint_stabilizer, in_nilradical
 from .genflag import FinitePairFlag, TautCouple
 from .pairedspace import (
     SIDE_V,
     SIDE_W,
     NotRepresentable,
+    PairedSpaceModel,
     Subspace,
     Vector,
     closure,
     perp,
-    truncate_model,
-    truncate_subspace,
-    truncate_vector,
 )
 from .sampling import random_element, sample_nilradical, sample_pminus, sample_pplus
 
 QZERO = Fraction(0)
+
+
+@dataclass
+class TruncatedModel:
+    """Finite slice of the model: indices below n plus explicit aug rows."""
+
+    n: int
+    v_dim: int
+    w_dim: int
+    pairing: Matrix
+    radical_v: list
+    radical_w: list
+
+
+def truncate_model(model: PairedSpaceModel, n: int) -> TruncatedModel:
+    if n < 1:
+        raise ValueError("truncation level must be >= 1")
+    kv, lw = len(model.v_augs), len(model.w_augs)
+    v_dim, w_dim = n + kv, n + lw
+    rows = []
+    for i in range(n):
+        row = [Fraction(1) if j == i else QZERO for j in range(n)]
+        row += [model.w_augs[l].row.value(i) for l in range(lw)]
+        rows.append(row)
+    for k in range(kv):
+        row = [model.v_augs[k].row.value(j) for j in range(n)]
+        row += [model.cross_value(k, l) for l in range(lw)]
+        rows.append(row)
+    pairing = Matrix(rows)
+    return TruncatedModel(
+        n,
+        v_dim,
+        w_dim,
+        pairing,
+        kernel(pairing.transpose()),
+        kernel(pairing),
+    )
+
+
+def truncate_vector(v: Vector, n: int) -> list[Fraction]:
+    """Coordinates [e_0..e_{n-1}, augs...] of the truncated vector."""
+    coords = [v.basis.get(i, QZERO) for i in range(n)]
+    return coords + list(v.augs)
+
+
+def truncate_subspace(a: Subspace, n: int) -> list[list[Fraction]]:
+    """RREF basis rows of the truncated subspace."""
+    width = n + len(a.model.augs(a.side))
+    rows = [truncate_vector(c, n) for c in a.corrections]
+    for i in a.aligned.members_below(n):
+        row = [QZERO] * width
+        row[i] = Fraction(1)
+        rows.append(row)
+    return row_space_basis(rows, width)
+
+
+def truncate(obj, n: int):
+    """Dispatch: model, vector, or subspace truncation at level n."""
+    if isinstance(obj, PairedSpaceModel):
+        return truncate_model(obj, n)
+    if isinstance(obj, Vector):
+        return truncate_vector(obj, n)
+    if isinstance(obj, Subspace):
+        return truncate_subspace(obj, n)
+    raise TypeError(f"cannot truncate {obj!r}")
+
+
+def truncate_element(x: FinitaryElement, n: int, side: str = SIDE_V) -> Matrix:
+    """Operator matrix of x on the truncated space (basis then augs)."""
+    model = x.model
+    augs = model.augs(side)
+    dim = n + len(augs)
+    cols = []
+    act = x.act_on_v if side == SIDE_V else x.act_on_vstar
+    for i in range(n):
+        cols.append(truncate_vector(act(Vector.basis_vector(model, side, i)), n))
+    for k in range(len(augs)):
+        cols.append(truncate_vector(act(Vector.aug_vector(model, side, k)), n))
+    return Matrix.from_rows(list(map(list, zip(*cols)))) if dim else Matrix([])
 
 
 def window_levels(model, objs) -> list[int]:

@@ -5,6 +5,13 @@ module decides membership in flag stabilizers, joint stabilizers of taut
 couples, their linear nilradicals, the trace-zero subalgebras sitting under
 a joint stabilizer, and the orthogonal/symplectic variants obtained through
 a form on the model.
+
+Each element is canonicalized once, when it is built, and keeps the sparse
+rows of its terms beside the `Vector`s.  It also keeps the stabilizer
+verdict of every `FinitePairFlag` it has been tested against, matched by
+identity, so the joint stabilizer that every membership kind starts from is
+decided once per element and flag.  Elements and flags must therefore not
+be mutated after construction.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .epcore import stabilization_window
 from .exactnum import CheckFailed, Echelon, Matrix, axpy, rat
@@ -34,7 +40,6 @@ from .pairedspace import (
     form_to_v,
     form_to_vstar,
     pair,
-    truncate_vector,
 )
 
 QZERO = Fraction(0)
@@ -50,35 +55,53 @@ class WrongFormKind(ValueError):
 
 class FinitaryElement:
     """Finite-rank operator, canonicalized so the left tensor factors are
-    linearly independent."""
+    linearly independent.
 
-    __slots__ = ("model", "terms")
+    Beside `terms`, the element keeps their sparse `(tag, idx)` rows and the
+    `in_stabilizer` verdict of every `FinitePairFlag` it has been asked
+    about, matched by identity; neither takes part in equality.  Elements
+    and the flags they were tested against must therefore not be mutated."""
+
+    __slots__ = ("model", "terms", "_rows", "_verdicts")
 
     def __init__(self, model, terms=()):
-        self.model = model
         rows = []
-        echelon = Echelon()
         for v, w in terms:
             if v.side != SIDE_V or w.side != SIDE_W:
                 raise SideMismatch("terms must be (V, V*) pairs")
-            if v.model != model or w.model != model:
-                raise ModelMismatch("term vectors from a different model")
-            row = v.to_sparse()
-            echelon.add(row)
-            rows.append((row, w.to_sparse()))
+            for u in (v, w):
+                if u.model is not model and u.model != model:
+                    raise ModelMismatch("term vectors from a different model")
+            rows.append((v.to_sparse(), w.to_sparse()))
+        self._canonicalize(model, rows)
+
+    @staticmethod
+    def _of(model, rows) -> "FinitaryElement":
+        """The element sum_t v_t (x) w_t of sparse (V row, V* row) pairs."""
+        x = object.__new__(FinitaryElement)
+        x._canonicalize(model, rows)
+        return x
+
+    def _canonicalize(self, model, rows):
         # v_t = sum_p v_t[p] b_p over the reduced echelon basis b_p of the
         # v_t, so sum_t v_t (x) w_t = sum_p b_p (x) (sum_t v_t[p] w_t)
+        echelon = Echelon(v for v, _ in rows)
         out = []
         for p, b in zip(echelon.pivots, echelon.rows()):
             payload: dict = {}
-            for row, w in rows:
-                c = row.get(p)
+            for v, w in rows:
+                c = v.get(p)
                 if c:
                     axpy(payload, c, w)
             if payload:
-                v = Vector.from_sparse(model, SIDE_V, b)
-                out.append((v, Vector.from_sparse(model, SIDE_W, payload)))
-        self.terms = tuple(out)
+                out.append((b, payload))
+        self.model = model
+        self.terms = tuple(
+            (Vector.from_sparse(model, SIDE_V, b), Vector.from_sparse(model, SIDE_W, w))
+            for b, w in out
+        )
+        self._rows = out
+        self._verdicts = []  # (flag, in_stabilizer verdict)
 
     @staticmethod
     def zero(model) -> "FinitaryElement":
@@ -93,30 +116,35 @@ class FinitaryElement:
 
     def add(self, other) -> "FinitaryElement":
         self._check(other)
-        return FinitaryElement(self.model, self.terms + other.terms)
+        return FinitaryElement._of(self.model, self._rows + other._rows)
 
     def scale(self, c) -> "FinitaryElement":
-        c = rat(c)
-        return FinitaryElement(
-            self.model, [(v.scale(c), w) for v, w in self.terms]
-        )
+        return FinitaryElement._of(self.model, _scaled(rat(c), self._rows))
 
     def sub(self, other) -> "FinitaryElement":
-        return self.add(other.scale(-1))
-
-    def compose(self, other) -> "FinitaryElement":
-        """Associative product: (v (x) w)(v' (x) w') = <v', w> v (x) w'."""
         self._check(other)
-        terms = []
-        for v, w in self.terms:
-            for v2, w2 in other.terms:
+        return FinitaryElement._of(self.model, self._rows + _scaled(-1, other._rows))
+
+    def _product_rows(self, other) -> list:
+        """Rows of the associative product: (v (x) w)(v' (x) w') =
+        v (x) <v', w> w'."""
+        self._check(other)
+        out = []
+        for (_, w), (v_row, _) in zip(self.terms, self._rows):
+            for (v2, _), (_, w2_row) in zip(other.terms, other._rows):
                 c = pair(v2, w)
                 if c:
-                    terms.append((v.scale(c), w2))
-        return FinitaryElement(self.model, terms)
+                    out.append((v_row, {k: c * val for k, val in w2_row.items()}))
+        return out
+
+    def compose(self, other) -> "FinitaryElement":
+        return FinitaryElement._of(self.model, self._product_rows(other))
 
     def bracket(self, other) -> "FinitaryElement":
-        return self.compose(other).sub(other.compose(self))
+        return FinitaryElement._of(
+            self.model,
+            self._product_rows(other) + _scaled(-1, other._product_rows(self)),
+        )
 
     def trace(self) -> Fraction:
         return sum((pair(v, w) for v, w in self.terms), QZERO)
@@ -146,8 +174,15 @@ class FinitaryElement:
         return f"FinitaryElement({len(self.terms)} terms)"
 
     def _check(self, other):
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatch("elements from different models")
+
+
+def _scaled(c: Fraction, rows) -> list:
+    """The term rows with every V* row multiplied by c."""
+    if not c:
+        return []
+    return [(v, {k: c * val for k, val in w.items()}) for v, w in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +209,12 @@ def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
     if source.side == SIDE_V:
         aug_rows = [aug.row for aug in model.w_augs]
         partners = [w for _, w in x.terms]
-        images = [v for v, _ in x.terms]
+        images = [v for v, _ in x._rows]
         row_of = lambda u: [pair(u, w) for w in partners]
     else:
         aug_rows = [aug.row for aug in model.v_augs]
         partners = [v for v, _ in x.terms]
-        images = [w for _, w in x.terms]
+        images = [w for _, w in x._rows]
         row_of = lambda y: [pair(v, y) for v in partners]
     aligned = source.aligned
     if any(any(c.augs) for c in partners):
@@ -210,12 +245,11 @@ def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
         if len(span.pivots) == len(partners):
             break
         span.add(row)
-    sparse_images = [u.to_sparse() for u in images] if span.pivots else []
     for coeffs in span.rows():
         image: dict = {}
         for t, c in coeffs.items():
-            axpy(image, c, sparse_images[t])
-        if not target.member(Vector.from_sparse(model, source.side, image)):
+            axpy(image, c, images[t])
+        if target._reduce_row(image):
             return False
     return True
 
@@ -227,22 +261,26 @@ def in_stabilizer(x: FinitaryElement, flag) -> bool:
     which `_maps_into` decides in coordinates: the span of the pairing rows
     of the member against the terms of x, read off one stabilization window
     of aligned indices plus the corrections, and at most one membership test
-    per term.  Basis-order flags reduce to the support comparator test.
+    per term.  The verdict is kept on x for this flag object, so later
+    questions about x and the same flag cost a lookup.  Basis-order flags
+    reduce to the support comparator test.
     """
     if isinstance(flag, BasisOrderFlag):
         return _in_basis_flag_stabilizer(x, flag)
     if not isinstance(flag, FinitePairFlag):
         raise TypeError(f"cannot test stabilizer membership against {flag!r}")
-    if x.model != flag.model:
+    if x.model is not flag.model and x.model != flag.model:
         raise ModelMismatch("element and flag from different models")
-    for member in flag.chain[1:-1]:
-        if not _maps_into(x, member, member):
-            return False
-    return True
+    for seen, verdict in x._verdicts:
+        if seen is flag:
+            return verdict
+    verdict = all(_maps_into(x, member, member) for member in flag.chain[1:-1])
+    x._verdicts.append((flag, verdict))
+    return verdict
 
 
 def _in_basis_flag_stabilizer(x: FinitaryElement, flag: BasisOrderFlag) -> bool:
-    if x.model != flag.model:
+    if x.model is not flag.model and x.model != flag.model:
         raise ModelMismatch("element and flag from different models")
     entries: dict = {}
     for v, w in x.terms:
@@ -282,11 +320,12 @@ class BlockComponent:
         return all(v.is_zero() or w.is_zero() for v, w in self.terms)
 
 
-def _chain_component(chain_pred: Subspace, chain_succ: Subspace, v: Vector) -> Vector:
-    """Component of v in the pivot-rule complement of pred inside succ."""
-    row = chain_pred._reduce(v)
-    axpy(row, Fraction(-1), chain_succ._reduce(v))
-    return Vector.from_sparse(chain_pred.model, chain_pred.side, row)
+def _chain_component(chain_pred: Subspace, chain_succ: Subspace, row: dict) -> Vector:
+    """Component of the sparse row in the pivot-rule complement of pred
+    inside succ."""
+    out = chain_pred._reduce_row(row)
+    axpy(out, Fraction(-1), chain_succ._reduce_row(row))
+    return Vector.from_sparse(chain_pred.model, chain_pred.side, out)
 
 
 def block_component(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
@@ -295,6 +334,8 @@ def block_component(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockCompo
     The complement decomposition uses the canonical reduction residuals of
     the chain; the induced trace does not depend on that choice.
     """
+    if not 0 <= gamma < len(t.c_pairs):
+        raise ValueError(f"gamma {gamma} is outside 0..{len(t.c_pairs) - 1}")
     if not in_joint_stabilizer(x, t):
         raise NotInJointStabilizer("element is outside the joint stabilizer")
     return _block_component_unchecked(x, t, gamma)
@@ -306,10 +347,12 @@ def _block_component_unchecked(x, t, gamma):
     g_pred, g_succ = t.g_pair(gj)
     terms = []
     total = QZERO
-    for v, w in x.terms:
+    for v, w in x._rows:
         vbar = _chain_component(f_pred, f_succ, v)
+        if vbar.is_zero():
+            continue
         wbar = _chain_component(g_pred, g_succ, w)
-        if not vbar.is_zero() and not wbar.is_zero():
+        if not wbar.is_zero():
             terms.append((vbar, wbar))
             total += pair(vbar, wbar)
     return BlockComponent(fi, gj, tuple(terms), total)
@@ -546,22 +589,3 @@ def in_so_sp_stabilizer_minus(x: FinitaryElement, f: FinitePairFlag, kind: str) 
     if not in_algebra_of_form(x, kind):
         return False
     return in_pminus(x, self_taut_couple(f), "gl")
-
-
-# ---------------------------------------------------------------------------
-# truncation of elements to finite operator matrices
-# ---------------------------------------------------------------------------
-
-
-def truncate_element(x: FinitaryElement, n: int, side: str = SIDE_V) -> Matrix:
-    """Operator matrix of x on the truncated space (basis then augs)."""
-    model = x.model
-    augs = model.augs(side)
-    dim = n + len(augs)
-    cols = []
-    act = x.act_on_v if side == SIDE_V else x.act_on_vstar
-    for i in range(n):
-        cols.append(truncate_vector(act(Vector.basis_vector(model, side, i)), n))
-    for k in range(len(augs)):
-        cols.append(truncate_vector(act(Vector.aug_vector(model, side, k)), n))
-    return Matrix.from_rows(list(map(list, zip(*cols)))) if dim else Matrix([])

@@ -20,12 +20,11 @@ must therefore not be mutated after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .epcore import EpSeq, EpSet, stabilization_window
-from .exactnum import CheckFailed, Echelon, Matrix, axpy, kernel, rat, row_space_basis
+from .exactnum import CheckFailed, Echelon, Matrix, axpy, kernel, rat
 
 SIDE_V = "V"
 SIDE_W = "V*"
@@ -171,6 +170,14 @@ class Vector:
         self.augs = augs
 
     @staticmethod
+    def _of(model, side, basis: dict, augs: tuple) -> "Vector":
+        """Internal constructor on parts already in canonical form: Fraction
+        values, no zero basis entry, augs of the model's length."""
+        v = object.__new__(Vector)
+        v.model, v.side, v.basis, v.augs = model, side, basis, augs
+        return v
+
+    @staticmethod
     def basis_vector(model, side, i: int) -> "Vector":
         return Vector(model, side, {i: 1})
 
@@ -229,7 +236,7 @@ class Vector:
     def _check_compatible(self, other: "Vector"):
         if self.side != other.side:
             raise SideMismatch("vectors live on different sides")
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatch("vectors belong to different models")
 
     # sparse-key form used by the subspace calculus: augmentation
@@ -241,22 +248,22 @@ class Vector:
 
     @staticmethod
     def from_sparse(model, side, row: dict) -> "Vector":
-        n_aug = len(model.augs(side))
-        augs = [QZERO] * n_aug
+        """The vector of a sparse row with Fraction values; zeros are dropped."""
+        augs = [QZERO] * len(model.augs(side))
         basis = {}
         for (tag, idx), v in row.items():
             if tag == 0:
                 augs[idx] = v
-            else:
+            elif v:
                 basis[idx] = v
-        return Vector(model, side, basis, tuple(augs))
+        return Vector._of(model, side, basis, tuple(augs))
 
 
 def pair(v: Vector, g: Vector) -> Fraction:
     """Exact pairing <v, g> with v on the V side and g on the V* side."""
     if v.side != SIDE_V or g.side != SIDE_W:
         raise SideMismatch("pair() wants (V, V*) arguments")
-    if v.model != g.model:
+    if v.model is not g.model and v.model != g.model:
         raise ModelMismatch("vectors belong to different models")
     model = v.model
     total = QZERO
@@ -365,19 +372,22 @@ class Subspace:
         return not self._reduce(v)
 
     def _reduce(self, v: Vector) -> dict:
-        """Sparse residual of v: aligned coordinates dropped, then reduced
-        against the corrections."""
         if v.side != self.side:
             raise SideMismatch("vector and subspace sides differ")
-        if v.model != self.model:
+        if v.model is not self.model and v.model != self.model:
             raise ModelMismatch("vector and subspace models differ")
+        return self._reduce_row(v.to_sparse())
+
+    def _reduce_row(self, row: dict) -> dict:
+        """Sparse residual of a sparse row of this side and model, as a new
+        dict: aligned coordinates dropped, then reduced against the
+        corrections."""
+        member = self.aligned.member
+        row = {k: val for k, val in row.items() if not (k[0] == 1 and member(k[1]))}
+        if not self.corrections:
+            return row
         if self._echelon is None:
             self._echelon = Echelon(c.to_sparse() for c in self.corrections)
-        row = {
-            k: val
-            for k, val in v.to_sparse().items()
-            if not (k[0] == 1 and self.aligned.member(k[1]))
-        }
         return self._echelon.reduce(row)
 
     def contains(self, other: "Subspace") -> bool:
@@ -439,7 +449,7 @@ class Subspace:
     def _check(self, other: "Subspace"):
         if self.side != other.side:
             raise SideMismatch("subspace sides differ")
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatch("subspace models differ")
 
 
@@ -612,7 +622,7 @@ def form_perp(a: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# model validation and truncation
+# model validation
 # ---------------------------------------------------------------------------
 
 
@@ -642,68 +652,3 @@ def validate_model(model: PairedSpaceModel, raise_on_failure: bool = True) -> Mo
             witness = Vector.basis_vector(model, side, bad.aligned.min_member())
         raise DegeneratePairing(witness)
     return report
-
-
-@dataclass
-class TruncatedModel:
-    """Finite slice of the model: indices below n plus explicit aug rows."""
-
-    n: int
-    v_dim: int
-    w_dim: int
-    pairing: Matrix
-    radical_v: list
-    radical_w: list
-
-
-def truncate_model(model: PairedSpaceModel, n: int) -> TruncatedModel:
-    if n < 1:
-        raise ValueError("truncation level must be >= 1")
-    kv, lw = len(model.v_augs), len(model.w_augs)
-    v_dim, w_dim = n + kv, n + lw
-    rows = []
-    for i in range(n):
-        row = [Fraction(1) if j == i else QZERO for j in range(n)]
-        row += [model.w_augs[l].row.value(i) for l in range(lw)]
-        rows.append(row)
-    for k in range(kv):
-        row = [model.v_augs[k].row.value(j) for j in range(n)]
-        row += [model.cross_value(k, l) for l in range(lw)]
-        rows.append(row)
-    pairing = Matrix(rows)
-    return TruncatedModel(
-        n,
-        v_dim,
-        w_dim,
-        pairing,
-        kernel(pairing.transpose()),
-        kernel(pairing),
-    )
-
-
-def truncate_vector(v: Vector, n: int) -> list[Fraction]:
-    """Coordinates [e_0..e_{n-1}, augs...] of the truncated vector."""
-    coords = [v.basis.get(i, QZERO) for i in range(n)]
-    return coords + list(v.augs)
-
-
-def truncate_subspace(a: Subspace, n: int) -> list[list[Fraction]]:
-    """RREF basis rows of the truncated subspace."""
-    width = n + len(a.model.augs(a.side))
-    rows = [truncate_vector(c, n) for c in a.corrections]
-    for i in a.aligned.members_below(n):
-        row = [QZERO] * width
-        row[i] = Fraction(1)
-        rows.append(row)
-    return row_space_basis(rows, width)
-
-
-def truncate(obj, n: int):
-    """Dispatch: model, vector, or subspace truncation at level n."""
-    if isinstance(obj, PairedSpaceModel):
-        return truncate_model(obj, n)
-    if isinstance(obj, Vector):
-        return truncate_vector(obj, n)
-    if isinstance(obj, Subspace):
-        return truncate_subspace(obj, n)
-    raise TypeError(f"cannot truncate {obj!r}")

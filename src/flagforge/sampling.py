@@ -39,46 +39,38 @@ def random_vector_in(sub: Subspace, rng, bound: int = 10) -> Vector:
     return v
 
 
-def sample_pplus(t: TautCouple, rng, terms: int = 2) -> FinitaryElement:
-    """Random joint-stabilizer element built from its tensor description."""
+def _placed_terms(t: TautCouple, rng, placed, terms: int) -> list:
+    """(v, w) tensor terms with v in F''_a and w in G''_b for random pairs
+    (a, b) with placed(t, a, b)."""
     placements = [
         (a, b)
         for a in range(t.f_flag.n_pairs())
         for b in range(t.g_flag.n_pairs())
-        if pair_leq(t, a, b)
+        if placed(t, a, b)
     ]
-    out = FinitaryElement.zero(t.model)
-    for _ in range(terms):
+    out = []
+    for _ in range(terms if placements else 0):
         a, b = rng.choice(placements)
         v = random_vector_in(t.f_flag.chain[a + 1], rng)
         w = random_vector_in(t.g_flag.chain[b + 1], rng)
         if not v.is_zero() and not w.is_zero():
-            out = out.add(FinitaryElement.rank_one(v, w))
+            out.append((v, w))
     return out
+
+
+def sample_pplus(t: TautCouple, rng, terms: int = 2) -> FinitaryElement:
+    """Random joint-stabilizer element built from its tensor description."""
+    return FinitaryElement(t.model, _placed_terms(t, rng, pair_leq, terms))
 
 
 def sample_nilradical(t: TautCouple, rng, terms: int = 2) -> FinitaryElement:
     """Random nilradical element: strictly placed tensors."""
-    placements = [
-        (a, b)
-        for a in range(t.f_flag.n_pairs())
-        for b in range(t.g_flag.n_pairs())
-        if pair_order(t, a, b)
-    ]
-    out = FinitaryElement.zero(t.model)
-    if not placements:
-        return out
-    for _ in range(terms):
-        a, b = rng.choice(placements)
-        v = random_vector_in(t.f_flag.chain[a + 1], rng)
-        w = random_vector_in(t.g_flag.chain[b + 1], rng)
-        if not v.is_zero() and not w.is_zero():
-            out = out.add(FinitaryElement.rank_one(v, w))
-    return out
+    return FinitaryElement(t.model, _placed_terms(t, rng, pair_order, terms))
 
 
-def diagonal_units(t: TautCouple, gamma: int, want: int = 2, bound: int = 60):
-    """Rank-one e_i (x) f_i units with block trace 1 in the gamma-th block."""
+def _diagonal_units(t: TautCouple, gamma: int, want: int = 2, bound: int = 60) -> list:
+    """(e_i, f_i) pairs whose rank-one unit has block trace 1 in the
+    gamma-th block."""
     fi, gj = t.c_pairs[gamma]
     f_pred, f_succ = t.f_pair(fi)
     g_pred, g_succ = t.g_pair(gj)
@@ -92,7 +84,7 @@ def diagonal_units(t: TautCouple, gamma: int, want: int = 2, bound: int = 60):
             and g_succ.member(fj)
             and not g_pred.member(fj)
         ):
-            found.append(FinitaryElement.rank_one(ei, fj))
+            found.append((ei, fj))
             if len(found) == want:
                 break
     return found
@@ -101,25 +93,27 @@ def diagonal_units(t: TautCouple, gamma: int, want: int = 2, bound: int = 60):
 def sample_pminus(t: TautCouple, rng, ambient: str = "gl", terms: int = 2):
     """Random minus-subalgebra element: nilradical part plus block-traceless
     diagonal parts (finite blocks unrestricted for ambient gl)."""
-    out = sample_nilradical(t, rng, terms)
+    out = _placed_terms(t, rng, pair_order, terms)
     for gamma, (fi, _) in enumerate(t.c_pairs):
         if rng.random() < 0.6:
             continue
-        units = diagonal_units(t, gamma)
+        units = _diagonal_units(t, gamma)
         if not units:
             continue
         infinite = quotient_dim(*t.f_pair(fi)) == math.inf
         if infinite or ambient == "sl":
             if len(units) == 2:
-                out = out.add(units[0].sub(units[1]))
+                (e_i, f_i), (e_j, f_j) = units
+                out += [(e_i, f_i), (e_j.scale(-1), f_j)]
         else:
-            out = out.add(units[0].scale(rng.randrange(1, 3)))
-    return out
+            e_i, f_i = units[0]
+            out.append((e_i.scale(rng.randrange(1, 3)), f_i))
+    return FinitaryElement(t.model, out)
 
 
 def random_element(model, rng, terms: int = 2, bound: int = 8) -> FinitaryElement:
     """Unconstrained random finite-rank element."""
-    out = FinitaryElement.zero(model)
+    out = []
     for _ in range(terms):
         v = Vector(
             model,
@@ -131,5 +125,5 @@ def random_element(model, rng, terms: int = 2, bound: int = 8) -> FinitaryElemen
             SIDE_W,
             {rng.randrange(bound): F(rng.randrange(-2, 3) or 1) for _ in range(2)},
         )
-        out = out.add(FinitaryElement.rank_one(v, w))
-    return out
+        out.append((v, w))
+    return FinitaryElement(model, out)

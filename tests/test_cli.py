@@ -196,6 +196,19 @@ def test_member_commands_full_surface():
     assert tc["result"]["ok"]
 
 
+def test_block_trace_negative_gamma_is_a_command_error():
+    session = _full_surface_session()
+    session["commands"] = [
+        {"cmd": "block-trace", "elem": "diag", "couple": "c", "gamma": -1},
+        {"cmd": "block-trace", "elem": "diag", "couple": "c", "gamma": 1},
+    ]
+    report = run_session(session, seed=1)
+    bad, good = report["results"]
+    assert "result" not in bad and "ValueError" in bad["error"] and "0..1" in bad["error"]
+    assert good["result"] == {"trace": "0"}
+    assert not report["passed"]
+
+
 def test_report_deterministic_given_seed():
     session = json.loads(json.dumps(AUGMENTED_SESSION))
     a = run_session(session, seed=7)

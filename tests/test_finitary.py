@@ -14,6 +14,7 @@ from _corpus import (
     sample_pplus,
     trivial_couple,
 )
+from flagforge.coherence import truncate_element
 from flagforge.epcore import EpSet
 from flagforge.finitary import (
     FinitaryElement,
@@ -36,7 +37,6 @@ from flagforge.finitary import (
     self_taut_couple,
     tc_member,
     TraceConditionSubalgebra,
-    truncate_element,
 )
 from flagforge.genflag import (
     OMEGA_UP,
@@ -152,6 +152,17 @@ def test_block_trace_evens():
     assert block_trace(r1(m, 0, 0), t, gamma_evens) == 1
     gamma_odds = t.c_pairs.index((1, 0))
     assert block_trace(r1(m, 0, 0), t, gamma_odds) == 0
+
+
+def test_block_gamma_outside_the_c_pairs_is_rejected():
+    t = evens_couple()
+    m = t.model
+    k = len(t.c_pairs)
+    x = r1(m, 0, 0)
+    for gamma in (-1, -k, k):
+        for query in (block_trace, block_component, block_matrix):
+            with pytest.raises(ValueError, match=f"0..{k - 1}"):
+                query(x, t, gamma)
 
 
 def test_block_component_zero_on_nilradical():

@@ -168,13 +168,13 @@ def test_verdicts_match_per_index_reference():
 
 def test_at_most_one_membership_test_per_term(monkeypatch):
     calls = []
-    member = Subspace.member
+    reduce_row = Subspace._reduce_row
 
-    def counting(self, v):
-        calls.append(v)
-        return member(self, v)
+    def counting(self, row):
+        calls.append(row)
+        return reduce_row(self, row)
 
-    monkeypatch.setattr(Subspace, "member", counting)
+    monkeypatch.setattr(Subspace, "_reduce_row", counting)
     rng = random.Random(7)
     checked = 0
     for t in _couples(rng):
@@ -208,4 +208,4 @@ def test_chain_component_matches_residual_difference():
                 basis = {rng.randrange(12): rng.randrange(-2, 3) for _ in range(3)}
                 v = Vector(t.model, SIDE_V, basis, [rng.randrange(-1, 2) for _ in range(n_aug)])
                 want = pred.residual(v).sub(succ.residual(v))
-                assert finitary._chain_component(pred, succ, v) == want
+                assert finitary._chain_component(pred, succ, v.to_sparse()) == want

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from _corpus import augmented_couple, evens_couple, random_plain_couple, trivial_couple
 from flagforge import pairedspace
 
+from flagforge.coherence import truncate
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix, rank
 from flagforge.genflag import classify_flag, collapsed_couple, fc_flag, make_taut_couple
@@ -32,7 +33,6 @@ from flagforge.pairedspace import (
     perp,
     plain_model,
     split_form_model,
-    truncate,
     validate_model,
 )
 
