@@ -16,8 +16,6 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 
-Rational = Fraction
-
 QZERO = Fraction(0)
 QONE = Fraction(1)
 
@@ -426,27 +424,8 @@ def poly_eval_matrix(p, m: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# characteristic / minimal polynomial and Jordan-Chevalley decomposition
+# minimal polynomial, Jordan-Chevalley decomposition and nilpotence
 # ---------------------------------------------------------------------------
-
-
-def charpoly(m: Matrix) -> list[Fraction]:
-    """Monic characteristic polynomial via Faddeev-LeVerrier."""
-    if m.rows != m.cols:
-        raise NonSquare("charpoly needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return [QONE]
-    coeffs = [QZERO] * (n + 1)
-    coeffs[n] = QONE
-    mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        ck = -mk.trace() / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = mk + Matrix.identity(n).scale(ck)
-    return coeffs
 
 
 def minpoly(m: Matrix) -> list[Fraction]:
@@ -479,36 +458,40 @@ def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
     """Split m = ss + nil with [ss, nil] = 0, nil nilpotent and the minimal
     polynomial of ss squarefree.
 
-    ss is obtained as P(m) where P is computed by Newton iteration in
-    Q[t]/(charpoly): no eigenvalues are ever extracted.
+    Both parts are polynomials in m, so everything happens in
+    Q[t]/(mu), mu the minimal polynomial of m: no eigenvalues are ever
+    extracted.  With q the squarefree part of mu, m is already semisimple
+    when q = mu, and ss = lambda I when q = t - lambda; otherwise ss = s(m)
+    for the root s of q lifted from t by Newton iteration modulo mu.
     """
     if m.rows != m.cols:
         raise NonSquare("jordan_chevalley needs a square matrix")
     n = m.rows
     if n == 0:
         return m, m
-    chi = charpoly(m)
-    q = poly_squarefree_part(chi)
-    if len(q) == len(chi):
-        # squarefree characteristic polynomial: m already semisimple
+    mu = minpoly(m)
+    q = poly_squarefree_part(mu)
+    if len(q) == len(mu):
         return m, Matrix.zero(n, n)
+    if len(q) == 2:
+        ss = Matrix.identity(n).scale(-q[0])
+        return ss, m - ss
     dq = poly_derivative(q)
     # u0: inverse of q'(t) modulo nilpotents (gcd(q, q') = 1 gives the seed)
     _, _, u = poly_xgcd(q, dq)
     s = [QZERO, QONE]  # the polynomial t
     for _ in range(n + 2):
-        qs = poly_mod(_compose_mod(q, s, chi), chi)
+        qs = _compose_mod(q, s, mu)
         if not qs:
             break
-        # refine u toward the inverse of q'(s) mod chi
-        dqs = poly_mod(_compose_mod(dq, s, chi), chi)
-        u = poly_mod(poly_mul(u, poly_sub([Fraction(2)], poly_mul(dqs, u))), chi)
-        s = poly_mod(poly_sub(s, poly_mul(qs, u)), chi)
+        # refine u toward the inverse of q'(s) mod mu
+        dqs = _compose_mod(dq, s, mu)
+        u = poly_mod(poly_mul(u, poly_sub([Fraction(2)], poly_mul(dqs, u))), mu)
+        s = poly_mod(poly_sub(s, poly_mul(qs, u)), mu)
     else:
         raise CheckFailed("Newton lifting did not stabilize", m)
     ss = poly_eval_matrix(s, m)
-    nil = m - ss
-    return ss, nil
+    return ss, m - ss
 
 
 def _compose_mod(p, s, mod):
@@ -522,4 +505,10 @@ def _compose_mod(p, s, mod):
 
 
 def is_nilpotent(m: Matrix) -> bool:
-    return charpoly(m)[:-1] == [QZERO] * m.rows
+    """Whether m^n = 0, by squaring m ceil(log2 n) times: m^(2^k) = 0 with
+    2^k >= n exactly when m is nilpotent."""
+    if m.rows != m.cols:
+        raise NonSquare("is_nilpotent needs a square matrix")
+    for _ in range(max(m.rows - 1, 0).bit_length()):
+        m = m * m
+    return m.is_zero()

@@ -27,7 +27,6 @@ from .genflag import (
     FinitePairFlag,
     TautCouple,
     collapsed_couple,
-    quotient_dim,
 )
 from .pairedspace import (
     SIDE_V,
@@ -367,8 +366,7 @@ def block_matrix(x: FinitaryElement, t: TautCouple, gamma: int) -> Matrix:
     comp = block_component(x, t, gamma)
     fi = comp.f_pair
     f_pred, f_succ = t.f_pair(fi)
-    dim = quotient_dim(f_pred, f_succ)
-    if dim == math.inf:
+    if t.f_quotient_dim(fi) == math.inf:
         raise ValueError("block has an infinite-dimensional quotient")
     model = x.model
     gap = f_succ.aligned.difference(f_pred.aligned)
@@ -398,7 +396,7 @@ def in_pminus(x: FinitaryElement, t: TautCouple, ambient: str = "gl") -> bool:
     if ambient == "sl" and x.trace():
         return False
     for gamma, (fi, _) in enumerate(t.c_pairs):
-        if quotient_dim(*t.f_pair(fi)) == math.inf:
+        if t.f_quotient_dim(fi) == math.inf:
             if _block_component_unchecked(x, t, gamma).trace:
                 return False
     return True
@@ -417,7 +415,7 @@ class TraceConditionSubalgebra:
         finite = [
             g
             for g, (fi, _) in enumerate(couple.c_pairs)
-            if quotient_dim(*couple.f_pair(fi)) != math.inf
+            if couple.f_quotient_dim(fi) != math.inf
         ]
         for row in rows:
             if len(row) != len(couple.c_pairs):

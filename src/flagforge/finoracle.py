@@ -8,7 +8,11 @@ taut couples from composition series, and parabolic checks at desk scale.
 
 Brackets and products of basis matrices go through one sparse kernel on
 integer row dicts with a common denominator (`sparse_matrix`); it returns
-flat sparse rows {i * n + j: v} that go straight to `Echelon`.
+flat sparse rows {i * n + j: v} that go straight to `Echelon`.  An algebra
+keeps the coordinates of the brackets of its basis as sparse structure
+constants, and its Killing form and derived algebra are read off those.
+Jordan-Chevalley parts and nilpotence come from `exactnum`; the meataxe
+factors minimal polynomials with sympy over the integers.
 
 Randomized searches (the meataxe behind composition series and invariant
 flags, the torus and maximal-solvability probes) take an explicit seed;
@@ -25,6 +29,7 @@ from math import lcm
 
 from .exactnum import (
     QONE,
+    QZERO,
     CheckFailed,
     Echelon,
     Matrix,
@@ -39,8 +44,6 @@ from .exactnum import (
     solve,
     sparse,
 )
-
-QZERO = Fraction(0)
 
 
 class NotSplittable(ValueError):
@@ -245,26 +248,30 @@ def is_nilpotent_span(s: MatSpan) -> bool:
 
 
 class FdLieAlgebra:
-    """Matrix Lie algebra: an ambient size and a bracket-closed basis.
+    """Matrix Lie algebra: an ambient size n >= 0 and a bracket-closed basis
+    of n x n matrices; ValueError otherwise.
 
     The basis is the RREF basis of the span, so coordinate vectors from
     `span.coords_of` always agree with basis indexing.  Construction
     brackets every pair of basis elements once, to check closure, and keeps
-    the coordinates of [x_i, x_j] as the structure constants
-    `consts[i][j]` (`lie_close` hands over the brackets of its last closure
-    round instead).  The ad matrices, the Killing form and the derived
-    algebra are computed from them on first use and cached; so is the
-    certified solvable radical (`solvable_radical`).  The caches assume
-    that the basis is never mutated after construction.
+    the nonzero coordinates of [x_i, x_j], i < j, as the sparse structure
+    constants `consts[i, j] = {k: c}` (`lie_close` hands over the brackets
+    of its last closure round instead); a vanishing bracket has no entry.
+    The Killing form and the derived algebra are computed from them on
+    first use and cached; so is the certified solvable radical
+    (`solvable_radical`).  The caches assume that the basis is never
+    mutated after construction.
     """
 
     __slots__ = (
         "n", "basis", "span", "consts",
-        "_ad", "_killing", "_derived", "_derived_coords", "_radical",
+        "_killing", "_derived", "_derived_coords", "_radical",
     )
 
     def __init__(self, n: int, basis):
         gens = [Matrix(b.entries) if isinstance(b, Matrix) else Matrix(b) for b in basis]
+        if n < 0 or any((b.rows, b.cols) != (n, n) for b in gens):
+            raise ValueError(f"the basis must be {n} x {n} matrices, with n >= 0")
         span = MatSpan.from_matrices(n, gens)
         brackets = _pair_brackets(span)
         if any(map(span.echelon.reduce, brackets)):
@@ -282,15 +289,14 @@ class FdLieAlgebra:
         self.n = span.n
         self.span = span
         self.basis = span.matrices()
-        d = len(self.basis)
-        self.consts = [[[QZERO] * d for _ in range(d)] for _ in range(d)]
         # a vector in the span has its coordinates at the pivots
-        pivots = span.echelon.pivots
-        for (i, j), row in zip(itertools.combinations(range(d), 2), brackets):
-            c = [row.get(p, QZERO) for p in pivots]
-            self.consts[i][j] = c
-            self.consts[j][i] = [-v for v in c]
-        self._ad = None
+        index = {p: k for k, p in enumerate(span.echelon.pivots)}
+        pairs = itertools.combinations(range(len(self.basis)), 2)
+        self.consts = {
+            pair: {index[p]: v for p, v in row.items() if p in index}
+            for pair, row in zip(pairs, brackets)
+            if row
+        }
         self._killing = None
         self._derived = None
         self._derived_coords = None
@@ -303,40 +309,36 @@ class FdLieAlgebra:
     def member(self, m: Matrix) -> bool:
         return self.span.member(m)
 
-    def ad_matrices(self) -> list[Matrix]:
-        """ad(x_i) in basis coordinates: column j is consts[i][j]."""
-        if self._ad is None:
-            self._ad = [
-                Matrix._of([list(r) for r in zip(*row)]) for row in self.consts
-            ]
-        return self._ad
-
     def killing(self) -> Matrix:
-        """K_ij = tr(ad x_i ad x_j) = sum_{k,l} c[i][l][k] c[j][k][l], summed
-        over the nonzero constants c[i][l][k]."""
+        """K_ij = tr(ad x_i ad x_j) = sum_{k,l} (ad x_i)[k, l] (ad x_j)[l, k],
+        where (ad x_i)[k, l] is consts[i, l][k], or -consts[l, i][k].
+
+        Each product of two nonzero entries is formed once, on integers
+        over the common denominator of the constants."""
         if self._killing is None:
-            c = self.consts
             d = self.dim
-            nonzero = [
-                [(l, k, v) for l, cl in enumerate(ci) for k, v in enumerate(cl) if v]
-                for ci in c
-            ]
-            kill = [[QZERO] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(i, d):
-                    cj = c[j]
-                    val = sum((v * cj[k][l] for l, k, v in nonzero[i] if cj[k][l]), QZERO)
-                    kill[i][j] = val
-                    kill[j][i] = val
-            self._killing = Matrix._of(kill)
+            den = lcm(*(v.denominator for c in self.consts.values() for v in c.values()))
+            cols: dict = {}  # (k, l) -> [(i, den * (ad x_i)[k, l])]
+            for (i, l), c in self.consts.items():
+                for k, v in c.items():
+                    x = v.numerator * (den // v.denominator)
+                    cols.setdefault((k, l), []).append((i, x))
+                    cols.setdefault((k, i), []).append((l, -x))
+            kill = [[0] * d for _ in range(d)]
+            for (k, l), col in cols.items():
+                partners = cols.get((l, k), ())
+                for i, x in col:
+                    row = kill[i]
+                    for j, y in partners:
+                        row[j] += x * y
+            self._killing = Matrix._of([[Fraction(v, den * den) for v in row] for row in kill])
         return self._killing
 
     def derived_coords(self) -> list:
-        """RREF basis of [g, g] in basis coordinates."""
+        """RREF basis of [g, g] in basis coordinates, from the constants."""
         if self._derived_coords is None:
-            self._derived_coords = row_space_basis(
-                [c for i, row in enumerate(self.consts) for c in row[i + 1:]], self.dim
-            )
+            ech = Echelon(self.consts.values())
+            self._derived_coords = [dense(r, self.dim) for r in ech.rows()]
         return self._derived_coords
 
     def derived(self) -> MatSpan:
@@ -511,16 +513,15 @@ def _theta_battery(actions, rng, dim, rounds):
 
 
 def _min_poly_factors(theta: Matrix):
-    import sympy  # the only user; importing it costs more than the rest of the package
+    """The irreducible factors of the minimal polynomial of theta and their
+    multiplicities, primitive over ZZ: sympy factors it with denominators cleared."""
+    from sympy.polys.domains import ZZ  # lazily: sympy costs more to import than the package
+    from sympy.polys.factortools import dup_factor_list
 
     coeffs = minpoly(theta)
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ")
-    out = []
-    for factor, mult in poly.factor_list()[1]:
-        cs = [Fraction(str(c)) for c in reversed(factor.all_coeffs())]
-        out.append((cs, mult))
-    return out
+    den = lcm(*(c.denominator for c in coeffs))
+    _, factors = dup_factor_list([ZZ(int(c * den)) for c in reversed(coeffs)], ZZ)
+    return [([Fraction(int(c)) for c in reversed(f)], mult) for f, mult in factors]
 
 
 def find_proper_submodule(actions, dim, rng, rounds: int = 30):
@@ -649,7 +650,7 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
     c = {}
     for i in range(m):
         for j in range(i + 1, m):
-            resid = rad_coeffs.reduce(sparse(g.consts[free[i]][free[j]]))
+            resid = rad_coeffs.reduce(g.consts.get((free[i], free[j]), {}))
             c[i, j] = [resid.get(k, QZERO) for k in free]
 
     series = derived_series(rad)

@@ -190,13 +190,14 @@ def pairing_is_zero(a: Subspace, b: Subspace) -> bool:
 class TautCouple:
     """Validated taut couple of semiclosed flags in V and V*."""
 
-    __slots__ = ("f_flag", "g_flag", "c_pairs", "_collapsed")
+    __slots__ = ("f_flag", "g_flag", "c_pairs", "_collapsed", "_quotient_dims")
 
     def __init__(self, f_flag, g_flag, c_pairs):
         self.f_flag = f_flag
         self.g_flag = g_flag
         self.c_pairs = c_pairs
         self._collapsed = None
+        self._quotient_dims: dict = {}
 
     @property
     def model(self):
@@ -207,6 +208,12 @@ class TautCouple:
 
     def g_pair(self, j):
         return self.g_flag.chain[j], self.g_flag.chain[j + 1]
+
+    def f_quotient_dim(self, i):
+        """quotient_dim of the i-th f-pair, computed once per couple."""
+        if i not in self._quotient_dims:
+            self._quotient_dims[i] = quotient_dim(*self.f_pair(i))
+        return self._quotient_dims[i]
 
     def __repr__(self):
         return (

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .finitary import FinitaryElement
-from .genflag import TautCouple, pair_leq, pair_order, quotient_dim
+from .genflag import TautCouple, pair_leq, pair_order
 from .pairedspace import SIDE_V, SIDE_W, Subspace, Vector
 
 F = Fraction
@@ -100,7 +100,7 @@ def sample_pminus(t: TautCouple, rng, ambient: str = "gl", terms: int = 2):
         units = _diagonal_units(t, gamma)
         if not units:
             continue
-        infinite = quotient_dim(*t.f_pair(fi)) == math.inf
+        infinite = t.f_quotient_dim(fi) == math.inf
         if infinite or ambient == "sl":
             if len(units) == 2:
                 (e_i, f_i), (e_j, f_j) = units

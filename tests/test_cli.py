@@ -261,6 +261,18 @@ def test_cli_exit_codes(tmp_path, capsys):
             "models": {"m": {}},
             "subspaces": {"s": {"model": "m", "side": "V", "aligned": 7}},
         },
+        # every basis matrix of an algebra is n x n, and n >= 0
+        "basis_1x1_under_n2": {
+            "algebras": {"a": {"n": 2, "basis": [[["1"]]]}},
+            "commands": [{"cmd": "fd", "op": "radical", "alg": "a"}],
+        },
+        "basis_2x2_under_n3": {
+            "algebras": {"a": {"n": 3, "basis": [[["1", "0"], ["0", "0"]]]}},
+        },
+        "basis_3x3_under_n2": {
+            "algebras": {"a": {"n": 2, "basis": [[["0", "1", "0"], ["0"] * 3, ["0"] * 3]]}},
+        },
+        "negative_n": {"algebras": {"a": {"n": -1, "basis": []}}},
     }
     for name, data in malformed.items():
         path = tmp_path / f"{name}.json"
@@ -420,7 +432,9 @@ VALID_SESSIONS = [AUGMENTED_SESSION, _full_surface_session(), _fd_session()]
 def _structural_mutations():
     """(session index, path, action, argument) for every structural mutation
     of the valid sessions: swap a value's type, drop a required field, point
-    a reference at nothing.  Expectations are not input and stay as they are."""
+    a reference at nothing, give an algebra the wrong arity (drop a row of a
+    basis matrix, or raise n by one).  Expectations are not input and stay as
+    they are."""
     out = []
 
     def walk(si, path, value, key):
@@ -444,10 +458,22 @@ def _structural_mutations():
 
     for si, session in enumerate(VALID_SESSIONS):
         walk(si, (), session, None)
+        out += _arity_mutations(si, session)
+    return out
+
+
+def _arity_mutations(si, session):
+    out = []
+    for name, alg in session.get("algebras", {}).items():
+        path = ("algebras", name)
+        out.append((si, path + ("n",), "set", alg["n"] + 1))
+        for b in range(len(alg["basis"])):
+            out.append((si, path + ("basis", b, 0), "drop", None))
     return out
 
 
 MUTATIONS = _structural_mutations()
+ARITY_MUTATIONS = [m for si, s in enumerate(VALID_SESSIONS) for m in _arity_mutations(si, s)]
 
 
 def _mutate(session, path, action, arg):
@@ -473,11 +499,27 @@ def test_structural_mutations_cover_every_kind():
     actions = {(a, arg == "nowhere") for _, _, a, arg in MUTATIONS}
     assert actions == {("set", False), ("set", True), ("drop", False)}
     assert len({si for si, *_ in MUTATIONS}) == 3
+    # wrong arity: every basis matrix loses a row, every n grows by one
+    assert all(m in MUTATIONS for m in ARITY_MUTATIONS)
+    dropped_rows = {p[:4] for _, p, a, _ in ARITY_MUTATIONS if a == "drop"}
+    grown = {p[:2] for _, p, a, _ in ARITY_MUTATIONS if a == "set"}
+    algebras = VALID_SESSIONS[2]["algebras"]
+    assert len(dropped_rows) == sum(len(a["basis"]) for a in algebras.values())
+    assert grown == {("algebras", name) for name in algebras}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(MUTATIONS))
 def test_cli_structural_mutations_exit_2(mutation):
+    _assert_exit_2(mutation)
+
+
+@pytest.mark.parametrize("mutation", ARITY_MUTATIONS, ids=str)
+def test_cli_arity_mutations_exit_2(mutation):
+    _assert_exit_2(mutation)
+
+
+def _assert_exit_2(mutation):
     si, path, action, arg = mutation
     data = _mutate(VALID_SESSIONS[si], path, action, arg)
     err = io.StringIO()

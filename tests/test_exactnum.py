@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagforge.exactnum import (
+    QONE,
+    QZERO,
+    CheckFailed,
     Echelon,
     Matrix,
     NonSquare,
-    charpoly,
+    _compose_mod,
     is_nilpotent,
     jordan_chevalley,
     kernel,
@@ -17,13 +20,175 @@ from flagforge.exactnum import (
     poly_eval_matrix,
     poly_gcd,
     poly_is_squarefree,
+    poly_mod,
+    poly_mul,
+    poly_squarefree_part,
+    poly_sub,
+    poly_xgcd,
     rank,
     rref,
     solve,
     sparse,
 )
+from flagforge.finoracle import (
+    _min_poly_factors,
+    block_parabolic_basis,
+    direct_sum_basis,
+    gl_basis,
+    sl_basis,
+    upper_triangular_basis,
+)
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# references for the replaced kernels: the characteristic polynomial route
+# of `jordan_chevalley` and `is_nilpotent`, and sympy's factorization over QQ
+# ---------------------------------------------------------------------------
+
+
+def charpoly(m: Matrix) -> list[Fraction]:
+    """Monic characteristic polynomial via Faddeev-LeVerrier."""
+    if m.rows != m.cols:
+        raise NonSquare("charpoly needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return [QONE]
+    coeffs = [QZERO] * (n + 1)
+    coeffs[n] = QONE
+    mk = Matrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m * mk
+        ck = -mk.trace() / k
+        coeffs[n - k] = ck
+        if k < n:
+            mk = mk + Matrix.identity(n).scale(ck)
+    return coeffs
+
+
+def charpoly_jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
+    """ss = P(m) with P from Newton iteration in Q[t]/(charpoly)."""
+    n = m.rows
+    if n == 0:
+        return m, m
+    chi = charpoly(m)
+    q = poly_squarefree_part(chi)
+    if len(q) == len(chi):
+        return m, Matrix.zero(n, n)
+    dq = poly_derivative(q)
+    _, _, u = poly_xgcd(q, dq)
+    s = [QZERO, QONE]
+    for _ in range(n + 2):
+        qs = poly_mod(_compose_mod(q, s, chi), chi)
+        if not qs:
+            break
+        dqs = poly_mod(_compose_mod(dq, s, chi), chi)
+        u = poly_mod(poly_mul(u, poly_sub([Fraction(2)], poly_mul(dqs, u))), chi)
+        s = poly_mod(poly_sub(s, poly_mul(qs, u)), chi)
+    else:
+        raise CheckFailed("Newton lifting did not stabilize", m)
+    ss = poly_eval_matrix(s, m)
+    return ss, m - ss
+
+
+def charpoly_is_nilpotent(m: Matrix) -> bool:
+    return charpoly(m)[:-1] == [QZERO] * m.rows
+
+
+def qq_min_poly_factors(theta: Matrix):
+    """The factors of the minimal polynomial from sympy's `Poly` over QQ."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(minpoly(theta))], x, domain="QQ")
+    return [
+        ([Fraction(str(c)) for c in reversed(factor.all_coeffs())], mult)
+        for factor, mult in poly.factor_list()[1]
+    ]
+
+
+def _elementary(n, i, j, c):
+    """I + c e_ij, i != j, whose inverse is I - c e_ij."""
+    return Matrix([[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n)]
+                   for a in range(n)])
+
+
+@st.composite
+def random_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return Matrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                min_size=n, max_size=n)))
+
+
+@st.composite
+def single_eigenvalue_matrices(draw):
+    """P (lambda I + N) P^-1, N strictly upper triangular, P a product of
+    elementary matrices."""
+    n = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 2)]))
+    m = Matrix([[lam if i == j else (draw(st.integers(-2, 2)) if j > i else 0)
+                 for j in range(n)] for i in range(n)])
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-2, 2))
+            m = _elementary(n, i, j, c) * m * _elementary(n, i, j, -c)
+    return m
+
+
+ORACLE_FAMILIES = [
+    upper_triangular_basis(3),
+    upper_triangular_basis(5),
+    block_parabolic_basis([1, 2]),
+    block_parabolic_basis([2, 2]),
+    block_parabolic_basis([1, 1, 2]),
+    direct_sum_basis([(gl_basis(1), 1), (sl_basis(2), 2)]),
+    direct_sum_basis([(gl_basis(2), 2), (gl_basis(2), 2)]),
+    sl_basis(3),
+]
+
+
+@st.composite
+def oracle_family_elements(draw):
+    """A small integer combination of the basis of a block parabolic, a
+    direct sum or sl_3, conjugated by a permutation of the basis vectors."""
+    basis = draw(st.sampled_from(ORACLE_FAMILIES))
+    n = basis[0].rows
+    acc = Matrix.zero(n, n)
+    for b in basis:
+        acc = acc + b.scale(draw(st.integers(-2, 2)))
+    p = draw(st.permutations(range(n)))
+    return Matrix([[acc.entries[p[i]][p[j]] for j in range(n)] for i in range(n)])
+
+
+square_matrices = st.one_of(
+    random_matrices(), single_eigenvalue_matrices(), oracle_family_elements()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices)
+def test_jordan_chevalley_matches_charpoly_newton(m):
+    assert jordan_chevalley(m) == charpoly_jordan_chevalley(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices)
+def test_is_nilpotent_matches_charpoly(m):
+    for x in (m, charpoly_jordan_chevalley(m)[1]):
+        assert is_nilpotent(x) == charpoly_is_nilpotent(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices)
+def test_min_poly_factors_match_qq_poly(m):
+    assert _min_poly_factors(m) == qq_min_poly_factors(m)
+
+
+def test_is_nilpotent_nonsquare():
+    with pytest.raises(NonSquare):
+        is_nilpotent(Matrix.zero(2, 3))
 
 
 def M(rows):

@@ -322,6 +322,33 @@ def test_tc_member_validation():
             TraceConditionSubalgebra(t, "gl", [row])
 
 
+def test_quotient_dims_computed_once_per_pair_per_couple(monkeypatch):
+    from flagforge import genflag
+
+    calls = []
+    real = genflag.quotient_dim
+
+    def counting(pred, succ):
+        calls.append((id(pred), id(succ)))
+        return real(pred, succ)
+
+    rng = random.Random(3)
+    couples = [evens_couple(), trivial_couple(), augmented_couple()]
+    couples += [random_plain_couple(random.Random(seed)) for seed in range(4)]
+    monkeypatch.setattr(genflag, "quotient_dim", counting)
+    for t in couples:
+        calls.clear()
+        s = TraceConditionSubalgebra(t, "gl", [])
+        for _ in range(6):
+            for ambient in ("gl", "sl"):
+                x = sample_pminus(t, rng, ambient)
+                assert in_pminus(x, t, ambient) and s.member(x)
+                for gamma, (fi, _) in enumerate(t.c_pairs):
+                    if t.f_quotient_dim(fi) != math.inf:
+                        assert block_matrix(x, t, gamma).trace() == block_trace(x, t, gamma)
+        assert calls and len(calls) == len(set(calls)) <= t.f_flag.n_pairs()
+
+
 def test_normalizer_strictly_lower_fails():
     t = evens_couple()
     m = t.model

@@ -16,7 +16,6 @@ from flagforge.exactnum import (
     CheckFailed,
     Echelon,
     Matrix,
-    charpoly,
     dense,
     is_nilpotent,
     kernel,
@@ -84,6 +83,20 @@ def test_lie_close_generates_sl2():
 
 def test_lie_close_empty():
     assert lie_close(3, []).dim == 0
+
+
+def test_algebra_rejects_wrong_shapes_and_negative_n():
+    for n, basis in [
+        (2, [[[1]]]),
+        (3, [E(2, 0, 1)]),
+        (2, [E(3, 0, 1)]),
+        (2, [E(2, 0, 1), [[0, 1]]]),
+        (-1, []),
+    ]:
+        with pytest.raises(ValueError):
+            FdLieAlgebra(n, basis)
+    assert FdLieAlgebra(0, []).dim == 0
+    assert FdLieAlgebra(0, [Matrix([])]).dim == 0
 
 
 def test_solvable_radical_gl2_is_center():
@@ -455,7 +468,17 @@ def _closed_algebras(draw):
 @given(_closed_algebras())
 def test_structure_constants_match_direct_brackets(g):
     ads = _reference_ad(g)
-    assert g.ad_matrices() == ads
+    # consts[i, j] holds the nonzero coordinates of [x_i, x_j], i < j, and the
+    # other brackets follow: [x_i, x_i] = 0 and [x_j, x_i] = -[x_i, x_j]
+    want = {}
+    for i, j in itertools.combinations(range(g.dim), 2):
+        coords = {k: v for k, v in enumerate(ads[i].col(j)) if v}
+        if coords:
+            want[i, j] = coords
+        assert ads[j].col(i) == [-v for v in ads[i].col(j)]
+    for i in range(g.dim):
+        assert not any(ads[i].col(i))
+    assert g.consts == want
     assert g.killing() == _reference_killing(ads)
     assert g.derived() == bracket_span(g.span, g.span)
     assert solvable_radical(g) == _reference_radical(g)
