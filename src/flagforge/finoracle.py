@@ -1,18 +1,27 @@
 """Finite-dimensional exact structure theory over Q.
 
-This is the independent oracle: everything here works with explicit n x n
-rational matrices and ordinary linear algebra, with no reference to the
+This is the independent oracle: everything here works with n x n rational
+matrices and ordinary linear algebra, with no reference to the
 countable model.  It provides solvable radicals, linear nilradicals, Levi
 components, locally reductive parts, Cartan-subalgebra tests, invariant
 taut couples from composition series, and parabolic checks at desk scale.
 
-Brackets and products of basis matrices go through one sparse kernel on
-integer row dicts with a common denominator (`sparse_matrix`); it returns
-flat sparse rows {i * n + j: v} that go straight to `Echelon`.  An algebra
-keeps the coordinates of the brackets of its basis as sparse structure
-constants, and its Killing form and derived algebra are read off those.
-Jordan-Chevalley parts and nilpotence come from `exactnum`; the meataxe
-factors minimal polynomials with sympy over the integers.
+Inside the oracle an element of gl_n has one representation, the flat
+sparse row {i * n + j: Fraction}, and a subspace is a `MatSpan`, the
+reduced echelon basis of such rows.  Every subspace cut out by linear
+conditions (radical, nilradical, centralizers, normalizers, Fitting
+components, intersections, flag stabilizers) is the set of combinations
+of a basis whose images vanish, and one helper, `_null_combinations`,
+finds them by reading relations off tag columns.  Brackets and products go
+through one sparse kernel on integer row dicts with a common denominator
+(`sparse_matrix`).  An algebra keeps the coordinates of the brackets of
+its basis as sparse structure constants, and its Killing form and derived
+algebra are read off those.
+
+`Matrix` appears only at the boundary: the basis handed to `FdLieAlgebra`,
+`.basis` and `matrices()` read out, `bracket`, Jordan-Chevalley parts and
+nilpotence (from `exactnum`), and the meataxe, which works on vectors of
+Q^n and factors minimal polynomials with sympy over the integers.
 
 Randomized searches (the meataxe behind composition series and invariant
 flags, the torus and maximal-solvability probes) take an explicit seed;
@@ -33,6 +42,7 @@ from .exactnum import (
     CheckFailed,
     Echelon,
     Matrix,
+    axpy,
     dense,
     is_nilpotent,
     jordan_chevalley,
@@ -40,6 +50,7 @@ from .exactnum import (
     minpoly,
     poly_eval_matrix,
     poly_is_squarefree,
+    rat,
     row_space_basis,
     solve,
     sparse,
@@ -66,20 +77,21 @@ class CertificationFailed(RuntimeError):
 
 
 class MatSpan:
-    """Subspace of n x n matrices, the span of flat sparse rows
-    {i * n + j: v}.
+    """Subspace of n x n matrices: the reduced echelon basis `echelon` of
+    flat sparse rows {i * n + j: v}, the one element representation of the
+    oracle.  Reduction, coordinates, membership, sums, intersections and
+    linearly defined subspaces (`kernel_of`) all work on these rows.
 
-    `echelon` holds its reduced echelon basis, for reduction, coordinates
-    and membership; `rows` holds the same basis as dense RREF rows and
-    `sparse_matrices` as sparse matrices for the bracket kernel."""
+    The other views of the same basis are built on first use and kept:
+    `sparse_matrices()` for the bracket kernel, and, at the boundary with
+    callers, the dense RREF rows `rows` and the `Matrix` list `matrices()`."""
 
-    __slots__ = ("n", "rows", "echelon", "_sparse")
+    __slots__ = ("n", "echelon", "_rows", "_matrices", "_sparse")
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self.echelon = Echelon(rows)
-        self.rows = [dense(r, n * n) for r in self.echelon.rows()]
-        self._sparse = None
+        self._rows = self._matrices = self._sparse = None
 
     @staticmethod
     def from_matrices(n: int, mats) -> "MatSpan":
@@ -92,8 +104,21 @@ class MatSpan:
         return self._sparse
 
     @property
+    def rows(self) -> list[list[Fraction]]:
+        """The basis as dense RREF rows of length n^2."""
+        if self._rows is None:
+            self._rows = [dense(r, self.n * self.n) for r in self.echelon.rows()]
+        return self._rows
+
+    def matrices(self) -> list[Matrix]:
+        """The basis as matrices, in basis order."""
+        if self._matrices is None:
+            self._matrices = [_matrix(r, self.n) for r in self.echelon.rows()]
+        return self._matrices
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.echelon.pivots)
 
     def member(self, m: Matrix) -> bool:
         return not self.echelon.reduce(sparse(m.flatten()))
@@ -102,48 +127,74 @@ class MatSpan:
         return not any(map(self.echelon.reduce, other.echelon.rows()))
 
     def __eq__(self, other):
-        return isinstance(other, MatSpan) and self.n == other.n and self.rows == other.rows
+        return (
+            isinstance(other, MatSpan)
+            and self.n == other.n
+            and self.echelon.rows() == other.echelon.rows()
+        )
 
     def __hash__(self):
-        return hash((self.n, tuple(tuple(r) for r in self.rows)))
-
-    def matrices(self) -> list[Matrix]:
-        n = self.n
-        return [Matrix._of([r[i * n:(i + 1) * n] for i in range(n)]) for r in self.rows]
+        return hash((self.n, tuple(frozenset(r.items()) for r in self.echelon.rows())))
 
     def sum(self, other: "MatSpan") -> "MatSpan":
         return MatSpan(self.n, self.echelon.rows() + other.echelon.rows())
 
     def intersect(self, other: "MatSpan") -> "MatSpan":
-        if not self.rows or not other.rows:
-            return MatSpan(self.n)
-        cols = [
-            [r[k] for r in self.rows] + [-r[k] for r in other.rows]
-            for k in range(self.n * self.n)
-        ]
-        k = len(self.rows)
-        rows_t = Matrix._of([list(c) for c in zip(*self.rows)])
-        return MatSpan(self.n, [sparse(rows_t.apply(lam[:k])) for lam in kernel(Matrix(cols))])
+        """x = sum_k c_k b_k lies in other exactly when the same combination
+        of the residuals of the b_k modulo other vanishes."""
+        return self.kernel_of(list(map(other.echelon.reduce, self.echelon.rows())))
+
+    def kernel_of(self, images) -> "MatSpan":
+        """{sum_k c_k b_k : sum_k c_k images[k] = 0} over the basis rows b_k,
+        images[k] a sparse row with integer columns."""
+        return MatSpan(self.n, _null_combinations(self.echelon.rows(), images))
 
     def coords_of(self, m: Matrix):
         """Coefficients over the RREF row basis, or None."""
         return self.echelon.coords(sparse(m.flatten()))
 
+    def _coords(self, row: dict) -> dict:
+        """The nonzero coordinates {k: c} of a row of the span: its entries
+        at the pivots."""
+        return {k: row[p] for k, p in enumerate(self.echelon.pivots) if p in row}
 
-def unflatten(row, n: int) -> Matrix:
-    return Matrix([[row[i * n + j] for j in range(n)] for i in range(n)])
+
+def _matrix(row: dict, n: int) -> Matrix:
+    """The n x n matrix of a flat sparse row."""
+    return Matrix._of([[row.get(i * n + j, QZERO) for j in range(n)] for i in range(n)])
 
 
-def _lin_comb(coeffs, mats, n: int) -> Matrix:
-    """sum_k coeffs[k] mats[k], over n x n matrices."""
-    acc = [[QZERO] * n for _ in range(n)]
-    for c, m in zip(coeffs, mats):
+def _combine(coeffs: dict, rows) -> dict:
+    """sum_k coeffs[k] rows[k] on sparse rows, coeffs given as {k: c}."""
+    out: dict = {}
+    for k, c in coeffs.items():
         if c:
-            for arow, mrow in zip(acc, m.entries):
-                for j, v in enumerate(mrow):
-                    if v:
-                        arow[j] += c * v
-    return Matrix._of(acc)
+            axpy(out, c, rows[k])
+    return out
+
+
+def _null_combinations(rows, images) -> list[dict]:
+    """Spanning rows of {sum_k c_k rows[k] : sum_k c_k images[k] = 0}, for
+    sparse images with integer columns.
+
+    Image k is reduced with a tag 1 in column w + k, w one past the largest
+    image column.  A residual left with tag columns only is a relation,
+    with c_k = 1 and the other c_j read off the tags; any other residual
+    extends the span of the images.  So each k whose image depends on the
+    earlier ones gives one relation, and these relations span the kernel:
+    they are its basis with c = 1 at one such k and 0 at the others."""
+    w = 1 + max((max(im) for im in images if im), default=-1)
+    ech = Echelon()
+    out = []
+    for k, image in enumerate(images):
+        row = dict(image)
+        row[w + k] = QONE
+        resid = ech.reduce(row)
+        if min(resid) >= w:
+            out.append(_combine({t - w: c for t, c in resid.items()}, rows))
+        else:
+            ech.add(resid)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +258,7 @@ def sparse_bracket(a: tuple, b: tuple, n: int) -> dict:
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
-    n = a.rows
-    return unflatten(dense(sparse_bracket(_sparse_of(a), _sparse_of(b), n), n * n), n)
+    return _matrix(sparse_bracket(_sparse_of(a), _sparse_of(b), a.rows), a.rows)
 
 
 def bracket_span(a: MatSpan, b: MatSpan) -> MatSpan:
@@ -257,14 +307,15 @@ class FdLieAlgebra:
     the nonzero coordinates of [x_i, x_j], i < j, as the sparse structure
     constants `consts[i, j] = {k: c}` (`lie_close` hands over the brackets
     of its last closure round instead); a vanishing bracket has no entry.
-    The Killing form and the derived algebra are computed from them on
-    first use and cached; so is the certified solvable radical
-    (`solvable_radical`).  The caches assume that the basis is never
-    mutated after construction.
+    `on(span)` builds the algebra on a span the oracle computed, with the
+    same closure check.  The Killing form and the derived algebra are
+    computed from the constants on first use and cached; so is the
+    certified solvable radical (`solvable_radical`).  The caches assume
+    that the basis is never mutated after construction.
     """
 
     __slots__ = (
-        "n", "basis", "span", "consts",
+        "n", "span", "consts",
         "_killing", "_derived", "_derived_coords", "_radical",
     )
 
@@ -273,10 +324,12 @@ class FdLieAlgebra:
         if n < 0 or any((b.rows, b.cols) != (n, n) for b in gens):
             raise ValueError(f"the basis must be {n} x {n} matrices, with n >= 0")
         span = MatSpan.from_matrices(n, gens)
-        brackets = _pair_brackets(span)
-        if any(map(span.echelon.reduce, brackets)):
-            raise ValueError("basis is not closed under the bracket")
-        self._setup(span, brackets)
+        self._setup(span, _closed_brackets(span))
+
+    @classmethod
+    def on(cls, span: MatSpan) -> "FdLieAlgebra":
+        """The algebra on a span; ValueError if it is not bracket-closed."""
+        return cls._of(span, _closed_brackets(span))
 
     @classmethod
     def _of(cls, span: MatSpan, brackets: list) -> "FdLieAlgebra":
@@ -288,23 +341,20 @@ class FdLieAlgebra:
     def _setup(self, span: MatSpan, brackets: list) -> None:
         self.n = span.n
         self.span = span
-        self.basis = span.matrices()
-        # a vector in the span has its coordinates at the pivots
-        index = {p: k for k, p in enumerate(span.echelon.pivots)}
-        pairs = itertools.combinations(range(len(self.basis)), 2)
-        self.consts = {
-            pair: {index[p]: v for p, v in row.items() if p in index}
-            for pair, row in zip(pairs, brackets)
-            if row
-        }
+        pairs = itertools.combinations(range(span.dim), 2)
+        self.consts = {pair: span._coords(row) for pair, row in zip(pairs, brackets) if row}
         self._killing = None
         self._derived = None
         self._derived_coords = None
         self._radical = None
 
     @property
+    def basis(self) -> list[Matrix]:
+        return self.span.matrices()
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.dim
 
     def member(self, m: Matrix) -> bool:
         return self.span.member(m)
@@ -334,19 +384,18 @@ class FdLieAlgebra:
             self._killing = Matrix._of([[Fraction(v, den * den) for v in row] for row in kill])
         return self._killing
 
-    def derived_coords(self) -> list:
-        """RREF basis of [g, g] in basis coordinates, from the constants."""
+    def derived_coords(self) -> list[dict]:
+        """Reduced echelon basis of [g, g] in basis coordinates, as sparse
+        rows {k: c}, from the constants."""
         if self._derived_coords is None:
-            ech = Echelon(self.consts.values())
-            self._derived_coords = [dense(r, self.dim) for r in ech.rows()]
+            self._derived_coords = Echelon(self.consts.values()).rows()
         return self._derived_coords
 
     def derived(self) -> MatSpan:
         """The derived algebra [g, g]."""
         if self._derived is None:
-            self._derived = MatSpan.from_matrices(
-                self.n, [_lin_comb(r, self.basis, self.n) for r in self.derived_coords()]
-            )
+            basis = self.span.echelon.rows()
+            self._derived = MatSpan(self.n, [_combine(c, basis) for c in self.derived_coords()])
         return self._derived
 
     def __repr__(self):
@@ -360,15 +409,24 @@ def _pair_brackets(span: MatSpan) -> list[dict]:
     return [sparse_bracket(a, b, span.n) for a, b in itertools.combinations(mats, 2)]
 
 
+def _closed_brackets(span: MatSpan) -> list[dict]:
+    """`_pair_brackets(span)`, checked to lie in the span."""
+    brackets = _pair_brackets(span)
+    if any(map(span.echelon.reduce, brackets)):
+        raise ValueError("basis is not closed under the bracket")
+    return brackets
+
+
 def lie_close(n: int, gens) -> FdLieAlgebra:
     """Smallest bracket-closed subspace containing the generators.  The
     last closure round's brackets are the structure constants."""
-    return FdLieAlgebra._of(*_lie_closure(n, gens))
+    return FdLieAlgebra._of(*_lie_closure(n, [sparse(m.flatten()) for m in gens]))
 
 
-def _lie_closure(n: int, gens):
-    """The span of lie_close(n, gens) and its `_pair_brackets`."""
-    span = MatSpan.from_matrices(n, list(gens))
+def _lie_closure(n: int, rows):
+    """The span of the Lie closure of the flat sparse rows, and its
+    `_pair_brackets`."""
+    span = MatSpan(n, rows)
     while True:
         brackets = _pair_brackets(span)
         if not any(map(span.echelon.reduce, brackets)):
@@ -387,17 +445,12 @@ def solvable_radical(g: FdLieAlgebra) -> MatSpan:
     on it."""
     if g._radical is not None:
         return g._radical
-    d = g.dim
-    if d == 0:
-        g._radical = MatSpan(g.n)
-        return g._radical
-    kill = g.killing()
-    rows = [kill.apply(mu) for mu in g.derived_coords()]
-    if not rows:
-        rows = [[QZERO] * d]
-    rad = MatSpan.from_matrices(
-        g.n, [_lin_comb(lam, g.basis, g.n) for lam in kernel(Matrix(rows))]
-    )
+    # the image of x_k is (K(x_k, mu))_mu over the derived basis mu
+    images = []
+    for kill in g.killing().entries:
+        values = (sum(kill[j] * c for j, c in mu.items() if kill[j]) for mu in g.derived_coords())
+        images.append({r: v for r, v in enumerate(values) if v})
+    rad = g.span.kernel_of(images)
     if not is_solvable_span(rad):
         raise CheckFailed("Killing-perp radical is not solvable", rad)
     g._radical = rad
@@ -421,20 +474,19 @@ def linear_nilradical(g: FdLieAlgebra, seed: int = 0) -> MatSpan:
     if rad.dim == 0:
         return rad
     n = g.n
-    xs = rad.sparse_matrices()
     algebra = _associative_closure(rad.echelon.rows(), n)
-    rows = [[_trace_of_product(x, b) for x in xs] for b in algebra]
-    nil = MatSpan.from_matrices(
-        n, [_lin_comb(lam, rad.matrices(), n) for lam in kernel(Matrix._of(rows))]
-    )
-    nil_mats = nil.matrices()
-    for m in nil_mats:
+    images = []
+    for x in rad.sparse_matrices():
+        values = (_trace_of_product(x, b) for b in algebra)
+        images.append({t: v for t, v in enumerate(values) if v})
+    nil = rad.kernel_of(images)
+    for m in nil.matrices():
         if not is_nilpotent(m):
             raise CheckFailed("nilradical candidate is not nilpotent", m)
-    for b, bs in zip(g.basis, g.span.sparse_matrices()):
-        for m, ms in zip(nil_mats, nil.sparse_matrices()):
+    for b, bs in enumerate(g.span.sparse_matrices()):
+        for m, ms in enumerate(nil.sparse_matrices()):
             if nil.echelon.reduce(sparse_bracket(bs, ms, n)):
-                raise CheckFailed("nilradical is not an ideal", (b, m))
+                raise CheckFailed("nilradical is not an ideal", (g.basis[b], nil.matrices()[m]))
     return nil
 
 
@@ -638,80 +690,82 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
     series of the radical by solving the linear congruences level by level."""
     rad = solvable_radical(g)
     if rad.dim == g.dim:
-        return FdLieAlgebra(g.n, [])
+        return FdLieAlgebra.on(MatSpan(g.n))
     if rad.dim == 0:
         return g
+    n = g.n
+    coords = g.span._coords
     # complement coordinates modulo the radical
-    rad_coeffs = Echelon(sparse(g.span.coords_of(m)) for m in rad.matrices())
+    rad_coeffs = Echelon(map(coords, rad.echelon.rows()))
     free = [j for j in range(g.dim) if j not in rad_coeffs.pivots]
-    xs = [g.basis[j] for j in free]
+    position = {j: a for a, j in enumerate(free)}
+    basis = g.span.echelon.rows()
+    xs = [basis[j] for j in free]
     m = len(xs)
 
     c = {}
     for i in range(m):
         for j in range(i + 1, m):
             resid = rad_coeffs.reduce(g.consts.get((free[i], free[j]), {}))
-            c[i, j] = [resid.get(k, QZERO) for k in free]
+            c[i, j] = {position[k]: v for k, v in resid.items()}
 
     series = derived_series(rad)
-    series.append(MatSpan(g.n))
+    series.append(MatSpan(n))
     for t in range(len(series) - 1):
         level, nxt = series[t], series[t + 1]
         if not level.dim:
             break
-        nxt_coeffs = Echelon(sparse(g.span.coords_of(mat)) for mat in nxt.matrices())
+        nxt_coeffs = Echelon(map(coords, nxt.echelon.rows()))
         # corrections only matter modulo the next derived term, so the
         # unknowns range over complement representatives of that quotient:
         # the level elements whose residues modulo nxt extend the reduced
         # echelon basis of the quotient level / nxt
         quotient = Echelon()
-        w_mats = [
-            mat
-            for mat in level.matrices()
-            if quotient.add(nxt_coeffs.reduce(sparse(g.span.coords_of(mat))))
-        ]
-        if not w_mats:
+        ws = [w for w in level.echelon.rows() if quotient.add(nxt_coeffs.reduce(coords(w)))]
+        if not ws:
             break
 
-        def quo_coords(mat: Matrix):
-            resid = nxt_coeffs.reduce(sparse(g.span.coords_of(mat)))
+        def quo_coords(row: dict):
+            resid = nxt_coeffs.reduce(coords(row))
             return [resid.get(p, QZERO) for p in quotient.pivots]
 
-        width = len(w_mats)
+        width = len(ws)
         dim_q = len(quotient.pivots)
         eq_rows = []
         rhs = []
-        bracket_cache = [
-            [quo_coords(bracket(xs[i], w)) for w in w_mats] for i in range(m)
-        ]
-        unit_cache = [quo_coords(w) for w in w_mats]
+        xm = [sparse_matrix(x, n) for x in xs]
+        wm = [sparse_matrix(w, n) for w in ws]
+        bracket_cache = [[quo_coords(sparse_bracket(x, w, n)) for w in wm] for x in xm]
+        unit_cache = [quo_coords(w) for w in ws]
         for i in range(m):
             for j in range(i + 1, m):
-                defect = bracket(xs[i], xs[j]) - _lin_comb(c[i, j], xs, g.n)
+                defect = sparse_bracket(xm[i], xm[j], n)
+                for k, coeff in c[i, j].items():
+                    axpy(defect, -coeff, xs[k])
                 dvec = quo_coords(defect)
                 row_block = [[QZERO] * (m * width) for _ in range(dim_q)]
                 for a in range(width):
                     for r in range(dim_q):
                         row_block[r][j * width + a] += bracket_cache[i][a][r]
                         row_block[r][i * width + a] -= bracket_cache[j][a][r]
-                for k in range(m):
-                    coeff = c[i, j][k]
-                    if coeff:
-                        for a in range(width):
-                            base = unit_cache[a]
-                            for r in range(dim_q):
-                                row_block[r][k * width + a] -= coeff * base[r]
+                for k, coeff in c[i, j].items():
+                    for a in range(width):
+                        base = unit_cache[a]
+                        for r in range(dim_q):
+                            row_block[r][k * width + a] -= coeff * base[r]
                 for r in range(dim_q):
                     if any(row_block[r]) or dvec[r]:
                         eq_rows.append(row_block[r])
                         rhs.append(-dvec[r])
         if eq_rows:
-            sol = solve(Matrix(eq_rows), rhs)
+            sol = solve(Matrix._of(eq_rows), rhs)
             if sol is None:
                 raise CheckFailed("Levi lifting system is inconsistent", (g, level))
             for i in range(m):
-                xs[i] = xs[i] + _lin_comb(sol[i * width:(i + 1) * width], w_mats, g.n)
-    levi = FdLieAlgebra(g.n, xs)
+                lifted = _combine(dict(enumerate(sol[i * width:(i + 1) * width])), ws)
+                axpy(lifted, QONE, xs[i])
+                xs[i] = lifted
+    levi = FdLieAlgebra.on(MatSpan(n, xs))
     _verify_levi(g, rad, levi)
     return levi
 
@@ -736,10 +790,10 @@ def splittable_closure(g: FdLieAlgebra) -> FdLieAlgebra:
         for b in current.basis:
             ss, nil = jordan_chevalley(b)
             if not current.member(ss):
-                extra.append(ss)
+                extra.append(sparse(ss.flatten()))
         if not extra:
             return current
-        current = lie_close(g.n, current.basis + extra)
+        current = FdLieAlgebra._of(*_lie_closure(g.n, current.span.echelon.rows() + extra))
 
 
 def is_splittable(g: FdLieAlgebra) -> bool:
@@ -760,23 +814,25 @@ def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
         ss, _ = jordan_chevalley(b)
         if not g.member(ss):
             raise NotSplittable(b)
+    n = g.n
     nil = linear_nilradical(g, seed)
     rad = solvable_radical(g)
     levi = levi_component(g)
-    cent = _centralizer_span(g, rad, levi.span.sparse_matrices())
+    cent = _centralizer_span(rad, levi.span.sparse_matrices())
     nil_in_cent = nil.intersect(cent)
     torus_elems = []
+    torus_rows = []
     seen = Echelon(nil_in_cent.echelon.rows())
-    for row in [r for r in cent.rows if seen.add(sparse(r))]:
-        y = unflatten(row, g.n)
-        if torus_elems:
-            y = _commuting_correction(g, y, torus_elems, nil_in_cent)
-        ss, nl = jordan_chevalley(y)
+    for y in [r for r in cent.echelon.rows() if seen.add(r)]:
+        if torus_rows:
+            y = _commuting_correction(y, torus_rows, nil_in_cent)
+        ss, nl = jordan_chevalley(_matrix(y, n))
         if not nil.member(nl):
-            raise CheckFailed("nilpotent part escaped the nilradical", y)
+            raise CheckFailed("nilpotent part escaped the nilradical", _matrix(y, n))
         torus_elems.append(ss)
-    torus = FdLieAlgebra(g.n, torus_elems)
-    g_red = FdLieAlgebra(g.n, levi.basis + torus_elems)
+        torus_rows.append(sparse(ss.flatten()))
+    torus = FdLieAlgebra.on(MatSpan(n, torus_rows))
+    g_red = FdLieAlgebra.on(levi.span.sum(torus.span))
     if g_red.span.intersect(nil).dim:
         raise CheckFailed("reductive part meets the nilradical", g_red)
     if g_red.span.sum(nil).dim != g.dim:
@@ -793,46 +849,44 @@ def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
     return FdDecomposition(nil, levi, torus, g_red)
 
 
-def _condition_rows(cols) -> list[list]:
-    """The rows of the matrix whose columns are the given flat sparse rows,
-    one for each entry where some column is nonzero: the other rows vanish."""
-    return [[c.get(k, QZERO) for c in cols] for k in set().union(*cols)]
+def _bracket_images(xs, ys, n: int, modulo: Echelon) -> list[dict]:
+    """For each sparse matrix x of xs, the residuals modulo `modulo` of the
+    brackets [x, y], y in the sparse matrices ys, side by side in one flat
+    sparse row: the images that `kernel_of` and `_null_combinations` take."""
+    nn = n * n
+    images = []
+    for x in xs:
+        image = {}
+        for t, y in enumerate(ys):
+            for k, v in modulo.reduce(sparse_bracket(x, y, n)).items():
+                image[t * nn + k] = v
+        images.append(image)
+    return images
 
 
-def _centralizer_span(g: FdLieAlgebra, inside: MatSpan, of_basis) -> MatSpan:
+def _centralizer_span(inside: MatSpan, of_basis) -> MatSpan:
     """{x in inside : [x, b] = 0 for all b in of_basis}, of_basis given as
     sparse matrices."""
-    mats = inside.sparse_matrices()
-    if not mats:
-        return inside
-    rows = []
-    for b in of_basis:
-        rows += _condition_rows([sparse_bracket(m, b, g.n) for m in mats])
-    if not rows:
-        return inside
-    coeffs = kernel(Matrix._of(rows))
-    return MatSpan.from_matrices(g.n, [_lin_comb(lam, inside.matrices(), g.n) for lam in coeffs])
+    images = _bracket_images(inside.sparse_matrices(), of_basis, inside.n, Echelon())
+    return inside.kernel_of(images)
 
 
-def _commuting_correction(g, y, torus_elems, nil_span):
-    """y' = y - delta with delta in the nilradical part and [t, y'] = 0."""
-    mats = nil_span.sparse_matrices()
-    ys = _sparse_of(y)
-    if not mats:
-        for t in torus_elems:
-            if sparse_bracket(_sparse_of(t), ys, g.n):
-                raise CheckFailed("torus element does not commute", (t, y))
-        return y
-    rows = []
-    for t in torus_elems:
-        ts = _sparse_of(t)
-        # the last column is the right-hand side [t, y]
-        cols = [sparse_bracket(ts, m, g.n) for m in mats] + [sparse_bracket(ts, ys, g.n)]
-        rows += _condition_rows(cols)
-    sol = solve(Matrix._of([r[:-1] for r in rows]), [r[-1] for r in rows])
-    if sol is None:
-        raise CheckFailed("no commuting correction exists", y)
-    return y - _lin_comb(sol, nil_span.matrices(), g.n)
+def _commuting_correction(y: dict, torus_rows, nil_span: MatSpan) -> dict:
+    """y' = y - delta with delta in nil_span and [t, y'] = 0 for every torus
+    row t.
+
+    Among the combinations of the basis of nil_span and y whose brackets
+    with the torus vanish, one with y at coefficient 1 comes last when it
+    exists; the others lie in nil_span."""
+    n = nil_span.n
+    rows = nil_span.echelon.rows() + [y]
+    ts = [sparse_matrix(t, n) for t in torus_rows]
+    found = _null_combinations(
+        rows, _bracket_images([sparse_matrix(r, n) for r in rows], ts, n, Echelon())
+    )
+    if not found or not nil_span.echelon.reduce(found[-1]):
+        raise CheckFailed("no commuting correction exists", _matrix(y, n))
+    return found[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -855,43 +909,23 @@ def _semisimple_parts_span(h_basis, n):
 
 def centralizer_in(k: FdLieAlgebra, of_mats) -> FdLieAlgebra:
     """{x in k : [x, m] = 0 for all m}, as a subalgebra."""
-    if not k.dim:
-        return k
-    rows = []
-    for m in of_mats:
-        ms = _sparse_of(m)
-        rows += _condition_rows([sparse_bracket(b, ms, k.n) for b in k.span.sparse_matrices()])
-    if not rows:
-        return k
-    return FdLieAlgebra(k.n, [_lin_comb(lam, k.basis, k.n) for lam in kernel(Matrix._of(rows))])
+    return FdLieAlgebra.on(_centralizer_span(k.span, list(map(_sparse_of, of_mats))))
 
 
 def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
     """Joint generalized null component of ad(h) on k: the elements killed
-    by every sufficiently long word in ad of the given generators."""
-    if not k.dim:
-        return k
-    ads = []
-    for b in map(_sparse_of, h_basis):
-        cols = [k.span.echelon.coords(sparse_bracket(b, y, k.n)) for y in k.span.sparse_matrices()]
-        ads.append(Matrix.from_rows(list(map(list, zip(*cols)))))
-    width = k.dim
-    current: list = []
-    for _ in range(width + 1):
-        cur = Echelon(map(sparse, current))
-        rows = []
-        for a in ads:
-            resid_cols = [cur.reduce(sparse(a.col(j))) for j in range(width)]
-            for r in range(width):
-                rows.append([col.get(r, QZERO) for col in resid_cols])
-        # with no generators every element is killed: the kernel is all of k
-        nxt = kernel(Matrix(rows)) if rows else _identity_rows(width)
-        nxt_rows = row_space_basis(nxt, width)
-        if nxt_rows == current:
-            break
-        current = nxt_rows
-    mats = [_lin_comb(lam, k.basis, k.n) for lam in current]
-    return FdLieAlgebra(k.n, MatSpan.from_matrices(k.n, mats).matrices())
+    by every sufficiently long word in ad of the given generators.
+
+    It is the limit of 0 = K_0 < K_1 < ..., K_(i+1) the x in k with
+    [x, h] in K_i for every generator h."""
+    hs = list(map(_sparse_of, h_basis))
+    xs = k.span.sparse_matrices()
+    current = MatSpan(k.n)
+    while True:
+        nxt = k.span.kernel_of(_bracket_images(xs, hs, k.n, current.echelon))
+        if nxt.dim == current.dim:
+            return FdLieAlgebra.on(current)
+        current = nxt
 
 
 @dataclass
@@ -917,7 +951,7 @@ def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
             raise ValueError("candidate subalgebra is not inside k")
     h_span = MatSpan.from_matrices(k.n, h_basis)
     try:
-        h_alg = FdLieAlgebra(k.n, h_span.matrices())
+        h_alg = FdLieAlgebra.on(h_span)
     except ValueError:
         return CartanVerdict(False, False, False, False)
     nilpotent = is_nilpotent_span(h_span)
@@ -930,7 +964,7 @@ def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
         return CartanVerdict(False, False, False, via_f)
 
     ss_span = _semisimple_parts_span(h_alg.basis, k.n)
-    z = centralizer_in(k, ss_span.matrices())
+    z = FdLieAlgebra.on(_centralizer_span(k.span, ss_span.sparse_matrices()))
     via_d = z.span == h_span
 
     toral_maximal = _is_maximal_toral(k, ss_span, z, rng)
@@ -950,13 +984,10 @@ def _is_maximal_toral(k, ss_span, z, rng):
         ss, _ = jordan_chevalley(y)
         if not ss_span.member(ss):
             return False
+    basis = z.span.echelon.rows()
     for _ in range(6):
-        y = Matrix.zero(k.n, k.n)
-        for b in z.basis:
-            c = rng.randrange(-2, 3)
-            if c:
-                y = y + b.scale(c)
-        ss, _ = jordan_chevalley(y)
+        y = _combine({i: rng.randrange(-2, 3) for i in range(len(basis))}, basis)
+        ss, _ = jordan_chevalley(_matrix(y, k.n))
         if not ss_span.member(ss):
             return False
     return True
@@ -964,15 +995,9 @@ def _is_maximal_toral(k, ss_span, z, rng):
 
 def _normalizer_in(k: FdLieAlgebra, h_span: MatSpan) -> MatSpan:
     """{x in k : [x, h] subset h}."""
-    coeff_rows = []
-    for m in h_span.sparse_matrices():
-        coeff_rows += _condition_rows(
-            [h_span.echelon.reduce(sparse_bracket(b, m, k.n)) for b in k.span.sparse_matrices()]
-        )
-    if not coeff_rows:
-        return k.span
-    sols = kernel(Matrix._of(coeff_rows))
-    return MatSpan.from_matrices(k.n, [_lin_comb(lam, k.basis, k.n) for lam in sols])
+    return k.span.kernel_of(
+        _bracket_images(k.span.sparse_matrices(), h_span.sparse_matrices(), k.n, h_span.echelon)
+    )
 
 
 def cartan_from_torus(k: FdLieAlgebra, torus_mats) -> FdLieAlgebra:
@@ -995,55 +1020,54 @@ def flag_stabilizer_brute(n: int, chain) -> MatSpan:
     """{X in gl_n : X W subset W for every W in the chain} by linear solve.
 
     Conditions: for each basis row w of a chain member, the residual of X w
-    modulo the member must vanish coordinate by coordinate."""
-    cond_rows = []
-    for level in chain:
+    modulo the member must vanish.  The unit E_ij sends w to w_j e_i, so its
+    image lists w_j times the residual of e_i for every such w."""
+    images: list[dict] = [{} for _ in range(n * n)]
+    for s, level in enumerate(chain):
         level_ech = Echelon(map(sparse, level))
         if len(level_ech.pivots) in (0, n):
             continue
-        level_rows = level_ech.rows()
-        for w in level_rows:
-            for t in range(n):
-                if t in level_ech.pivots:
-                    continue  # residual vanishes at pivot coordinates
-                cond = [QZERO] * (n * n)
-                for c, wc in w.items():
-                    cond[t * n + c] += wc
-                for p_row, piv in zip(level_rows, level_ech.pivots):
-                    if t in p_row:
-                        for c, wc in w.items():
-                            cond[piv * n + c] -= p_row[t] * wc
-                cond_rows.append(cond)
-    if not cond_rows:
-        return MatSpan(n, [{k: QONE} for k in range(n * n)])
-    return MatSpan(n, map(sparse, kernel(Matrix(cond_rows))))
+        resids = [level_ech.reduce({i: QONE}) for i in range(n)]
+        for t, w in enumerate(level_ech.rows()):
+            base = (s * n + t) * n
+            for j, wj in w.items():
+                for i, resid in enumerate(resids):
+                    image = images[i * n + j]
+                    for c, v in resid.items():
+                        image[base + c] = wj * v
+    return MatSpan(n, _null_combinations([{k: QONE} for k in range(n * n)], images))
 
 
-def unflatten_unit(i, j, n):
-    row = [QZERO] * (n * n)
-    row[i * n + j] = Fraction(1)
-    return row
+def flag_formula_spans(n: int, chain) -> tuple[MatSpan, MatSpan]:
+    """The stabilizer and the linear nilradical of a flag in Q^n, by their
+    tensor descriptions.
+
+    Complete the chain to 0 = W_0 < W_1 < ... < W_k = Q^n, in any order and
+    with repeats, and let C_j be the rows of W_j that extend W_(j-1): a
+    complement.  The stabilizer is the direct sum of the C_j (x) ann W_(j-1)
+    and the nilradical that of the C_j (x) ann W_j, so every generator
+    v (x) y = v y^T handed to `MatSpan` is independent."""
+    levels = [Echelon(sparse(map(rat, row)) for row in level) for level in chain]
+    levels.sort(key=lambda e: len(e.pivots))
+    levels.append(Echelon({i: QONE} for i in range(n)))
+    below = Echelon()
+    ann_below = [{i: QONE} for i in range(n)]
+    stabilizer, nilradical = [], []
+    for level in levels:
+        complement = [v for v in level.rows() if below.add(v)]
+        if not complement:
+            continue
+        ann = [sparse(y) for y in kernel(Matrix._of([dense(r, n) for r in below.rows()]))]
+        for v in complement:
+            stabilizer += [_outer(v, y, n) for y in ann_below]
+            nilradical += [_outer(v, y, n) for y in ann]
+        ann_below = ann
+    return MatSpan(n, stabilizer), MatSpan(n, nilradical)
 
 
-def stabilizer_formula_span(n: int, chain) -> MatSpan:
-    """Sum of F'' (x) (F')-annihilator over the consecutive pairs of the
-    completed chain 0 = W_0 < W_1 < ... < W_k = full."""
-    levels = sorted((row_space_basis(level, n) for level in chain), key=len)
-    dedup: list = [[]]
-    for lvl in levels:
-        if lvl and lvl != dedup[-1]:
-            dedup.append(lvl)
-    if len(dedup[-1]) != n:
-        dedup.append(_identity_rows(n))
-    mats = []
-    for pred, succ in zip(dedup, dedup[1:]):
-        ann = kernel(Matrix(pred)) if pred else _identity_rows(n)
-        for v in succ:
-            for y in ann:
-                mats.append(
-                    Matrix([[v[i] * y[j] for j in range(n)] for i in range(n)])
-                )
-    return MatSpan.from_matrices(n, mats)
+def _outer(v: dict, y: dict, n: int) -> dict:
+    """v (x) y = v y^T as a flat sparse row."""
+    return {i * n + j: a * b for i, a in v.items() for j, b in y.items()}
 
 
 @dataclass
@@ -1065,12 +1089,12 @@ def invariant_taut_couple(k: FdLieAlgebra, seed: int = 0) -> InvariantCoupleRepo
     """Composition series of the natural k-module, its joint stabilizer, and
     the nilradical identities that make it a taut couple at finite scale."""
     rng = random.Random(seed)
-    chain = composition_series(k.basis if k.dim else [], k.n, rng)
+    chain = composition_series(k.basis, k.n, rng)
     if not chain:
         chain = [_identity_rows(k.n)]
     p_plus_span = flag_stabilizer_brute(k.n, chain)
-    n_formula = _nilradical_formula_span(k.n, chain)
-    p_alg = FdLieAlgebra(k.n, p_plus_span.matrices())
+    _, n_formula = flag_formula_spans(k.n, chain)
+    p_alg = FdLieAlgebra.on(p_plus_span)
     n_oracle = linear_nilradical(p_alg, seed)
     if n_formula != n_oracle:
         raise CheckFailed("nilradical formula disagrees with the oracle", (chain, seed))
@@ -1078,20 +1102,6 @@ def invariant_taut_couple(k: FdLieAlgebra, seed: int = 0) -> InvariantCoupleRepo
     if n_k != n_oracle.intersect(k.span):
         raise CheckFailed("n_k != n_p cap k", (chain, seed))
     return InvariantCoupleReport(chain, p_plus_span, n_formula, n_oracle, n_k, seed)
-
-
-def _nilradical_formula_span(n, chain) -> MatSpan:
-    """Sum of F'' (x) (F'')-annihilator over all pairs."""
-    levels = [[]] + [row_space_basis(lvl, n) for lvl in chain]
-    mats = []
-    for lvl in levels[1:]:
-        ann = kernel(Matrix(lvl)) if lvl else _identity_rows(n)
-        for v in lvl:
-            for y in ann:
-                mats.append(
-                    Matrix([[v[i] * y[j] for j in range(n)] for i in range(n)])
-                )
-    return MatSpan.from_matrices(n, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,7 +1161,7 @@ def fd_parabolic_tests(p: FdLieAlgebra, seed: int = 0) -> ParabolicReport:
 
 def _full_flag_from(p: FdLieAlgebra, rng) -> list:
     """A complete flag refining a composition series of the p-action."""
-    series = composition_series(p.basis if p.dim else [], p.n, rng)
+    series = composition_series(p.basis, p.n, rng)
     current = Echelon()
     chain = []
     for level in series:
@@ -1164,19 +1174,14 @@ def _full_flag_from(p: FdLieAlgebra, rng) -> list:
 def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra, rng, tries=8) -> bool:
     if not is_solvable_span(b_span):
         return False
-    candidates = [m for m in ambient.basis if not b_span.member(m)]
-    for x in candidates:
-        if is_solvable_span(_lie_closure(ambient.n, b_span.matrices() + [x])[0]):
+    rows = b_span.echelon.rows()
+    basis = ambient.span.echelon.rows()
+    for x in [m for m in basis if b_span.echelon.reduce(m)]:
+        if is_solvable_span(_lie_closure(ambient.n, rows + [x])[0]):
             return False
     for _ in range(tries):
-        x = Matrix.zero(ambient.n, ambient.n)
-        for m in ambient.basis:
-            c = rng.randrange(-1, 2)
-            if c:
-                x = x + m.scale(c)
-        if not b_span.member(x) and is_solvable_span(
-            _lie_closure(ambient.n, b_span.matrices() + [x])[0]
-        ):
+        x = _combine({k: rng.randrange(-1, 2) for k in range(len(basis))}, basis)
+        if b_span.echelon.reduce(x) and is_solvable_span(_lie_closure(ambient.n, rows + [x])[0]):
             return False
     return True
 
@@ -1191,7 +1196,7 @@ def _borel_restriction_check(p: FdLieAlgebra, rng) -> bool:
         return False
     dp = p.derived()
     try:
-        dp_alg = FdLieAlgebra(p.n, dp.matrices())
+        dp_alg = FdLieAlgebra.on(dp)
     except ValueError:
         return False
     restricted = b_span.intersect(dp)
@@ -1210,7 +1215,7 @@ def parabolic_bijection_check(
     if not g_red.span.contains(p_red):
         raise NotParabolicInput("p_red is not inside the reductive part")
     try:
-        p_red_alg = FdLieAlgebra(g.n, p_red.matrices())
+        p_red_alg = FdLieAlgebra.on(p_red)
     except ValueError as exc:
         raise NotParabolicInput("p_red is not a subalgebra") from exc
     # parabolic criterion inside g_red: a full invariant flag of p_red gives
@@ -1221,7 +1226,7 @@ def parabolic_bijection_check(
         raise NotParabolicInput("p_red does not contain a Borel of the reductive part")
     if not _is_maximal_solvable_in(b_red, g_red, rng):
         raise NotParabolicInput("constructed candidate is not maximal solvable")
-    q = lie_close(g.n, dec.nilradical.matrices() + p_red.matrices())
+    q = FdLieAlgebra._of(*_lie_closure(g.n, dec.nilradical.echelon.rows() + p_red.echelon.rows()))
     if q.dim != dec.nilradical.sum(p_red).dim:
         raise CheckFailed("n_g + p_red is not a subalgebra", (p_red_basis, seed))
     borel_g = dec.nilradical.sum(b_red)
@@ -1240,7 +1245,7 @@ def parabolic_bijection_check(
 
 
 def unit_matrix(n, i, j) -> Matrix:
-    return unflatten(unflatten_unit(i, j, n), n)
+    return _matrix({i * n + j: QONE}, n)
 
 
 def gl_basis(n):
@@ -1268,33 +1273,14 @@ def diagonal_basis(n):
 
 def block_parabolic_basis(sizes):
     """Block upper-triangular matrices for the given diagonal block sizes."""
-    n = sum(sizes)
-    bounds = []
-    start = 0
-    for s in sizes:
-        bounds.append((start, start + s))
-        start += s
-
-    def block_of(i):
-        for idx, (a, b) in enumerate(bounds):
-            if a <= i < b:
-                return idx
-        raise ValueError
-
-    return [
-        unit_matrix(n, i, j)
-        for i in range(n)
-        for j in range(n)
-        if block_of(i) <= block_of(j)
-    ]
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    return [unit_matrix(n, i, j) for i in range(n) for j in range(n) if block[i] <= block[j]]
 
 
 def embed_block(mat: Matrix, n: int, offset: int) -> Matrix:
-    out = [[QZERO] * n for _ in range(n)]
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            out[offset + i][offset + j] = mat.entries[i][j]
-    return Matrix(out)
+    rows = enumerate(mat.entries, offset)
+    return _matrix({i * n + j: v for i, row in rows for j, v in enumerate(row, offset)}, n)
 
 
 def direct_sum_basis(blocks):

@@ -8,6 +8,7 @@ only (BasisOrderFlag), as an ordered list of blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -190,7 +191,7 @@ def pairing_is_zero(a: Subspace, b: Subspace) -> bool:
 class TautCouple:
     """Validated taut couple of semiclosed flags in V and V*."""
 
-    __slots__ = ("f_flag", "g_flag", "c_pairs", "_collapsed", "_quotient_dims")
+    __slots__ = ("f_flag", "g_flag", "c_pairs", "_collapsed", "_quotient_dims", "_placements")
 
     def __init__(self, f_flag, g_flag, c_pairs):
         self.f_flag = f_flag
@@ -198,6 +199,7 @@ class TautCouple:
         self.c_pairs = c_pairs
         self._collapsed = None
         self._quotient_dims: dict = {}
+        self._placements: dict = {}
 
     @property
     def model(self):
@@ -214,6 +216,15 @@ class TautCouple:
         if i not in self._quotient_dims:
             self._quotient_dims[i] = quotient_dim(*self.f_pair(i))
         return self._quotient_dims[i]
+
+    def placements(self, placed) -> list:
+        """The pair indices (a, b) with placed(self, a, b), computed once per
+        couple and predicate."""
+        if placed not in self._placements:
+            f_pairs, g_pairs = range(self.f_flag.n_pairs()), range(self.g_flag.n_pairs())
+            pairs = itertools.product(f_pairs, g_pairs)
+            self._placements[placed] = [ab for ab in pairs if placed(self, *ab)]
+        return self._placements[placed]
 
     def __repr__(self):
         return (

@@ -42,12 +42,7 @@ def random_vector_in(sub: Subspace, rng, bound: int = 10) -> Vector:
 def _placed_terms(t: TautCouple, rng, placed, terms: int) -> list:
     """(v, w) tensor terms with v in F''_a and w in G''_b for random pairs
     (a, b) with placed(t, a, b)."""
-    placements = [
-        (a, b)
-        for a in range(t.f_flag.n_pairs())
-        for b in range(t.g_flag.n_pairs())
-        if placed(t, a, b)
-    ]
+    placements = t.placements(placed)
     out = []
     for _ in range(terms if placements else 0):
         a, b = rng.choice(placements)

@@ -54,6 +54,7 @@ from flagforge.finoracle import (
     diagonal_basis,
     direct_sum_basis,
     embed_block,
+    flag_formula_spans,
     flag_stabilizer_brute,
     gl_basis,
     invariant_taut_couple,
@@ -62,11 +63,9 @@ from flagforge.finoracle import (
     linear_nilradical,
     sl_basis,
     solvable_radical,
-    stabilizer_formula_span,
     strict_upper_basis,
     unit_matrix,
     upper_triangular_basis,
-    _nilradical_formula_span,
 )
 from flagforge.genflag import flag_from_chain, make_taut_couple, pair_leq
 from flagforge.pairedspace import (
@@ -100,7 +99,7 @@ def test_criterion_1_stabilizer_formula():
         n = rng.randrange(2, 7) if trial < 190 else rng.randrange(7, 9)
         chain = random_chain(n, rng)
         brute = flag_stabilizer_brute(n, chain)
-        formula = stabilizer_formula_span(n, chain)
+        formula, _ = flag_formula_spans(n, chain)
         if brute.dim != formula.dim or not brute.contains(formula):
             ok = False
             break
@@ -119,7 +118,7 @@ def test_criterion_2_block_decomposition():
             [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)], n
         )]
         brute = flag_stabilizer_brute(n, chain)
-        n_formula = _nilradical_formula_span(n, full_chain)
+        _, n_formula = flag_formula_spans(n, full_chain)
         p_alg = FdLieAlgebra(n, brute.matrices())
         n_oracle = linear_nilradical(p_alg, seed=trial)
         if n_formula != n_oracle:

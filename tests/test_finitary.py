@@ -349,6 +349,30 @@ def test_quotient_dims_computed_once_per_pair_per_couple(monkeypatch):
         assert calls and len(calls) == len(set(calls)) <= t.f_flag.n_pairs()
 
 
+def test_placements_computed_once_per_couple_and_predicate(monkeypatch):
+    from flagforge import genflag
+
+    calls = []
+    real = genflag.pairing_is_zero
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    rng = random.Random(5)
+    couples = [evens_couple(), augmented_couple(), random_plain_couple(random.Random(2))]
+    monkeypatch.setattr(genflag, "pairing_is_zero", counting)
+    for t in couples:
+        for sample in (sample_pplus, sample_nilradical, sample_pminus):
+            sample(t, rng)
+            calls.clear()
+            for _ in range(5):
+                sample(t, rng)
+            # the placement list depends on the couple alone
+            assert not calls, sample
+    assert couples[0].placements(genflag.pair_order) is couples[0].placements(genflag.pair_order)
+
+
 def test_normalizer_strictly_lower_fails():
     t = evens_couple()
     m = t.model

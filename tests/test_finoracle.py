@@ -39,6 +39,7 @@ from flagforge.finoracle import (
     embed_block,
     fd_parabolic_tests,
     fitting_null,
+    flag_formula_spans,
     flag_stabilizer_brute,
     gl_basis,
     invariant_taut_couple,
@@ -56,7 +57,6 @@ from flagforge.finoracle import (
     sparse_product,
     spin,
     splittable_closure,
-    stabilizer_formula_span,
     strict_upper_basis,
     unit_matrix,
     upper_triangular_basis,
@@ -362,8 +362,63 @@ def test_flag_stabilizer_brute_matches_formula():
             acc = acc + rows
             nested.append([r[:] for r in acc])
         brute = flag_stabilizer_brute(n, nested)
-        formula = stabilizer_formula_span(n, nested)
+        formula, _ = flag_formula_spans(n, nested)
         assert brute == formula
+
+
+@st.composite
+def _shuffled_chains(draw):
+    """A nested chain in Q^n, n <= 5, with its levels repeated and unsorted."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
+    vec = st.lists(entry, min_size=n, max_size=n)
+    nested, acc = [], []
+    for rows in draw(st.lists(st.lists(vec, min_size=1, max_size=2), max_size=4)):
+        acc = acc + rows
+        nested.append([list(r) for r in acc])
+    chain = nested + draw(st.lists(st.sampled_from(nested), max_size=2)) if nested else []
+    return n, draw(st.permutations(chain))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shuffled_chains())
+def test_flag_formulas_match_brute_force_on_shuffled_chains(n_chain):
+    n, chain = n_chain
+    stabilizer, nilradical = flag_formula_spans(n, chain)
+    assert stabilizer == flag_stabilizer_brute(n, chain)
+    assert stabilizer.contains(nilradical)
+    assert nilradical == linear_nilradical(FdLieAlgebra.on(stabilizer))
+
+
+def test_flag_formulas_hand_over_exactly_dim_generators(monkeypatch):
+    handed = []
+
+    class Counting(MatSpan):
+        __slots__ = ()
+
+        def __init__(self, n, rows=()):
+            rows = list(rows)
+            super().__init__(n, rows)
+            handed.append((len(rows), self.dim))
+
+    monkeypatch.setattr(finoracle, "MatSpan", Counting)
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        acc, chain = [], []
+        for _ in range(rng.randrange(4)):
+            rows = rng.randrange(1, 3)
+            acc = acc + [[F(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(rows)]
+            chain.append(acc)
+        rng.shuffle(chain)
+        handed.clear()
+        stabilizer, nilradical = flag_formula_spans(n, chain + chain[:1])
+        assert handed == [(stabilizer.dim, stabilizer.dim), (nilradical.dim, nilradical.dim)]
+    # a full flag: the upper triangular Borel and its strictly triangular nilradical
+    units = Matrix.identity(6).entries
+    stabilizer, nilradical = flag_formula_spans(6, [units[:d] for d in range(1, 6)])
+    assert stabilizer == MatSpan.from_matrices(6, upper_triangular_basis(6))
+    assert nilradical == MatSpan.from_matrices(6, strict_upper_basis(6))
 
 
 def test_fd_parabolic_block_upper():
@@ -560,12 +615,15 @@ def test_nilradical_ideal_check_names_its_witness(monkeypatch):
     g = FdLieAlgebra(3, upper_triangular_basis(3))
     solvable_radical(g)  # cached before the fault goes in
     # keep one nilpotent direction of the three: E_01 alone is no ideal of b_3
-    monkeypatch.setattr(finoracle, "kernel", lambda m: kernel(m)[:1])
+    null_combinations = finoracle._null_combinations
+    monkeypatch.setattr(finoracle, "_null_combinations",
+                        lambda rows, images: null_combinations(rows, images)[:1])
     with pytest.raises(CheckFailed, match="nilradical is not an ideal") as info:
         linear_nilradical(g)
     b, m = info.value.witness
     assert g.member(b) and is_nilpotent(m)
     assert not MatSpan.from_matrices(3, [m]).member(bracket(b, m))
+    assert (b, m) == (E(3, 1, 2), E(3, 0, 1))
 
 
 _entries = st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4))
@@ -614,6 +672,91 @@ def test_lie_close_brackets_each_final_pair_once(monkeypatch):
         calls.clear()
         assert lie_close(n, g.basis).consts == g.consts == FdLieAlgebra(n, g.basis).consts
         assert len(calls) == 2 * len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# tagged relations against the kernel route they replaced
+# ---------------------------------------------------------------------------
+
+
+def _lin_comb(coeffs, rows, width):
+    """sum_k coeffs[k] rows[k] over dense rows of the given width."""
+    acc = [F(0)] * width
+    for c, row in zip(coeffs, rows):
+        for j, v in enumerate(row):
+            acc[j] += c * v
+    return acc
+
+
+def _kernel_null_combinations(rows, images, width):
+    """The kernel route: one condition row per image column, the kernel of
+    the condition matrix, and a linear combination of the dense rows."""
+    if not rows:
+        return []
+    columns = sorted(set().union(*images))
+    conditions = [[image.get(c, F(0)) for image in images] for c in columns]
+    coeffs = kernel(Matrix(conditions or [[F(0)] * len(rows)]))
+    dense_rows = [dense(r, width) for r in rows]
+    return [sparse(_lin_comb(lam, dense_rows, width)) for lam in coeffs]
+
+
+def _kernel_intersect(a, b):
+    """Intersection through the kernel of [a | -b] and its transpose."""
+    if not a.rows or not b.rows:
+        return MatSpan(a.n)
+    cols = [[r[k] for r in a.rows] + [-r[k] for r in b.rows] for k in range(a.n * a.n)]
+    rows_t = Matrix([list(c) for c in zip(*a.rows)])
+    return MatSpan(a.n, [sparse(rows_t.apply(lam[:a.dim])) for lam in kernel(Matrix(cols))])
+
+
+_sparse_entries = st.sampled_from([F(1), F(-1), F(2), F(1, 3)])
+
+
+@st.composite
+def _span_pairs(draw):
+    """Two spans of n x n matrices, n <= 5, from a few sparse rows each,
+    possibly empty, possibly one inside the other."""
+    n = draw(st.integers(1, 5))
+    row = st.dictionaries(st.integers(0, n * n - 1), _sparse_entries, max_size=3)
+    a_rows = draw(st.lists(row, max_size=4))
+    b_rows = draw(st.lists(row, max_size=4))
+    shape = draw(st.sampled_from(["free", "a_in_b", "b_in_a"]))
+    if shape == "a_in_b":
+        b_rows = b_rows + a_rows
+    elif shape == "b_in_a":
+        b_rows = a_rows[: draw(st.integers(0, len(a_rows)))]
+    return MatSpan(n, a_rows), MatSpan(n, b_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_pairs())
+def test_tagged_relations_match_the_kernel_route(ab):
+    a, b = ab
+    assert a.intersect(b) == _kernel_intersect(a, b) == b.intersect(a)
+    assert a.intersect(b).dim + a.sum(b).dim == a.dim + b.dim
+    rows = a.echelon.rows()
+    images = [b.echelon.reduce(r) for r in rows]
+    # the relations are the kernel basis with 1 at one dependent index and
+    # 0 at the others, the basis that `kernel` returns: equal row by row
+    assert finoracle._null_combinations(rows, images) == _kernel_null_combinations(
+        rows, images, a.n * a.n
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_null_combinations_match_the_kernel_route_on_random_images(data):
+    n = data.draw(st.integers(1, 3))
+    width = data.draw(st.integers(1, 4))
+    a = MatSpan(n, data.draw(st.lists(
+        st.dictionaries(st.integers(0, n * n - 1), _sparse_entries, max_size=2), max_size=6)))
+    images = [
+        data.draw(st.dictionaries(st.integers(0, width - 1), _sparse_entries, max_size=2))
+        for _ in range(a.dim)
+    ]
+    got = finoracle._null_combinations(a.echelon.rows(), images)
+    assert got == _kernel_null_combinations(a.echelon.rows(), images, n * n)
+    assert a.kernel_of(images) == MatSpan(n, got)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +841,23 @@ try:
     finoracle.cartan_queries(k, finoracle.diagonal_basis(3))
 except CheckFailed as exc:
     print("cartan", exc.check)
+# relations cut down to the first: E_01 alone passes as the nilradical of b_3
+b3 = finoracle.FdLieAlgebra(3, finoracle.upper_triangular_basis(3))
+finoracle.solvable_radical(b3)
+null_combinations = finoracle._null_combinations
+finoracle._null_combinations = lambda rows, images: null_combinations(rows, images)[:1]
+try:
+    finoracle.linear_nilradical(b3)
+except CheckFailed as exc:
+    print("ideal", exc.check)
+finoracle._null_combinations = null_combinations
+# a derived algebra cached as zero: the Levi sl_2 of gl_2 no longer fits in it
+g = finoracle.FdLieAlgebra(2, finoracle.gl_basis(2))
+g._derived = finoracle.MatSpan(2)
+try:
+    finoracle.levi_component(g)
+except CheckFailed as exc:
+    print("levi", exc.check)
 # an associative closure that stops at the identity misses tr(P P^2) = 3,
 # so the cyclic permutation P passes as nilpotent
 finoracle._associative_closure = lambda rows, n: [(1, {i: {i: 1} for i in range(n)})]
@@ -723,6 +883,8 @@ def test_certification_survives_python_O():
         "optimize 1",
         "radical Killing-perp radical is not solvable",
         "cartan Cartan routes disagree",
+        "ideal nilradical is not an ideal",
+        "levi Levi does not complement r cap [g,g]",
         "nilradical nilradical candidate is not nilpotent",
     ]
     assert issubclass(CheckFailed, AssertionError)
