@@ -20,12 +20,17 @@ algebra are read off those.
 
 `Matrix` appears only at the boundary: the basis handed to `FdLieAlgebra`,
 `.basis` and `matrices()` read out, `bracket`, Jordan-Chevalley parts and
-nilpotence (from `exactnum`), and the meataxe, which works on vectors of
-Q^n and factors minimal polynomials with sympy over the integers.
+nilpotence (from `exactnum`), and the meataxe, which factors minimal
+polynomials with sympy over the integers.  The meataxe works on sections
+upper / lower of Q^n, lower < upper submodules held as `Echelon`s: the
+section acts on the reduced residues of upper modulo lower through the
+original matrices, and a submodule found there maps back by combining
+residues.  The parabolic test reads off one composition series: p is
+parabolic iff it equals the stabilizer of that series.
 
-Randomized searches (the meataxe behind composition series and invariant
-flags, the torus and maximal-solvability probes) take an explicit seed;
-given the seed everything is deterministic.
+Randomized searches (the meataxe behind composition series, the torus and
+maximal-solvability probes) take an explicit seed; given the seed
+everything is deterministic.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ from .exactnum import (
     poly_eval_matrix,
     poly_is_squarefree,
     rat,
-    row_space_basis,
-    solve,
     sparse,
 )
 
@@ -546,11 +549,16 @@ def spin(vectors, actions, dim) -> list:
     return [dense(r, dim) for r in span.rows()]
 
 
-def _theta_battery(actions, rng, dim, rounds):
+_THETA_ROUNDS = 30
+
+
+def _theta_battery(actions, rng, dim):
+    """The nonzero actions, then up to `_THETA_ROUNDS` random combinations
+    of them, some plus a product of two."""
     mats = [a for a in actions if not a.is_zero()]
     for a in mats:
         yield a
-    for _ in range(rounds):
+    for _ in range(_THETA_ROUNDS):
         if not mats:
             return
         combo = Matrix.zero(dim, dim)
@@ -576,15 +584,16 @@ def _min_poly_factors(theta: Matrix):
     return [([Fraction(int(c)) for c in reversed(f)], mult) for f, mult in factors]
 
 
-def find_proper_submodule(actions, dim, rng, rounds: int = 30):
-    """A proper nonzero submodule as RREF rows, or None if the module is
-    certified irreducible (Norton's test on a nullity-one factor)."""
+def find_proper_submodule(actions, dim, rng):
+    """A basis of a proper nonzero submodule of Q^dim as dense rows, or None
+    if the module is certified irreducible (Norton's test on a nullity-one
+    factor)."""
     if dim <= 1:
         return None
     if all(a.is_zero() for a in actions):
         return [[QONE] + [QZERO] * (dim - 1)]
     transposed = [a.transpose() for a in actions]
-    for theta in _theta_battery(actions, rng, dim, rounds):
+    for theta in _theta_battery(actions, rng, dim):
         nullity_one = None
         for p, _ in _min_poly_factors(theta):
             null = kernel(poly_eval_matrix(p, theta))
@@ -600,84 +609,50 @@ def find_proper_submodule(actions, dim, rng, rounds: int = 30):
             dual_sub = spin([dual_null[0]], transposed, dim)
             if len(dual_sub) < dim:
                 ann = kernel(Matrix(dual_sub))
-                ann_rows = row_space_basis(ann, dim)
-                if 0 < len(ann_rows) < dim:
-                    return ann_rows
+                if 0 < len(ann) < dim:
+                    return ann
                 raise CheckFailed("dual spin produced a trivial annihilator", theta)
             return None
-    raise CertificationFailed(
-        "no nullity-one element found; increase rounds or change the seed"
-    )
+    raise CertificationFailed("no nullity-one element found; change the seed")
 
 
 def composition_series(actions, dim, rng) -> list:
-    """Increasing chain of RREF row bases 0 < W_1 < ... < W_s = full space
-    with irreducible quotients (the zero step is omitted)."""
+    """Increasing chain of RREF row bases 0 < W_1 < ... < W_s = Q^dim with
+    irreducible quotients (the zero step is omitted)."""
     if dim == 0:
         return []
-    sub = find_proper_submodule(actions, dim, rng)
+    full = Echelon({i: QONE} for i in range(dim))
+    return [[dense(r, dim) for r in level.rows()]
+            for level in _section_series(actions, Echelon(), full, dim, rng)]
+
+
+def _section_series(actions, lower: Echelon, upper: Echelon, dim: int, rng) -> list:
+    """The levels of a composition series of Q^dim strictly above lower, up
+    to upper, for submodules lower < upper, as `Echelon`s.
+
+    The section upper / lower has for basis the reduced residues of upper
+    modulo lower, and a residue's coordinates are its entries at its
+    pivots, so the section's action matrices come from the original actions
+    with no change of basis.  A submodule of the section maps back to Q^dim
+    by combining residues.  Every image of a residue is checked to lie in
+    upper, which certifies upper as a submodule once lower is one; every
+    level is the upper of one section."""
+    residues = Echelon(map(lower.reduce, upper.rows()))
+    section = []
+    for a in actions:
+        cols = []
+        for r in residues.rows():
+            col = residues.coords(lower.reduce(sparse(a.apply(dense(r, dim)))))
+            if col is None:
+                raise CheckFailed("submodule is not invariant", (a, dense(r, dim)))
+            cols.append(col)
+        section.append(Matrix._of([list(row) for row in zip(*cols)]))
+    sub = find_proper_submodule(section, len(residues.pivots), rng)
     if sub is None:
-        return [_identity_rows(dim)]
-    k = len(sub)
-    sub_actions = _restrict_actions(actions, sub)
-    quo_actions, lift = _quotient_actions(actions, sub, dim)
-    lower = composition_series(sub_actions, k, rng)
-    upper = composition_series(quo_actions, dim - k, rng)
-    sub_t = Matrix._of([list(c) for c in zip(*sub)])
-    chain = []
-    for level in lower:
-        chain.append(row_space_basis([sub_t.apply(r) for r in level], dim))
-    for level in upper:
-        rows = [lift(r) for r in level]
-        chain.append(row_space_basis(sub + rows, dim))
-    return chain
-
-
-def _identity_rows(dim):
-    return [
-        [Fraction(1) if j == i else QZERO for j in range(dim)] for i in range(dim)
-    ]
-
-
-def _restrict_actions(actions, sub_rows):
-    sub = Echelon(map(sparse, sub_rows))
-    out = []
-    for a in actions:
-        cols = []
-        for r in sub_rows:
-            coords = sub.coords(sparse(a.apply(r)))
-            if coords is None:
-                raise CheckFailed("submodule is not invariant", (a, r))
-            cols.append(coords)
-        out.append(Matrix.from_rows(list(map(list, zip(*cols)))) if sub_rows else Matrix([]))
-    return out
-
-
-def _quotient_actions(actions, sub_rows, dim):
-    sub = Echelon(map(sparse, sub_rows))
-    free = [j for j in range(dim) if j not in sub.pivots]
-
-    def project(vec):
-        resid = sub.reduce(sparse(vec))
-        return [resid.get(j, QZERO) for j in free]
-
-    out = []
-    for a in actions:
-        cols = []
-        for j in free:
-            img = [a.entries[i][j] for i in range(dim)]
-            cols.append(project(img))
-        out.append(
-            Matrix.from_rows(list(map(list, zip(*cols)))) if free else Matrix([])
-        )
-
-    def lift(qvec):
-        out_vec = [QZERO] * dim
-        for c, j in zip(qvec, free):
-            out_vec[j] = c
-        return out_vec
-
-    return out, lift
+        return [upper]
+    mid = Echelon(lower.rows() + [_combine(sparse(s), residues.rows()) for s in sub])
+    return (_section_series(actions, lower, mid, dim, rng)
+            + _section_series(actions, mid, upper, dim, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -725,46 +700,43 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
         if not ws:
             break
 
-        def quo_coords(row: dict):
+        def quo_coords(row: dict) -> dict:
             resid = nxt_coeffs.reduce(coords(row))
-            return [resid.get(p, QZERO) for p in quotient.pivots]
+            return {r: resid[p] for r, p in enumerate(quotient.pivots) if p in resid}
 
+        # the unknown (i, a) is the coefficient of ws[a] in the correction
+        # of xs[i]; its image holds its coefficients in the congruences of
+        # the pairs i < j, column pair_index * dim_q + r, and the image of
+        # the defect comes last, so the relation with the defect at
+        # coefficient 1 is a solution
         width = len(ws)
         dim_q = len(quotient.pivots)
-        eq_rows = []
-        rhs = []
         xm = [sparse_matrix(x, n) for x in xs]
         wm = [sparse_matrix(w, n) for w in ws]
         bracket_cache = [[quo_coords(sparse_bracket(x, w, n)) for w in wm] for x in xm]
         unit_cache = [quo_coords(w) for w in ws]
+        last = m * width
+        images = [{} for _ in range(last + 1)]
+        for pair, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+            defect = sparse_bracket(xm[i], xm[j], n)
+            for k, coeff in c[i, j].items():
+                axpy(defect, -coeff, xs[k])
+            blocks = {last: quo_coords(defect)}
+            for a in range(width):
+                axpy(blocks.setdefault(j * width + a, {}), QONE, bracket_cache[i][a])
+                axpy(blocks.setdefault(i * width + a, {}), -QONE, bracket_cache[j][a])
+                for k, coeff in c[i, j].items():
+                    axpy(blocks.setdefault(k * width + a, {}), -coeff, unit_cache[a])
+            for u, block in blocks.items():
+                images[u].update((pair * dim_q + r, v) for r, v in block.items())
+        relations = _null_combinations([{u: QONE} for u in range(last + 1)], images)
+        if not relations or last not in relations[-1]:
+            raise CheckFailed("Levi lifting system is inconsistent", (g, level))
+        sol = relations[-1]
         for i in range(m):
-            for j in range(i + 1, m):
-                defect = sparse_bracket(xm[i], xm[j], n)
-                for k, coeff in c[i, j].items():
-                    axpy(defect, -coeff, xs[k])
-                dvec = quo_coords(defect)
-                row_block = [[QZERO] * (m * width) for _ in range(dim_q)]
-                for a in range(width):
-                    for r in range(dim_q):
-                        row_block[r][j * width + a] += bracket_cache[i][a][r]
-                        row_block[r][i * width + a] -= bracket_cache[j][a][r]
-                for k, coeff in c[i, j].items():
-                    for a in range(width):
-                        base = unit_cache[a]
-                        for r in range(dim_q):
-                            row_block[r][k * width + a] -= coeff * base[r]
-                for r in range(dim_q):
-                    if any(row_block[r]) or dvec[r]:
-                        eq_rows.append(row_block[r])
-                        rhs.append(-dvec[r])
-        if eq_rows:
-            sol = solve(Matrix._of(eq_rows), rhs)
-            if sol is None:
-                raise CheckFailed("Levi lifting system is inconsistent", (g, level))
-            for i in range(m):
-                lifted = _combine(dict(enumerate(sol[i * width:(i + 1) * width])), ws)
-                axpy(lifted, QONE, xs[i])
-                xs[i] = lifted
+            lifted = _combine({a: sol.get(i * width + a, QZERO) for a in range(width)}, ws)
+            axpy(lifted, QONE, xs[i])
+            xs[i] = lifted
     levi = FdLieAlgebra.on(MatSpan(n, xs))
     _verify_levi(g, rad, levi)
     return levi
@@ -1089,11 +1061,11 @@ def invariant_taut_couple(k: FdLieAlgebra, seed: int = 0) -> InvariantCoupleRepo
     """Composition series of the natural k-module, its joint stabilizer, and
     the nilradical identities that make it a taut couple at finite scale."""
     rng = random.Random(seed)
-    chain = composition_series(k.basis, k.n, rng)
-    if not chain:
-        chain = [_identity_rows(k.n)]
+    chain = composition_series(k.basis, k.n, rng) or [[]]  # n = 0: the zero space
     p_plus_span = flag_stabilizer_brute(k.n, chain)
-    _, n_formula = flag_formula_spans(k.n, chain)
+    s_formula, n_formula = flag_formula_spans(k.n, chain)
+    if s_formula != p_plus_span:
+        raise CheckFailed("stabilizer formula disagrees with brute force", (chain, seed))
     p_alg = FdLieAlgebra.on(p_plus_span)
     n_oracle = linear_nilradical(p_alg, seed)
     if n_formula != n_oracle:
@@ -1109,65 +1081,36 @@ def invariant_taut_couple(k: FdLieAlgebra, seed: int = 0) -> InvariantCoupleRepo
 # ---------------------------------------------------------------------------
 
 
-def _invariant_subspaces(p: FdLieAlgebra, rng, rounds=12) -> list:
-    """Distinct proper nonzero p-invariant subspaces found by spinning."""
-    found = []
-    actions = p.basis
-    seen = set()
-
-    def record(rows):
-        key = tuple(tuple(r) for r in rows)
-        if rows and len(rows) < p.n and key not in seen:
-            seen.add(key)
-            found.append(rows)
-
-    for i in range(p.n):
-        unit = [Fraction(1) if j == i else QZERO for j in range(p.n)]
-        record(spin([unit], actions, p.n))
-    for theta in _theta_battery(actions, rng, p.n, rounds):
-        for poly, _ in _min_poly_factors(theta):
-            for w in kernel(poly_eval_matrix(poly, theta)):
-                record(spin([w], actions, p.n))
-    return found
-
-
 @dataclass
 class ParabolicReport:
     is_parabolic: bool
-    chain_found: bool
-    stabilizer_matches: bool
     borel_restriction_check: bool
 
 
 def fd_parabolic_tests(p: FdLieAlgebra, seed: int = 0) -> ParabolicReport:
-    """Invariant-chain criterion: p is parabolic at finite scale iff its
-    invariant subspaces form a chain whose full stabilizer is p itself."""
+    """p is parabolic at finite scale iff it is the stabilizer of a flag,
+    and then the flag is read off one composition series C of Q^n under p:
+    p is parabolic iff p = stab(C).
+
+    p lies in stab(C) for any invariant chain C, and equality means p is a
+    flag stabilizer.  Conversely, if p = stab(F), the p-invariant subspaces
+    are exactly the members of F.  Each is the only one of its dimension,
+    so it is fixed by the Galois group and rational, and the composition
+    series over Q is F itself."""
     rng = random.Random(seed)
-    invs = _invariant_subspaces(p, rng)
-    chain_ok = True
-    for a, b in itertools.combinations([Echelon(map(sparse, rows)) for rows in invs], 2):
-        a_in_b = not any(map(b.reduce, a.rows()))
-        b_in_a = not any(map(a.reduce, b.rows()))
-        if not (a_in_b or b_in_a):
-            chain_ok = False
-            break
-    stab_ok = False
-    if chain_ok:
-        stab = flag_stabilizer_brute(p.n, invs)
-        stab_ok = stab == p.span
-    borel_ok = _borel_restriction_check(p, rng)
-    return ParabolicReport(chain_ok and stab_ok, chain_ok, stab_ok, borel_ok)
-
-
-def _full_flag_from(p: FdLieAlgebra, rng) -> list:
-    """A complete flag refining a composition series of the p-action."""
     series = composition_series(p.basis, p.n, rng)
+    is_parabolic = flag_stabilizer_brute(p.n, series) == p.span
+    return ParabolicReport(is_parabolic, _borel_restriction_check(p, series, rng))
+
+
+def _full_flag_refining(series, n: int) -> list:
+    """A complete flag of Q^n refining a chain of RREF row bases."""
     current = Echelon()
     chain = []
     for level in series:
         for w in level:
             if current.add(sparse(w)):
-                chain.append([dense(r, p.n) for r in current.rows()])
+                chain.append([dense(r, n) for r in current.rows()])
     return chain
 
 
@@ -1186,11 +1129,11 @@ def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra, rng, tries=8
     return True
 
 
-def _borel_restriction_check(p: FdLieAlgebra, rng) -> bool:
-    """Find a Borel of p from a full invariant flag and re-test maximal
-    solvability of its restriction to the commutator subalgebra."""
-    flag = _full_flag_from(p, rng)
-    stab = flag_stabilizer_brute(p.n, flag)
+def _borel_restriction_check(p: FdLieAlgebra, series, rng) -> bool:
+    """Find a Borel of p from a full flag refining its composition series
+    and re-test maximal solvability of its restriction to the commutator
+    subalgebra."""
+    stab = flag_stabilizer_brute(p.n, _full_flag_refining(series, p.n))
     b_span = stab.intersect(p.span)
     if not _is_maximal_solvable_in(b_span, p, rng):
         return False
@@ -1220,7 +1163,7 @@ def parabolic_bijection_check(
         raise NotParabolicInput("p_red is not a subalgebra") from exc
     # parabolic criterion inside g_red: a full invariant flag of p_red gives
     # a maximal solvable subalgebra of g_red contained in p_red
-    flag = _full_flag_from(p_red_alg, rng)
+    flag = _full_flag_refining(composition_series(p_red_alg.basis, g.n, rng), g.n)
     b_red = flag_stabilizer_brute(g.n, flag).intersect(g_red.span)
     if not p_red.contains(b_red):
         raise NotParabolicInput("p_red does not contain a Borel of the reductive part")

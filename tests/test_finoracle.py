@@ -19,6 +19,8 @@ from flagforge.exactnum import (
     dense,
     is_nilpotent,
     kernel,
+    row_space_basis,
+    solve,
     sparse,
 )
 from flagforge.finoracle import (
@@ -439,7 +441,6 @@ def test_fd_parabolic_torus_negative():
     p = FdLieAlgebra(2, diagonal_basis(2))
     report = fd_parabolic_tests(p, seed=1)
     assert not report.is_parabolic
-    assert not report.chain_found  # two incomparable invariant lines
 
 
 def test_parabolic_bijection_b3():
@@ -817,11 +818,251 @@ def test_las_vegas_results_do_not_depend_on_the_seed():
 
 
 # ---------------------------------------------------------------------------
+# sections, the parabolic verdict and the Levi lift against the routes they
+# replaced
+# ---------------------------------------------------------------------------
+
+
+def _restricted_actions(actions, sub_rows):
+    sub = Echelon(map(sparse, sub_rows))
+    out = []
+    for a in actions:
+        cols = [sub.coords(sparse(a.apply(r))) for r in sub_rows]
+        assert None not in cols
+        out.append(Matrix([list(row) for row in zip(*cols)]))
+    return out
+
+
+def _quotient_actions(actions, sub_rows, dim):
+    sub = Echelon(map(sparse, sub_rows))
+    free = [j for j in range(dim) if j not in sub.pivots]
+    out = []
+    for a in actions:
+        cols = [[sub.reduce(sparse(a.col(j))).get(f, F(0)) for f in free] for j in free]
+        out.append(Matrix([list(row) for row in zip(*cols)]))
+    return out, free
+
+
+def _composition_series_by_restriction(actions, dim, rng):
+    """The recursion that sections replaced, kept as a reference: restrict
+    to a submodule and pass to the quotient, each in its own coordinates,
+    recurse on both and map the levels back."""
+    if dim == 0:
+        return []
+    sub = finoracle.find_proper_submodule(actions, dim, rng)
+    if sub is None:
+        return [row_space_basis(Matrix.identity(dim).entries, dim)]
+    sub = row_space_basis(sub, dim)
+    quo_actions, free = _quotient_actions(actions, sub, dim)
+    lower = _composition_series_by_restriction(_restricted_actions(actions, sub), len(sub), rng)
+    upper = _composition_series_by_restriction(quo_actions, dim - len(sub), rng)
+    sub_t = Matrix([list(c) for c in zip(*sub)])
+    chain = [row_space_basis([sub_t.apply(r) for r in level], dim) for level in lower]
+    for level in upper:
+        lifted = [dense(dict(zip(free, r)), dim) for r in level]
+        chain.append(row_space_basis(sub + lifted, dim))
+    return chain
+
+
+def _factor_dims(chain):
+    dims = [0] + [len(level) for level in chain]
+    return sorted(b - a for a, b in zip(dims, dims[1:]))
+
+
+@st.composite
+def _rotation_algebras(draw):
+    """lie_close of generators in gl_n, n <= 5: maybe a rotation block, and
+    a few sparse matrices."""
+    n = draw(st.integers(1, 5))
+    gens = []
+    if n >= 2 and draw(st.booleans()):
+        gens.append(embed_block(ROTATION, n, draw(st.integers(0, n - 2))))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([1, -1, 2]))
+    for cells in draw(st.lists(st.lists(cell, min_size=1, max_size=2), max_size=3)):
+        m = [[F(0)] * n for _ in range(n)]
+        for i, j, v in cells:
+            m[i][j] = F(v)
+        gens.append(Matrix(m))
+    return lie_close(n, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rotation_algebras(), st.integers(0, 3))
+def test_composition_series_on_sections_matches_the_restriction_route(g, seed):
+    chain = composition_series(g.basis, g.n, random.Random(seed))
+    levels = [Echelon(map(sparse, level)) for level in chain]
+    for level in levels:
+        for a in g.basis:
+            assert not any(level.reduce(sparse(a.apply(dense(w, g.n)))) for w in level.rows())
+    for below, above in zip(levels, levels[1:]):
+        assert len(below.pivots) < len(above.pivots)
+        assert not any(map(above.reduce, below.rows()))
+    assert (len(chain[-1]) if chain else 0) == g.n
+    # Jordan-Hoelder: the factors agree up to order
+    reference = _composition_series_by_restriction(g.basis, g.n, random.Random(seed))
+    assert _factor_dims(chain) == _factor_dims(reference)
+
+
+def _invariant_search_verdict(p, rng):
+    """The randomized verdict that the composition series replaced, kept as
+    a reference: spin every unit vector and the factor kernels of random
+    elements, and ask that the subspaces found form a chain whose
+    stabilizer is p.  A level the search misses makes the stabilizer
+    larger, so it can only err toward False."""
+    seeds = list(Matrix.identity(p.n).entries)
+    for theta in finoracle._theta_battery(p.basis, rng, p.n):
+        for poly, _ in finoracle._min_poly_factors(theta):
+            seeds += kernel(finoracle.poly_eval_matrix(poly, theta))
+    found = {}
+    for w in seeds:
+        rows = spin([w], p.basis, p.n)
+        if 0 < len(rows) < p.n:
+            found[tuple(map(tuple, rows))] = rows
+    spans = [Echelon(map(sparse, rows)) for rows in found.values()]
+    for a, b in itertools.combinations(spans, 2):
+        if any(map(b.reduce, a.rows())) and any(map(a.reduce, b.rows())):
+            return False
+    return flag_stabilizer_brute(p.n, list(found.values())) == p.span
+
+
+def _compositions(draw, n, min_parts):
+    """Block sizes summing to n, with at least min_parts blocks."""
+    cuts = draw(st.sets(st.integers(1, n - 1), min_size=min_parts - 1)) if n > 1 else ()
+    bounds = [0] + sorted(cuts) + [n]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def _parabolic_cases(draw):
+    """(n, basis, is_parabolic), n <= 5, conjugated by a random permutation
+    times an elementary matrix.  Block parabolics are parabolic.  Sums of
+    two or more gl blocks are not: a Borel holds a regular nilpotent, one
+    Jordan block of size n.  Nor are sl_n, tori of n >= 2 and the closures
+    of a rotation block with traceless matrices: these lie in sl_n or have
+    dim < n(n + 1) / 2, and a Borel holds the identity and has that dim."""
+    family = draw(st.sampled_from(["parabolic", "blocks", "sl", "torus", "rotation"]))
+    n = draw(st.integers(1 if family in ("parabolic", "sl") else 2, 5))
+    if family == "parabolic":
+        basis = block_parabolic_basis(_compositions(draw, n, 1))
+    elif family == "blocks":
+        basis = direct_sum_basis([(gl_basis(s), s) for s in _compositions(draw, n, 2)])
+    elif family == "sl":
+        basis = sl_basis(n)
+    elif family == "torus":
+        basis = diagonal_basis(n)
+    else:
+        basis = [embed_block(ROTATION, n, draw(st.integers(0, n - 2)))]
+        off = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ij: ij[0] != ij[1])
+        basis += [E(n, i, j) for i, j in draw(st.lists(off, max_size=2))]
+    i, j = draw(st.permutations(range(n)))[:2] if n >= 2 else (0, 0)
+    c = draw(st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2)])) if n >= 2 else F(0)
+    e, e_inv = Matrix.identity(n) + E(n, i, j).scale(c), Matrix.identity(n) - E(n, i, j).scale(c)
+    basis = _conjugated([e * b * e_inv for b in basis], draw(st.permutations(range(n))))
+    g = lie_close(n, basis) if family == "rotation" else FdLieAlgebra(n, basis)
+    return g, family == "parabolic"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parabolic_cases(), st.integers(0, 3))
+def test_parabolic_verdict_on_conjugated_families(case, seed):
+    p, expected = case
+    verdict = fd_parabolic_tests(p, seed).is_parabolic
+    assert verdict == expected
+    # the search can only miss levels: where it says True, so does the series
+    if _invariant_search_verdict(p, random.Random(seed)):
+        assert verdict
+
+
+def _levi_by_dense_solve(g):
+    """The dense lifting that the tagged relation replaced, kept as a
+    reference: one equation row per pair i < j and quotient coordinate r,
+    solved by `solve`."""
+    rad = solvable_radical(g)
+    if rad.dim == g.dim:
+        return MatSpan(g.n)
+    if rad.dim == 0:
+        return g.span
+    n, coords = g.n, g.span._coords
+    rad_coeffs = Echelon(map(coords, rad.echelon.rows()))
+    free = [j for j in range(g.dim) if j not in rad_coeffs.pivots]
+    position = {j: a for a, j in enumerate(free)}
+    xs = [g.span.echelon.rows()[j] for j in free]
+    m = len(xs)
+    c = {(i, j): {position[k]: v for k, v in rad_coeffs.reduce(
+        g.consts.get((free[i], free[j]), {})).items()} for i, j in itertools.combinations(range(m), 2)}
+    series = finoracle.derived_series(rad) + [MatSpan(n)]
+    for level, nxt in zip(series, series[1:]):
+        if not level.dim:
+            break
+        nxt_coeffs = Echelon(map(coords, nxt.echelon.rows()))
+        quotient = Echelon()
+        ws = [w for w in level.echelon.rows() if quotient.add(nxt_coeffs.reduce(coords(w)))]
+        if not ws:
+            break
+
+        def quo(row):
+            resid = nxt_coeffs.reduce(coords(row))
+            return [resid.get(p, F(0)) for p in quotient.pivots]
+
+        width, dim_q = len(ws), len(quotient.pivots)
+        brackets = [[quo(sparse(bracket(finoracle._matrix(x, n), finoracle._matrix(w, n)).flatten()))
+                     for w in ws] for x in xs]
+        units = [quo(w) for w in ws]
+        eq_rows, rhs = [], []
+        for i, j in itertools.combinations(range(m), 2):
+            defect = sparse(bracket(finoracle._matrix(xs[i], n), finoracle._matrix(xs[j], n)).flatten())
+            for k, coeff in c[i, j].items():
+                finoracle.axpy(defect, -coeff, xs[k])
+            dvec = quo(defect)
+            block = [[F(0)] * (m * width) for _ in range(dim_q)]
+            for a in range(width):
+                for r in range(dim_q):
+                    block[r][j * width + a] += brackets[i][a][r]
+                    block[r][i * width + a] -= brackets[j][a][r]
+                    for k, coeff in c[i, j].items():
+                        block[r][k * width + a] -= coeff * units[a][r]
+            for r in range(dim_q):
+                if any(block[r]) or dvec[r]:
+                    eq_rows.append(block[r])
+                    rhs.append(-dvec[r])
+        if eq_rows:
+            sol = solve(Matrix(eq_rows), rhs)
+            assert sol is not None
+            for i in range(m):
+                lifted = finoracle._combine(dict(enumerate(sol[i * width:(i + 1) * width])), ws)
+                finoracle.axpy(lifted, F(1), xs[i])
+                xs[i] = lifted
+    return MatSpan(n, xs)
+
+
+def test_levi_lift_matches_the_dense_solve():
+    corpus = _criterion_2_algebras() + _rotation_closures() + _oracle_style_algebras()
+    levis = [levi_component(g) for g in corpus]
+    # a lift happens where both the radical and the Levi are nonzero
+    assert sum(0 < levi.dim < g.dim for g, levi in zip(corpus, levis)) >= 30
+    for g, levi in zip(corpus, levis):
+        assert levi.span.rows == _levi_by_dense_solve(g).rows, g
+
+
+def test_levi_lift_without_the_defect_relation_is_inconsistent(monkeypatch):
+    # sl_2 acting on Q^2, its complement twisted into the radical
+    twisted = [embed_block(m, 3, 0) + E(3, 0, 2).scale(k + 1) for k, m in enumerate(sl_basis(2))]
+    g = FdLieAlgebra(3, twisted + [E(3, 0, 2), E(3, 1, 2)])
+    solvable_radical(g)  # cached before the fault goes in
+    null_combinations = finoracle._null_combinations
+    monkeypatch.setattr(finoracle, "_null_combinations",
+                        lambda rows, images: null_combinations(rows, images)[:-1])
+    with pytest.raises(CheckFailed, match="Levi lifting system is inconsistent"):
+        levi_component(g)
+
+
+# ---------------------------------------------------------------------------
 # certification under python -O
 # ---------------------------------------------------------------------------
 
 
 _INJECTED_FAULTS = """
+import random
 import sys
 from flagforge import finoracle
 from flagforge.exactnum import CheckFailed, Matrix
@@ -866,6 +1107,21 @@ try:
     finoracle.linear_nilradical(p)
 except CheckFailed as exc:
     print("nilradical", exc.check)
+# a meataxe that answers the line of e_0, which sl_2 moves
+find_proper_submodule = finoracle.find_proper_submodule
+finoracle.find_proper_submodule = lambda actions, dim, rng: [[1] + [0] * (dim - 1)] if dim > 1 else None
+try:
+    finoracle.composition_series(finoracle.sl_basis(2), 2, random.Random(0))
+except CheckFailed as exc:
+    print("meataxe", exc.check)
+finoracle.find_proper_submodule = find_proper_submodule
+# a brute-force stabilizer that answers gl_2 for the flag 0 < <e_0> < Q^2 of b_2
+finoracle.flag_stabilizer_brute = lambda n, chain: finoracle.MatSpan.from_matrices(n, finoracle.gl_basis(n))
+b2 = finoracle.FdLieAlgebra(2, finoracle.upper_triangular_basis(2))
+try:
+    finoracle.invariant_taut_couple(b2)
+except CheckFailed as exc:
+    print("stabilizer", exc.check)
 """
 
 
@@ -886,5 +1142,7 @@ def test_certification_survives_python_O():
         "ideal nilradical is not an ideal",
         "levi Levi does not complement r cap [g,g]",
         "nilradical nilradical candidate is not nilpotent",
+        "meataxe submodule is not invariant",
+        "stabilizer stabilizer formula disagrees with brute force",
     ]
     assert issubclass(CheckFailed, AssertionError)
