@@ -8,13 +8,18 @@ batch functions `rref`, `rank`, `kernel`, `solve` and `row_space_basis`
 build one `Echelon` from the rows of their input; a reduced row echelon
 form is unique, so they return what any correct elimination returns.
 
-Polynomials are dense coefficient lists, index = degree.
+Polynomials are dense coefficient lists, index = degree: `Fraction`s for
+the `poly_*` helpers over Q, plain ints for `poly_factor_zz` over Z.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from bisect import insort
 from fractions import Fraction
+from functools import reduce
+from math import gcd, isqrt
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -421,6 +426,183 @@ def poly_eval_matrix(p, m: Matrix) -> Matrix:
         if c:
             acc = acc + Matrix.identity(n).scale(c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# factoring over the integers: int coefficient lists, index = degree
+# ---------------------------------------------------------------------------
+
+
+def poly_factor_zz(f):
+    """(content, [(factor, multiplicity)]) with f = content * prod factor^mult,
+    the factors irreducible and primitive with positive leading coefficients,
+    in the order of sympy's `dup_factor_list` (length, multiplicity, then
+    coefficients from the top degree down).  Yun's squarefree decomposition,
+    then Zassenhaus on each part (von zur Gathen & Gerhard, Modern Computer
+    Algebra, Alg. 15.19) with a fixed-seed splitting: the factorization is
+    unique, so no result depends on the seed.  CheckFailed if the product
+    differs from f."""
+    f = poly_trim(list(f))
+    if not f:
+        return 0, []
+    cont = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    j = next(i for i, c in enumerate(f) if c)  # x^j divides f
+    factors = [([0, 1], j)] if j else []
+    for a, m in _yun([c // cont for c in f[j:]]):
+        factors += [(h, m) for h in _zz_irreducibles(a)]
+    factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
+    if reduce(_mul, (h for h, m in factors for _ in range(m)), [cont]) != f:
+        raise CheckFailed("factorization does not multiply back", f)
+    return cont, factors
+
+
+def _axpy(p, c, q, m=0):
+    """p + c q, reduced modulo m unless m is 0."""
+    out = list(p) + [0] * (len(q) - len(p))
+    for i, b in enumerate(q):
+        out[i] += c * b
+    return poly_trim([x % m for x in out] if m else out)
+
+
+def _mul(p, q, m=0):
+    """p q, reduced modulo m unless m is 0."""
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] += a * b
+    return poly_trim([c % m for c in out] if m else out)
+
+
+def _divmod(p, q, m=0):
+    """Quotient and remainder of p by q modulo m, lc(q) a unit there; over Z
+    (m = 0) the remainder is zero exactly when q divides p."""
+    p, quo = list(p), [0] * max(len(p) - len(q) + 1, 0)
+    for k in reversed(range(len(quo))):
+        c, r = (p[-1] * pow(q[-1], -1, m) % m, 0) if m else divmod(p[-1], q[-1])
+        if r:
+            return quo, p
+        quo[k] = c
+        for i, x in enumerate(q):
+            p[k + i] -= c * x
+        p.pop()
+    return quo, poly_trim([x % m for x in p] if m else p)
+
+
+def _primitive(p):
+    """p over its content, with a positive leading coefficient."""
+    c = (gcd(*p) if p[-1] > 0 else -gcd(*p)) if p else 1
+    return [x // c for x in p]
+
+
+def _zz_gcd(a, b):
+    """The primitive gcd with a positive leading coefficient, by pseudo-remainders."""
+    while b:
+        while len(a) >= len(b):
+            a = _axpy([x * b[-1] for x in a], -a[-1], [0] * (len(a) - len(b)) + b)
+        a, b = b, _primitive(a)
+    return _primitive(a)
+
+
+def _yun(f):
+    """[(a_i, i)] with f = prod a_i^i, the a_i squarefree, coprime and
+    nonconstant, for f primitive with a positive leading coefficient."""
+    if len(f) <= 2 or len(f) == 3 and f[1] * f[1] != 4 * f[0] * f[2]:
+        return [(f, 1)] if len(f) > 1 else []
+    out, i, df = [], 1, poly_derivative(f)
+    a = _zz_gcd(f, df)
+    b, c = _divmod(f, a)[0], _divmod(df, a)[0]
+    while len(b) > 1:
+        d = _axpy(c, -1, poly_derivative(b))
+        a = _zz_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c, i = _divmod(b, a)[0], _divmod(d, a)[0], i + 1
+    return out
+
+
+def _zz_irreducibles(f):
+    """The irreducible factors of f, squarefree and primitive with a positive
+    leading coefficient."""
+    if len(f) == 3:  # irreducible iff the discriminant is not a square
+        c, b, a = f
+        s = isqrt(b * b - 4 * a * c) if b * b >= 4 * a * c else -1
+        if s * s == b * b - 4 * a * c:
+            return [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
+    if len(f) <= 3:
+        return [f]
+    p = 3  # the first odd prime, proven by trial division, that keeps f squarefree
+    while not (f[-1] % p and all(p % q for q in range(3, isqrt(p) + 1, 2))
+               and len(_gcd_p(f, poly_derivative(f), p)) == 1):
+        p += 2
+    us = _factor_mod_p(_axpy([], pow(f[-1], -1, p), f, p), p, random.Random(0))
+    lifted, bound = [], 2 * _lift_bound(f)
+    for h in us:  # linear Hensel lifting of h, monic, dividing f modulo q = p^k
+        # 1/(f/h) modulo (h, p), h irreducible of degree d: (f/h)^(p^d - 2)
+        s = _powmod(_divmod(f, h, p)[0], p ** (len(h) - 1) - 2, h, p)
+        q = p
+        while q <= bound:
+            e = [c // q for c in _axpy(f, -1, _mul(_divmod(f, h, q)[0], h))]
+            h, q = _axpy(h, q, _divmod(_mul(s, e), h, p)[1]), q * p
+        lifted.append(h)
+    out, size = [], 1
+    while 2 * size <= len(lifted):  # recombination, smallest subsets first
+        for subset in itertools.combinations(range(len(lifted)), size):
+            g = reduce(lambda g, i: _mul(g, lifted[i], q), subset, [f[-1]])
+            g = _primitive([c - q if 2 * c > q else c for c in g])
+            h, r = _divmod(f, g)
+            if not r:
+                out.append(g)
+                f, lifted = h, [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def _lift_bound(f):
+    """Mignotte's bound 2^n |f|_2 on the coefficients of lc(f)/lc(g) g for
+    every g dividing f in Z[x]: the Mahler measure M(g) is at most
+    |lc g / lc f| M(f) <= |lc g / lc f| |f|_2."""
+    return 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
+
+
+def _gcd_p(a, b, p):
+    """The monic gcd of a and b modulo the prime p."""
+    a, b = _axpy([], 1, a, p), _axpy([], 1, b, p)
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _axpy([], pow(a[-1], -1, p), a, p)
+
+
+def _powmod(a, e, f, p):
+    """a^e modulo f and p."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a, p), f, p)[1]
+        a, e = _divmod(_mul(a, a, p), f, p)[1], e >> 1
+    return out
+
+
+def _factor_mod_p(f, p, rng):
+    """The monic irreducible factors of f, monic and squarefree modulo the odd
+    prime p: distinct-degree, then equal-degree splitting (Cantor-Zassenhaus)."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod(h, p, f, p)  # x^(p^d) mod f
+        g = _gcd_p(f, _axpy(h, -1, [0, 1], p), p)
+        parts = [g] if len(g) > 1 else []
+        while parts:
+            a = parts.pop()
+            if len(a) - 1 == d:
+                out.append(a)
+                continue
+            r = poly_trim([rng.randrange(p) for _ in range(len(a) - 1)])
+            b = _gcd_p(a, _axpy(_powmod(r, (p ** d - 1) // 2, a, p), -1, [1], p), p)
+            parts += [b, _divmod(a, b, p)[0]] if 1 < len(b) < len(a) else [a]
+        f = _divmod(f, g, p)[0]
+    return out + [f] if len(f) > 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ algebra are read off those.
 `Matrix` appears only at the boundary: the basis handed to `FdLieAlgebra`,
 `.basis` and `matrices()` read out, `bracket`, Jordan-Chevalley parts and
 nilpotence (from `exactnum`), and the meataxe, which factors minimal
-polynomials with sympy over the integers.  The meataxe works on sections
-upper / lower of Q^n, lower < upper submodules held as `Echelon`s: the
-section acts on the reduced residues of upper modulo lower through the
-original matrices, and a submodule found there maps back by combining
-residues.  The parabolic test reads off one composition series: p is
-parabolic iff it equals the stabilizer of that series.
+polynomials over the integers with `exactnum.poly_factor_zz`.  The meataxe
+works on sections upper / lower of Q^n, lower < upper submodules held as
+`Echelon`s: the section acts on the reduced residues of upper modulo lower
+through the original matrices, and a submodule found there maps back by
+combining residues.  The parabolic test reads off one composition series:
+p is parabolic iff it equals the stabilizer of that series.
 
 Randomized searches (the meataxe behind composition series, the torus and
 maximal-solvability probes) take an explicit seed; given the seed
@@ -54,6 +54,7 @@ from .exactnum import (
     kernel,
     minpoly,
     poly_eval_matrix,
+    poly_factor_zz,
     poly_is_squarefree,
     rat,
     sparse,
@@ -574,14 +575,12 @@ def _theta_battery(actions, rng, dim):
 
 def _min_poly_factors(theta: Matrix):
     """The irreducible factors of the minimal polynomial of theta and their
-    multiplicities, primitive over ZZ: sympy factors it with denominators cleared."""
-    from sympy.polys.domains import ZZ  # lazily: sympy costs more to import than the package
-    from sympy.polys.factortools import dup_factor_list
-
+    multiplicities, primitive over ZZ: `poly_factor_zz` factors it with
+    denominators cleared."""
     coeffs = minpoly(theta)
     den = lcm(*(c.denominator for c in coeffs))
-    _, factors = dup_factor_list([ZZ(int(c * den)) for c in reversed(coeffs)], ZZ)
-    return [([Fraction(int(c)) for c in reversed(f)], mult) for f, mult in factors]
+    _, factors = poly_factor_zz([int(c * den) for c in coeffs])
+    return [([Fraction(c) for c in f], mult) for f, mult in factors]
 
 
 def find_proper_submodule(actions, dim, rng):

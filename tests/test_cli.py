@@ -19,6 +19,7 @@ from _corpus import augmented_couple, evens_couple, random_element, trivial_coup
 from flagforge import serial
 from flagforge.cli import SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
+from flagforge.exactnum import Matrix
 from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra
 from flagforge.finoracle import FdLieAlgebra, gl_basis, upper_triangular_basis
 from flagforge.genflag import FINITE, OMEGA_DOWN, OMEGA_UP, BasisOrderFlag, Block
@@ -309,7 +310,7 @@ def test_cli_cartan_of_empty_subalgebra(tmp_path):
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    # sympy serves only the meataxe, so importing the CLI must not pay for it
+    # sympy is only the tests' reference for factoring: the CLI never loads it
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, flagforge.cli; print('sympy' in sys.modules)"
     out = subprocess.run(
@@ -321,6 +322,62 @@ def test_cli_import_leaves_sympy_unloaded():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+_WITHOUT_SYMPY = """
+import contextlib, io, random, sys
+from importlib.abc import MetaPathFinder
+
+
+class NoSympy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "sympy":
+            raise ImportError("sympy is not installed")
+
+
+sys.meta_path.insert(0, NoSympy())
+from flagforge import cli, finoracle
+from flagforge.exactnum import Matrix
+
+rotation = Matrix([[0, 1], [-1, 0]])  # minimal polynomial t^2 + 1
+chain = finoracle.composition_series([rotation], 2, random.Random(1))
+print("rotation", [len(level) for level in chain])
+perm = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+basis = [perm * b * perm.transpose() for b in finoracle.block_parabolic_basis([1, 2])]
+report = finoracle.fd_parabolic_tests(finoracle.FdLieAlgebra(3, basis), seed=2)
+print("parabolic", report.is_parabolic)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", sys.argv[1]])
+print("run", code)
+print("sympy loaded", "sympy" in sys.modules)
+"""
+
+
+def test_fd_runtime_needs_no_sympy(tmp_path):
+    # the meataxe factors over ZZ in the package: with every sympy import
+    # failing, composition series, parabolic tests and a session still run
+    session = _fd_session()
+    session["algebras"]["rot"] = {"n": 2, "basis": serial.algebra_to_json(
+        FdLieAlgebra(2, [Matrix([[0, 1], [-1, 0]])]))["basis"]}
+    session["commands"].append(
+        {"cmd": "fd", "op": "taut", "alg": "rot", "expect": {"block_dims": [2]}})
+    path = tmp_path / "fd.json"
+    path.write_text(json.dumps(session))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SYMPY, str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.splitlines() == [
+        "rotation [2]",
+        "parabolic True",
+        "run 0",
+        "sympy loaded False",
+    ]
 
 
 def test_round_trip_serialization():

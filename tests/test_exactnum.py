@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagforge import exactnum
 from flagforge.exactnum import (
     QONE,
     QZERO,
@@ -18,6 +23,7 @@ from flagforge.exactnum import (
     minpoly,
     poly_derivative,
     poly_eval_matrix,
+    poly_factor_zz,
     poly_gcd,
     poly_is_squarefree,
     poly_mod,
@@ -184,6 +190,139 @@ def test_is_nilpotent_matches_charpoly(m):
 @given(square_matrices)
 def test_min_poly_factors_match_qq_poly(m):
     assert _min_poly_factors(m) == qq_min_poly_factors(m)
+
+
+# ---------------------------------------------------------------------------
+# factoring over ZZ against sympy's `dup_factor_list`
+# ---------------------------------------------------------------------------
+
+
+def zz_factor_list(f):
+    """sympy's `dup_factor_list` over ZZ, on and to coefficient lists with
+    index = degree."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    cont, factors = dup_factor_list([ZZ(c) for c in reversed(f)], ZZ)
+    return int(cont), [([int(c) for c in reversed(g)], m) for g, m in factors]
+
+
+def int_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _cyclotomics(top):
+    """Phi_n for n <= top: x^n - 1 divided by Phi_d for the proper divisors d."""
+    phi = {}
+    for n in range(1, top + 1):
+        f = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                quo = [0] * (len(f) - len(phi[d]) + 1)
+                for k in reversed(range(len(quo))):
+                    quo[k] = f[k + len(phi[d]) - 1]
+                    for i, b in enumerate(phi[d]):
+                        f[k + i] -= quo[k] * b
+                assert not any(f)
+                f = quo
+        phi[n] = f
+    return phi
+
+
+CYCLOTOMIC = _cyclotomics(30)
+# irreducible over Z, split modulo every prime: only recombination finds them
+SPLIT_EVERYWHERE = [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]]
+
+
+@st.composite
+def factor_products(draw):
+    """A random content and sign times random factors of degree <= 3, some
+    repeated, of degree <= 10 in all."""
+    f = [draw(st.integers(-12, 12).filter(bool))]
+    for _ in range(draw(st.integers(0, 5))):
+        d = draw(st.integers(1, 3))
+        g = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+        g.append(draw(st.integers(-3, 3).filter(bool)))
+        for _ in range(draw(st.integers(1, 3))):
+            if len(f) + d <= 11:
+                f = int_mul(f, g)
+    return f
+
+
+cyclotomic_products = st.lists(
+    st.sampled_from(sorted(CYCLOTOMIC)), min_size=1, max_size=3
+).map(lambda ns: reduce(int_mul, (CYCLOTOMIC[n] for n in ns)))
+
+
+def _cleared_minpoly(m):
+    coeffs = minpoly(m)
+    den = lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs]
+
+
+integer_polynomials = st.one_of(
+    factor_products(),
+    cyclotomic_products,
+    st.sampled_from(SPLIT_EVERYWHERE),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(  # constant or linear
+        lambda ab: list(ab) if ab[1] else [ab[0]] if ab[0] else []),
+    square_matrices.map(_cleared_minpoly),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polynomials)
+def test_factor_zz_matches_sympy(f):
+    assert poly_factor_zz(f) == zz_factor_list(f)
+
+
+def test_factor_zz_on_named_polynomials():
+    named = [[], [1], [-7], [0, 3], [6, -4], [0, 0, -2]]
+    named += list(CYCLOTOMIC.values()) + SPLIT_EVERYWHERE
+    named += [int_mul(f, g) for f in SPLIT_EVERYWHERE for g in SPLIT_EVERYWHERE]
+    named += [[-2 * c for c in f] for f in SPLIT_EVERYWHERE]
+    named += [[0, -1, 1], [-1, 0, 1], [0, -1, 0, 1]]  # every oracle minimal polynomial
+    for f in named:
+        assert poly_factor_zz(f) == zz_factor_list(f), f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(factor_products(), st.just([1, -1, 1, 0, 1, 1, -1, 0, -1, 1])))
+def test_lift_bound_covers_every_factor(f):
+    # (x + 1)(x^8 - 2x^7 + 2x^6 - 3x^5 + 4x^4 - 3x^3 + 3x^2 - 2x + 1) has a
+    # factor coefficient above |f|_2 + 1: the 2^n of Mignotte's bound matters
+    _, factors = zz_factor_list(f)
+    for g, _ in factors:
+        assert Fraction(abs(f[-1]), g[-1]) * max(map(abs, g)) <= exactnum._lift_bound(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_products(), st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+       st.integers(-3, 3).filter(bool))
+def test_zz_division_has_zero_remainder_iff_exact(f, g, lead):
+    # recombination and Yun divide over Z: a zero remainder must mean that g
+    # divides f in Z[x], i.e. the quotient over Q has integer coefficients
+    g = g + [lead]
+    for p in (f, int_mul(f, g)):
+        quo, rem = exactnum._divmod(p, g)
+        q_quo, q_rem = exactnum.poly_divmod([Fraction(c) for c in p], g)
+        exact = not q_rem and all(c.denominator == 1 for c in q_quo)
+        assert (not rem) == exact
+        if exact:
+            assert quo == q_quo
+
+
+def test_factor_zz_does_not_depend_on_the_splitting_seed(monkeypatch):
+    polys = SPLIT_EVERYWHERE + [int_mul(CYCLOTOMIC[15], CYCLOTOMIC[24]), CYCLOTOMIC[21]]
+    expected = [poly_factor_zz(f) for f in polys]
+    for seed in (1, 2, 3):
+        seeded = SimpleNamespace(Random=lambda _, s=seed: random.Random(s))
+        monkeypatch.setattr(exactnum, "random", seeded)
+        assert [poly_factor_zz(f) for f in polys] == expected
 
 
 def test_is_nilpotent_nonsquare():

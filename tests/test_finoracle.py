@@ -1122,6 +1122,14 @@ try:
     finoracle.invariant_taut_couple(b2)
 except CheckFailed as exc:
     print("stabilizer", exc.check)
+# a recombination that drops a factor: t^2 - 1, the minimal polynomial of
+# diag(1, -1), comes back as t + 1 alone
+from flagforge import exactnum
+exactnum._zz_irreducibles = lambda f, irreducibles=exactnum._zz_irreducibles: irreducibles(f)[1:]
+try:
+    finoracle.composition_series([Matrix([[1, 0], [0, -1]])], 2, random.Random(0))
+except CheckFailed as exc:
+    print("factor", exc.check)
 """
 
 
@@ -1144,5 +1152,6 @@ def test_certification_survives_python_O():
         "nilradical nilradical candidate is not nilpotent",
         "meataxe submodule is not invariant",
         "stabilizer stabilizer formula disagrees with brute force",
+        "factor factorization does not multiply back",
     ]
     assert issubclass(CheckFailed, AssertionError)
