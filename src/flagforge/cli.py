@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import coherence, finitary, finoracle, serial
 from .genflag import (
@@ -101,9 +102,7 @@ class Session:
 
 
 def _verdict(value):
-    """Make command outputs JSON-ready."""
-    from fractions import Fraction
-
+    """Make a command's raw output JSON-ready; run once per result."""
     if isinstance(value, Fraction):
         return serial.rational_to_json(value)
     if isinstance(value, (bool, int, str)) or value is None:
@@ -235,7 +234,7 @@ class Runner:
     def cmd_block_trace(self, cmd):
         x = self.s._lookup(self.s.elements, cmd["elem"])
         couple = self.s._lookup(self.s.couples, cmd["couple"])
-        return {"trace": _verdict(finitary.block_trace(x, couple, cmd["gamma"]))}
+        return {"trace": finitary.block_trace(x, couple, cmd["gamma"])}
 
     def cmd_fc_flag(self, cmd):
         flag = self.s._lookup(self.s.flags, cmd["flag"])
@@ -246,7 +245,7 @@ class Runner:
         return {
             "chain_length": len(collapsed.chain),
             "closed": cls.closed,
-            "chain": _verdict([serial.subspace_to_json(s) for s in collapsed.chain]),
+            "chain": [serial.subspace_to_json(s) for s in collapsed.chain],
         }
 
     def cmd_truncate_compare(self, cmd):
@@ -263,7 +262,7 @@ class Runner:
             "kind": report.object_kind,
             "levels": report.levels,
             "ok": report.ok,
-            "checks": _verdict(report.checks),
+            "checks": report.checks,
         }
 
     def cmd_fd(self, cmd):
@@ -272,13 +271,13 @@ class Runner:
         seed = self.s.seed
         if op == "radical":
             rad = finoracle.solvable_radical(alg)
-            return {"dim": rad.dim, "basis": _verdict([serial.matrix_to_json(m) for m in rad.matrices()])}
+            return {"dim": rad.dim, "basis": [serial.matrix_to_json(m) for m in rad.matrices()]}
         if op == "nilradical":
             nil = finoracle.linear_nilradical(alg, seed)
-            return {"dim": nil.dim, "basis": _verdict([serial.matrix_to_json(m) for m in nil.matrices()])}
+            return {"dim": nil.dim, "basis": [serial.matrix_to_json(m) for m in nil.matrices()]}
         if op == "levi":
             levi = finoracle.levi_component(alg)
-            return {"dim": levi.dim, "basis": _verdict([serial.matrix_to_json(m) for m in levi.basis])}
+            return {"dim": levi.dim, "basis": [serial.matrix_to_json(m) for m in levi.basis]}
         if op == "splittable":
             closed = finoracle.splittable_closure(alg)
             return {"splittable": closed.dim == alg.dim, "closure_dim": closed.dim}
@@ -318,12 +317,13 @@ class Runner:
         if op == "bijection":
             p_red = self.s._lookup(self.s.algebras, cmd["parabolic"])
             q = finoracle.parabolic_bijection_check(alg, p_red.basis, seed)
-            return {"dim": q.dim, "basis": _verdict([serial.matrix_to_json(m) for m in q.basis])}
+            return {"dim": q.dim, "basis": [serial.matrix_to_json(m) for m in q.basis]}
         raise SessionError(f"unknown fd op {op!r}")
 
 
 def _check_expect(expect, result):
-    """Partial match: every expected key must equal the result's value."""
+    """Partial match of an `expect` as loaded from JSON against the JSON form
+    of a result: every expected key must equal the result's value."""
     if isinstance(expect, dict) and isinstance(result, dict):
         return all(k in result and _check_expect(v, result[k]) for k, v in expect.items())
     return expect == result
@@ -342,7 +342,7 @@ def run_session(data: dict, seed: int = 0) -> dict:
             result = runner.run_command(cmd)
             entry["result"] = _verdict(result)
             if "expect" in cmd:
-                entry["expect_ok"] = _check_expect(_verdict(cmd["expect"]), entry["result"])
+                entry["expect_ok"] = _check_expect(cmd["expect"], entry["result"])
         except SessionError:
             raise
         except Exception as exc:  # domain errors surface per command

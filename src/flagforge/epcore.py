@@ -5,6 +5,10 @@ residue pattern modulo a period p that rules everything from N on.  An EpSeq
 is the sequence analogue.  Both carry a unique canonical form (minimal period
 first, then minimal threshold), so equality is structural.
 
+EpSet values are frozen, so their set algebra (union, intersection,
+difference, complement) is a pure function of its arguments: it is memoized
+in one module-level LRU cache of fixed size, shared by every caller.
+
 All index bookkeeping is 0-based.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .exactnum import Matrix, kernel, rat
@@ -55,11 +60,11 @@ class EpSet:
 
     @staticmethod
     def empty() -> "EpSet":
-        return EpSet.make(0, 1, (), ())
+        return _EMPTY
 
     @staticmethod
     def naturals() -> "EpSet":
-        return EpSet.make(0, 1, (), (0,))
+        return _NATURALS
 
     @staticmethod
     def finite(members) -> "EpSet":
@@ -109,32 +114,17 @@ class EpSet:
             return None
         return len(self.pre)
 
-    def _pointwise(self, other: "EpSet", op) -> "EpSet":
-        n = max(self.threshold, other.threshold)
-        p = lcm(self.period, other.period)
-        pre = {i for i in range(n) if op(self.member(i), other.member(i))}
-        residues = {
-            r for r in range(p) if op((r % self.period) in self.residues,
-                                      (r % other.period) in other.residues)
-        }
-        return EpSet.make(n, p, pre, residues)
-
     def union(self, other: "EpSet") -> "EpSet":
-        return self._pointwise(other, lambda a, b: a or b)
+        return _pointwise(self, other, "union")
 
     def intersection(self, other: "EpSet") -> "EpSet":
-        return self._pointwise(other, lambda a, b: a and b)
+        return _pointwise(self, other, "intersection")
 
     def difference(self, other: "EpSet") -> "EpSet":
-        return self._pointwise(other, lambda a, b: a and not b)
+        return _pointwise(self, other, "difference")
 
     def complement(self) -> "EpSet":
-        return EpSet.make(
-            self.threshold,
-            self.period,
-            set(range(self.threshold)) - self.pre,
-            set(range(self.period)) - self.residues,
-        )
+        return _pointwise(_NATURALS, self, "difference")
 
     def is_subset(self, other: "EpSet") -> bool:
         return self.difference(other).is_empty()
@@ -151,6 +141,30 @@ class EpSet:
             if self.member(i - offset):
                 pre.add(i)
         return EpSet.make(n, self.period, pre, residues)
+
+
+_EMPTY = EpSet(0, 1, frozenset(), frozenset())
+_NATURALS = EpSet(0, 1, frozenset(), frozenset({0}))
+
+_MEMBERSHIP = {  # membership in the result from membership in the operands
+    "union": lambda a, b: a or b,
+    "intersection": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+}
+
+
+@lru_cache(maxsize=1024)
+def _pointwise(a: EpSet, b: EpSet, op: str) -> EpSet:
+    """The union, intersection or difference of a and b, as `op` names it;
+    memoized on the frozen arguments."""
+    f = _MEMBERSHIP[op]
+    n = max(a.threshold, b.threshold)
+    p = lcm(a.period, b.period)
+    pre = {i for i in range(n) if f(a.member(i), b.member(i))}
+    residues = {
+        r for r in range(p) if f((r % a.period) in a.residues, (r % b.period) in b.residues)
+    }
+    return EpSet.make(n, p, pre, residues)
 
 
 @dataclass(frozen=True)

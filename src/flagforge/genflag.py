@@ -46,15 +46,19 @@ class NotSemiclosed(ValueError):
 
 
 class FinitePairFlag:
-    """Strictly increasing chain 0 = C_0 < C_1 < ... < C_k = full space."""
+    """Strictly increasing chain 0 = C_0 < C_1 < ... < C_k = full space.
 
-    __slots__ = ("model", "side", "chain", "_self_taut")
+    Must not be mutated after construction: its classification and its
+    self-taut couple are cached on the object, outside equality and hashing."""
+
+    __slots__ = ("model", "side", "chain", "_self_taut", "_classification")
 
     def __init__(self, model, side, chain: tuple[Subspace, ...]):
         self.model = model
         self.side = side
         self.chain = chain
         self._self_taut = None  # finitary.self_taut_couple, cached on first use
+        self._classification = None  # classify_flag(self), cached on first use
 
     @property
     def pairs(self):
@@ -107,7 +111,7 @@ def flag_from_chain(model, side, chain) -> FinitePairFlag:
     return FinitePairFlag(model, side, tuple(subs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlagClassification:
     semiclosed: bool
     closed: bool
@@ -132,6 +136,13 @@ def quotient_dim(pred: Subspace, succ: Subspace):
 
 
 def classify_flag(f: FinitePairFlag) -> FlagClassification:
+    """The closedness predicates of f, computed once per flag object."""
+    if f._classification is None:
+        f._classification = _classify(f)
+    return f._classification
+
+
+def _classify(f: FinitePairFlag) -> FlagClassification:
     semiclosed = True
     closed_flag = True
     maximal = True
@@ -289,7 +300,8 @@ def pair_leq(t: TautCouple, alpha: int, beta: int) -> bool:
 
 def fc_flag(f: FinitePairFlag) -> FinitePairFlag:
     """Collapse every dense pair: non-closed members drop out, leaving the
-    maximal closed flag inside f."""
+    maximal closed flag inside f.  A closed f is returned as it is, with
+    whatever is cached on it."""
     kept = []
     for idx, s in enumerate(f.chain):
         if closure(s) == s:
@@ -297,6 +309,8 @@ def fc_flag(f: FinitePairFlag) -> FinitePairFlag:
         else:
             if idx + 1 >= len(f.chain) or closure(s) != f.chain[idx + 1]:
                 raise NotSemiclosed("non-closed member whose closure is not its successor")
+    if len(kept) == len(f.chain):
+        return f
     return FinitePairFlag(f.model, f.side, tuple(kept))
 
 

@@ -13,14 +13,18 @@ This class is closed under sum and intersection, and under annihilators
 whenever the annihilator is representable at all; `perp` certifies
 representability exactly and raises NotRepresentable otherwise.
 
-`perp` is cached on the subspace it is asked about, so a closure costs at
-most two annihilator computations per subspace for its lifetime.  Subspaces
-must therefore not be mutated after construction.
+`perp` computes each annihilator once per value per model: the result is
+kept on the subspace it is asked about and in a table on the model object,
+keyed by the subspace's value, so equal subspaces rebuilt later (flag
+endpoints, perp(perp(x)) landing on a copy of a partner-flag member) reuse
+it.  Equal models built separately are different objects with their own
+tables, which die with the model.  Subspaces must therefore not be mutated
+after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epcore import EpSeq, EpSet, stabilization_window
@@ -75,6 +79,9 @@ class PairedSpaceModel:
     cross: tuple[tuple[Fraction, ...], ...] = ()
     form_kind: str = "none"  # none | symmetric | antisymmetric
     iota: tuple[IotaPiece, ...] = ()
+    # perp by the value (side, aligned, corrections) of the subspace asked
+    # about; outside equality, hashing and repr
+    _perps: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.cross) != len(self.v_augs) or any(
@@ -454,7 +461,8 @@ class Subspace:
 
 
 def perp(a: Subspace) -> Subspace:
-    """Exact annihilator on the opposite side, cached on `a`.
+    """Exact annihilator on the opposite side, computed once per value per
+    model: cached on `a`, and on `a.model` by the value of `a`.
 
     Raises NotRepresentable when the annihilator has an infinite-dimensional
     part that contains no aligned basis vectors (this can only happen when a
@@ -462,7 +470,11 @@ def perp(a: Subspace) -> Subspace:
     vanish off the aligned set); a raise is not cached.
     """
     if a._perp is None:
-        a._perp = _annihilator(a)
+        key = (a.side, a.aligned, a.corrections)
+        found = a.model._perps.get(key)
+        if found is None:
+            found = a.model._perps[key] = _annihilator(a)
+        a._perp = found
     return a._perp
 
 

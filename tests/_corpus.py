@@ -119,3 +119,91 @@ def criterion_2_chains():
     for trial in range(50):
         n = rng.randrange(2, 7) if trial < 44 else rng.randrange(7, 9)
         yield n, random_chain(n, rng, min_steps=2 if n >= 7 else 1)
+
+
+def _epset_json(period, residues):
+    return {"threshold": 0, "period": period, "pre": [], "residues": sorted(residues)}
+
+
+def _vector_json(side, basis, augs=()):
+    return {"side": side, "basis": {str(i): str(c) for i, c in basis.items()},
+            "augs": [str(a) for a in augs]}
+
+
+def random_session(rng: random.Random) -> dict:
+    """A session over a plain, a dense-line and a split-form model, in the
+    shape of the benchmark's generated sessions: flags from a random aligned
+    chain and its complements, couples parsed and re-made, collapsed,
+    membership, a block trace, a truncation check and one fd query."""
+    period = rng.choice([2, 3, 4])
+    order = rng.sample(range(period), period)
+    levels = rng.randrange(1, period)
+    residues = [set(order[: i + 1]) for i in range(levels)]
+
+    # block of e_i in the flag; e_i (x) f_j stabilizes it when i's block is
+    # at most j's
+    blk = [next((b for b, r in enumerate(residues) if i % period in r), levels)
+           for i in range(8)]
+    x_terms = []
+    for _ in range(3):
+        i, j = rng.randrange(8), rng.randrange(8)
+        if blk[i] > blk[j]:
+            i, j = j, i
+        c = rng.choice((1, -1, 2))
+        x_terms.append([_vector_json("V", {i: c}), _vector_json("V*", {j: 1})])
+    # a diagonal term in block 0, so the block trace is a proper fraction
+    x_terms.append([_vector_json("V", {order[0]: "1/2"}), _vector_json("V*", {order[0]: 1})])
+    return {
+        "models": {
+            "p": {"v_augs": [], "w_augs": [], "cross": []},
+            "d": {"v_augs": [{"pre": [], "repeat": ["1"]}], "w_augs": [], "cross": [[]]},
+            "s": {"form_kind": "symmetric", "iota": [
+                {"indices": _epset_json(2, {0}), "offset": 1},
+                {"indices": _epset_json(2, {1}), "offset": -1},
+            ]},
+        },
+        "subspaces": {
+            **{f"a{i}": {"model": "p", "side": "V", "aligned": _epset_json(period, r)}
+               for i, r in enumerate(residues)},
+            **{f"b{i}": {"model": "p", "side": "V*",
+                         "aligned": _epset_json(period, set(range(period)) - r)}
+               for i, r in enumerate(residues)},
+            "vstd": {"model": "d", "side": "V", "aligned": _epset_json(1, {0})},
+            "ev": {"model": "s", "side": "V", "aligned": _epset_json(2, {0})},
+        },
+        "flags": {
+            "f": {"model": "p", "side": "V", "chain": [f"a{i}" for i in range(levels)]},
+            "g": {"model": "p", "side": "V*",
+                  "chain": [f"b{i}" for i in reversed(range(levels))]},
+            "fa": {"model": "d", "side": "V", "chain": ["vstd"]},
+            "ga": {"model": "d", "side": "V*", "chain": []},
+            "fs": {"model": "s", "side": "V", "chain": ["ev"]},
+        },
+        "couples": {"c": {"f": "f", "g": "g"}, "ca": {"f": "fa", "g": "ga"}},
+        "elements": {
+            "x": {"model": "p", "terms": x_terms},
+            "xa": {"model": "d", "terms": [[_vector_json("V", {}, (1,)),
+                                            _vector_json("V*", {rng.randrange(8): 1})]]},
+        },
+        "algebras": {"b2": {"n": 2, "basis": [[["1", "0"], ["0", "0"]],
+                                              [["0", "1"], ["0", "0"]],
+                                              [["0", "0"], ["0", "1"]]]}},
+        "commands": [
+            {"cmd": "classify-flag", "flag": "f",
+             "expect": {"semiclosed": True, "closed": True}},
+            {"cmd": "classify-flag", "flag": "fa",
+             "expect": {"closed": False, "pair_closures": ["closed", "dense"]}},
+            {"cmd": "classify-flag", "flag": "fs", "expect": {"self_taut": True}},
+            {"cmd": "make-couple", "f": "f", "g": "g", "name": "c2",
+             "expect": {"valid": True}},
+            {"cmd": "fc-flag", "flag": "fa", "expect": {"chain_length": 2, "closed": True}},
+            *({"cmd": "member", "kind": kind, "elem": "x", "couple": "c"}
+              for kind in ("joint", "nilradical", "pminus", "pprime")),
+            {"cmd": "member", "kind": "joint", "elem": "x", "couple": "c2"},
+            {"cmd": "member", "kind": "pprime", "elem": "xa", "couple": "ca"},
+            {"cmd": "block-trace", "elem": "x", "couple": "c", "gamma": 0},
+            {"cmd": "truncate-compare", "object": "a0", "levels": "auto",
+             "expect": {"ok": True}},
+            {"cmd": "fd", "op": "radical", "alg": "b2", "expect": {"dim": 3}},
+        ],
+    }

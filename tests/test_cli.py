@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -15,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import augmented_couple, evens_couple, random_element, trivial_couple
-from flagforge import serial
-from flagforge.cli import SessionError, main, run_session
+from _corpus import augmented_couple, evens_couple, random_element, random_session, trivial_couple
+from flagforge import epcore, pairedspace, serial
+from flagforge.cli import Runner, Session, SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix
 from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra
 from flagforge.finoracle import FdLieAlgebra, gl_basis, upper_triangular_basis
-from flagforge.genflag import FINITE, OMEGA_DOWN, OMEGA_UP, BasisOrderFlag, Block
+from flagforge.genflag import FINITE, OMEGA_DOWN, OMEGA_UP, BasisOrderFlag, Block, classify_flag
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
@@ -378,6 +379,76 @@ def test_fd_runtime_needs_no_sympy(tmp_path):
         "run 0",
         "sympy loaded False",
     ]
+
+
+# --- what one session computes once ------------------------------------------
+
+
+def test_session_computes_each_annihilator_once_per_value(monkeypatch):
+    computed = []  # keeps every model alive, so no id is reused
+    inner = pairedspace._annihilator
+
+    def counted(a):
+        computed.append((a.model, a.side, a.aligned, a.corrections))
+        return inner(a)
+
+    monkeypatch.setattr(pairedspace, "_annihilator", counted)
+    report = run_session(random_session(random.Random(3)))
+    assert report["passed"], report
+    keys = [(id(m), side, aligned, corr) for m, side, aligned, corr in computed]
+    assert keys and len(set(keys)) == len(keys)
+
+
+def test_sessions_of_one_file_share_no_annihilator():
+    data = random_session(random.Random(4))
+    first, second = Session(data), Session(data)
+    for session in (first, second):
+        runner = Runner(session)
+        for cmd in session.commands:
+            runner.run_command(cmd)
+    for name in data["models"]:
+        a, b = first.models[name], second.models[name]
+        assert a == b and a is not b
+        assert not {id(p) for p in a._perps.values()} & {id(p) for p in b._perps.values()}
+    assert first.models["p"]._perps and first.models["d"]._perps
+
+
+def test_cached_flag_classification_rejects_mutation():
+    flag = Session(random_session(random.Random(5))).flags["f"]
+    cls = classify_flag(flag)  # already computed while validating couple c
+    assert classify_flag(flag) is cls and flag._classification is cls
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls.closed = False
+
+
+def test_warm_process_reports_what_a_cold_process_reports(tmp_path):
+    def report_of(path):  # the report text, in its key order, without timings
+        report = json.loads(path.read_text())
+        for entry in report["results"]:
+            del entry["elapsed_ms"]
+        return json.dumps(report, indent=2)
+
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(random_session(random.Random(11))))
+    cold = tmp_path / "cold.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "flagforge.cli", "run", str(path), "--report", str(cold)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    # other sessions fill the EpSet memo of this process first
+    for seed in range(12, 15):
+        other = tmp_path / f"other{seed}.json"
+        other.write_text(json.dumps(random_session(random.Random(seed))))
+        assert main(["run", str(other), "--report", str(tmp_path / "other.json")]) == 0
+    assert epcore._pointwise.cache_info().hits
+    warm = tmp_path / "warm.json"
+    assert main(["run", str(path), "--report", str(warm)]) == 0
+    assert report_of(warm) == report_of(cold)
 
 
 def test_round_trip_serialization():

@@ -4,6 +4,7 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagforge import epcore
 from flagforge.epcore import EpSeq, EpSet, ep_linear_solve, stabilization_window
 
 F = Fraction
@@ -169,3 +170,45 @@ def test_ep_solve_matches_brute_force(conds):
             not sum((dk * row[k] for k, dk in enumerate(d)), F(0))
             for row in brute_rows[n_star:]
         )
+
+
+# --- the memoized set algebra ------------------------------------------------
+
+
+def _complement_by_formula(a):
+    """The complement as computed before the memo: same threshold and period,
+    the other preperiodic entries and residues."""
+    return EpSet.make(
+        a.threshold,
+        a.period,
+        set(range(a.threshold)) - a.pre,
+        set(range(a.period)) - a.residues,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(ep_sets, ep_sets)
+def test_memoized_algebra_matches_uncached_and_pointwise(a, b):
+    uncached = epcore._pointwise.__wrapped__
+    cases = [
+        (lambda: a.union(b), uncached(a, b, "union"), lambda n: a.member(n) or b.member(n)),
+        (lambda: a.intersection(b), uncached(a, b, "intersection"),
+         lambda n: a.member(n) and b.member(n)),
+        (lambda: a.difference(b), uncached(a, b, "difference"),
+         lambda n: a.member(n) and not b.member(n)),
+        (lambda: a.complement(), _complement_by_formula(a), lambda n: not a.member(n)),
+    ]
+    for op, want, member in cases:
+        got = op()
+        assert got == want
+        assert op() is got  # the second call is answered from the memo
+        n_star, p_star = stabilization_window([a, b, got])
+        window = range(n_star + 2 * p_star)
+        assert [got.member(n) for n in window] == [member(n) for n in window]
+
+
+def test_memo_is_bounded_and_constants_are_shared():
+    assert epcore._pointwise.cache_info().maxsize == 1024
+    assert EpSet.empty() is EpSet.empty() and EpSet.naturals() is EpSet.naturals()
+    assert EpSet.empty() == EpSet.make(0, 1, (), ())
+    assert EpSet.naturals() == EpSet.make(0, 1, (), (0,))

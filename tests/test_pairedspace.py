@@ -396,6 +396,27 @@ def test_not_representable_raises_on_every_call():
         assert aug_line._perp is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(model_subspaces())
+def test_perp_from_the_model_table_matches_a_fresh_annihilator(a):
+    # perp of an equal subspace built later is answered from the model's
+    # table (the same object comes back) and equals a fresh computation
+    key = (a.side, a.aligned, a.corrections)
+    try:
+        want = pairedspace._annihilator(_fresh(a))
+    except NotRepresentable:
+        for s in (a, _fresh(a), a):
+            with pytest.raises(NotRepresentable):
+                perp(s)
+            assert s._perp is None
+        assert key not in a.model._perps
+        return
+    got = perp(a)
+    assert a.model._perps[key] is got
+    assert perp(_fresh(a)) is got
+    assert got == want
+
+
 def _count_annihilators(monkeypatch):
     """Route every uncached annihilator through a counter keyed by the
     subspace object; the subspaces are kept alive so no id is reused."""
