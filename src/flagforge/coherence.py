@@ -31,6 +31,7 @@ from .pairedspace import (
 from .sampling import random_element, sample_nilradical, sample_pminus, sample_pplus
 
 QZERO = Fraction(0)
+QONE = Fraction(1)
 
 
 @dataclass
@@ -158,9 +159,23 @@ class CoherenceReport:
         return all(c["ok"] for c in self.checks)
 
 
+def _annihilator_rows(eqs, aligned, n_star: int, n: int, width: int) -> list:
+    """Basis of the vectors y of length width with eqs . y = 0 and y_i = 0
+    for i in aligned with n_star <= i < n."""
+    eqs = eqs + [[QONE if j == i else QZERO for j in range(width)]
+                 for i in range(n_star, n) if aligned.member(i)]
+    return kernel(Matrix(eqs or [[QZERO] * width]))
+
+
 def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
     """Annihilator and closure of a subspace against finite recomputation,
-    modulo the truncated degeneracy radical."""
+    modulo the truncated degeneracy radical on both sides.
+
+    A finitely supported annihilator of `a` vanishes at every aligned index
+    of `a` from the threshold N* of the aligned sets and augmentation rows
+    on, since its augmentation part pairs periodically with those vectors.
+    The truncation at level n drops them from n on, so the finite system
+    carries these unit equations; likewise the closure, at perp(a)'s."""
     model = a.model
     try:
         pa = perp(a)
@@ -171,6 +186,8 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
             {"level": None, "check": "perp-representable", "ok": True, "note": "skipped"}
         )
         return report
+    aug_rows = [aug.row for aug in model.v_augs + model.w_augs]
+    n_star = stabilization_window([a.aligned, pa.aligned] + aug_rows)[0]
     levels = levels or window_levels(model, [a, pa, ca])
     report = CoherenceReport("subspace", levels)
     for n in levels:
@@ -181,27 +198,15 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
         pairing = tm.pairing if a.side == SIDE_V else tm.pairing.transpose()
         rad_opp = tm.radical_w if a.side == SIDE_V else tm.radical_v
         rad_own = tm.radical_v if a.side == SIDE_V else tm.radical_w
-        fin_perp = (
-            kernel(Matrix(rows) * pairing)
-            if rows
-            else [
-                [Fraction(1) if j == i else QZERO for j in range(dim_opp)]
-                for i in range(dim_opp)
-            ]
-        )
+        eqs = (Matrix(rows) * pairing).entries if rows else []
+        fin_perp = _annihilator_rows(eqs, a.aligned, n_star, n, dim_opp)
         ours_perp = row_space_basis(truncate_subspace(pa, n) + rad_opp, dim_opp)
-        ok_perp = row_space_basis(fin_perp, dim_opp) == ours_perp
+        ok_perp = row_space_basis(fin_perp + rad_opp, dim_opp) == ours_perp
         report.checks.append({"level": n, "check": "perp", "ok": ok_perp})
-        back = (
-            kernel(Matrix(fin_perp) * pairing.transpose())
-            if fin_perp
-            else [
-                [Fraction(1) if j == i else QZERO for j in range(dim_own)]
-                for i in range(dim_own)
-            ]
-        )
+        eqs = (Matrix(fin_perp) * pairing.transpose()).entries if fin_perp else []
+        back = _annihilator_rows(eqs, pa.aligned, n_star, n, dim_own)
         ours_clo = row_space_basis(truncate_subspace(ca, n) + rad_own, dim_own)
-        ok_clo = row_space_basis(back, dim_own) == ours_clo
+        ok_clo = row_space_basis(back + rad_own, dim_own) == ours_clo
         report.checks.append({"level": n, "check": "closure", "ok": ok_clo})
     return report
 

@@ -2,8 +2,11 @@
 
 An EpSet is determined by a finite preperiodic part below a threshold N and a
 residue pattern modulo a period p that rules everything from N on.  An EpSeq
-is the sequence analogue.  Both carry a unique canonical form (minimal period
-first, then minimal threshold), so equality is structural.
+is the sequence analogue, read by value only: it is the pairing row of an
+augmentation generator.  Both carry a unique canonical form (minimal period
+first, then minimal threshold), so equality is structural, and
+`stabilization_window` gives one threshold and period past which every
+EpSet and EpSeq in a collection repeats.
 
 EpSet values are frozen, so their set algebra (union, intersection,
 difference, complement) is a pure function of its arguments: it is memoized
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .exactnum import Matrix, kernel, rat
+from .exactnum import rat
 
 
 def _divisors(p: int):
@@ -195,10 +198,6 @@ class EpSeq:
     def constant(value) -> "EpSeq":
         return EpSeq.make((), (value,))
 
-    @staticmethod
-    def zero() -> "EpSeq":
-        return EpSeq.constant(0)
-
     def value(self, n: int) -> Fraction:
         if n < len(self.pre):
             return self.pre[n]
@@ -214,30 +213,6 @@ class EpSeq:
 
     def period(self) -> int:
         return len(self.repeat)
-
-    def _pointwise(self, other: "EpSeq", op) -> "EpSeq":
-        n = max(len(self.pre), len(other.pre))
-        p = lcm(len(self.repeat), len(other.repeat))
-        pre = [op(self.value(i), other.value(i)) for i in range(n)]
-        repeat = [op(self.value(n + i), other.value(n + i)) for i in range(p)]
-        return EpSeq.make(pre, repeat)
-
-    def add(self, other: "EpSeq") -> "EpSeq":
-        return self._pointwise(other, lambda a, b: a + b)
-
-    def scale(self, c) -> "EpSeq":
-        c = rat(c)
-        return EpSeq.make([c * v for v in self.pre], [c * v for v in self.repeat])
-
-    def mask(self, domain: EpSet) -> "EpSeq":
-        """Values on the domain, zero elsewhere."""
-        n = max(len(self.pre), domain.threshold)
-        p = lcm(len(self.repeat), domain.period)
-        pre = [self.value(i) if domain.member(i) else Fraction(0) for i in range(n)]
-        repeat = [
-            self.value(n + i) if domain.member(n + i) else Fraction(0) for i in range(p)
-        ]
-        return EpSeq.make(pre, repeat)
 
 
 def stabilization_window(objs) -> tuple[int, int]:
@@ -259,61 +234,3 @@ def stabilization_window(objs) -> tuple[int, int]:
         else:
             raise TypeError(f"cannot take a window over {obj!r}")
     return n_star, p_star
-
-
-class EpLinearSolution:
-    """Result of ep_linear_solve.
-
-    Unknowns are the coefficients d of the given rows.  `constraints` has one
-    row per sampled window index; d is admissible iff constraints . d = 0.
-    For an admissible d, `corrections(d)` gives the finitely supported
-    coordinates forced on the explicit region [0, region_end).
-    """
-
-    def __init__(self, masked_rows, window, region_end):
-        self.masked_rows = masked_rows
-        self.window = window
-        self.region_end = region_end
-        n_star, p_star = window
-        rows = []
-        for i in range(n_star, n_star + p_star):
-            row = [m.value(i) for m in masked_rows]
-            if any(row):
-                rows.append(row)
-        if not rows:
-            rows = [[Fraction(0)] * len(masked_rows)]
-        self.constraints = Matrix(rows) if masked_rows else Matrix([])
-        self.kernel_basis = kernel(self.constraints) if masked_rows else []
-
-    @property
-    def unknowns(self) -> int:
-        return len(self.masked_rows)
-
-    def is_admissible(self, d) -> bool:
-        return not any(self.constraints.apply([rat(v) for v in d]))
-
-    def corrections(self, d) -> dict[int, Fraction]:
-        d = [rat(v) for v in d]
-        out = {}
-        for i in range(self.region_end):
-            v = -sum((dk * m.value(i) for dk, m in zip(d, self.masked_rows)),
-                     Fraction(0))
-            if v:
-                out[i] = v
-        return out
-
-
-def ep_linear_solve(conditions, through: int = 0) -> EpLinearSolution:
-    """Solve for finitely supported c with c_i = -sum_k d_k row_k(i) on each
-    row's domain.
-
-    Each condition is a pair (EpSeq row, EpSet domain); the unknown vector d
-    has one entry per condition.  Eventual periodicity turns "the combination
-    vanishes on the domain eventually" into finitely many exact constraints,
-    sampled over one stabilization window; the forced correction coordinates
-    live below the window (extended to `through` if larger).
-    """
-    masked = [row.mask(domain) for row, domain in conditions]
-    window = stabilization_window(masked)
-    region_end = max(window[0], through)
-    return EpLinearSolution(masked, (region_end, window[1]), region_end)

@@ -3,8 +3,8 @@
 Everything here works over the rationals (``fractions.Fraction``), with no
 floating point anywhere.  Elimination has one kernel, `Echelon`: a reduced
 echelon basis of sparse rows grown one row at a time, for reducing vectors
-against a span, reading their coordinates and testing membership.  The
-batch functions `rref`, `rank`, `kernel`, `solve` and `row_space_basis`
+against a span, reading their coordinates, rank and pivots, and testing
+membership.  The batch functions `kernel`, `solve` and `row_space_basis`
 build one `Echelon` from the rows of their input; a reduced row echelon
 form is unique, so they return what any correct elimination returns.
 
@@ -256,18 +256,6 @@ class Echelon:
         self._rows[p] = new
         insort(self.pivots, p)
         return True
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns; row space preserved."""
-    ech = Echelon(map(sparse, m.entries))
-    rows = [dense(r, m.cols) for r in ech.rows()]
-    rows += [[QZERO] * m.cols for _ in range(m.rows - len(rows))]
-    return Matrix._of(rows), list(ech.pivots)
-
-
-def rank(m: Matrix) -> int:
-    return len(Echelon(map(sparse, m.entries)).pivots)
 
 
 def row_space_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:

@@ -27,6 +27,7 @@ from .genflag import (
     FinitePairFlag,
     TautCouple,
     collapsed_couple,
+    quotient_basis,
 )
 from .pairedspace import (
     SIDE_V,
@@ -116,9 +117,6 @@ class FinitaryElement:
     def add(self, other) -> "FinitaryElement":
         self._check(other)
         return FinitaryElement._of(self.model, self._rows + other._rows)
-
-    def scale(self, c) -> "FinitaryElement":
-        return FinitaryElement._of(self.model, _scaled(rat(c), self._rows))
 
     def sub(self, other) -> "FinitaryElement":
         self._check(other)
@@ -364,18 +362,11 @@ def block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
 def block_matrix(x: FinitaryElement, t: TautCouple, gamma: int) -> Matrix:
     """Matrix of the induced quotient operator, finite blocks only."""
     comp = block_component(x, t, gamma)
-    fi = comp.f_pair
-    f_pred, f_succ = t.f_pair(fi)
-    if t.f_quotient_dim(fi) == math.inf:
+    f_pred, f_succ = t.f_pair(comp.f_pair)
+    quotient = quotient_basis(f_pred, f_succ)
+    if quotient is None:
         raise ValueError("block has an infinite-dimensional quotient")
     model = x.model
-    gap = f_succ.aligned.difference(f_pred.aligned)
-    cands = [
-        Vector.basis_vector(model, SIDE_V, i)
-        for i in gap.members_below(gap.threshold)
-    ] + list(f_succ.corrections)
-    # quotient basis: the reduced echelon basis of the residuals modulo pred
-    quotient = Echelon(f_pred.residual(c).to_sparse() for c in cands)
     cols = []
     for row in quotient.rows():
         image = f_pred.residual(x.act_on_v(Vector.from_sparse(model, SIDE_V, row)))

@@ -312,16 +312,13 @@ class FdLieAlgebra:
     constants `consts[i, j] = {k: c}` (`lie_close` hands over the brackets
     of its last closure round instead); a vanishing bracket has no entry.
     `on(span)` builds the algebra on a span the oracle computed, with the
-    same closure check.  The Killing form and the derived algebra are
-    computed from the constants on first use and cached; so is the
-    certified solvable radical (`solvable_radical`).  The caches assume
-    that the basis is never mutated after construction.
+    same closure check.  Two results are cached on first use: the
+    coordinates of the derived algebra (`derived_coords`) and the certified
+    solvable radical (`solvable_radical`).  The caches assume that the
+    basis is never mutated after construction.
     """
 
-    __slots__ = (
-        "n", "span", "consts",
-        "_killing", "_derived", "_derived_coords", "_radical",
-    )
+    __slots__ = ("n", "span", "consts", "_derived_coords", "_radical")
 
     def __init__(self, n: int, basis):
         gens = [Matrix(b.entries) if isinstance(b, Matrix) else Matrix(b) for b in basis]
@@ -347,8 +344,6 @@ class FdLieAlgebra:
         self.span = span
         pairs = itertools.combinations(range(span.dim), 2)
         self.consts = {pair: span._coords(row) for pair, row in zip(pairs, brackets) if row}
-        self._killing = None
-        self._derived = None
         self._derived_coords = None
         self._radical = None
 
@@ -369,24 +364,22 @@ class FdLieAlgebra:
 
         Each product of two nonzero entries is formed once, on integers
         over the common denominator of the constants."""
-        if self._killing is None:
-            d = self.dim
-            den = lcm(*(v.denominator for c in self.consts.values() for v in c.values()))
-            cols: dict = {}  # (k, l) -> [(i, den * (ad x_i)[k, l])]
-            for (i, l), c in self.consts.items():
-                for k, v in c.items():
-                    x = v.numerator * (den // v.denominator)
-                    cols.setdefault((k, l), []).append((i, x))
-                    cols.setdefault((k, i), []).append((l, -x))
-            kill = [[0] * d for _ in range(d)]
-            for (k, l), col in cols.items():
-                partners = cols.get((l, k), ())
-                for i, x in col:
-                    row = kill[i]
-                    for j, y in partners:
-                        row[j] += x * y
-            self._killing = Matrix._of([[Fraction(v, den * den) for v in row] for row in kill])
-        return self._killing
+        d = self.dim
+        den = lcm(*(v.denominator for c in self.consts.values() for v in c.values()))
+        cols: dict = {}  # (k, l) -> [(i, den * (ad x_i)[k, l])]
+        for (i, l), c in self.consts.items():
+            for k, v in c.items():
+                x = v.numerator * (den // v.denominator)
+                cols.setdefault((k, l), []).append((i, x))
+                cols.setdefault((k, i), []).append((l, -x))
+        kill = [[0] * d for _ in range(d)]
+        for (k, l), col in cols.items():
+            partners = cols.get((l, k), ())
+            for i, x in col:
+                row = kill[i]
+                for j, y in partners:
+                    row[j] += x * y
+        return Matrix._of([[Fraction(v, den * den) for v in row] for row in kill])
 
     def derived_coords(self) -> list[dict]:
         """Reduced echelon basis of [g, g] in basis coordinates, as sparse
@@ -397,10 +390,8 @@ class FdLieAlgebra:
 
     def derived(self) -> MatSpan:
         """The derived algebra [g, g]."""
-        if self._derived is None:
-            basis = self.span.echelon.rows()
-            self._derived = MatSpan(self.n, [_combine(c, basis) for c in self.derived_coords()])
-        return self._derived
+        basis = self.span.echelon.rows()
+        return MatSpan(self.n, [_combine(c, basis) for c in self.derived_coords()])
 
     def __repr__(self):
         return f"FdLieAlgebra(n={self.n}, dim={self.dim})"
@@ -450,9 +441,10 @@ def solvable_radical(g: FdLieAlgebra) -> MatSpan:
     if g._radical is not None:
         return g._radical
     # the image of x_k is (K(x_k, mu))_mu over the derived basis mu
+    derived = g.derived_coords()
     images = []
     for kill in g.killing().entries:
-        values = (sum(kill[j] * c for j, c in mu.items() if kill[j]) for mu in g.derived_coords())
+        values = (sum(kill[j] * c for j, c in mu.items() if kill[j]) for mu in derived)
         images.append({r: v for r, v in enumerate(values) if v})
     rad = g.span.kernel_of(images)
     if not is_solvable_span(rad):

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .epcore import EpSet, stabilization_window
+from .exactnum import QONE, Echelon
 from .pairedspace import (
     SIDE_V,
     SIDE_W,
     ModelMismatch,
     SideMismatch,
     Subspace,
-    Vector,
     closure,
     form_perp,
-    other_side,
+    is_closed,
     pair,
     perp,
 )
@@ -113,26 +113,34 @@ def flag_from_chain(model, side, chain) -> FinitePairFlag:
 
 @dataclass(frozen=True)
 class FlagClassification:
+    """The closedness predicates of a flag, computed once per flag object
+    by `classify_flag`.  `member_closed` says, for each chain member in
+    order, whether it equals its closure: the taut-couple check, `fc_flag`
+    and the self-taut report read it from here."""
+
     semiclosed: bool
     closed: bool
     maximal_semiclosed: bool
     pair_closures: tuple  # per pair: ("closed" | "dense" | "neither")
+    member_closed: tuple  # per chain member: closure(member) == member
+
+
+def quotient_basis(pred: Subspace, succ: Subspace):
+    """Reduced echelon basis of succ / pred, for pred inside succ: the
+    residues modulo pred of the generators of succ, as sparse (tag, idx)
+    rows.  None when the quotient is infinite-dimensional."""
+    gap = succ.aligned.difference(pred.aligned)
+    if not gap.is_finite():
+        return None
+    rows = [{(1, i): QONE} for i in sorted(gap.pre)]
+    rows += [c.to_sparse() for c in succ.corrections]
+    return Echelon(pred._reduce_row(row) for row in rows)
 
 
 def quotient_dim(pred: Subspace, succ: Subspace):
     """dim(succ / pred); math.inf for infinite quotients."""
-    gap = succ.aligned.difference(pred.aligned)
-    if not gap.is_finite():
-        return math.inf
-    gens = [Vector.basis_vector(succ.model, succ.side, i) for i in gap.members_below(gap.threshold)]
-    gens += list(succ.corrections)
-    dim = 0
-    seen = pred
-    for g in gens:
-        if not seen.member(g):
-            seen = seen.sum(Subspace.span(succ.model, succ.side, gens=[g]))
-            dim += 1
-    return dim
+    quotient = quotient_basis(pred, succ)
+    return math.inf if quotient is None else len(quotient.pivots)
 
 
 def classify_flag(f: FinitePairFlag) -> FlagClassification:
@@ -143,26 +151,23 @@ def classify_flag(f: FinitePairFlag) -> FlagClassification:
 
 
 def _classify(f: FinitePairFlag) -> FlagClassification:
-    semiclosed = True
-    closed_flag = True
-    maximal = True
+    member_closed = tuple(map(is_closed, f.chain))
     kinds = []
-    for pred, succ in f.pairs:
-        cl = closure(pred)
-        if cl == pred:
+    maximal = True
+    for closed, (pred, succ) in zip(member_closed, f.pairs):
+        if closed:
             kinds.append("closed")
-            if quotient_dim(pred, succ) != 1:
-                maximal = False
-        elif cl == succ:
-            kinds.append("dense")
+            maximal = maximal and quotient_dim(pred, succ) == 1
         else:
-            kinds.append("neither")
-            semiclosed = False
-        if closure(succ) != succ:
-            closed_flag = False
-    closed_flag = closed_flag and semiclosed
-    maximal = maximal and semiclosed
-    return FlagClassification(semiclosed, closed_flag, maximal, tuple(kinds))
+            kinds.append("dense" if closure(pred) == succ else "neither")
+    semiclosed = "neither" not in kinds
+    return FlagClassification(
+        semiclosed,
+        semiclosed and all(member_closed[1:]),
+        semiclosed and maximal,
+        tuple(kinds),
+        member_closed,
+    )
 
 
 def pairing_is_zero(a: Subspace, b: Subspace) -> bool:
@@ -267,9 +272,10 @@ def make_taut_couple(f: FinitePairFlag, g: FinitePairFlag) -> TautCouple:
 
     c_pairs = []
     g_index = {s: j for j, s in enumerate(g.chain)}
+    f_closed = classify_flag(f).member_closed
     for i in range(f.n_pairs()):
         pred, succ = f.chain[i], f.chain[i + 1]
-        if closure(pred) != pred:
+        if not f_closed[i]:
             continue
         j = g_index.get(perp(succ))
         if j is None or j >= g.n_pairs():
@@ -279,8 +285,9 @@ def make_taut_couple(f: FinitePairFlag, g: FinitePairFlag) -> TautCouple:
         c_pairs.append((i, j))
     # the matching must exhaust the closed-predecessor pairs of g
     matched = {j for _, j in c_pairs}
+    g_closed = classify_flag(g).member_closed
     for j in range(g.n_pairs()):
-        if closure(g.chain[j]) == g.chain[j] and j not in matched:
+        if g_closed[j] and j not in matched:
             raise NotTaut(g.chain[j])
     if len(matched) != len(c_pairs):
         raise NotTaut(f.chain[0])
@@ -302,16 +309,14 @@ def fc_flag(f: FinitePairFlag) -> FinitePairFlag:
     """Collapse every dense pair: non-closed members drop out, leaving the
     maximal closed flag inside f.  A closed f is returned as it is, with
     whatever is cached on it."""
-    kept = []
-    for idx, s in enumerate(f.chain):
-        if closure(s) == s:
-            kept.append(s)
-        else:
-            if idx + 1 >= len(f.chain) or closure(s) != f.chain[idx + 1]:
-                raise NotSemiclosed("non-closed member whose closure is not its successor")
-    if len(kept) == len(f.chain):
+    cls = classify_flag(f)
+    for idx, closed in enumerate(cls.member_closed):
+        if not closed and (idx == f.n_pairs() or cls.pair_closures[idx] != "dense"):
+            raise NotSemiclosed("non-closed member whose closure is not its successor")
+    if all(cls.member_closed):
         return f
-    return FinitePairFlag(f.model, f.side, tuple(kept))
+    kept = tuple(s for s, closed in zip(f.chain, cls.member_closed) if closed)
+    return FinitePairFlag(f.model, f.side, kept)
 
 
 def collapsed_couple(t: TautCouple) -> TautCouple:
@@ -347,17 +352,16 @@ def self_taut_and_iso(f: FinitePairFlag) -> SelfTautReport:
                     "coisotropic" if coiso else "neither")
     bijection = []
     if self_taut:
+        closed = classify_flag(f).member_closed
         iso_domain = [
             i
             for i in range(f.n_pairs())
-            if closure(f.chain[i]) == f.chain[i]
-            and perps[i + 1].contains(f.chain[i + 1])
+            if closed[i] and perps[i + 1].contains(f.chain[i + 1])
         ]
         codomain = [
             i
             for i in range(f.n_pairs())
-            if closure(f.chain[i]) == f.chain[i]
-            and f.chain[i].contains(perps[i])
+            if closed[i] and f.chain[i].contains(perps[i])
         ]
         index = {s: i for i, s in enumerate(f.chain)}
         for i in iso_domain:

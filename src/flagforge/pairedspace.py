@@ -566,14 +566,6 @@ def is_closed(a: Subspace) -> bool:
     return closure(a) == a
 
 
-def member(v: Vector, a: Subspace) -> bool:
-    return a.member(v)
-
-
-def contains(a: Subspace, b: Subspace) -> bool:
-    return a.contains(b)
-
-
 # ---------------------------------------------------------------------------
 # forms: V* identified with V through iota
 # ---------------------------------------------------------------------------

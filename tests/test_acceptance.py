@@ -213,13 +213,11 @@ def test_criterion_4_sl_infinity_parabolic():
     t = trivial_couple()
     m = t.model
     ok = True
-    unit = FinitaryElement.rank_one(
-        Vector.basis_vector(m, SIDE_V, 0), Vector.basis_vector(m, SIDE_W, 0)
-    )
+    e0, f0 = Vector.basis_vector(m, SIDE_V, 0), Vector.basis_vector(m, SIDE_W, 0)
     for i in range(1000):
         x = random_element(m, rng, terms=rng.randrange(1, 4))
-        if i % 2:
-            x = x.sub(unit.scale(x.trace()))  # force tracelessness half the time
+        if i % 2:  # force tracelessness half the time
+            x = x.sub(FinitaryElement.rank_one(e0.scale(x.trace()), f0))
         if in_pminus(x, t) != (x.trace() == 0):
             ok = False
             break

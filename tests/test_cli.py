@@ -17,13 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import augmented_couple, evens_couple, random_element, random_session, trivial_couple
-from flagforge import epcore, pairedspace, serial
+from flagforge import coherence, epcore, finitary, finoracle, pairedspace, serial
 from flagforge.cli import Runner, Session, SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix
-from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra
+from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra, lambda_map
 from flagforge.finoracle import FdLieAlgebra, gl_basis, upper_triangular_basis
-from flagforge.genflag import FINITE, OMEGA_DOWN, OMEGA_UP, BasisOrderFlag, Block, classify_flag
+from flagforge.genflag import (
+    FINITE,
+    OMEGA_DOWN,
+    OMEGA_UP,
+    BasisOrderFlag,
+    Block,
+    basis_flag_queries,
+    classify_flag,
+    fc_flag,
+    flag_from_chain,
+)
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
@@ -196,6 +206,72 @@ def test_member_commands_full_surface():
     assert report["passed"], report
     tc = next(r for r in report["results"] if r["cmd"] == "truncate-compare")
     assert tc["result"]["ok"]
+
+
+def _rarely_run_paths_session():
+    """One session through the CLI paths the other sessions leave out, each
+    `expect` the JSON form of the direct API result."""
+    split = split_form_model("symmetric")
+    evens = Subspace.span(split, SIDE_V, EpSet.from_residues(2, (0,)))
+    f = flag_from_chain(split, SIDE_V, [evens])
+    dense = dense_line_model()
+    v_std = Subspace.span(dense, SIDE_V, EpSet.naturals())
+    dense_flag = flag_from_chain(dense, SIDE_V, [v_std])
+    basis_flag = BasisOrderFlag(plain_model(), (Block(OMEGA_UP, indices=EpSet.naturals()),))
+
+    def so_element(i, j):
+        return lambda_map(FinitaryElement.rank_one(
+            Vector.basis_vector(split, SIDE_V, i), Vector.basis_vector(split, SIDE_W, j)))
+
+    elements = {"x02": so_element(0, 2), "x00": so_element(0, 0)}
+    gl2 = FdLieAlgebra(2, gl_basis(2))
+    q = finoracle.parabolic_bijection_check(gl2, upper_triangular_basis(2))
+    flag_report = coherence.compare(f)
+    collapsed = fc_flag(dense_flag)
+    session = {
+        "models": {"split": serial.model_to_json(split), "dense": serial.model_to_json(dense),
+                   "plain": serial.model_to_json(plain_model())},
+        "subspaces": {"evens": serial.subspace_to_json(evens) | {"model": "split"},
+                      "v_std": serial.subspace_to_json(v_std) | {"model": "dense"}},
+        "flags": {"f": {"model": "split", "side": "V", "chain": ["evens"]},
+                  "d": {"model": "dense", "side": "V", "chain": ["v_std"]}},
+        "basis_flags": {"b": serial.basis_flag_to_json(basis_flag) | {"model": "plain"}},
+        "elements": {name: serial.element_to_json(x) | {"model": "split"}
+                     for name, x in elements.items()},
+        "algebras": {"gl2": serial.algebra_to_json(gl2),
+                     "b2": serial.algebra_to_json(FdLieAlgebra(2, upper_triangular_basis(2)))},
+        "commands": [
+            {"cmd": "fd", "op": "bijection", "alg": "gl2", "parabolic": "b2",
+             "expect": {"dim": q.dim, "basis": [serial.matrix_to_json(m) for m in q.basis]}},
+            {"cmd": "truncate-compare", "object": "f",
+             "expect": {"kind": "flag", "levels": flag_report.levels, "ok": flag_report.ok,
+                        "checks": flag_report.checks}},
+            *({"cmd": "member", "kind": "so-sp-minus", "elem": name, "flag": "f",
+               "algebra": "so",
+               "expect": {"verdict": finitary.in_so_sp_stabilizer_minus(x, f, "so")}}
+              for name, x in elements.items()),
+            {"cmd": "classify-flag", "flag": "b",
+             "expect": {"is_maximal_closed": basis_flag_queries(basis_flag).is_maximal_closed}},
+            {"cmd": "fc-flag", "flag": "d", "name": "d_closed",
+             "expect": {"chain_length": len(collapsed.chain),
+                        "closed": classify_flag(collapsed).closed,
+                        "chain": [serial.subspace_to_json(s) for s in collapsed.chain]}},
+            {"cmd": "classify-flag", "flag": "d_closed",
+             "expect": {"semiclosed": True, "closed": True, "maximal_semiclosed": False,
+                        "pair_closures": ["closed"]}},
+        ],
+    }
+    return session
+
+
+def test_rarely_run_cli_paths_match_the_api():
+    session = _rarely_run_paths_session()
+    report = run_session(json.loads(json.dumps(session)), seed=0)
+    assert report["passed"], report
+    for cmd, entry in zip(session["commands"], report["results"]):
+        assert entry["result"] == cmd["expect"], entry
+    verdicts = [e["result"]["verdict"] for e in report["results"] if e["cmd"] == "member"]
+    assert verdicts == [True, False]
 
 
 def test_block_trace_negative_gamma_is_a_command_error():

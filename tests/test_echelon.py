@@ -4,9 +4,10 @@ The eliminations it replaced are kept here as references: the sparse
 reduced echelon form and residual of `pairedspace`, the term
 canonicalization of `finitary.FinitaryElement`, `in_row_space`,
 `_reduce_vector` and `spin` of `exactnum`/`finoracle`, the fraction-free
-integer batch elimination behind `rref`, `rank`, `kernel`, `solve` and
-`row_space_basis`, and the solve-per-power `minpoly`.  The references
-work on plain lists of Fractions and import nothing from `exactnum`.
+integer batch elimination behind `kernel`, `solve` and `row_space_basis`
+(whose rows and pivots are checked on `Echelon` itself), and the
+solve-per-power `minpoly`.  The references work on plain lists of
+Fractions and import nothing from `exactnum`.
 
 The old sparse echelon form did not reduce a new row against the pivots
 after its own, so its rows depended on the order of the input and could be
@@ -27,9 +28,7 @@ from flagforge.exactnum import (
     dense,
     kernel,
     minpoly,
-    rank,
     row_space_basis,
-    rref,
     solve,
     sparse,
 )
@@ -512,10 +511,11 @@ shaped = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 
 def check_batch(entries, rhs):
     m = Matrix(entries)
-    red, pivots = rref(m)
-    assert (red.entries, pivots) == old_rref(m.entries, m.cols)
-    assert (red.rows, red.cols) == (m.rows, m.cols)
-    assert rank(m) == len(pivots)
+    ech = Echelon(map(sparse, m.entries))
+    red, pivots = old_rref(m.entries, m.cols)
+    assert ech.pivots == pivots
+    assert [dense(r, m.cols) for r in ech.rows()] == red[: len(pivots)]
+    assert not any(any(row) for row in red[len(pivots):])
     assert kernel(m) == old_kernel(m.entries, m.cols)
     assert solve(m, rhs) == old_solve(m.entries, m.cols, rhs)
     assert row_space_basis(m.entries, m.cols) == old_row_space_basis(m.entries)

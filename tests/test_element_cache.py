@@ -225,7 +225,8 @@ def _old_pminus(t, rng, ambient="gl", terms=2):
             if len(units) == 2:
                 out = out.add(units[0].sub(units[1]))
         else:
-            out = out.add(units[0].scale(rng.randrange(1, 3)))
+            for _ in range(rng.randrange(1, 3)):  # units[0] times 1 or 2
+                out = out.add(units[0])
     return out
 
 

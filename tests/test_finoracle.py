@@ -1069,12 +1069,14 @@ from flagforge.exactnum import CheckFailed, Matrix
 
 print("optimize", sys.flags.optimize)
 # a zero Killing form makes all of gl_2 Killing-perp to [g, g]: a wrong radical
+killing = finoracle.FdLieAlgebra.killing
+finoracle.FdLieAlgebra.killing = lambda self: Matrix.zero(self.dim, self.dim)
 g = finoracle.FdLieAlgebra(2, finoracle.gl_basis(2))
-g._killing = Matrix.zero(4, 4)
 try:
     finoracle.solvable_radical(g)
 except CheckFailed as exc:
     print("radical", exc.check)
+finoracle.FdLieAlgebra.killing = killing
 # a Fitting route that answers all of k disagrees with routes D and E
 finoracle.fitting_null = lambda k, h_basis: k
 k = finoracle.FdLieAlgebra(3, finoracle.gl_basis(3))
@@ -1092,13 +1094,15 @@ try:
 except CheckFailed as exc:
     print("ideal", exc.check)
 finoracle._null_combinations = null_combinations
-# a derived algebra cached as zero: the Levi sl_2 of gl_2 no longer fits in it
+# a derived algebra computed as zero: the Levi sl_2 of gl_2 no longer fits in it
+derived = finoracle.FdLieAlgebra.derived
+finoracle.FdLieAlgebra.derived = lambda self: finoracle.MatSpan(self.n)
 g = finoracle.FdLieAlgebra(2, finoracle.gl_basis(2))
-g._derived = finoracle.MatSpan(2)
 try:
     finoracle.levi_component(g)
 except CheckFailed as exc:
     print("levi", exc.check)
+finoracle.FdLieAlgebra.derived = derived
 # an associative closure that stops at the identity misses tr(P P^2) = 3,
 # so the cyclic permutation P passes as nilpotent
 finoracle._associative_closure = lambda rows, n: [(1, {i: {i: 1} for i in range(n)})]

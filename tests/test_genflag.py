@@ -30,6 +30,7 @@ from flagforge.pairedspace import (
     SIDE_W,
     Subspace,
     Vector,
+    closure,
     dense_line_model,
     plain_model,
     split_form_model,
@@ -276,3 +277,60 @@ def test_pairing_is_zero():
     evens_w = sp(m, SIDE_W, EVENS)
     assert pairing_is_zero(evens, odds_w)
     assert not pairing_is_zero(evens, evens_w)
+
+
+# ---------------------------------------------------------------------------
+# the rejections: pairs that are neither closed nor dense, couples not taut
+# ---------------------------------------------------------------------------
+
+
+def _neither_flag():
+    """0 < span(e_i : i >= 1) < V in the dense-line model: the closure of the
+    middle member adds v - e_0, so it is neither closed nor dense in V."""
+    m = dense_line_model()
+    return m, flag_from_chain(m, SIDE_V, [sp(m, SIDE_V, EpSet.from_bound(1))])
+
+
+def test_neither_pair_is_not_semiclosed():
+    m, f = _neither_flag()
+    cls = classify_flag(f)
+    assert cls.pair_closures == ("closed", "neither")
+    assert cls.member_closed == (True, False, True)
+    assert not (cls.semiclosed or cls.closed or cls.maximal_semiclosed)
+    with pytest.raises(NotSemiclosed):
+        fc_flag(f)
+    with pytest.raises(NotSemiclosed):
+        make_taut_couple(f, flag_from_chain(m, SIDE_W, []))
+    with pytest.raises(NotSemiclosed):
+        refine_pair(flag_from_chain(m, SIDE_V, []), 0, f.chain[1])
+
+
+def test_member_closed_matches_closure():
+    m = dense_line_model()
+    v_std = sp(m, SIDE_V, EpSet.naturals())
+    for chain in ([], [v_std], [sp(m, SIDE_V, gens=[ev(m, 0)]), v_std]):
+        f = flag_from_chain(m, SIDE_V, chain)
+        assert classify_flag(f).member_closed == tuple(closure(s) == s for s in f.chain)
+
+
+def test_couple_of_evens_is_not_taut():
+    m = plain_model()
+    f = flag_from_chain(m, SIDE_V, [sp(m, SIDE_V, EVENS)])
+    g_evens = flag_from_chain(m, SIDE_W, [sp(m, SIDE_W, EVENS)])
+    with pytest.raises(NotTaut) as exc:
+        make_taut_couple(f, g_evens)
+    assert exc.value.witness == f.chain[1]  # its perp, the odds, is not in g
+    g_odds = flag_from_chain(m, SIDE_W, [sp(m, SIDE_W, ODDS)])
+    assert set(make_taut_couple(f, g_odds).c_pairs) == {(0, 1), (1, 0)}
+
+
+def test_unmatched_closed_pair_of_g_is_not_taut():
+    # g has the closed pair (evens, V*), which no pair of the trivial f
+    # matches: the perp of its predecessor is missing from f
+    m = plain_model()
+    f = flag_from_chain(m, SIDE_V, [])
+    g = flag_from_chain(m, SIDE_W, [sp(m, SIDE_W, EVENS)])
+    assert classify_flag(g).member_closed == (True, True, True)
+    with pytest.raises(NotTaut) as exc:
+        make_taut_couple(f, g)
+    assert exc.value.witness == g.chain[1]

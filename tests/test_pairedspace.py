@@ -10,7 +10,7 @@ from flagforge import pairedspace
 
 from flagforge.coherence import truncate
 from flagforge.epcore import EpSeq, EpSet
-from flagforge.exactnum import Matrix, rank
+from flagforge.exactnum import Matrix
 from flagforge.genflag import classify_flag, collapsed_couple, fc_flag, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,

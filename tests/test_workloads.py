@@ -1,0 +1,36 @@
+"""The benchmark workloads' own output checks, as tier-1 tests.
+
+Each workload in `perfbench/` builds its inputs from a seed and checks every
+operation's output against closed forms in `perfbench/reference.py`.  One
+pass of each at one seed runs here, so a change that breaks a workload's
+output fails the test suite, not only the benchmark.
+"""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+SEED = 7
+
+
+def _build(name, tmp_path):
+    module = __import__(name)
+    if name == "session":
+        return module.build(SEED, str(tmp_path))
+    return module.build(SEED)
+
+
+@pytest.mark.parametrize("name", ["oracle", "membership", "session"])
+def test_one_pass_passes_every_check(name, tmp_path):
+    workload = _build(name, tmp_path)
+    problems = []
+    for op in workload.ops:
+        problems += op.check(op.run())
+    assert len(workload.ops) >= 100
+    assert problems == []
+    if name == "session":
+        assert any(op.probe for op in workload.ops)
