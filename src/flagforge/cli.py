@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import coherence, finitary, finoracle, serial
 from .genflag import (
-    basis_flag_queries,
     classify_flag,
     fc_flag,
     flag_from_chain,
@@ -163,7 +162,7 @@ class Runner:
 
     def cmd_validate_model(self, cmd):
         model = self.s._lookup(self.s.models, cmd["model"])
-        report = validate_model(model, raise_on_failure=False)
+        report = validate_model(model)
         return {
             "valid": report.valid,
             "radical_v_trivial": report.radical_v.is_zero(),
@@ -173,8 +172,7 @@ class Runner:
     def cmd_classify_flag(self, cmd):
         name = cmd["flag"]
         if name in self.s.basis_flags:
-            q = basis_flag_queries(self.s.basis_flags[name])
-            return {"is_maximal_closed": q.is_maximal_closed}
+            return {"is_maximal_closed": self.s.basis_flags[name].is_maximal_closed()}
         flag = self.s._lookup(self.s.flags, name)
         cls = classify_flag(flag)
         out = {
@@ -210,7 +208,7 @@ class Runner:
             return {"verdict": finitary.in_stabilizer(x, flag)}
         if kind == "tc":
             s = self.s._lookup(self.s.tc_subalgebras, cmd["tc"])
-            return {"verdict": finitary.tc_member(x, s)}
+            return {"verdict": s.member(x)}
         if kind == "so-sp-minus":
             flag = self.s._lookup(self.s.flags, cmd["flag"])
             return {
@@ -226,7 +224,8 @@ class Runner:
                 "verdict": finitary.in_pminus(x, couple, cmd.get("ambient", "gl"))
             }
         if kind == "normalizer":
-            return {"verdict": finitary.normalizer_test(x, couple)}
+            # x normalizes the minus subalgebra iff x lies in the joint stabilizer
+            return {"verdict": finitary.in_joint_stabilizer(x, couple)}
         if kind == "pprime":
             return {"verdict": finitary.perp_parabolic_member(x, couple)}
         raise SessionError(f"unknown membership kind {kind!r}")

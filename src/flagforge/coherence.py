@@ -32,6 +32,10 @@ from .sampling import random_element, sample_nilradical, sample_pminus, sample_p
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
+# basis vectors whose truncated action `compare_element` checks per level
+ELEMENT_SAMPLES = 4
+# draws of each sampler in the battery of `compare_couple`
+COUPLE_SAMPLES = 6
 
 
 @dataclass
@@ -86,17 +90,6 @@ def truncate_subspace(a: Subspace, n: int) -> list[list[Fraction]]:
         row[i] = Fraction(1)
         rows.append(row)
     return row_space_basis(rows, width)
-
-
-def truncate(obj, n: int):
-    """Dispatch: model, vector, or subspace truncation at level n."""
-    if isinstance(obj, PairedSpaceModel):
-        return truncate_model(obj, n)
-    if isinstance(obj, Vector):
-        return truncate_vector(obj, n)
-    if isinstance(obj, Subspace):
-        return truncate_subspace(obj, n)
-    raise TypeError(f"cannot truncate {obj!r}")
 
 
 def truncate_element(x: FinitaryElement, n: int, side: str = SIDE_V) -> Matrix:
@@ -211,7 +204,7 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
     return report
 
 
-def compare_element(x: FinitaryElement, levels=None, samples: int = 4) -> CoherenceReport:
+def compare_element(x: FinitaryElement, levels=None) -> CoherenceReport:
     """Operator truncation against the truncated action, exact."""
     model = x.model
     levels = levels or window_levels(model, [x])
@@ -219,7 +212,7 @@ def compare_element(x: FinitaryElement, levels=None, samples: int = 4) -> Cohere
     for n in levels:
         mat = truncate_element(x, n, SIDE_V)
         ok = True
-        for i in range(min(n, samples)):
+        for i in range(min(n, ELEMENT_SAMPLES)):
             v = Vector.basis_vector(model, SIDE_V, i)
             lhs = truncate_vector(x.act_on_v(v), n)
             if lhs != mat.apply(truncate_vector(v, n)):
@@ -228,13 +221,13 @@ def compare_element(x: FinitaryElement, levels=None, samples: int = 4) -> Cohere
     return report
 
 
-def compare_couple(t: TautCouple, levels=None, seed: int = 0, samples: int = 6):
+def compare_couple(t: TautCouple, levels=None, seed: int = 0):
     """Membership verdicts of the countable machinery against brute-force
     matrix checks on the truncated chains, exact at window levels."""
     model = t.model
     rng = random.Random(seed)
     battery = []
-    for _ in range(samples):
+    for _ in range(COUPLE_SAMPLES):
         battery.append(sample_pplus(t, rng))
         battery.append(sample_nilradical(t, rng))
         battery.append(sample_pminus(t, rng))

@@ -114,9 +114,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return list(self.entries[i])
-
     def col(self, j):
         return [self.entries[i][j] for i in range(self.rows)]
 

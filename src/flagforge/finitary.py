@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .epcore import stabilization_window
-from .exactnum import CheckFailed, Echelon, Matrix, axpy, rat
+from .exactnum import Echelon, axpy, rat
 from .genflag import (
     BasisOrderFlag,
     FinitePairFlag,
     TautCouple,
     collapsed_couple,
-    quotient_basis,
 )
 from .pairedspace import (
     SIDE_V,
@@ -359,24 +358,6 @@ def block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
     return block_component(x, t, gamma).trace
 
 
-def block_matrix(x: FinitaryElement, t: TautCouple, gamma: int) -> Matrix:
-    """Matrix of the induced quotient operator, finite blocks only."""
-    comp = block_component(x, t, gamma)
-    f_pred, f_succ = t.f_pair(comp.f_pair)
-    quotient = quotient_basis(f_pred, f_succ)
-    if quotient is None:
-        raise ValueError("block has an infinite-dimensional quotient")
-    model = x.model
-    cols = []
-    for row in quotient.rows():
-        image = f_pred.residual(x.act_on_v(Vector.from_sparse(model, SIDE_V, row)))
-        coords = quotient.coords(image.to_sparse())
-        if coords is None:
-            raise CheckFailed("image left the block span", image)
-        cols.append(coords)
-    return Matrix.from_rows(list(map(list, zip(*cols)))) if cols else Matrix([])
-
-
 def in_pminus(x: FinitaryElement, t: TautCouple, ambient: str = "gl") -> bool:
     """Joint stabilizer membership plus vanishing block traces on every
     infinite-dimensional block; ambient sl also demands total trace zero."""
@@ -439,79 +420,6 @@ class TraceConditionSubalgebra:
         )
 
 
-def tc_member(x: FinitaryElement, s: TraceConditionSubalgebra) -> bool:
-    return s.member(x)
-
-
-def normalizer_test(x: FinitaryElement, t: TautCouple) -> bool:
-    """x normalizes the minus subalgebra iff x lies in the joint stabilizer."""
-    return in_joint_stabilizer(x, t)
-
-
-def normalizer_bracket_probe(x: FinitaryElement, t: TautCouple, battery=None) -> bool:
-    """Cross-check mode: bracket x against a battery of minus-subalgebra
-    generators and test that every bracket lands in the joint stabilizer."""
-    if battery is None:
-        battery = minus_generator_battery(t)
-    return all(in_joint_stabilizer(x.bracket(y), t) for y in battery)
-
-
-def _pair_of_basis(flag: FinitePairFlag, side_vector: Vector) -> int:
-    for idx in range(flag.n_pairs()):
-        if flag.chain[idx + 1].member(side_vector):
-            return idx
-    raise ValueError("vector not captured by the flag")
-
-
-def minus_generator_battery(t: TautCouple):
-    """Aligned rank-one generators of the minus subalgebra over one window:
-    strictly placed tensors plus traceless diagonal differences."""
-    from .genflag import pair_leq, pair_order
-
-    model = t.model
-    rows = [aug.row for aug in model.v_augs] + [aug.row for aug in model.w_augs]
-    sets = [s.aligned for s in t.f_flag.chain + t.g_flag.chain]
-    n_star, p_star = stabilization_window(rows + sets)
-    bound = n_star + 2 * p_star
-    battery = []
-    v_pairs = {}
-    w_pairs = {}
-    for i in range(bound):
-        ei = Vector.basis_vector(model, SIDE_V, i)
-        fj = Vector.basis_vector(model, SIDE_W, i)
-        v_pairs[i] = _pair_of_basis(t.f_flag, ei)
-        w_pairs[i] = _pair_of_basis(t.g_flag, fj)
-    for i in range(bound):
-        for j in range(bound):
-            a, b = v_pairs[i], w_pairs[j]
-            if pair_order(t, a, b):
-                battery.append(
-                    FinitaryElement.rank_one(
-                        Vector.basis_vector(model, SIDE_V, i),
-                        Vector.basis_vector(model, SIDE_W, j),
-                    )
-                )
-    diag = {}
-    for i in range(bound):
-        if (v_pairs[i], w_pairs[i]) in t.c_pairs and pair(
-            Vector.basis_vector(model, SIDE_V, i),
-            Vector.basis_vector(model, SIDE_W, i),
-        ):
-            diag.setdefault((v_pairs[i], w_pairs[i]), []).append(i)
-    for indices in diag.values():
-        for i, j in zip(indices, indices[1:]):
-            eii = FinitaryElement.rank_one(
-                Vector.basis_vector(model, SIDE_V, i),
-                Vector.basis_vector(model, SIDE_W, i),
-            )
-            ejj = FinitaryElement.rank_one(
-                Vector.basis_vector(model, SIDE_V, j),
-                Vector.basis_vector(model, SIDE_W, j),
-            )
-            battery.append(eii.sub(ejj))
-    return battery
-
-
 def perp_parabolic_member(x: FinitaryElement, t: TautCouple) -> bool:
     """Membership in the trace-form annihilator of the nilradical, realized
     as the joint stabilizer of the collapsed couple."""
@@ -528,16 +436,6 @@ def flip(x: FinitaryElement) -> FinitaryElement:
     return FinitaryElement(
         x.model, [(form_to_v(w), form_to_vstar(v)) for v, w in x.terms]
     )
-
-
-def lambda_map(x: FinitaryElement) -> FinitaryElement:
-    """Antisymmetrization landing in so(V) (symmetric form)."""
-    return x.sub(flip(x))
-
-
-def s_map(x: FinitaryElement) -> FinitaryElement:
-    """Symmetrization landing in sp(V) (antisymmetric form)."""
-    return x.add(flip(x))
 
 
 _FORM_OF_KIND = {"so": "symmetric", "sp": "antisymmetric"}

@@ -153,10 +153,6 @@ class MatSpan:
         images[k] a sparse row with integer columns."""
         return MatSpan(self.n, _null_combinations(self.echelon.rows(), images))
 
-    def coords_of(self, m: Matrix):
-        """Coefficients over the RREF row basis, or None."""
-        return self.echelon.coords(sparse(m.flatten()))
-
     def _coords(self, row: dict) -> dict:
         """The nonzero coordinates {k: c} of a row of the span: its entries
         at the pivots."""
@@ -305,12 +301,13 @@ class FdLieAlgebra:
     """Matrix Lie algebra: an ambient size n >= 0 and a bracket-closed basis
     of n x n matrices; ValueError otherwise.
 
-    The basis is the RREF basis of the span, so coordinate vectors from
-    `span.coords_of` always agree with basis indexing.  Construction
-    brackets every pair of basis elements once, to check closure, and keeps
-    the nonzero coordinates of [x_i, x_j], i < j, as the sparse structure
-    constants `consts[i, j] = {k: c}` (`lie_close` hands over the brackets
-    of its last closure round instead); a vanishing bracket has no entry.
+    The basis is the RREF basis of the span, so the echelon coordinates
+    `span.echelon.coords(row)` always agree with basis indexing.
+    Construction brackets every pair of basis elements once, to check
+    closure, and keeps the nonzero coordinates of [x_i, x_j], i < j, as the
+    sparse structure constants `consts[i, j] = {k: c}` (`lie_close` hands
+    over the brackets of its last closure round instead); a vanishing
+    bracket has no entry.
     `on(span)` builds the algebra on a span the oracle computed, with the
     same closure check.  Two results are cached on first use: the
     coordinates of the derived algebra (`derived_coords`) and the certified
@@ -759,10 +756,6 @@ def splittable_closure(g: FdLieAlgebra) -> FdLieAlgebra:
         current = FdLieAlgebra._of(*_lie_closure(g.n, current.span.echelon.rows() + extra))
 
 
-def is_splittable(g: FdLieAlgebra) -> bool:
-    return splittable_closure(g).dim == g.dim
-
-
 @dataclass
 class FdDecomposition:
     nilradical: MatSpan
@@ -870,11 +863,6 @@ def _semisimple_parts_span(h_basis, n):
     return MatSpan.from_matrices(n, parts)
 
 
-def centralizer_in(k: FdLieAlgebra, of_mats) -> FdLieAlgebra:
-    """{x in k : [x, m] = 0 for all m}, as a subalgebra."""
-    return FdLieAlgebra.on(_centralizer_span(k.span, list(map(_sparse_of, of_mats))))
-
-
 def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
     """Joint generalized null component of ad(h) on k: the elements killed
     by every sufficiently long word in ad of the given generators.
@@ -961,17 +949,6 @@ def _normalizer_in(k: FdLieAlgebra, h_span: MatSpan) -> MatSpan:
     return k.span.kernel_of(
         _bracket_images(k.span.sparse_matrices(), h_span.sparse_matrices(), k.n, h_span.echelon)
     )
-
-
-def cartan_from_torus(k: FdLieAlgebra, torus_mats) -> FdLieAlgebra:
-    """Centralizer of a toral subalgebra: the Cartan subalgebra it defines."""
-    for a, b in itertools.combinations(torus_mats, 2):
-        if not bracket(a, b).is_zero():
-            raise ValueError("torus generators do not commute")
-    for a in torus_mats:
-        if not poly_is_squarefree(minpoly(a)):
-            raise ValueError("torus generator is not semisimple")
-    return centralizer_in(k, torus_mats)
 
 
 # ---------------------------------------------------------------------------

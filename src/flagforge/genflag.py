@@ -250,7 +250,34 @@ class TautCouple:
 
 
 def make_taut_couple(f: FinitePairFlag, g: FinitePairFlag) -> TautCouple:
-    """Validate tautness and compute the matched closed-predecessor pairs."""
+    """Validate tautness and compute the matched closed-predecessor pairs.
+
+    Both flags must be semiclosed, and perp must send every member of each
+    flag to a member of the other.  The matching then needs no check of its
+    own.  Write P for perp: it reverses inclusion and P(P(P(a))) = P(a), so
+    every P(a) is closed, P is injective on closed subspaces, and a closed
+    subspace containing a contains P(P(a)).  Let pred = C_i be closed and
+    succ = C_(i+1) its successor in f, and G_j = P(succ).
+
+    1. P(pred) is a member of g strictly containing G_j (were they equal,
+       succ would lie in P(P(pred)) = pred).  So G_j is not the last
+       member of g, P(pred) contains G_(j+1), and pred lies in P(G_(j+1)).
+    2. P(G_(j+1)) is a closed member of f strictly inside P(G_j) =
+       P(P(succ)) (were they equal, G_(j+1) would lie in P(P(G_(j+1))) =
+       G_j).  So it does not contain succ and lies in pred; with 1,
+       P(G_(j+1)) = pred.
+    3. By 2, distinct closed pairs of f have distinct predecessors
+       P(G_(j+1)), so no pair of g is matched twice; by 1 and 2 with f and
+       g exchanged, every closed pair (G_j, G_(j+1)) of g is the match of
+       the closed pair of f whose predecessor is P(G_(j+1)).
+
+    Nondegeneracy is not used: on a degenerate side 0 is not closed, and
+    nothing above needs it to be.  Neither does P(s) = 0 or P(s) = the
+    full space need a rule of its own: every flag the package builds
+    (`flag_from_chain`, `fc_flag`, `self_taut_couple`) is a strictly
+    increasing chain holding the full space, which is always closed, and 0
+    whenever 0 is closed, so such a P(s), being closed, is a member.
+    """
     if f.side != SIDE_V or g.side != SIDE_W:
         raise SideMismatch("taut couple wants flags in V and V*")
     if f.model != g.model:
@@ -258,40 +285,16 @@ def make_taut_couple(f: FinitePairFlag, g: FinitePairFlag) -> TautCouple:
     for flag in (f, g):
         if not classify_flag(flag).semiclosed:
             raise NotSemiclosed(f"{flag!r} is not semiclosed")
-    model = f.model
-    zero_w, full_w = Subspace.zero(model, SIDE_W), Subspace.full(model, SIDE_W)
-    zero_v, full_v = Subspace.zero(model, SIDE_V), Subspace.full(model, SIDE_V)
-    for s in f.chain:
-        p = perp(s)
-        if p not in (zero_w, full_w) and p not in g.chain:
-            raise NotTaut(s)
-    for s in g.chain:
-        p = perp(s)
-        if p not in (zero_v, full_v) and p not in f.chain:
-            raise NotTaut(s)
-
-    c_pairs = []
+    for flag, partner in ((f, g), (g, f)):
+        for s in flag.chain:
+            if perp(s) not in partner.chain:
+                raise NotTaut(s)
     g_index = {s: j for j, s in enumerate(g.chain)}
     f_closed = classify_flag(f).member_closed
-    for i in range(f.n_pairs()):
-        pred, succ = f.chain[i], f.chain[i + 1]
-        if not f_closed[i]:
-            continue
-        j = g_index.get(perp(succ))
-        if j is None or j >= g.n_pairs():
-            raise NotTaut(succ)
-        if perp(g.chain[j + 1]) != pred:
-            raise NotTaut(succ)
-        c_pairs.append((i, j))
-    # the matching must exhaust the closed-predecessor pairs of g
-    matched = {j for _, j in c_pairs}
-    g_closed = classify_flag(g).member_closed
-    for j in range(g.n_pairs()):
-        if g_closed[j] and j not in matched:
-            raise NotTaut(g.chain[j])
-    if len(matched) != len(c_pairs):
-        raise NotTaut(f.chain[0])
-    return TautCouple(f, g, tuple(c_pairs))
+    c_pairs = tuple(
+        (i, g_index[perp(f.chain[i + 1])]) for i in range(f.n_pairs()) if f_closed[i]
+    )
+    return TautCouple(f, g, c_pairs)
 
 
 def pair_order(t: TautCouple, alpha: int, beta: int) -> bool:
@@ -374,22 +377,6 @@ def self_taut_and_iso(f: FinitePairFlag) -> SelfTautReport:
     return SelfTautReport(self_taut, tuple(tags), tuple(bijection))
 
 
-def refine_pair(f: FinitePairFlag, pair_idx: int, mid: Subspace) -> FinitePairFlag:
-    """Insert an intermediate subspace into one pair, keeping semiclosedness.
-
-    Supported refinements: a closed subspace strictly inside a pair with
-    finite-dimensional quotient, or a basis-aligned split of an infinite
-    aligned quotient."""
-    pred, succ = f.chain[pair_idx], f.chain[pair_idx + 1]
-    if not (succ.contains(mid) and mid.contains(pred)) or mid in (pred, succ):
-        raise ValueError("refinement must lie strictly between the pair")
-    chain = f.chain[: pair_idx + 1] + (mid,) + f.chain[pair_idx + 1 :]
-    refined = FinitePairFlag(f.model, f.side, chain)
-    if not classify_flag(refined).semiclosed:
-        raise NotSemiclosed("refinement breaks semiclosedness")
-    return refined
-
-
 # ---------------------------------------------------------------------------
 # basis-order flags: maximal closed flags compatible with the standard basis
 # ---------------------------------------------------------------------------
@@ -454,13 +441,3 @@ class BasisOrderFlag:
             if b.kind == FINITE
             for pt in b.points
         )
-
-
-@dataclass
-class BasisFlagQueries:
-    is_maximal_closed: bool
-    comparator: object
-
-
-def basis_flag_queries(b: BasisOrderFlag) -> BasisFlagQueries:
-    return BasisFlagQueries(b.is_maximal_closed(), b.leq)

@@ -9,9 +9,10 @@ form identifying V* with V can be declared through an index involution.
 Subspaces are stored in a canonical form: an eventually periodic aligned
 index set S (the subspace contains e_i for every i in S) plus finitely many
 correction vectors in reduced echelon form whose basis support avoids S.
-This class is closed under sum and intersection, and under annihilators
-whenever the annihilator is representable at all; `perp` certifies
-representability exactly and raises NotRepresentable otherwise.
+The module offers spans (`Subspace.span`), inclusion (`contains`),
+reduction modulo a subspace (`residual`, `member`) and annihilators
+(`perp`, `closure`); `perp` certifies that the annihilator is again such a
+subspace and raises NotRepresentable otherwise.
 
 `perp` computes each annihilator once per value per model: the result is
 kept on the subspace it is asked about and in a table on the model object,
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epcore import EpSeq, EpSet, stabilization_window
-from .exactnum import CheckFailed, Echelon, Matrix, axpy, kernel, rat
+from .exactnum import Echelon, Matrix, kernel, rat
 
 SIDE_V = "V"
 SIDE_W = "V*"
@@ -42,12 +43,6 @@ class SideMismatch(ValueError):
 
 class ModelMismatch(ValueError):
     pass
-
-
-class DegeneratePairing(ValueError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"pairing is degenerate, witness {witness}")
 
 
 class NotRepresentable(ValueError):
@@ -404,61 +399,6 @@ class Subspace:
             return False
         return all(self.member(c) for c in other.corrections)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.span(
-            self.model,
-            self.side,
-            self.aligned.union(other.aligned),
-            self.corrections + other.corrections,
-        )
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        common = self.aligned.intersection(other.aligned)
-        cut = max(
-            self.aligned.threshold,
-            other.aligned.threshold,
-            *(c.support_bound() for c in self.corrections + other.corrections),
-            1,
-        )
-        gens_a = self._finite_generators(cut)
-        gens_b = other._finite_generators(cut)
-        keys = sorted(set().union(*(g.keys() for g in gens_a + gens_b)) or set())
-        if gens_a and gens_b and keys:
-            cols = [[g.get(k, QZERO) for g in gens_a] + [-g.get(k, QZERO) for g in gens_b]
-                    for k in keys]
-            mixed = kernel(Matrix(cols))
-            meet_rows = []
-            for lam in mixed:
-                row: dict = {}
-                for coeff, g in zip(lam[: len(gens_a)], gens_a):
-                    if coeff:
-                        axpy(row, coeff, g)
-                meet_rows.append(row)
-            gens = [
-                Vector.from_sparse(self.model, self.side, row)
-                for row in meet_rows
-                if row
-            ]
-        else:
-            gens = []
-        result = Subspace.span(self.model, self.side, common, gens)
-        if not (self.contains(result) and other.contains(result)):
-            raise CheckFailed("intersection is not inside both subspaces", (self, other))
-        return result
-
-    def _finite_generators(self, cut: int) -> list[dict]:
-        gens = [c.to_sparse() for c in self.corrections]
-        gens += [{(1, i): Fraction(1)} for i in self.aligned.members_below(cut)]
-        return gens
-
-    def _check(self, other: "Subspace"):
-        if self.side != other.side:
-            raise SideMismatch("subspace sides differ")
-        if self.model is not other.model and self.model != other.model:
-            raise ModelMismatch("subspace models differ")
-
 
 def perp(a: Subspace) -> Subspace:
     """Exact annihilator on the opposite side, computed once per value per
@@ -598,11 +538,6 @@ def form_to_v(g: Vector) -> Vector:
     return Vector(model, SIDE_V, basis)
 
 
-def form_value(u: Vector, v: Vector) -> Fraction:
-    """<u, v> under the declared form on V."""
-    return pair(u, form_to_vstar(v))
-
-
 def form_map_subspace(a: Subspace) -> Subspace:
     """Image of a V-side subspace under the form identification, in V*."""
     model = a.model
@@ -637,22 +572,14 @@ class ModelReport:
     radical_w: Subspace
 
 
-def validate_model(model: PairedSpaceModel, raise_on_failure: bool = True) -> ModelReport:
+def validate_model(model: PairedSpaceModel) -> ModelReport:
     """Check nondegeneracy of the pairing on both sides.
 
     The degeneracy radical on either side is exactly the annihilator of the
-    full opposite space, which the subspace calculus computes directly.
+    full opposite space, which the subspace calculus computes directly; the
+    report carries both radicals, so a degenerate model's witnesses are
+    their vectors.
     """
     rad_v = perp(Subspace.full(model, SIDE_W))
     rad_w = perp(Subspace.full(model, SIDE_V))
-    valid = rad_v.is_zero() and rad_w.is_zero()
-    report = ModelReport(valid, rad_v, rad_w)
-    if not valid and raise_on_failure:
-        bad = rad_v if not rad_v.is_zero() else rad_w
-        if bad.corrections:
-            witness = bad.corrections[0]
-        else:
-            side = bad.side
-            witness = Vector.basis_vector(model, side, bad.aligned.min_member())
-        raise DegeneratePairing(witness)
-    return report
+    return ModelReport(rad_v.is_zero() and rad_w.is_zero(), rad_v, rad_w)

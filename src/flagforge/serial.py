@@ -1,4 +1,7 @@
-"""JSON encoding and decoding for every value the CLI can name.
+"""JSON encoding and decoding for the values of a session file.
+
+A session names flags as chains of subspaces and couples by the names of
+their two flags, so both are read in `cli.Session`, not here.
 
 Rationals serialize as strings "p/q" (just "p" when the denominator is 1).
 All index I/O is 0-based.  Decoding validates shapes and raises ValueError
@@ -19,9 +22,6 @@ from .genflag import (
     OMEGA_UP,
     BasisOrderFlag,
     Block,
-    FinitePairFlag,
-    TautCouple,
-    make_taut_couple,
 )
 from .pairedspace import (
     Augmentation,
@@ -142,21 +142,6 @@ def subspace_from_json(model, d: dict) -> Subspace:
     return Subspace.span(model, side, epset_from_json(d.get("aligned", {})), gens)
 
 
-def flag_to_json(f: FinitePairFlag) -> dict:
-    return {
-        "side": f.side,
-        "chain": [subspace_to_json(s) for s in f.chain],
-    }
-
-
-def flag_from_json(model, d: dict) -> FinitePairFlag:
-    from .genflag import flag_from_chain
-
-    side = d["side"]
-    chain = [subspace_from_json(model, s) for s in d.get("chain", [])]
-    return flag_from_chain(model, side, chain)
-
-
 def basis_flag_to_json(b: BasisOrderFlag) -> dict:
     blocks = []
     for blk in b.blocks:
@@ -180,16 +165,6 @@ def basis_flag_from_json(model, d: dict) -> BasisOrderFlag:
         else:
             raise ValueError(f"unknown block kind {kind!r}")
     return BasisOrderFlag(model, tuple(blocks))
-
-
-def couple_to_json(t: TautCouple) -> dict:
-    return {"f": flag_to_json(t.f_flag), "g": flag_to_json(t.g_flag)}
-
-
-def couple_from_json(model, d: dict) -> TautCouple:
-    return make_taut_couple(
-        flag_from_json(model, d["f"]), flag_from_json(model, d["g"])
-    )
 
 
 def element_to_json(x: FinitaryElement) -> dict:

@@ -66,11 +66,7 @@ def random_ep_model(rng: random.Random):
     if row.is_zero():
         return plain_model()
     model = PairedSpaceModel(v_augs=(Augmentation(row),), cross=((),))
-    try:
-        validate_model(model)
-    except Exception:
-        return plain_model()
-    return model
+    return model if validate_model(model).valid else plain_model()
 
 
 def random_basis_subspaces(m, rng, side=SIDE_V, max_len=3):

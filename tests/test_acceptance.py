@@ -41,7 +41,6 @@ from flagforge.finitary import (
     in_joint_stabilizer,
     in_nilradical,
     in_pminus,
-    normalizer_test,
     perp_parabolic_member,
 )
 from flagforge.finoracle import (
@@ -189,7 +188,7 @@ def test_criterion_3_sandwich_and_normalizer():
                 if pm and not jt:
                     ok = False
         low = _strict_lower_element(t)
-        if low is not None and normalizer_test(low, t):
+        if low is not None and in_joint_stabilizer(low, t):
             ok = False
     # p+ strictly inside p' in the augmented model, witnessed explicitly
     t_aug = couples[0]

@@ -21,7 +21,7 @@ from flagforge import coherence, epcore, finitary, finoracle, pairedspace, seria
 from flagforge.cli import Runner, Session, SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix
-from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra, lambda_map
+from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra, flip
 from flagforge.finoracle import FdLieAlgebra, gl_basis, upper_triangular_basis
 from flagforge.genflag import (
     FINITE,
@@ -29,7 +29,6 @@ from flagforge.genflag import (
     OMEGA_UP,
     BasisOrderFlag,
     Block,
-    basis_flag_queries,
     classify_flag,
     fc_flag,
     flag_from_chain,
@@ -219,9 +218,10 @@ def _rarely_run_paths_session():
     dense_flag = flag_from_chain(dense, SIDE_V, [v_std])
     basis_flag = BasisOrderFlag(plain_model(), (Block(OMEGA_UP, indices=EpSet.naturals()),))
 
-    def so_element(i, j):
-        return lambda_map(FinitaryElement.rank_one(
-            Vector.basis_vector(split, SIDE_V, i), Vector.basis_vector(split, SIDE_W, j)))
+    def so_element(i, j):  # antisymmetrized under the form: lands in so(V)
+        x = FinitaryElement.rank_one(
+            Vector.basis_vector(split, SIDE_V, i), Vector.basis_vector(split, SIDE_W, j))
+        return x.sub(flip(x))
 
     elements = {"x02": so_element(0, 2), "x00": so_element(0, 0)}
     gl2 = FdLieAlgebra(2, gl_basis(2))
@@ -251,7 +251,7 @@ def _rarely_run_paths_session():
                "expect": {"verdict": finitary.in_so_sp_stabilizer_minus(x, f, "so")}}
               for name, x in elements.items()),
             {"cmd": "classify-flag", "flag": "b",
-             "expect": {"is_maximal_closed": basis_flag_queries(basis_flag).is_maximal_closed}},
+             "expect": {"is_maximal_closed": basis_flag.is_maximal_closed()}},
             {"cmd": "fc-flag", "flag": "d", "name": "d_closed",
              "expect": {"chain_length": len(collapsed.chain),
                         "closed": classify_flag(collapsed).closed,
@@ -272,6 +272,70 @@ def test_rarely_run_cli_paths_match_the_api():
         assert entry["result"] == cmd["expect"], entry
     verdicts = [e["result"]["verdict"] for e in report["results"] if e["cmd"] == "member"]
     assert verdicts == [True, False]
+
+
+def _element_and_basis_flag_session():
+    """One session through `truncate-compare` on an element and `member`
+    `stabilizer` against basis-order flags, each `expect` the JSON form of
+    the direct API result."""
+    plain, dense = plain_model(), dense_line_model()
+    up = BasisOrderFlag(plain, (Block(OMEGA_UP, indices=EpSet.naturals()),))
+    mixed = BasisOrderFlag(
+        plain,
+        (
+            Block(FINITE, points=((0, 1), (2,))),
+            Block(OMEGA_UP, indices=EpSet.from_residues(2, (1,), threshold=3)),
+            Block(OMEGA_DOWN, indices=EpSet.from_residues(2, (0,), threshold=3)),
+        ),
+    )
+
+    def r1(model, i, j):
+        return FinitaryElement.rank_one(
+            Vector.basis_vector(model, SIDE_V, i), Vector.basis_vector(model, SIDE_W, j))
+
+    # each pair (i, j) tests flag.leq(i, j): inside the finite block, across
+    # blocks, and both ways inside the omega-up and omega-down blocks
+    plain_elements = {f"e{i}f{j}": r1(plain, i, j)
+                      for i, j in ((0, 1), (1, 0), (2, 0), (0, 5), (5, 0), (3, 4), (4, 6), (6, 4))}
+    plain_elements["sum"] = r1(plain, 0, 1).add(r1(plain, 6, 4))
+    dense_elements = {
+        "aug": FinitaryElement.rank_one(
+            Vector.aug_vector(dense, SIDE_V, 0), Vector(dense, SIDE_W, {2: 1, 5: "-1/2"})),
+        "mixed": random_element(dense, random.Random(4), terms=3),
+    }
+    commands = []
+    for name, x in dense_elements.items():
+        report = coherence.compare_element(x)
+        commands.append({"cmd": "truncate-compare", "object": name,
+                         "expect": {"kind": report.object_kind, "levels": report.levels,
+                                    "ok": report.ok, "checks": report.checks}})
+    for flag_name, flag in (("up", up), ("mixed", mixed)):
+        for name, x in plain_elements.items():
+            commands.append({"cmd": "member", "kind": "stabilizer", "elem": name,
+                             "flag": flag_name,
+                             "expect": {"verdict": finitary.in_stabilizer(x, flag)}})
+    return {
+        "models": {"plain": serial.model_to_json(plain), "dense": serial.model_to_json(dense)},
+        "basis_flags": {"up": serial.basis_flag_to_json(up) | {"model": "plain"},
+                        "mixed": serial.basis_flag_to_json(mixed) | {"model": "plain"}},
+        "elements": {name: serial.element_to_json(x) | {"model": model}
+                     for model, table in (("plain", plain_elements), ("dense", dense_elements))
+                     for name, x in table.items()},
+        "commands": commands,
+    }
+
+
+def test_element_compare_and_basis_flag_membership_match_the_api():
+    session = _element_and_basis_flag_session()
+    report = run_session(json.loads(json.dumps(session)), seed=0)
+    assert report["passed"], report
+    for cmd, entry in zip(session["commands"], report["results"], strict=True):
+        assert entry["result"] == cmd["expect"], entry
+    compared = [e["result"] for e in report["results"] if e["cmd"] == "truncate-compare"]
+    assert all(r["kind"] == "element" and r["checks"] for r in compared)
+    verdicts = [e["result"]["verdict"] for e in report["results"] if e["cmd"] == "member"]
+    assert verdicts[:9] == [True, False, False, True, False, True, True, False, False]
+    assert verdicts[9:] == [True, True, False, True, False, True, False, True, True]
 
 
 def test_block_trace_negative_gamma_is_a_command_error():
@@ -543,8 +607,7 @@ def test_round_trip_serialization():
     back = serial.subspace_from_json(m, serial.subspace_to_json(sub))
     assert back == sub
     t = augmented_couple()
-    c_json = serial.couple_to_json(t)
-    t2 = serial.couple_from_json(t.model, c_json)
+    t2 = _session_reader(t.model, "couples")(_couple_to_session(t))
     assert t2.f_flag == t.f_flag and t2.g_flag == t.g_flag
     assert t2.c_pairs == t.c_pairs
     x = random_element(m, rng)
@@ -555,6 +618,26 @@ def test_round_trip_serialization():
     assert g2.span == g.span
     seq = EpSeq.make([1], [2, 3])
     assert serial.epseq_from_json(serial.epseq_to_json(seq)) == seq
+
+
+def _flag_to_session(f):
+    """A flag as a session file names it: its chain of subspaces."""
+    return {"model": "m", "side": f.side,
+            "chain": [serial.subspace_to_json(s) for s in f.chain]}
+
+
+def _couple_to_session(t):
+    """A couple as a session file names it: by the names of its flags."""
+    return {"flags": {"f": _flag_to_session(t.f_flag), "g": _flag_to_session(t.g_flag)},
+            "couples": {"x": {"f": "f", "g": "g"}}}
+
+
+def _session_reader(model, section):
+    """Read the object "x" of a session section, the model named "m"."""
+    def read(fragment):
+        data = {"models": {"m": serial.model_to_json(model)}} | fragment
+        return getattr(Session(data), section)["x"]
+    return read
 
 
 def _serial_case(kind):
@@ -585,10 +668,11 @@ def _serial_case(kind):
         "augmented_model": (m, serial.model_to_json, serial.model_from_json),
         "vector": (sub.corrections[0], serial.vector_to_json, partial(serial.vector_from_json, m)),
         "subspace": (sub, serial.subspace_to_json, partial(serial.subspace_from_json, m)),
-        "flag": (t.f_flag, serial.flag_to_json, partial(serial.flag_from_json, m)),
+        "flag": (t.f_flag, lambda f: {"flags": {"x": _flag_to_session(f)}},
+                 _session_reader(m, "flags")),
         "basis_flag": (bflag, serial.basis_flag_to_json,
                        partial(serial.basis_flag_from_json, bflag.model)),
-        "couple": (t, serial.couple_to_json, partial(serial.couple_from_json, m)),
+        "couple": (t, _couple_to_session, _session_reader(m, "couples")),
         "element": (x, serial.element_to_json, partial(serial.element_from_json, m)),
         "matrix": (g.basis[1].scale(Fraction(-5, 2)), serial.matrix_to_json,
                    serial.matrix_from_json),

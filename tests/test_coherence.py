@@ -68,7 +68,7 @@ def _spurious(m):
     "wrong_perp",
     [
         lambda m, pa: Subspace.zero(m, SIDE_W),  # drops the one generator
-        lambda m, pa: pa.sum(Subspace.span(m, SIDE_W, None, [_spurious(m)])),
+        lambda m, pa: Subspace.span(m, SIDE_W, pa.aligned, pa.corrections + (_spurious(m),)),
     ],
     ids=["drops-a-generator", "keeps-the-spurious-functional"],
 )
@@ -86,7 +86,8 @@ def test_wrong_perp_is_reported(monkeypatch, wrong_perp):
     "wrong_closure",
     [
         lambda m, a, ca: a,  # drops the generator that a lacks
-        lambda m, a, ca: ca.sum(Subspace.span(m, SIDE_V, None, [Vector(m, SIDE_V, {2: 1})])),
+        lambda m, a, ca: Subspace.span(
+            m, SIDE_V, ca.aligned, ca.corrections + (Vector(m, SIDE_V, {2: 1}),)),
     ],
     ids=["drops-a-generator", "one-vector-too-many"],
 )

@@ -12,7 +12,6 @@ from flagforge.genflag import (
     NotAChain,
     NotSemiclosed,
     NotTaut,
-    basis_flag_queries,
     classify_flag,
     collapsed_couple,
     fc_flag,
@@ -22,7 +21,6 @@ from flagforge.genflag import (
     pair_order,
     pairing_is_zero,
     quotient_dim,
-    refine_pair,
     self_taut_and_iso,
 )
 from flagforge.pairedspace import (
@@ -229,22 +227,22 @@ def test_refine_pair():
     m = plain_model()
     f = flag_from_chain(m, SIDE_V, [sp(m, SIDE_V, gens=[ev(m, 0), ev(m, 1)])])
     mid = sp(m, SIDE_V, gens=[ev(m, 0)])
-    refined = refine_pair(f, 0, mid)
-    assert len(refined.chain) == 4
+    refined = flag_from_chain(m, SIDE_V, [*f.chain, mid])
+    assert len(refined.chain) == 4 and refined.chain[1] == mid
     assert classify_flag(refined).semiclosed
-    evens_flag = flag_from_chain(m, SIDE_V, [sp(m, SIDE_V, EVENS)])
-    split = refine_pair(evens_flag, 0, sp(m, SIDE_V, EpSet.from_residues(4, (0,))))
+    evens = sp(m, SIDE_V, EVENS)
+    split = flag_from_chain(m, SIDE_V, [evens, sp(m, SIDE_V, EpSet.from_residues(4, (0,)))])
     assert classify_flag(split).semiclosed
-    with pytest.raises(ValueError):
-        refine_pair(f, 0, sp(m, SIDE_V, gens=[ev(m, 5)]))
+    # e_5 lies outside the pair's successor: no refinement of the chain
+    with pytest.raises(NotAChain):
+        flag_from_chain(m, SIDE_V, [*f.chain, sp(m, SIDE_V, gens=[ev(m, 5)])])
 
 
 def test_basis_order_flag_standard():
     m = plain_model()
     b = BasisOrderFlag(m, (Block(OMEGA_UP, indices=EpSet.naturals()),))
-    q = basis_flag_queries(b)
-    assert q.is_maximal_closed
-    assert q.comparator(0, 5) and not q.comparator(5, 0)
+    assert b.is_maximal_closed()
+    assert b.leq(0, 5) and not b.leq(5, 0)
 
 
 def test_basis_order_flag_two_blocks():
@@ -252,9 +250,8 @@ def test_basis_order_flag_two_blocks():
     b = BasisOrderFlag(
         m, (Block(OMEGA_UP, indices=EVENS), Block(OMEGA_UP, indices=ODDS))
     )
-    q = basis_flag_queries(b)
-    assert q.is_maximal_closed
-    assert q.comparator(0, 2) and q.comparator(2, 1) and not q.comparator(1, 2)
+    assert b.is_maximal_closed()
+    assert b.leq(0, 2) and b.leq(2, 1) and not b.leq(1, 2)
 
 
 def test_basis_order_flag_fat_point_not_maximal():
@@ -266,7 +263,7 @@ def test_basis_order_flag_fat_point_not_maximal():
             Block(OMEGA_UP, indices=EpSet.from_bound(2)),
         ),
     )
-    assert not basis_flag_queries(b).is_maximal_closed
+    assert not b.is_maximal_closed()
     assert b.leq(0, 1) and b.leq(1, 0)
 
 
@@ -301,8 +298,9 @@ def test_neither_pair_is_not_semiclosed():
         fc_flag(f)
     with pytest.raises(NotSemiclosed):
         make_taut_couple(f, flag_from_chain(m, SIDE_W, []))
-    with pytest.raises(NotSemiclosed):
-        refine_pair(flag_from_chain(m, SIDE_V, []), 0, f.chain[1])
+    # the trivial flag refined by the middle member is rejected as well
+    trivial = flag_from_chain(m, SIDE_V, [])
+    assert not classify_flag(flag_from_chain(m, SIDE_V, [*trivial.chain, f.chain[1]])).semiclosed
 
 
 def test_member_closed_matches_closure():

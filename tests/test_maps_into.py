@@ -22,7 +22,7 @@ from _corpus import (
 )
 from flagforge import finitary
 from flagforge.epcore import EpSeq, EpSet, stabilization_window
-from flagforge.finitary import FinitaryElement, _maps_into, lambda_map, s_map, self_taut_couple
+from flagforge.finitary import FinitaryElement, _maps_into, flip, self_taut_couple
 from flagforge.genflag import flag_from_chain, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
@@ -136,10 +136,10 @@ def _elements(t, rng):
             sample_pplus(t, rng, terms=rng.randrange(1, 4)),
             random_element(t.model, rng, terms=rng.randrange(1, 4)),
         ]
-    if t.model.form_kind == "symmetric":
-        out += [lambda_map(random_element(t.model, rng)) for _ in range(4)]
-    if t.model.form_kind == "antisymmetric":
-        out += [s_map(random_element(t.model, rng)) for _ in range(4)]
+    if t.model.form_kind == "symmetric":  # antisymmetrized: lands in so(V)
+        out += [x.sub(flip(x)) for x in (random_element(t.model, rng) for _ in range(4))]
+    if t.model.form_kind == "antisymmetric":  # symmetrized: lands in sp(V)
+        out += [x.add(flip(x)) for x in (random_element(t.model, rng) for _ in range(4))]
     for j in range(3):
         if t.model.v_augs:
             v, w = Vector.aug_vector(t.model, SIDE_V, 0), Vector.basis_vector(t.model, SIDE_W, j)

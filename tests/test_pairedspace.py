@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _corpus import augmented_couple, evens_couple, random_plain_couple, trivial_couple
 from flagforge import pairedspace
 
-from flagforge.coherence import truncate
+from flagforge.coherence import truncate_model, truncate_subspace
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix
 from flagforge.genflag import classify_flag, collapsed_couple, fc_flag, make_taut_couple
@@ -16,7 +16,6 @@ from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
     Augmentation,
-    DegeneratePairing,
     NotRepresentable,
     PairedSpaceModel,
     SideMismatch,
@@ -27,7 +26,6 @@ from flagforge.pairedspace import (
     form_perp,
     form_to_v,
     form_to_vstar,
-    form_value,
     is_closed,
     pair,
     perp,
@@ -61,9 +59,9 @@ def test_validate_degenerate_duplicate_row():
     bad = PairedSpaceModel(
         v_augs=(Augmentation(EpSeq.make([1], [0])),), cross=((),)
     )
-    with pytest.raises(DegeneratePairing) as err:
-        validate_model(bad)
-    witness = err.value.witness
+    report = validate_model(bad)
+    assert not report.valid and report.radical_w.is_zero()
+    witness = report.radical_v.corrections[0]
     # the augmentation duplicates e_0, so aug - e_0 pairs to zero everywhere
     assert witness.augs == (F(1),)
     assert witness.basis == {0: F(-1)}
@@ -90,36 +88,10 @@ def test_pair_side_mismatch():
 
 def test_sum_aligned_plus_correction():
     m = plain_model()
-    evens = Subspace.span(m, SIDE_V, EVENS)
-    line = Subspace.span(m, SIDE_V, gens=[ev(m, 1)])
-    total = evens.sum(line)
+    total = Subspace.span(m, SIDE_V, EVENS, [ev(m, 1)])
     # a single basis vector is absorbed into the aligned part
     assert total.aligned == EVENS.union(EpSet.finite({1}))
     assert total.corrections == ()
-
-
-def test_intersection_crt():
-    m = plain_model()
-    evens = Subspace.span(m, SIDE_V, EVENS)
-    mult3 = Subspace.span(m, SIDE_V, EpSet.from_residues(3, (0,)))
-    met = evens.intersection(mult3)
-    assert met == Subspace.span(m, SIDE_V, EpSet.from_residues(6, (0,)))
-
-
-def test_intersection_idempotent():
-    m = plain_model()
-    w = Subspace.span(m, SIDE_V, EVENS, [ev(m, 1).add(ev(m, 3).scale(2))])
-    assert w.intersection(w) == w
-
-
-def test_intersection_mixed_correction():
-    m = plain_model()
-    a = Subspace.span(m, SIDE_V, gens=[ev(m, 0).add(ev(m, 2))])
-    b = Subspace.span(m, SIDE_V, EVENS)
-    met = a.intersection(b)
-    assert met == a
-    c = Subspace.span(m, SIDE_V, gens=[ev(m, 0).add(ev(m, 1))])
-    assert c.intersection(b).is_zero()
 
 
 def test_perp_single_vector():
@@ -213,13 +185,13 @@ def test_plain_model_everything_closed():
 
 
 def test_truncate_plain_model():
-    tm = truncate(plain_model(), 3)
+    tm = truncate_model(plain_model(), 3)
     assert tm.pairing == Matrix.identity(3)
     assert tm.radical_v == [] and tm.radical_w == []
 
 
 def test_truncate_augmented_model():
-    tm = truncate(dense_line_model(), 2)
+    tm = truncate_model(dense_line_model(), 2)
     assert tm.pairing == Matrix([[1, 0], [0, 1], [1, 1]])
     # one radical vector on the V side at every truncation level
     assert len(tm.radical_v) == 1 and tm.radical_w == []
@@ -228,7 +200,7 @@ def test_truncate_augmented_model():
 def test_truncate_subspace():
     m = plain_model()
     evens = Subspace.span(m, SIDE_V, EVENS)
-    rows = truncate(evens, 5)
+    rows = truncate_subspace(evens, 5)
     assert len(rows) == 3
     got = {tuple(r) for r in rows}
     unit = lambda i: tuple(F(1) if j == i else F(0) for j in range(5))
@@ -245,9 +217,9 @@ def test_truncation_coherence_perp():
             except NotRepresentable:
                 continue
             for n in _window_levels(m, a):
-                tm = truncate(m, n)
-                fin = _finite_perp(tm, truncate(a, n))
-                ours = truncate(pa, n)
+                tm = truncate_model(m, n)
+                fin = _finite_perp(tm, truncate_subspace(a, n))
+                ours = truncate_subspace(pa, n)
                 ours_plus_rad = _span(ours + tm.radical_w, tm.w_dim)
                 assert _span(fin, tm.w_dim) == ours_plus_rad
 
@@ -285,18 +257,18 @@ def test_form_maps_split_symmetric():
     m = split_form_model("symmetric")
     assert form_to_vstar(ev(m, 0)) == fw(m, 1)
     assert form_to_v(fw(m, 1)) == ev(m, 0)
-    assert form_value(ev(m, 0), ev(m, 1)) == 1
-    assert form_value(ev(m, 1), ev(m, 0)) == 1
-    assert form_value(ev(m, 0), ev(m, 0)) == 0
+    assert pair(ev(m, 0), form_to_vstar(ev(m, 1))) == 1
+    assert pair(ev(m, 1), form_to_vstar(ev(m, 0))) == 1
+    assert pair(ev(m, 0), form_to_vstar(ev(m, 0))) == 0
 
 
 def test_form_maps_split_antisymmetric():
     m = split_form_model("antisymmetric")
-    assert form_value(ev(m, 0), ev(m, 1)) == 1
-    assert form_value(ev(m, 1), ev(m, 0)) == -1
+    assert pair(ev(m, 0), form_to_vstar(ev(m, 1))) == 1
+    assert pair(ev(m, 1), form_to_vstar(ev(m, 0))) == -1
     x = ev(m, 2).add(ev(m, 5).scale(3))
     y = ev(m, 4).sub(ev(m, 3))
-    assert form_value(x, y) == -form_value(y, x)
+    assert pair(x, form_to_vstar(y)) == -pair(y, form_to_vstar(x))
 
 
 def test_form_perp_isotropic_evens():

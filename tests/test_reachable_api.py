@@ -1,0 +1,69 @@
+"""Every public function and class of the package has a caller outside tests.
+
+The check parses `src/flagforge/*.py` and `perfbench/*.py` with `ast` and
+asks that each public module-level function or class of `flagforge` be
+referenced there, by a name, an attribute or an import.  Code that only the
+tests call belongs in the tests, as a reference, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flagforge"
+
+# Public names kept although only the tests call them:
+ALLOWED = {
+    # the dense solve: the tests' reference for `Echelon` and the Levi lift
+    "exactnum.solve",
+    # the standard bases of gl_n and its subalgebras, the tests' inputs
+    "finoracle.gl_basis",
+    "finoracle.sl_basis",
+    "finoracle.upper_triangular_basis",
+    "finoracle.strict_upper_basis",
+    "finoracle.diagonal_basis",
+    "finoracle.block_parabolic_basis",
+    # the writers that build test sessions; the CLI only reads these values
+    "serial.model_to_json",
+    "serial.basis_flag_to_json",
+    "serial.element_to_json",
+    "serial.algebra_to_json",
+    "serial.tc_to_json",
+}
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def _referenced_names():
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    referenced = _referenced_names()
+    unreached = {
+        label for label, name in _public_definitions() if name not in referenced
+    } - ALLOWED
+    assert not unreached, sorted(unreached)
+
+
+def test_the_allowlist_names_existing_unreached_definitions():
+    referenced = _referenced_names()
+    defined = dict(_public_definitions())
+    for label in ALLOWED:
+        assert label in defined, label
+        assert defined[label] not in referenced, f"{label} has a caller: drop it from ALLOWED"
