@@ -114,9 +114,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")

@@ -106,10 +106,6 @@ class FinitaryElement:
     def zero(model) -> "FinitaryElement":
         return FinitaryElement(model)
 
-    @staticmethod
-    def rank_one(v: Vector, w: Vector) -> "FinitaryElement":
-        return FinitaryElement(v.model, [(v, w)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -132,9 +128,6 @@ class FinitaryElement:
                 if c:
                     out.append((v_row, {k: c * val for k, val in w2_row.items()}))
         return out
-
-    def compose(self, other) -> "FinitaryElement":
-        return FinitaryElement._of(self.model, self._product_rows(other))
 
     def bracket(self, other) -> "FinitaryElement":
         return FinitaryElement._of(

@@ -28,9 +28,10 @@ through the original matrices, and a submodule found there maps back by
 combining residues.  The parabolic test reads off one composition series:
 p is parabolic iff it equals the stabilizer of that series.
 
-Randomized searches (the meataxe behind composition series, the torus and
-maximal-solvability probes) take an explicit seed; given the seed
-everything is deterministic.
+Random numbers are drawn in one place, the Las Vegas meataxe behind
+composition series, from an explicit seed; the verdicts built on it do not
+depend on the seed.  The Cartan routes and the maximal-solvability test
+are exact.
 """
 
 from __future__ import annotations
@@ -887,16 +888,15 @@ class CartanVerdict:
     via_fitting_null: bool
 
 
-def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
+def cartan_queries(k: FdLieAlgebra, h_basis) -> CartanVerdict:
     """Three independent routes to the Cartan property of span(h) in k.
 
     Route D: h equals the centralizer of the semisimple parts of h.
     Route E: the semisimple parts form a maximal toral subalgebra whose
     centralizer is h.  Route F: h equals its own Fitting null component.
     A disagreement between the routes, or a positive verdict that is not
-    self-normalizing, raises CheckFailed.
+    self-normalizing, raises CheckFailed.  No route draws random numbers.
     """
-    rng = rng or random.Random(0)
     for b in h_basis:
         if not k.member(b):
             raise ValueError("candidate subalgebra is not inside k")
@@ -917,8 +917,10 @@ def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
     ss_span = _semisimple_parts_span(h_alg.basis, k.n)
     z = FdLieAlgebra.on(_centralizer_span(k.span, ss_span.sparse_matrices()))
     via_d = z.span == h_span
-
-    toral_maximal = _is_maximal_toral(k, ss_span, z, rng)
+    # the torus is maximal when no semisimple part of a basis element of z
+    # escapes it; route E counts this only when z = h, which is nilpotent,
+    # and x -> x_s is linear there, so the basis decides for all of z
+    toral_maximal = all(ss_span.member(jordan_chevalley(y)[0]) for y in z.basis)
     via_e = toral_maximal and z.span == h_span
 
     verdict = CartanVerdict(via_d, via_d, via_e, via_f)
@@ -927,21 +929,6 @@ def cartan_queries(k: FdLieAlgebra, h_basis, rng=None) -> CartanVerdict:
     if verdict.is_cartan and _normalizer_in(k, h_span) != h_span:
         raise CheckFailed("Cartan candidate is not self-normalizing", h_basis)
     return verdict
-
-
-def _is_maximal_toral(k, ss_span, z, rng):
-    """No semisimple element of the centralizer escapes the torus."""
-    for y in z.basis:
-        ss, _ = jordan_chevalley(y)
-        if not ss_span.member(ss):
-            return False
-    basis = z.span.echelon.rows()
-    for _ in range(6):
-        y = _combine({i: rng.randrange(-2, 3) for i in range(len(basis))}, basis)
-        ss, _ = jordan_chevalley(_matrix(y, k.n))
-        if not ss_span.member(ss):
-            return False
-    return True
 
 
 def _normalizer_in(k: FdLieAlgebra, h_span: MatSpan) -> MatSpan:
@@ -1064,11 +1051,15 @@ def fd_parabolic_tests(p: FdLieAlgebra, seed: int = 0) -> ParabolicReport:
     flag stabilizer.  Conversely, if p = stab(F), the p-invariant subspaces
     are exactly the members of F.  Each is the only one of its dimension,
     so it is fixed by the Galois group and rational, and the composition
-    series over Q is F itself."""
-    rng = random.Random(seed)
-    series = composition_series(p.basis, p.n, rng)
+    series over Q is F itself.
+
+    `borel_restriction_check` asks whether b = stab(F) cap p, for a
+    complete flag F refining C, is a Borel of p over C, and then whether
+    b cap [p, p] is one of [p, p], by the exact test
+    `_is_maximal_solvable_in`.  The seed only feeds the meataxe."""
+    series = composition_series(p.basis, p.n, random.Random(seed))
     is_parabolic = flag_stabilizer_brute(p.n, series) == p.span
-    return ParabolicReport(is_parabolic, _borel_restriction_check(p, series, rng))
+    return ParabolicReport(is_parabolic, _borel_restriction_check(p, series))
 
 
 def _full_flag_refining(series, n: int) -> list:
@@ -1082,44 +1073,63 @@ def _full_flag_refining(series, n: int) -> list:
     return chain
 
 
-def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra, rng, tries=8) -> bool:
+def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra) -> bool:
+    """Whether the subalgebra b of g = ambient is a Borel subalgebra over C
+    (maximal solvable in g (x) C): exactly when b is solvable, rad g <= b
+    and dim b + dim([b, b] + rad g) = dim g + dim rad g.  None of these
+    changes under extension from Q to C.
+
+    Proof (Humphreys, Introduction to Lie Algebras, 4.3 and 16).  Every
+    Borel contains rad g, and the Borels of g are the preimages of those
+    of s = g / rad g.  For c solvable in s, Cartan's criterion on ad c gives
+    [c, c] <= c^perp under the Killing form of s, so dim c + dim [c, c] <=
+    dim s.  A Borel B = h + n reaches equality: [B, B] = n = B^perp.  If c
+    lies in a Borel B and reaches equality, c^perp = [c, c] <= n = B^perp
+    <= c^perp, so c = B.  Take c = b / rad g.
+
+    A Borel over C is maximal solvable over Q, but not conversely: the
+    rotation line in sl_2 is maximal solvable over Q and no Borel over C.
+    Every element of the b the callers build, stab(F) cap g for a complete
+    rational flag F and n_g + b_red, has only rational eigenvalues on Q^n
+    (n_g is a nilpotent ideal), and on such b the answers agree.  Let c = b /
+    rad g be maximal solvable over Q.  It is self-normalizing, so c = Lie H
+    for a connected solvable Q-subgroup H of the adjoint group of s, split
+    over Q by its rational eigenvalues.  Borel's fixed point theorem
+    (Linear Algebraic Groups, 15.2) puts H in a minimal Q-parabolic: c <=
+    l + u with u nilpotent, l the centralizer of a maximal Q-split torus
+    and [l, l] anisotropic, so with no nonzero element of rational
+    eigenvalues.  Hence u <= c, c cap l <= z(l), and c + Q y is solvable
+    for y in [l, l]; so [l, l] = 0 and c = l + u, a parabolic whose Levi
+    part is a torus: a Borel over C.
+    """
     if not is_solvable_span(b_span):
         return False
-    rows = b_span.echelon.rows()
-    basis = ambient.span.echelon.rows()
-    for x in [m for m in basis if b_span.echelon.reduce(m)]:
-        if is_solvable_span(_lie_closure(ambient.n, rows + [x])[0]):
-            return False
-    for _ in range(tries):
-        x = _combine({k: rng.randrange(-1, 2) for k in range(len(basis))}, basis)
-        if b_span.echelon.reduce(x) and is_solvable_span(_lie_closure(ambient.n, rows + [x])[0]):
-            return False
-    return True
+    rad = solvable_radical(ambient)
+    if not b_span.contains(rad):
+        return False
+    derived_plus_rad = MatSpan(ambient.n, rad.echelon.rows() + _pair_brackets(b_span))
+    return b_span.dim + derived_plus_rad.dim == ambient.dim + rad.dim
 
 
-def _borel_restriction_check(p: FdLieAlgebra, series, rng) -> bool:
+def _borel_restriction_check(p: FdLieAlgebra, series) -> bool:
     """Find a Borel of p from a full flag refining its composition series
     and re-test maximal solvability of its restriction to the commutator
     subalgebra."""
     stab = flag_stabilizer_brute(p.n, _full_flag_refining(series, p.n))
     b_span = stab.intersect(p.span)
-    if not _is_maximal_solvable_in(b_span, p, rng):
+    if not _is_maximal_solvable_in(b_span, p):
         return False
     dp = p.derived()
-    try:
-        dp_alg = FdLieAlgebra.on(dp)
-    except ValueError:
-        return False
-    restricted = b_span.intersect(dp)
-    return _is_maximal_solvable_in(restricted, dp_alg, rng)
+    return _is_maximal_solvable_in(b_span.intersect(dp), FdLieAlgebra.on(dp))
 
 
 def parabolic_bijection_check(
     g: FdLieAlgebra, p_red_basis, seed: int = 0
 ) -> FdLieAlgebra:
     """Map a parabolic of the reductive part to n_g (+) p_red and verify the
-    round trip of the bijection."""
-    rng = random.Random(seed)
+    round trip of the bijection.  Both Borel verdicts, on b_red in g_red and
+    on n_g + b_red in g, are exact (`_is_maximal_solvable_in`); the seed
+    only feeds the meataxe."""
     dec = locally_reductive_part(g, seed)
     g_red = dec.reductive_part
     p_red = MatSpan.from_matrices(g.n, p_red_basis)
@@ -1131,11 +1141,12 @@ def parabolic_bijection_check(
         raise NotParabolicInput("p_red is not a subalgebra") from exc
     # parabolic criterion inside g_red: a full invariant flag of p_red gives
     # a maximal solvable subalgebra of g_red contained in p_red
-    flag = _full_flag_refining(composition_series(p_red_alg.basis, g.n, rng), g.n)
+    series = composition_series(p_red_alg.basis, g.n, random.Random(seed))
+    flag = _full_flag_refining(series, g.n)
     b_red = flag_stabilizer_brute(g.n, flag).intersect(g_red.span)
     if not p_red.contains(b_red):
         raise NotParabolicInput("p_red does not contain a Borel of the reductive part")
-    if not _is_maximal_solvable_in(b_red, g_red, rng):
+    if not _is_maximal_solvable_in(b_red, g_red):
         raise NotParabolicInput("constructed candidate is not maximal solvable")
     q = FdLieAlgebra._of(*_lie_closure(g.n, dec.nilradical.echelon.rows() + p_red.echelon.rows()))
     if q.dim != dec.nilradical.sum(p_red).dim:
@@ -1143,7 +1154,7 @@ def parabolic_bijection_check(
     borel_g = dec.nilradical.sum(b_red)
     if not q.span.contains(borel_g):
         raise CheckFailed("n_g + b_red is not inside n_g + p_red", (p_red_basis, seed))
-    if not _is_maximal_solvable_in(borel_g, g, rng):
+    if not _is_maximal_solvable_in(borel_g, g):
         raise CheckFailed("n_g + b_red is not a Borel of g", (p_red_basis, seed))
     if q.span.intersect(g_red.span) != p_red:
         raise CheckFailed("round trip does not recover p_red", (p_red_basis, seed))

@@ -366,10 +366,6 @@ class Subspace:
             return None
         return size + len(self.corrections)
 
-    def residual(self, v: Vector) -> Vector:
-        """Reduction of v modulo this subspace under the canonical pivot rule."""
-        return Vector.from_sparse(self.model, self.side, self._reduce(v))
-
     def member(self, v: Vector) -> bool:
         return not self._reduce(v)
 

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 from flagforge.epcore import EpSet
-from flagforge.exactnum import row_space_basis
+from flagforge.exactnum import Matrix, row_space_basis, solve
+from flagforge.finitary import FinitaryElement
+from flagforge.finoracle import FdLieAlgebra, direct_sum_basis, gl_basis
 from flagforge.genflag import flag_from_chain, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
@@ -24,6 +26,11 @@ from flagforge.sampling import (  # noqa: F401  (re-exported for tests)
 F = Fraction
 EVENS = EpSet.from_residues(2, (0,))
 ODDS = EpSet.from_residues(2, (1,))
+
+
+def rank_one(v, w):
+    """The rank-one element v (x) w."""
+    return FinitaryElement(v.model, [(v, w)])
 
 
 def evens_couple(model=None):
@@ -115,6 +122,18 @@ def criterion_2_chains():
     for trial in range(50):
         n = rng.randrange(2, 7) if trial < 44 else rng.randrange(7, 9)
         yield n, random_chain(n, rng, min_steps=2 if n >= 7 else 1)
+
+
+def gl3_plus_so2():
+    """P (gl_3 + span J) P^-1 in gl_5, with J = [[0, 1], [-1, 0]] on the last
+    two coordinates.  J lies in the radical and has no rational eigenvalue,
+    so no complete rational flag F has J in stab(F): b = stab(F) cap p is
+    solvable, and no Borel, since b + span(J) is solvable too."""
+    p = Matrix([[-1, 0, 0, -1, 0], [-1, -1, -1, 1, 1], [0, -1, -1, -1, -1],
+                [-1, -1, -1, -1, 0], [0, -1, 1, 1, 1]])
+    inverse = Matrix([solve(p, e) for e in Matrix.identity(5).entries]).transpose()
+    basis = direct_sum_basis([(gl_basis(3), 3), ([Matrix([[0, 1], [-1, 0]])], 2)])
+    return FdLieAlgebra(5, [p * b * inverse for b in basis])
 
 
 def _epset_json(period, residues):

@@ -19,6 +19,7 @@ from _corpus import (
     random_chain,
     random_element,
     random_plain_couple,
+    rank_one,
     sample_nilradical,
     sample_pminus,
     sample_pplus,
@@ -37,7 +38,6 @@ from flagforge.exactnum import (
     solve,
 )
 from flagforge.finitary import (
-    FinitaryElement,
     in_joint_stabilizer,
     in_nilradical,
     in_pminus,
@@ -161,7 +161,7 @@ def _strict_lower_element(t, bound=12):
             if a is None or b is None:
                 continue
             if not pair_leq(t, a, b):
-                return FinitaryElement.rank_one(ei, fj)
+                return rank_one(ei, fj)
     return None
 
 
@@ -193,7 +193,7 @@ def test_criterion_3_sandwich_and_normalizer():
     # p+ strictly inside p' in the augmented model, witnessed explicitly
     t_aug = couples[0]
     vtilde = Vector.aug_vector(t_aug.model, SIDE_V, 0)
-    witness = FinitaryElement.rank_one(
+    witness = rank_one(
         vtilde, Vector.basis_vector(t_aug.model, SIDE_W, 0)
     )
     if in_joint_stabilizer(witness, t_aug) or not perp_parabolic_member(witness, t_aug):
@@ -216,7 +216,7 @@ def test_criterion_4_sl_infinity_parabolic():
     for i in range(1000):
         x = random_element(m, rng, terms=rng.randrange(1, 4))
         if i % 2:  # force tracelessness half the time
-            x = x.sub(FinitaryElement.rank_one(e0.scale(x.trace()), f0))
+            x = x.sub(rank_one(e0.scale(x.trace()), f0))
         if in_pminus(x, t) != (x.trace() == 0):
             ok = False
             break

@@ -16,12 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import augmented_couple, evens_couple, random_element, random_session, trivial_couple
+from _corpus import (
+    augmented_couple,
+    evens_couple,
+    gl3_plus_so2,
+    random_element,
+    random_session,
+    rank_one,
+    trivial_couple,
+)
 from flagforge import coherence, epcore, finitary, finoracle, pairedspace, serial
 from flagforge.cli import Runner, Session, SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix
-from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra, flip
+from flagforge.finitary import TraceConditionSubalgebra, flip
 from flagforge.finoracle import FdLieAlgebra, gl_basis, upper_triangular_basis
 from flagforge.genflag import (
     FINITE,
@@ -148,6 +156,18 @@ def test_fd_commands():
     assert report["passed"], report
 
 
+def test_fd_parabolic_finds_no_borel_in_gl3_plus_so2():
+    # stab(F) cap p leaves out the rotation J of rad p, so it is no Borel
+    session = {
+        "algebras": {"p": serial.algebra_to_json(gl3_plus_so2())},
+        "commands": [{"cmd": "fd", "op": "parabolic", "alg": "p",
+                      "expect": {"is_parabolic": False, "borel_restriction_check": False}}],
+    }
+    for seed in range(5):
+        report = run_session(session, seed=seed)
+        assert report["passed"], (seed, report)
+
+
 def _full_surface_session():
     m_plain = plain_model()
     t = evens_couple(m_plain)
@@ -219,7 +239,7 @@ def _rarely_run_paths_session():
     basis_flag = BasisOrderFlag(plain_model(), (Block(OMEGA_UP, indices=EpSet.naturals()),))
 
     def so_element(i, j):  # antisymmetrized under the form: lands in so(V)
-        x = FinitaryElement.rank_one(
+        x = rank_one(
             Vector.basis_vector(split, SIDE_V, i), Vector.basis_vector(split, SIDE_W, j))
         return x.sub(flip(x))
 
@@ -290,7 +310,7 @@ def _element_and_basis_flag_session():
     )
 
     def r1(model, i, j):
-        return FinitaryElement.rank_one(
+        return rank_one(
             Vector.basis_vector(model, SIDE_V, i), Vector.basis_vector(model, SIDE_W, j))
 
     # each pair (i, j) tests flag.leq(i, j): inside the finite block, across
@@ -299,7 +319,7 @@ def _element_and_basis_flag_session():
                       for i, j in ((0, 1), (1, 0), (2, 0), (0, 5), (5, 0), (3, 4), (4, 6), (6, 4))}
     plain_elements["sum"] = r1(plain, 0, 1).add(r1(plain, 6, 4))
     dense_elements = {
-        "aug": FinitaryElement.rank_one(
+        "aug": rank_one(
             Vector.aug_vector(dense, SIDE_V, 0), Vector(dense, SIDE_W, {2: 1, 5: "-1/2"})),
         "mixed": random_element(dense, random.Random(4), terms=3),
     }
@@ -658,7 +678,7 @@ def _serial_case(kind):
         ),
     )
     x = random_element(m, random.Random(9), terms=3).add(
-        FinitaryElement.rank_one(Vector.aug_vector(m, SIDE_V, 0), Vector(m, SIDE_W, {2: "1/3"}))
+        rank_one(Vector.aug_vector(m, SIDE_V, 0), Vector(m, SIDE_W, {2: "1/3"}))
     )
     g = FdLieAlgebra(3, upper_triangular_basis(3))
     te = evens_couple()

@@ -20,6 +20,7 @@ from _corpus import (
     random_element,
     random_plain_couple,
     random_vector_in,
+    rank_one,
     sample_nilradical,
     sample_pminus,
     sample_pplus,
@@ -194,7 +195,7 @@ def _old_placed(t, rng, keep, terms):
         v = random_vector_in(t.f_flag.chain[a + 1], rng)
         w = random_vector_in(t.g_flag.chain[b + 1], rng)
         if not v.is_zero() and not w.is_zero():
-            out = out.add(FinitaryElement.rank_one(v, w))
+            out = out.add(rank_one(v, w))
     return out
 
 
@@ -207,7 +208,7 @@ def _old_units(t, gamma, want=2, bound=60):
         ei = Vector.basis_vector(t.model, SIDE_V, i)
         fj = Vector.basis_vector(t.model, SIDE_W, i)
         if f_succ.member(ei) and not f_pred.member(ei) and g_succ.member(fj) and not g_pred.member(fj):
-            found.append(FinitaryElement.rank_one(ei, fj))
+            found.append(rank_one(ei, fj))
             if len(found) == want:
                 break
     return found
@@ -235,7 +236,7 @@ def _old_random_element(model, rng, terms=2, bound=8):
     for _ in range(terms):
         v = Vector(model, SIDE_V, {rng.randrange(bound): rng.randrange(-2, 3) or 1 for _ in range(2)})
         w = Vector(model, SIDE_W, {rng.randrange(bound): rng.randrange(-2, 3) or 1 for _ in range(2)})
-        out = out.add(FinitaryElement.rank_one(v, w))
+        out = out.add(rank_one(v, w))
     return out
 
 

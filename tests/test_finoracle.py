@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import criterion_2_chains
+from _corpus import criterion_2_chains, gl3_plus_so2
 from flagforge import finoracle
 from flagforge.exactnum import (
     CheckFailed,
@@ -530,14 +530,15 @@ def test_structure_constants_match_direct_brackets(g):
     ads = _reference_ad(g)
     # consts[i, j] holds the nonzero coordinates of [x_i, x_j], i < j, and the
     # other brackets follow: [x_i, x_i] = 0 and [x_j, x_i] = -[x_i, x_j]
+    cols = [a.transpose().entries for a in ads]  # cols[i][j]: column j of ad x_i
     want = {}
     for i, j in itertools.combinations(range(g.dim), 2):
-        coords = {k: v for k, v in enumerate(ads[i].col(j)) if v}
+        coords = {k: v for k, v in enumerate(cols[i][j]) if v}
         if coords:
             want[i, j] = coords
-        assert ads[j].col(i) == [-v for v in ads[i].col(j)]
+        assert cols[j][i] == [-v for v in cols[i][j]]
     for i in range(g.dim):
-        assert not any(ads[i].col(i))
+        assert not any(cols[i][i])
     assert g.consts == want
     assert g.killing() == _reference_killing(ads)
     assert g.derived() == bracket_span(g.span, g.span)
@@ -842,7 +843,8 @@ def _quotient_actions(actions, sub_rows, dim):
     free = [j for j in range(dim) if j not in sub.pivots]
     out = []
     for a in actions:
-        cols = [[sub.reduce(sparse(a.col(j))).get(f, F(0)) for f in free] for j in free]
+        a_cols = a.transpose().entries
+        cols = [[sub.reduce(sparse(a_cols[j])).get(f, F(0)) for f in free] for j in free]
         out.append(Matrix([list(row) for row in zip(*cols)]))
     return out, free
 
@@ -977,6 +979,115 @@ def test_parabolic_verdict_on_conjugated_families(case, seed):
         assert verdict
 
 
+# ---------------------------------------------------------------------------
+# maximal solvability: the exact test against the Monte Carlo reference
+# ---------------------------------------------------------------------------
+
+
+def _monte_carlo_maximal_solvable(b_span, ambient, rng, tries):
+    """The Monte Carlo test that the exact criterion replaced, kept as the
+    reference.  b is maximal solvable unless the Lie closure of b and a
+    basis element of g, or of b and one of `tries` random combinations with
+    coefficients in {-1, 0, 1}, is solvable.  False comes with a solvable
+    extension, so it is certain, even over Q; True can be a miss."""
+    if not is_solvable_span(b_span):
+        return False
+    rows = b_span.echelon.rows()
+    basis = ambient.span.echelon.rows()
+    for x in [m for m in basis if b_span.echelon.reduce(m)]:
+        if is_solvable_span(finoracle._lie_closure(ambient.n, rows + [x])[0]):
+            return False
+    for _ in range(tries):
+        x = finoracle._combine({k: rng.randrange(-1, 2) for k in range(len(basis))}, basis)
+        if b_span.echelon.reduce(x) and is_solvable_span(
+                finoracle._lie_closure(ambient.n, rows + [x])[0]):
+            return False
+    return True
+
+
+_coefficients = st.sampled_from([F(1), F(-1), F(2), F(1, 2)])
+
+
+def _draw_elementary_product(draw, n, pairs):
+    """A product of up to three elementary matrices I + c E_ij, with (i, j)
+    drawn from pairs, and its inverse."""
+    m = m_inv = Matrix.identity(n)
+    for (i, j), c in draw(st.lists(st.tuples(pairs, _coefficients), max_size=3)) if n > 1 else ():
+        m = m * (Matrix.identity(n) + E(n, i, j).scale(c))
+        m_inv = (Matrix.identity(n) - E(n, i, j).scale(c)) * m_inv
+    return m, m_inv
+
+
+@st.composite
+def _borel_cases(draw):
+    """(g, b, is_borel).  g is gl_n, sl_n (n <= 4) or a block parabolic,
+    conjugated by M, a permutation times elementary matrices.  The complete
+    flag F = M Q (standard flag), Q a product of elementary matrices in the
+    group of the block parabolic, refines the flag M (block flag) of g, so
+    B = stab(F) cap g is a Borel of g.  b is B, its linear nilradical
+    [B, B] (the strictly triangular part in a basis adapted to F), or the
+    Lie closure of one or two random elements of B, a Borel only when it is
+    all of B: every Borel has the same dimension."""
+    family = draw(st.sampled_from(["gl", "sl", "parabolic"]))
+    n = draw(st.integers(2 if family == "sl" else 1, 4))
+    sizes = _compositions(draw, n, 1) if family == "parabolic" else [n]
+    basis = {"gl": gl_basis(n), "sl": sl_basis(n), "parabolic": block_parabolic_basis(sizes)}[family]
+    block = [k for k, size in enumerate(sizes) for _ in range(size)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ij: ij[0] != ij[1])
+    m, m_inv = _draw_elementary_product(draw, n, pairs)
+    perm = Matrix([[F(k == j) for j in range(n)] for k in draw(st.permutations(range(n)))])
+    m, m_inv = perm * m, m_inv * perm.transpose()
+    g = FdLieAlgebra(n, [m * x * m_inv for x in basis])
+    q, _ = _draw_elementary_product(draw, n, pairs.filter(lambda ij: block[ij[0]] <= block[ij[1]]))
+    columns = (m * q).transpose().entries
+    stabilizer, nilradical = flag_formula_spans(n, [columns[:d] for d in range(1, n)])
+    borel = stabilizer.intersect(g.span)
+    kind = draw(st.sampled_from(["borel", "nilradical", "subalgebra"]))
+    if kind == "borel":
+        return g, borel, True
+    if kind == "nilradical":
+        return g, nilradical.intersect(g.span), False
+    rows = borel.echelon.rows()
+    coeffs = st.lists(st.integers(-1, 2), min_size=len(rows), max_size=len(rows))
+    gens = [finoracle._matrix(finoracle._combine(dict(enumerate(draw(coeffs))), rows), n)
+            for _ in range(draw(st.integers(1, 2)))]
+    b = lie_close(n, gens).span
+    return g, b, b == borel
+
+
+@settings(max_examples=40, deadline=None)
+@given(_borel_cases(), st.integers(0, 3))
+def test_maximal_solvability_matches_the_monte_carlo_reference(case, seed):
+    g, b, is_borel = case
+    verdict = finoracle._is_maximal_solvable_in(b, g)
+    assert verdict == is_borel
+    # a solvable extension found by the reference rules b out
+    if not _monte_carlo_maximal_solvable(b, g, random.Random(seed), tries=200):
+        assert not verdict
+
+
+def test_split_torus_and_rotation_of_sl2_are_no_borel():
+    sl2 = FdLieAlgebra(2, sl_basis(2))
+    torus = MatSpan.from_matrices(2, [E(2, 0, 1) + E(2, 1, 0)])
+    # torus < span(E01 + E10, h + 2 E10), solvable: [x, y] = 2 y - 2 x
+    h = E(2, 0, 0) - E(2, 1, 1)
+    extension = MatSpan.from_matrices(2, [E(2, 0, 1) + E(2, 1, 0), h + E(2, 1, 0).scale(2)])
+    assert extension.contains(torus) and is_solvable_span(extension)
+    assert not finoracle._is_maximal_solvable_in(torus, sl2)
+    # the rotation line is maximal solvable over Q, where a 2-dimensional
+    # subalgebra of sl_2 would triangularize it, but no Borel over C
+    rotation = MatSpan.from_matrices(2, [ROTATION])
+    assert _monte_carlo_maximal_solvable(rotation, sl2, random.Random(0), tries=200)
+    assert not finoracle._is_maximal_solvable_in(rotation, sl2)
+
+
+def test_gl3_plus_so2_has_no_borel_from_its_composition_series():
+    p = gl3_plus_so2()
+    for seed in range(50):
+        report = fd_parabolic_tests(p, seed)
+        assert not report.is_parabolic and not report.borel_restriction_check, seed
+
+
 def _levi_by_dense_solve(g):
     """The dense lifting that the tagged relation replaced, kept as a
     reference: one equation row per pair i < j and quotient coordinate r,
@@ -1107,6 +1218,18 @@ try:
 except CheckFailed as exc:
     print("levi", exc.check)
 finoracle.FdLieAlgebra.derived = derived
+# a decomposition that loses the nilradical of b_3: n_g + b_red is then the
+# diagonal, which misses rad b_3 = b_3, so it is no Borel of b_3
+reductive_part = finoracle.locally_reductive_part
+def without_nilradical(g, seed=0):
+    dec = reductive_part(g, seed)
+    return finoracle.FdDecomposition(finoracle.MatSpan(g.n), dec.levi, dec.torus, dec.reductive_part)
+finoracle.locally_reductive_part = without_nilradical
+try:
+    finoracle.parabolic_bijection_check(b3, finoracle.diagonal_basis(3))
+except CheckFailed as exc:
+    print("borel", exc.check)
+finoracle.locally_reductive_part = reductive_part
 # an associative closure that stops at the identity misses tr(P P^2) = 3,
 # so the cyclic permutation P passes as nilpotent
 finoracle._associative_closure = lambda rows, n: [(1, {i: {i: 1} for i in range(n)})]
@@ -1157,6 +1280,7 @@ def test_certification_survives_python_O():
         "cartan Cartan routes disagree",
         "ideal nilradical is not an ideal",
         "levi Levi does not complement r cap [g,g]",
+        "borel n_g + b_red is not a Borel of g",
         "nilradical nilradical candidate is not nilpotent",
         "meataxe submodule is not invariant",
         "stabilizer stabilizer formula disagrees with brute force",

@@ -16,13 +16,14 @@ from _corpus import (
     augmented_couple,
     random_element,
     random_plain_couple,
+    rank_one,
     sample_nilradical,
     sample_pminus,
     sample_pplus,
 )
 from flagforge import finitary
 from flagforge.epcore import EpSeq, EpSet, stabilization_window
-from flagforge.finitary import FinitaryElement, _maps_into, flip, self_taut_couple
+from flagforge.finitary import _maps_into, flip, self_taut_couple
 from flagforge.genflag import flag_from_chain, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
@@ -147,8 +148,8 @@ def _elements(t, rng):
             v, w = Vector.basis_vector(t.model, SIDE_V, j), Vector.aug_vector(t.model, SIDE_W, 0)
         else:
             break
-        out.append(FinitaryElement.rank_one(v, w))
-        out.append(FinitaryElement.rank_one(v, w).add(sample_pplus(t, rng)))
+        out.append(rank_one(v, w))
+        out.append(rank_one(v, w).add(sample_pplus(t, rng)))
     return out
 
 
@@ -207,5 +208,6 @@ def test_chain_component_matches_residual_difference():
             for _ in range(10):
                 basis = {rng.randrange(12): rng.randrange(-2, 3) for _ in range(3)}
                 v = Vector(t.model, SIDE_V, basis, [rng.randrange(-1, 2) for _ in range(n_aug)])
-                want = pred.residual(v).sub(succ.residual(v))
+                want = Vector.from_sparse(t.model, SIDE_V, pred._reduce(v)).sub(
+                    Vector.from_sparse(t.model, SIDE_V, succ._reduce(v)))
                 assert finitary._chain_component(pred, succ, v.to_sparse()) == want

@@ -1,8 +1,11 @@
-"""Every public function and class of the package has a caller outside tests.
+"""Every public function, class and method of the package has a caller
+outside tests.
 
 The check parses `src/flagforge/*.py` and `perfbench/*.py` with `ast` and
 asks that each public module-level function or class of `flagforge` be
-referenced there, by a name, an attribute or an import.  Code that only the
+referenced there, by a name, an attribute or an import, and each public
+method by an attribute.  The CLI handlers `Runner.cmd_*` are exempt: the
+runner looks them up by the name of the command.  Code that only the
 tests call belongs in the tests, as a reference, or nowhere.
 """
 
@@ -40,16 +43,29 @@ def _public_definitions():
                 yield f"{path.stem}.{node.name}", node.name
 
 
+def _public_methods():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def _nodes_outside_tests():
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def _referenced_names():
     names = set()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    for node in _nodes_outside_tests():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     return names
 
 
@@ -67,3 +83,12 @@ def test_the_allowlist_names_existing_unreached_definitions():
     for label in ALLOWED:
         assert label in defined, label
         assert defined[label] not in referenced, f"{label} has a caller: drop it from ALLOWED"
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    attributes = {node.attr for node in _nodes_outside_tests() if isinstance(node, ast.Attribute)}
+    unreached = {
+        label for label, name in _public_methods()
+        if name not in attributes and not label.startswith("cli.Runner.cmd_")
+    }
+    assert not unreached, sorted(unreached)
