@@ -295,7 +295,6 @@ class Runner:
                 "is_cartan": verdict.is_cartan,
                 "via": {
                     "D": verdict.via_centralizer_of_ss,
-                    "E": verdict.via_maximal_torus,
                     "F": verdict.via_fitting_null,
                 },
             }

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epcore import stabilization_window
-from .exactnum import Echelon, Matrix, kernel, row_space_basis, sparse
+from .exactnum import Echelon, Matrix, dense, kernel, row_space_basis, sparse
 from .finitary import FinitaryElement, in_joint_stabilizer, in_nilradical
 from .genflag import FinitePairFlag, TautCouple
 from .pairedspace import (
@@ -70,8 +70,8 @@ def truncate_model(model: PairedSpaceModel, n: int) -> TruncatedModel:
         v_dim,
         w_dim,
         pairing,
-        kernel(pairing.transpose()),
-        kernel(pairing),
+        [dense(y, v_dim) for y in kernel(map(sparse, pairing.transpose().entries), v_dim)],
+        [dense(y, w_dim) for y in kernel(map(sparse, pairing.entries), w_dim)],
     )
 
 
@@ -155,9 +155,8 @@ class CoherenceReport:
 def _annihilator_rows(eqs, aligned, n_star: int, n: int, width: int) -> list:
     """Basis of the vectors y of length width with eqs . y = 0 and y_i = 0
     for i in aligned with n_star <= i < n."""
-    eqs = eqs + [[QONE if j == i else QZERO for j in range(width)]
-                 for i in range(n_star, n) if aligned.member(i)]
-    return kernel(Matrix(eqs or [[QZERO] * width]))
+    eqs = [sparse(e) for e in eqs] + [{i: QONE} for i in range(n_star, n) if aligned.member(i)]
+    return [dense(y, width) for y in kernel(eqs, width)]
 
 
 def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:

@@ -8,6 +8,10 @@ membership.  The batch functions `kernel`, `solve` and `row_space_basis`
 build one `Echelon` from the rows of their input; a reduced row echelon
 form is unique, so they return what any correct elimination returns.
 
+`kernel` is the one null-space routine: every subspace the program cuts
+out by linear conditions is read off its sparse basis, and callers that
+hold dense vectors convert with `sparse` and `dense` at the call.
+
 Polynomials are dense coefficient lists, index = degree: `Fraction`s for
 the `poly_*` helpers over Q, plain ints for `poly_factor_zz` over Z.
 """
@@ -257,21 +261,21 @@ def row_space_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction
     return [dense(r, cols) for r in Echelon(sparse(map(rat, row)) for row in rows).rows()]
 
 
-def kernel(m: Matrix) -> list[list[Fraction]]:
-    """Basis of the right null space {x : m x = 0}: one vector per free
-    column f, with 1 at f and minus column f of the RREF at the pivots."""
-    ech = Echelon(map(sparse, m.entries))
-    reduced = list(zip(ech.pivots, ech.rows()))
-    basis = []
-    for f in range(m.cols):
-        if f not in ech.pivots:
-            vec = [QZERO] * m.cols
-            vec[f] = QONE
-            for p, row in reduced:
-                if f in row:
-                    vec[p] = -row[f]
-            basis.append(vec)
-    return basis
+def kernel(rows, width: int) -> list[dict]:
+    """Basis of {x : row . x = 0 for every row}, for sparse equation rows
+    with columns in range(width): one sparse vector per free column f of the
+    reduced echelon form, with 1 at f and minus column f of the RREF at the
+    pivots.  A row's pivot is its smallest column, so the vector of f is
+    supported on f and the pivots before it, and it is the only element of
+    the null space with that support and 1 at f."""
+    ech = Echelon(rows)
+    pivots = set(ech.pivots)
+    basis = {f: {f: QONE} for f in range(width) if f not in pivots}
+    for p, row in zip(ech.pivots, ech.rows()):
+        for f, v in row.items():
+            if f != p:  # the other columns of a reduced row are free
+                basis[f][p] = -v
+    return list(basis.values())
 
 
 def solve(m: Matrix, rhs: list[Fraction]):

@@ -10,9 +10,10 @@ Inside the oracle an element of gl_n has one representation, the flat
 sparse row {i * n + j: Fraction}, and a subspace is a `MatSpan`, the
 reduced echelon basis of such rows.  Every subspace cut out by linear
 conditions (radical, nilradical, centralizers, normalizers, Fitting
-components, intersections, flag stabilizers) is the set of combinations
-of a basis whose images vanish, and one helper, `_null_combinations`,
-finds them by reading relations off tag columns.  Brackets and products go
+components, intersections, flag stabilizers, Levi lifts) is the set of
+combinations of a basis whose images vanish: `_relations` transposes the
+image columns into equations, and `exactnum.kernel`, the one null-space
+routine, solves them.  Brackets and products go
 through one sparse kernel on integer row dicts with a common denominator
 (`sparse_matrix`).  An algebra keeps the coordinates of the brackets of
 its basis as sparse structure constants, and its Killing form and derived
@@ -151,8 +152,9 @@ class MatSpan:
 
     def kernel_of(self, images) -> "MatSpan":
         """{sum_k c_k b_k : sum_k c_k images[k] = 0} over the basis rows b_k,
-        images[k] a sparse row with integer columns."""
-        return MatSpan(self.n, _null_combinations(self.echelon.rows(), images))
+        for sparse rows images[k]: the b_k combined by each of `_relations`."""
+        rows = self.echelon.rows()
+        return MatSpan(self.n, [_combine(c, rows) for c in _relations(images)])
 
     def _coords(self, row: dict) -> dict:
         """The nonzero coordinates {k: c} of a row of the span: its entries
@@ -174,28 +176,17 @@ def _combine(coeffs: dict, rows) -> dict:
     return out
 
 
-def _null_combinations(rows, images) -> list[dict]:
-    """Spanning rows of {sum_k c_k rows[k] : sum_k c_k images[k] = 0}, for
-    sparse images with integer columns.
-
-    Image k is reduced with a tag 1 in column w + k, w one past the largest
-    image column.  A residual left with tag columns only is a relation,
-    with c_k = 1 and the other c_j read off the tags; any other residual
-    extends the span of the images.  So each k whose image depends on the
-    earlier ones gives one relation, and these relations span the kernel:
-    they are its basis with c = 1 at one such k and 0 at the others."""
-    w = 1 + max((max(im) for im in images if im), default=-1)
-    ech = Echelon()
-    out = []
+def _relations(images) -> list[dict]:
+    """Basis of {c : sum_k c_k images[k] = 0} as sparse rows {k: c_k}, for
+    sparse images with hashable columns: each image column is one equation
+    of `kernel`.  The relation of k has c_k = 1 and is supported on k and
+    the earlier unknowns whose images are independent, so there is one for
+    each k whose image depends on the earlier ones, in increasing k."""
+    equations: dict = {}
     for k, image in enumerate(images):
-        row = dict(image)
-        row[w + k] = QONE
-        resid = ech.reduce(row)
-        if min(resid) >= w:
-            out.append(_combine({t - w: c for t, c in resid.items()}, rows))
-        else:
-            ech.add(resid)
-    return out
+        for col, v in image.items():
+            equations.setdefault(col, {})[k] = v
+    return kernel(equations.values(), len(images))
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +576,21 @@ def find_proper_submodule(actions, dim, rng):
     for theta in _theta_battery(actions, rng, dim):
         nullity_one = None
         for p, _ in _min_poly_factors(theta):
-            null = kernel(poly_eval_matrix(p, theta))
+            null = kernel(map(sparse, poly_eval_matrix(p, theta).entries), dim)
             for w in null:
-                sub = spin([w], actions, dim)
+                sub = spin([dense(w, dim)], actions, dim)
                 if 0 < len(sub) < dim:
                     return sub
             if len(null) == len(p) - 1:
                 nullity_one = (p, null)
         if nullity_one is not None:
             p, null = nullity_one
-            dual_null = kernel(poly_eval_matrix(p, theta.transpose()))
-            dual_sub = spin([dual_null[0]], transposed, dim)
+            dual_null = kernel(map(sparse, poly_eval_matrix(p, theta.transpose()).entries), dim)
+            dual_sub = spin([dense(dual_null[0], dim)], transposed, dim)
             if len(dual_sub) < dim:
-                ann = kernel(Matrix(dual_sub))
+                ann = kernel(map(sparse, dual_sub), dim)
                 if 0 < len(ann) < dim:
-                    return ann
+                    return [dense(v, dim) for v in ann]
                 raise CheckFailed("dual spin produced a trivial annihilator", theta)
             return None
     raise CertificationFailed("no nullity-one element found; change the seed")
@@ -718,7 +709,7 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
                     axpy(blocks.setdefault(k * width + a, {}), -coeff, unit_cache[a])
             for u, block in blocks.items():
                 images[u].update((pair * dim_q + r, v) for r, v in block.items())
-        relations = _null_combinations([{u: QONE} for u in range(last + 1)], images)
+        relations = _relations(images)
         if not relations or last not in relations[-1]:
             raise CheckFailed("Levi lifting system is inconsistent", (g, level))
         sol = relations[-1]
@@ -739,7 +730,7 @@ def _verify_levi(g, rad, levi):
         raise CheckFailed("Levi does not complement r cap [g,g]", levi)
     if not dg.contains(levi.span):
         raise CheckFailed("Levi is not inside the derived subalgebra", levi)
-    if levi.dim and kernel(levi.killing()):
+    if levi.dim and kernel(map(sparse, levi.killing().entries), levi.dim):
         raise CheckFailed("Killing form on the Levi is degenerate", levi)
 
 
@@ -809,7 +800,7 @@ def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
 def _bracket_images(xs, ys, n: int, modulo: Echelon) -> list[dict]:
     """For each sparse matrix x of xs, the residuals modulo `modulo` of the
     brackets [x, y], y in the sparse matrices ys, side by side in one flat
-    sparse row: the images that `kernel_of` and `_null_combinations` take."""
+    sparse row: the images that `kernel_of` and `_relations` take."""
     nn = n * n
     images = []
     for x in xs:
@@ -838,12 +829,11 @@ def _commuting_correction(y: dict, torus_rows, nil_span: MatSpan) -> dict:
     n = nil_span.n
     rows = nil_span.echelon.rows() + [y]
     ts = [sparse_matrix(t, n) for t in torus_rows]
-    found = _null_combinations(
-        rows, _bracket_images([sparse_matrix(r, n) for r in rows], ts, n, Echelon())
-    )
-    if not found or not nil_span.echelon.reduce(found[-1]):
+    found = _relations(_bracket_images([sparse_matrix(r, n) for r in rows], ts, n, Echelon()))
+    corrected = _combine(found[-1], rows) if found else {}
+    if not nil_span.echelon.reduce(corrected):
         raise CheckFailed("no commuting correction exists", _matrix(y, n))
-    return found[-1]
+    return corrected
 
 
 # ---------------------------------------------------------------------------
@@ -884,18 +874,18 @@ def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
 class CartanVerdict:
     is_cartan: bool
     via_centralizer_of_ss: bool
-    via_maximal_torus: bool
     via_fitting_null: bool
 
 
 def cartan_queries(k: FdLieAlgebra, h_basis) -> CartanVerdict:
-    """Three independent routes to the Cartan property of span(h) in k.
+    """Two independent routes to the Cartan property of span(h) in k.
 
-    Route D: h equals the centralizer of the semisimple parts of h.
-    Route E: the semisimple parts form a maximal toral subalgebra whose
-    centralizer is h.  Route F: h equals its own Fitting null component.
-    A disagreement between the routes, or a positive verdict that is not
-    self-normalizing, raises CheckFailed.  No route draws random numbers.
+    Route D: h equals the centralizer of the semisimple parts of h.  Route
+    F: h equals its own Fitting null component.  A disagreement between the
+    routes, or a positive verdict that is not self-normalizing, raises
+    CheckFailed.  No route draws random numbers.  The maximal-torus route
+    adds nothing to D: once the centralizer of the semisimple parts is h,
+    they span a maximal torus of it.
     """
     for b in h_basis:
         if not k.member(b):
@@ -904,7 +894,7 @@ def cartan_queries(k: FdLieAlgebra, h_basis) -> CartanVerdict:
     try:
         h_alg = FdLieAlgebra.on(h_span)
     except ValueError:
-        return CartanVerdict(False, False, False, False)
+        return CartanVerdict(False, False, False)
     nilpotent = is_nilpotent_span(h_span)
 
     via_f = fitting_null(k, h_alg.basis).span == h_span
@@ -912,19 +902,13 @@ def cartan_queries(k: FdLieAlgebra, h_basis) -> CartanVerdict:
     if not nilpotent:
         if via_f:
             raise CheckFailed("Fitting route accepted a non-nilpotent subalgebra", h_basis)
-        return CartanVerdict(False, False, False, via_f)
+        return CartanVerdict(False, False, via_f)
 
     ss_span = _semisimple_parts_span(h_alg.basis, k.n)
-    z = FdLieAlgebra.on(_centralizer_span(k.span, ss_span.sparse_matrices()))
-    via_d = z.span == h_span
-    # the torus is maximal when no semisimple part of a basis element of z
-    # escapes it; route E counts this only when z = h, which is nilpotent,
-    # and x -> x_s is linear there, so the basis decides for all of z
-    toral_maximal = all(ss_span.member(jordan_chevalley(y)[0]) for y in z.basis)
-    via_e = toral_maximal and z.span == h_span
+    via_d = _centralizer_span(k.span, ss_span.sparse_matrices()) == h_span
 
-    verdict = CartanVerdict(via_d, via_d, via_e, via_f)
-    if not via_d == via_e == via_f:
+    verdict = CartanVerdict(via_d, via_d, via_f)
+    if via_d != via_f:
         raise CheckFailed("Cartan routes disagree", (h_basis, verdict))
     if verdict.is_cartan and _normalizer_in(k, h_span) != h_span:
         raise CheckFailed("Cartan candidate is not self-normalizing", h_basis)
@@ -962,7 +946,7 @@ def flag_stabilizer_brute(n: int, chain) -> MatSpan:
                     image = images[i * n + j]
                     for c, v in resid.items():
                         image[base + c] = wj * v
-    return MatSpan(n, _null_combinations([{k: QONE} for k in range(n * n)], images))
+    return MatSpan(n, _relations(images))
 
 
 def flag_formula_spans(n: int, chain) -> tuple[MatSpan, MatSpan]:
@@ -984,7 +968,7 @@ def flag_formula_spans(n: int, chain) -> tuple[MatSpan, MatSpan]:
         complement = [v for v in level.rows() if below.add(v)]
         if not complement:
             continue
-        ann = [sparse(y) for y in kernel(Matrix._of([dense(r, n) for r in below.rows()]))]
+        ann = kernel(below.rows(), n)
         for v in complement:
             stabilizer += [_outer(v, y, n) for y in ann_below]
             nilradical += [_outer(v, y, n) for y in ann]
@@ -1054,9 +1038,9 @@ def fd_parabolic_tests(p: FdLieAlgebra, seed: int = 0) -> ParabolicReport:
     series over Q is F itself.
 
     `borel_restriction_check` asks whether b = stab(F) cap p, for a
-    complete flag F refining C, is a Borel of p over C, and then whether
-    b cap [p, p] is one of [p, p], by the exact test
-    `_is_maximal_solvable_in`.  The seed only feeds the meataxe."""
+    complete flag F refining C, is a Borel of p over C, by the exact test
+    `_is_maximal_solvable_in`; then b cap [p, p] is a Borel of [p, p] (see
+    `_borel_restriction_check`).  The seed only feeds the meataxe."""
     series = composition_series(p.basis, p.n, random.Random(seed))
     is_parabolic = flag_stabilizer_brute(p.n, series) == p.span
     return ParabolicReport(is_parabolic, _borel_restriction_check(p, series))
@@ -1112,15 +1096,16 @@ def _is_maximal_solvable_in(b_span: MatSpan, ambient: FdLieAlgebra) -> bool:
 
 
 def _borel_restriction_check(p: FdLieAlgebra, series) -> bool:
-    """Find a Borel of p from a full flag refining its composition series
-    and re-test maximal solvability of its restriction to the commutator
-    subalgebra."""
+    """Whether b = stab(F) cap p, for a full flag F refining the composition
+    series of p, is a Borel of p.
+
+    Its restriction b cap [p, p] is then a Borel of [p, p] with no further
+    test.  A Borel B of p contains rad p, so B = rad p + (B cap s) for any
+    Levi factor s, and B cap s is a Borel of s.  Since s = [s, s] lies in
+    [p, p] and rad [p, p] = rad p cap [p, p], B cap [p, p] = rad [p, p] +
+    (B cap s), a Borel of [p, p] = s + rad [p, p]."""
     stab = flag_stabilizer_brute(p.n, _full_flag_refining(series, p.n))
-    b_span = stab.intersect(p.span)
-    if not _is_maximal_solvable_in(b_span, p):
-        return False
-    dp = p.derived()
-    return _is_maximal_solvable_in(b_span.intersect(dp), FdLieAlgebra.on(dp))
+    return _is_maximal_solvable_in(stab.intersect(p.span), p)
 
 
 def parabolic_bijection_check(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epcore import EpSeq, EpSet, stabilization_window
-from .exactnum import Echelon, Matrix, kernel, rat
+from .exactnum import Echelon, kernel, rat
 
 SIDE_V = "V"
 SIDE_W = "V*"
@@ -448,12 +448,11 @@ def _annihilator(a: Subspace) -> Subspace:
     width = n_out + len(free_cols)
     eqs = []
     for i in range(cut, cut + p_star):
-        if s.member(i) and n_out:
-            row = [out_rows[k].value(i) for k in range(n_out)] + [QZERO] * len(free_cols)
-            eqs.append(row)
+        if s.member(i):
+            eqs.append({k: out_rows[k].value(i) for k in range(n_out)})
     s_below = s.members_below(cut)
     for x, u in corr:
-        row = [QZERO] * width
+        row = {}
         for k in range(n_out):
             acc = QZERO
             for (tag, j), xv in x.items():
@@ -476,20 +475,15 @@ def _annihilator(a: Subspace) -> Subspace:
             row[col_of[j]] = val
         eqs.append(row)
 
-    if width:
-        mat = Matrix(eqs) if eqs else Matrix([[QZERO] * width])
-        solutions = kernel(mat)
-    else:
-        solutions = []
     gens = []
-    for z in solutions:
-        d = z[:n_out]
-        basis = {j: z[col_of[j]] for j in free_cols if z[col_of[j]]}
+    for z in kernel(eqs, width):
+        d = tuple(z.get(k, QZERO) for k in range(n_out))
+        basis = {j: z[col_of[j]] for j in free_cols if col_of[j] in z}
         for j in s_below:
             val = -sum((dk * out_rows[k].value(j) for k, dk in enumerate(d)), QZERO)
             if val:
                 basis[j] = val
-        gens.append(Vector(model, out_side, basis, tuple(d)))
+        gens.append(Vector(model, out_side, basis, d))
     tail = s.complement().intersection(EpSet.from_bound(cut))
     return Subspace.span(model, out_side, tail, gens)
 

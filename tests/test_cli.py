@@ -467,7 +467,7 @@ def test_cli_cartan_of_empty_subalgebra(tmp_path):
     report_file = tmp_path / "report.json"
     assert main(["run", str(path), "--report", str(report_file)]) == 0
     result = json.loads(report_file.read_text())["results"][0]["result"]
-    assert result == {"is_cartan": False, "via": {"D": False, "E": False, "F": False}}
+    assert result == {"is_cartan": False, "via": {"D": False, "F": False}}
 
 
 def test_cli_import_leaves_sympy_unloaded():

@@ -241,10 +241,10 @@ def _finite_perp(tm, rows):
             [F(1) if j == i else F(0) for j in range(tm.w_dim)]
             for i in range(tm.w_dim)
         ]
-    from flagforge.exactnum import kernel
+    from flagforge.exactnum import dense, kernel, sparse
 
     prod = Matrix(rows) * tm.pairing
-    return kernel(prod)
+    return [dense(y, tm.w_dim) for y in kernel(map(sparse, prod.entries), tm.w_dim)]
 
 
 def _span(rows, width):

@@ -28,9 +28,17 @@ def _build(name, tmp_path):
 def test_one_pass_passes_every_check(name, tmp_path):
     workload = _build(name, tmp_path)
     problems = []
+    borel_checks = []
     for op in workload.ops:
-        problems += op.check(op.run())
+        out = op.run()
+        problems += op.check(out)
+        # the oracle's answer keeps only is_parabolic: every parabolic it
+        # asks about is one, so each has a Borel from its composition series
+        if name == "oracle" and op.query == "parabolic":
+            borel_checks.append(out.borel_restriction_check)
     assert len(workload.ops) >= 100
     assert problems == []
+    if name == "oracle":
+        assert borel_checks and all(borel_checks)
     if name == "session":
         assert any(op.probe for op in workload.ops)
