@@ -205,9 +205,6 @@ class EpSeq:
 
     __call__ = value
 
-    def is_zero(self) -> bool:
-        return not any(self.pre) and not any(self.repeat)
-
     def threshold(self) -> int:
         return len(self.pre)
 

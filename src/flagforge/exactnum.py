@@ -114,10 +114,6 @@ class Matrix:
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -158,11 +154,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix._of([list(col) for col in zip(*self.entries)])
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise NonSquare("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), QZERO)
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)

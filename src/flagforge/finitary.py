@@ -102,10 +102,6 @@ class FinitaryElement:
         self._rows = out
         self._verdicts = []  # (flag, in_stabilizer verdict)
 
-    @staticmethod
-    def zero(model) -> "FinitaryElement":
-        return FinitaryElement(model)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -304,9 +300,6 @@ class BlockComponent:
     g_pair: int
     terms: tuple  # (class representative in F''/F', class representative in G''/G')
     trace: Fraction
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() or w.is_zero() for v, w in self.terms)
 
 
 def _chain_component(chain_pred: Subspace, chain_succ: Subspace, row: dict) -> Vector:

@@ -8,12 +8,11 @@ only (BasisOrderFlag), as an ordered list of blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .epcore import EpSet, stabilization_window
+from .epcore import EpSet
 from .exactnum import QONE, Echelon
 from .pairedspace import (
     SIDE_V,
@@ -24,7 +23,6 @@ from .pairedspace import (
     closure,
     form_perp,
     is_closed,
-    pair,
     perp,
 )
 
@@ -170,52 +168,21 @@ def _classify(f: FinitePairFlag) -> FlagClassification:
     )
 
 
-def pairing_is_zero(a: Subspace, b: Subspace) -> bool:
-    """Exact decision of <a, b> = 0 for a in V and b in V*."""
-    if a.side != SIDE_V or b.side != SIDE_W:
-        raise SideMismatch("pairing_is_zero wants (V, V*) subspaces")
-    model = a.model
-    if not a.aligned.intersection(b.aligned).is_empty():
-        return False
-    for va in a.corrections:
-        for wb in b.corrections:
-            if pair(va, wb):
-                return False
-    rho = [aug.row for aug in model.v_augs]
-    sigma = [aug.row for aug in model.w_augs]
-    # corrections of a against the aligned part of b, and symmetrically;
-    # the pairing against e_i / f_j is eventually periodic in the index
-    for va in a.corrections:
-        window = stabilization_window([b.aligned] + rho + [va.support_bound()])
-        for j in b.aligned.members_below(window[0] + window[1]):
-            val = va.basis.get(j, 0)
-            for u, r in zip(va.augs, rho):
-                val += u * r.value(j)
-            if val:
-                return False
-    for wb in b.corrections:
-        window = stabilization_window([a.aligned] + sigma + [wb.support_bound()])
-        for i in a.aligned.members_below(window[0] + window[1]):
-            val = wb.basis.get(i, 0)
-            for d, r in zip(wb.augs, sigma):
-                val += d * r.value(i)
-            if val:
-                return False
-    return True
-
-
 class TautCouple:
-    """Validated taut couple of semiclosed flags in V and V*."""
+    """Validated taut couple of semiclosed flags in V and V*.
 
-    __slots__ = ("f_flag", "g_flag", "c_pairs", "_collapsed", "_quotient_dims", "_placements")
+    `f_perp[i]` is the index in g of perp of the i-th member of f; the pair
+    order and the matched closed pairs `c_pairs` are read off it."""
 
-    def __init__(self, f_flag, g_flag, c_pairs):
+    __slots__ = ("f_flag", "g_flag", "f_perp", "c_pairs", "_collapsed", "_quotient_dims")
+
+    def __init__(self, f_flag, g_flag, f_perp, c_pairs):
         self.f_flag = f_flag
         self.g_flag = g_flag
+        self.f_perp = f_perp
         self.c_pairs = c_pairs
         self._collapsed = None
         self._quotient_dims: dict = {}
-        self._placements: dict = {}
 
     @property
     def model(self):
@@ -232,15 +199,6 @@ class TautCouple:
         if i not in self._quotient_dims:
             self._quotient_dims[i] = quotient_dim(*self.f_pair(i))
         return self._quotient_dims[i]
-
-    def placements(self, placed) -> list:
-        """The pair indices (a, b) with placed(self, a, b), computed once per
-        couple and predicate."""
-        if placed not in self._placements:
-            f_pairs, g_pairs = range(self.f_flag.n_pairs()), range(self.g_flag.n_pairs())
-            pairs = itertools.product(f_pairs, g_pairs)
-            self._placements[placed] = [ab for ab in pairs if placed(self, *ab)]
-        return self._placements[placed]
 
     def __repr__(self):
         return (
@@ -290,18 +248,22 @@ def make_taut_couple(f: FinitePairFlag, g: FinitePairFlag) -> TautCouple:
             if perp(s) not in partner.chain:
                 raise NotTaut(s)
     g_index = {s: j for j, s in enumerate(g.chain)}
+    f_perp = tuple(g_index[perp(s)] for s in f.chain)
     f_closed = classify_flag(f).member_closed
-    c_pairs = tuple(
-        (i, g_index[perp(f.chain[i + 1])]) for i in range(f.n_pairs()) if f_closed[i]
-    )
-    return TautCouple(f, g, c_pairs)
+    c_pairs = tuple((i, f_perp[i + 1]) for i in range(f.n_pairs()) if f_closed[i])
+    return TautCouple(f, g, f_perp, c_pairs)
 
 
 def pair_order(t: TautCouple, alpha: int, beta: int) -> bool:
-    """Whether alpha < beta, for alpha an f-pair index and beta a g-pair index."""
-    f_succ = t.f_flag.chain[alpha + 1]
-    g_succ = t.g_flag.chain[beta + 1]
-    return pairing_is_zero(f_succ, g_succ)
+    """Whether alpha < beta, for alpha an f-pair index and beta a g-pair
+    index: whether F''_alpha = F_(alpha+1) pairs to zero with G''_beta =
+    G_(beta+1).
+
+    That holds exactly when G_(beta+1) lies in perp(F_(alpha+1)), which is
+    G_k for k = f_perp[alpha + 1] by tautness.  The g-chain is strictly
+    increasing and totally ordered, so G_(beta+1) <= G_k exactly when
+    beta + 1 <= k."""
+    return beta < t.f_perp[alpha + 1]
 
 
 def pair_leq(t: TautCouple, alpha: int, beta: int) -> bool:
@@ -337,7 +299,33 @@ class SelfTautReport:
 
 
 def self_taut_and_iso(f: FinitePairFlag) -> SelfTautReport:
-    """Self-tautness and the isotropic/coisotropic structure under the form."""
+    """Self-tautness and the isotropic/coisotropic structure under the form.
+
+    Write P for `form_perp` and phi for `form_to_vstar`.  The model is
+    pure-basis, so phi is a bijection V -> V* with <v, phi(w)> = B(v, w) =
+    +-B(w, v); hence P(a) = perp(phi(a)) = phi^-1(perp(a)), P(P(a)) =
+    closure(a), and P has the laws of perp used in `make_taut_couple`.  B
+    is nondegenerate, so P(full) = 0: 0 is closed, hence a member like the
+    full space (`make_taut_couple`), and when f is self-taut P sends every
+    member to a member.  P(s) is the full space only for s <= P(full) = 0.
+
+    The bijection maps each closed pair i whose successor C_(i+1) is
+    isotropic (C_(i+1) <= P(C_(i+1))) to j, the position of P(C_(i+1)).
+    It needs no check of its own:
+
+    1. C_(i+1) is not 0, so P(C_(i+1)), which contains it, is a nonzero
+       member, and it is not the full space, which is the last member; so
+       j is a pair index.
+    2. `make_taut_couple`'s proof with g = f and perp replaced by P: the
+       pair j is closed, P(C_(j+1)) = C_i, so i -> j is injective, and every
+       closed pair j' is the image of the closed pair i' with C_(i') =
+       P(C_(j'+1)), for which P(C_(i'+1)) = C_(j').
+    3. The image is the set of closed pairs whose predecessor is
+       coisotropic (P(C_j) <= C_j): C_j = P(C_(i+1)) is closed and contains
+       C_(i+1), so it contains P(P(C_(i+1))) = P(C_j); conversely, for such
+       a j' and its i' of 2, C_(i'+1) <= P(P(C_(i'+1))) = P(C_(j')) <=
+       C_(j') = P(C_(i'+1)), so C_(i'+1) is isotropic.
+    """
     model = f.model
     if model.form_kind == "none":
         from .pairedspace import NoFormOnModel
@@ -353,28 +341,16 @@ def self_taut_and_iso(f: FinitePairFlag) -> SelfTautReport:
         coiso = s.contains(p)
         tags.append("both" if iso and coiso else "isotropic" if iso else
                     "coisotropic" if coiso else "neither")
-    bijection = []
+    bijection = ()
     if self_taut:
         closed = classify_flag(f).member_closed
-        iso_domain = [
-            i
+        index = {s: i for i, s in enumerate(f.chain)}
+        bijection = tuple(
+            (i, index[perps[i + 1]])
             for i in range(f.n_pairs())
             if closed[i] and perps[i + 1].contains(f.chain[i + 1])
-        ]
-        codomain = [
-            i
-            for i in range(f.n_pairs())
-            if closed[i] and f.chain[i].contains(perps[i])
-        ]
-        index = {s: i for i, s in enumerate(f.chain)}
-        for i in iso_domain:
-            j = index.get(perps[i + 1])
-            if j is None or j >= f.n_pairs():
-                raise NotTaut(f.chain[i + 1])
-            bijection.append((i, j))
-        if sorted(j for _, j in bijection) != sorted(codomain):
-            raise NotTaut(f.chain[0])
-    return SelfTautReport(self_taut, tuple(tags), tuple(bijection))
+        )
+    return SelfTautReport(self_taut, tuple(tags), bijection)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Subspaces are stored in a canonical form: an eventually periodic aligned
 index set S (the subspace contains e_i for every i in S) plus finitely many
 correction vectors in reduced echelon form whose basis support avoids S.
 The module offers spans (`Subspace.span`), inclusion (`contains`),
-reduction modulo a subspace (`residual`, `member`) and annihilators
+membership (`member`, by reduction modulo the subspace) and annihilators
 (`perp`, `closure`); `perp` certifies that the annihilator is again such a
 subspace and raises NotRepresentable otherwise.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epcore import EpSeq, EpSet, stabilization_window
-from .exactnum import Echelon, kernel, rat
+from .exactnum import QONE, Echelon, kernel, rat
 
 SIDE_V = "V"
 SIDE_W = "V*"
@@ -214,9 +214,6 @@ class Vector:
             {i: c * v for i, v in self.basis.items()},
             tuple(c * v for v in self.augs),
         )
-
-    def sub(self, other: "Vector") -> "Vector":
-        return self.add(other.scale(-1))
 
     def __eq__(self, other):
         return (
@@ -426,7 +423,6 @@ def _annihilator(a: Subspace) -> Subspace:
         return model.cross_value(in_idx, out_idx)
 
     s = a.aligned
-    corr = [(c.to_sparse(), c.augs) for c in a.corrections]
     support = max((c.support_bound() for c in a.corrections), default=0)
     n_star, p_star = stabilization_window([s] + out_rows + in_rows)
     cut = max(n_star, support)
@@ -435,55 +431,43 @@ def _annihilator(a: Subspace) -> Subspace:
     for r in range(p_star):
         j = cut + ((r - cut) % p_star)
         if not s.member(j):
-            for _, u in corr:
-                tail = sum((uk * row.value(j) for uk, row in zip(u, in_rows)), QZERO)
+            for c in a.corrections:
+                tail = sum((uk * row.value(j) for uk, row in zip(c.augs, in_rows)), QZERO)
                 if tail:
                     raise NotRepresentable(
                         "annihilator is not an aligned-plus-corrections subspace"
                     )
 
+    # one equation system in y = sum_j y_j f_j + sum_k d_k g_k on the out
+    # side: column k is d_k, column n_out + j is y_j for j < cut (coordinates
+    # from cut on are 0 on s and spanned by the tail off it)
     n_out = len(out_rows)
-    free_cols = [j for j in range(cut) if not s.member(j)]
-    col_of = {j: n_out + idx for idx, j in enumerate(free_cols)}
-    width = n_out + len(free_cols)
     eqs = []
-    for i in range(cut, cut + p_star):
-        if s.member(i):
-            eqs.append({k: out_rows[k].value(i) for k in range(n_out)})
-    s_below = s.members_below(cut)
-    for x, u in corr:
+    for i in s.members_below(cut + p_star):  # <e_i, y> = 0
+        row = {k: out_rows[k].value(i) for k in range(n_out)}
+        if i < cut:
+            row[n_out + i] = QONE
+        eqs.append(row)
+    for c in a.corrections:  # <c, y> = 0
         row = {}
         for k in range(n_out):
-            acc = QZERO
-            for (tag, j), xv in x.items():
-                if tag == 1:
-                    acc += xv * out_rows[k].value(j)
-            for l, ul in enumerate(u):
-                if ul:
-                    acc += ul * cross_val(k, l)
-            if u and any(u):
-                for j in s_below:
-                    tau = sum(
-                        (ul * in_rows[l].value(j) for l, ul in enumerate(u)), QZERO
-                    )
-                    if tau:
-                        acc -= tau * out_rows[k].value(j)
-            row[k] = acc
-        for j in free_cols:
-            val = x.get((1, j), QZERO)
-            val += sum((ul * in_rows[l].value(j) for l, ul in enumerate(u)), QZERO)
-            row[col_of[j]] = val
+            row[k] = sum((xv * out_rows[k].value(j) for j, xv in c.basis.items()), QZERO)
+            row[k] += sum((ul * cross_val(k, l) for l, ul in enumerate(c.augs)), QZERO)
+        for j in range(cut):
+            val = c.basis.get(j, QZERO)
+            val += sum((ul * in_rows[l].value(j) for l, ul in enumerate(c.augs)), QZERO)
+            row[n_out + j] = val
         eqs.append(row)
 
-    gens = []
-    for z in kernel(eqs, width):
-        d = tuple(z.get(k, QZERO) for k in range(n_out))
-        basis = {j: z[col_of[j]] for j in free_cols if col_of[j] in z}
-        for j in s_below:
-            val = -sum((dk * out_rows[k].value(j) for k, dk in enumerate(d)), QZERO)
-            if val:
-                basis[j] = val
-        gens.append(Vector(model, out_side, basis, d))
+    gens = [
+        Vector(
+            model,
+            out_side,
+            {col - n_out: v for col, v in z.items() if col >= n_out},
+            tuple(z.get(k, QZERO) for k in range(n_out)),
+        )
+        for z in kernel(eqs, n_out + cut)
+    ]
     tail = s.complement().intersection(EpSet.from_bound(cut))
     return Subspace.span(model, out_side, tail, gens)
 

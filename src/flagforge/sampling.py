@@ -41,8 +41,10 @@ def random_vector_in(sub: Subspace, rng, bound: int = 10) -> Vector:
 
 def _placed_terms(t: TautCouple, rng, placed, terms: int) -> list:
     """(v, w) tensor terms with v in F''_a and w in G''_b for random pairs
-    (a, b) with placed(t, a, b)."""
-    placements = t.placements(placed)
+    (a, b) with placed(t, a, b).  The predicates read only the couple's
+    chain positions, so the list of such pairs is rebuilt on every call."""
+    f_pairs, g_pairs = range(t.f_flag.n_pairs()), range(t.g_flag.n_pairs())
+    placements = [(a, b) for a in f_pairs for b in g_pairs if placed(t, a, b)]
     out = []
     for _ in range(terms if placements else 0):
         a, b = rng.choice(placements)

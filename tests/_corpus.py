@@ -33,6 +33,11 @@ def rank_one(v, w):
     return FinitaryElement(v.model, [(v, w)])
 
 
+def matrix_trace(m):
+    """The trace of a square Matrix."""
+    return sum((m.entries[i][i] for i in range(m.rows)), F(0))
+
+
 def evens_couple(model=None):
     m = model or plain_model()
     f = flag_from_chain(m, SIDE_V, [Subspace.span(m, SIDE_V, EVENS)])
@@ -70,7 +75,7 @@ def random_ep_model(rng: random.Random):
         [rng.randrange(-1, 2) for _ in range(rng.randrange(2))],
         [rng.randrange(-1, 2) for _ in range(rng.randrange(1, 3))],
     )
-    if row.is_zero():
+    if not any(row.pre) and not any(row.repeat):
         return plain_model()
     model = PairedSpaceModel(v_augs=(Augmentation(row),), cross=((),))
     return model if validate_model(model).valid else plain_model()

@@ -187,7 +187,7 @@ def _old_placed(t, rng, keep, terms):
         for b in range(t.g_flag.n_pairs())
         if keep(t, a, b)
     ]
-    out = FinitaryElement.zero(t.model)
+    out = FinitaryElement(t.model)
     if not placements:
         return out
     for _ in range(terms):
@@ -232,7 +232,7 @@ def _old_pminus(t, rng, ambient="gl", terms=2):
 
 
 def _old_random_element(model, rng, terms=2, bound=8):
-    out = FinitaryElement.zero(model)
+    out = FinitaryElement(model)
     for _ in range(terms):
         v = Vector(model, SIDE_V, {rng.randrange(bound): rng.randrange(-2, 3) or 1 for _ in range(2)})
         w = Vector(model, SIDE_W, {rng.randrange(bound): rng.randrange(-2, 3) or 1 for _ in range(2)})

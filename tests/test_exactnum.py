@@ -65,7 +65,7 @@ def charpoly(m: Matrix) -> list[Fraction]:
     mk = Matrix.identity(n)
     for k in range(1, n + 1):
         mk = m * mk
-        ck = -mk.trace() / k
+        ck = -sum((mk.entries[i][i] for i in range(n)), QZERO) / k
         coeffs[n - k] = ck
         if k < n:
             mk = mk + Matrix.identity(n).scale(ck)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import criterion_2_chains, gl3_plus_so2
+from _corpus import criterion_2_chains, gl3_plus_so2, matrix_trace
 from flagforge import finoracle
 from flagforge.exactnum import (
     CheckFailed,
@@ -486,7 +486,7 @@ def _reference_ad(g):
 
 def _reference_killing(ads):
     d = len(ads)
-    return Matrix([[(ads[i] * ads[j]).trace() for j in range(d)] for i in range(d)])
+    return Matrix([[matrix_trace(ads[i] * ads[j]) for j in range(d)] for i in range(d)])
 
 
 def _reference_radical(g):
@@ -499,7 +499,7 @@ def _reference_radical(g):
     rows = []
     for m in bracket_span(g.span, g.span).matrices():
         mu = g.span.echelon.coords(sparse(m.flatten()))
-        rows.append([sum((kill[i, j] * mu[j] for j in range(d)), F(0)) for i in range(d)])
+        rows.append([sum((kill.entries[i][j] * mu[j] for j in range(d)), F(0)) for i in range(d)])
     mats = []
     for lam in kernel(map(sparse, rows), d):
         acc = Matrix.zero(g.n, g.n)

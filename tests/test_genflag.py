@@ -1,8 +1,13 @@
+import itertools
 import math
+import os
+import random
+import sys
 
 import pytest
 
-from flagforge.epcore import EpSet
+from _corpus import augmented_couple, evens_couple, random_plain_couple, trivial_couple
+from flagforge.epcore import EpSet, stabilization_window
 from flagforge.genflag import (
     OMEGA_UP,
     FINITE,
@@ -19,17 +24,19 @@ from flagforge.genflag import (
     make_taut_couple,
     pair_leq,
     pair_order,
-    pairing_is_zero,
     quotient_dim,
     self_taut_and_iso,
 )
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
+    SideMismatch,
     Subspace,
     Vector,
     closure,
     dense_line_model,
+    form_perp,
+    pair,
     plain_model,
     split_form_model,
 )
@@ -216,6 +223,47 @@ def test_self_taut_trivial():
     assert rep.self_taut
 
 
+def _split_form_pool(m):
+    """Aligned subspaces of every residue set mod 4, and a few finite ones."""
+    pool = [sp(m, SIDE_V, EpSet.from_residues(4, set(r)))
+            for k in range(1, 4) for r in itertools.combinations(range(4), k)]
+    pool += [sp(m, SIDE_V, gens=[ev(m, 0)]), sp(m, SIDE_V, gens=[ev(m, 0), ev(m, 2)]),
+             sp(m, SIDE_V, gens=[ev(m, 0).add(ev(m, 1))]),
+             sp(m, SIDE_V, gens=[ev(m, 0), ev(m, 1)]),
+             sp(m, SIDE_V, EVENS.difference(EpSet.finite({0}))),
+             sp(m, SIDE_V, EVENS.union(EpSet.finite({1}))),
+             sp(m, SIDE_V, EpSet.from_residues(4, {0}).union(EpSet.finite({2})))]
+    return pool
+
+
+def test_self_taut_bijection_runs_onto_the_coisotropic_closed_pairs():
+    # every flag with at most three inner members from the pool: on a
+    # self-taut flag the isotropic closed pairs are matched one to one with
+    # the closed pairs whose predecessor is coisotropic
+    self_taut = matched = 0
+    for kind in ("symmetric", "antisymmetric"):
+        m = split_form_model(kind)
+        pool = _split_form_pool(m)
+        for size in (0, 1, 2, 3):
+            for chain in itertools.combinations(pool, size):
+                try:
+                    f = flag_from_chain(m, SIDE_V, chain)
+                except NotAChain:
+                    continue
+                rep = self_taut_and_iso(f)
+                if not rep.self_taut:
+                    continue
+                closed = classify_flag(f).member_closed
+                codomain = [
+                    j for j in range(f.n_pairs())
+                    if closed[j] and f.chain[j].contains(form_perp(f.chain[j]))
+                ]
+                assert sorted(j for _, j in rep.iso_bijection) == codomain, f
+                self_taut += 1
+                matched += bool(rep.iso_bijection)
+    assert self_taut > 20 and matched > 20, (self_taut, matched)
+
+
 def test_not_self_taut_line():
     m = split_form_model("symmetric")
     f = flag_from_chain(m, SIDE_V, [sp(m, SIDE_V, gens=[ev(m, 0)])])
@@ -265,6 +313,71 @@ def test_basis_order_flag_fat_point_not_maximal():
     )
     assert not b.is_maximal_closed()
     assert b.leq(0, 1) and b.leq(1, 0)
+
+
+def pairing_is_zero(a, b):
+    """Exact decision of <a, b> = 0 for a in V and b in V*, by evaluating
+    the pairing over one stabilization window: the decision `pair_order`
+    made before it read chain positions, kept as its reference."""
+    if a.side != SIDE_V or b.side != SIDE_W:
+        raise SideMismatch("pairing_is_zero wants (V, V*) subspaces")
+    model = a.model
+    if not a.aligned.intersection(b.aligned).is_empty():
+        return False
+    for va in a.corrections:
+        for wb in b.corrections:
+            if pair(va, wb):
+                return False
+    rho = [aug.row for aug in model.v_augs]
+    sigma = [aug.row for aug in model.w_augs]
+    # corrections of a against the aligned part of b, and symmetrically;
+    # the pairing against e_i / f_j is eventually periodic in the index
+    for va in a.corrections:
+        window = stabilization_window([b.aligned] + rho + [va.support_bound()])
+        for j in b.aligned.members_below(window[0] + window[1]):
+            val = va.basis.get(j, 0)
+            for u, r in zip(va.augs, rho):
+                val += u * r.value(j)
+            if val:
+                return False
+    for wb in b.corrections:
+        window = stabilization_window([a.aligned] + sigma + [wb.support_bound()])
+        for i in a.aligned.members_below(window[0] + window[1]):
+            val = wb.basis.get(i, 0)
+            for d, r in zip(wb.augs, sigma):
+                val += d * r.value(i)
+            if val:
+                return False
+    return True
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _membership_couples(seed):
+    """The couples the `membership` benchmark workload builds at a seed."""
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    import membership
+
+    rng = random.Random(f"membership:{seed}")
+    return [membership.CoupleCase(*case, rng).couple for case in membership.COUPLES]
+
+
+def test_pair_order_matches_the_pairing_reference():
+    couples = [evens_couple(), trivial_couple(), augmented_couple()]
+    couples += [random_plain_couple(random.Random(seed)) for seed in range(50)]
+    for seed in (1, 2, 3):
+        couples += _membership_couples(seed)
+    couples += [collapsed_couple(t) for t in couples]
+    seen = {True: 0, False: 0}
+    for t in couples:
+        for alpha in range(t.f_flag.n_pairs()):
+            for beta in range(t.g_flag.n_pairs()):
+                want = pairing_is_zero(t.f_flag.chain[alpha + 1], t.g_flag.chain[beta + 1])
+                assert pair_order(t, alpha, beta) == want, (t, alpha, beta)
+                seen[want] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_pairing_is_zero():

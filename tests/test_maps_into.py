@@ -208,6 +208,6 @@ def test_chain_component_matches_residual_difference():
             for _ in range(10):
                 basis = {rng.randrange(12): rng.randrange(-2, 3) for _ in range(3)}
                 v = Vector(t.model, SIDE_V, basis, [rng.randrange(-1, 2) for _ in range(n_aug)])
-                want = Vector.from_sparse(t.model, SIDE_V, pred._reduce(v)).sub(
-                    Vector.from_sparse(t.model, SIDE_V, succ._reduce(v)))
+                want = Vector.from_sparse(t.model, SIDE_V, pred._reduce(v)).add(
+                    Vector.from_sparse(t.model, SIDE_V, succ._reduce(v)).scale(-1))
                 assert finitary._chain_component(pred, succ, v.to_sparse()) == want

@@ -267,7 +267,7 @@ def test_form_maps_split_antisymmetric():
     assert pair(ev(m, 0), form_to_vstar(ev(m, 1))) == 1
     assert pair(ev(m, 1), form_to_vstar(ev(m, 0))) == -1
     x = ev(m, 2).add(ev(m, 5).scale(3))
-    y = ev(m, 4).sub(ev(m, 3))
+    y = ev(m, 4).add(ev(m, 3).scale(-1))
     assert pair(x, form_to_vstar(y)) == -pair(y, form_to_vstar(x))
 
 
@@ -387,6 +387,160 @@ def test_perp_from_the_model_table_matches_a_fresh_annihilator(a):
     assert a.model._perps[key] is got
     assert perp(_fresh(a)) is got
     assert got == want
+
+
+# --- the annihilator against the hand elimination it replaced -----------------
+
+
+def _old_annihilator(a):
+    """The annihilator as computed before one equation system decided it:
+    the coordinates y_i for i in the aligned set below the cut are
+    substituted by hand (y_i = -sum_k d_k <e_i, g_k>), the kernel runs over
+    the remaining free columns, and the substituted coordinates are rebuilt
+    from d.  The reference for `pairedspace._annihilator`."""
+    from flagforge.epcore import stabilization_window
+    from flagforge.exactnum import kernel
+
+    model = a.model
+    out_side = pairedspace.other_side(a.side)
+    out_rows = [aug.row for aug in model.augs(out_side)]
+    in_rows = [aug.row for aug in model.augs(a.side)]
+
+    def cross_val(out_idx, in_idx):
+        if out_side == SIDE_V:
+            return model.cross_value(out_idx, in_idx)
+        return model.cross_value(in_idx, out_idx)
+
+    s = a.aligned
+    corr = [(c.to_sparse(), c.augs) for c in a.corrections]
+    support = max((c.support_bound() for c in a.corrections), default=0)
+    n_star, p_star = stabilization_window([s] + out_rows + in_rows)
+    cut = max(n_star, support)
+    for r in range(p_star):
+        j = cut + ((r - cut) % p_star)
+        if not s.member(j):
+            for _, u in corr:
+                if sum((uk * row.value(j) for uk, row in zip(u, in_rows)), F(0)):
+                    raise NotRepresentable("not an aligned-plus-corrections subspace")
+
+    n_out = len(out_rows)
+    free_cols = [j for j in range(cut) if not s.member(j)]
+    col_of = {j: n_out + idx for idx, j in enumerate(free_cols)}
+    width = n_out + len(free_cols)
+    eqs = []
+    for i in range(cut, cut + p_star):
+        if s.member(i):
+            eqs.append({k: out_rows[k].value(i) for k in range(n_out)})
+    s_below = s.members_below(cut)
+    for x, u in corr:
+        row = {}
+        for k in range(n_out):
+            acc = F(0)
+            for (tag, j), xv in x.items():
+                if tag == 1:
+                    acc += xv * out_rows[k].value(j)
+            for l, ul in enumerate(u):
+                if ul:
+                    acc += ul * cross_val(k, l)
+            if u and any(u):
+                for j in s_below:
+                    tau = sum((ul * in_rows[l].value(j) for l, ul in enumerate(u)), F(0))
+                    if tau:
+                        acc -= tau * out_rows[k].value(j)
+            row[k] = acc
+        for j in free_cols:
+            val = x.get((1, j), F(0))
+            val += sum((ul * in_rows[l].value(j) for l, ul in enumerate(u)), F(0))
+            row[col_of[j]] = val
+        eqs.append(row)
+
+    gens = []
+    for z in kernel(eqs, width):
+        d = tuple(z.get(k, F(0)) for k in range(n_out))
+        basis = {j: z[col_of[j]] for j in free_cols if col_of[j] in z}
+        for j in s_below:
+            val = -sum((dk * out_rows[k].value(j) for k, dk in enumerate(d)), F(0))
+            if val:
+                basis[j] = val
+        gens.append(Vector(model, out_side, basis, d))
+    tail = s.complement().intersection(EpSet.from_bound(cut))
+    return Subspace.span(model, out_side, tail, gens)
+
+
+def _same_annihilator(a):
+    """`_annihilator` equals the old elimination on a, or both raise
+    NotRepresentable; returns whether it raised."""
+    try:
+        want = _old_annihilator(a)
+    except NotRepresentable:
+        with pytest.raises(NotRepresentable):
+            pairedspace._annihilator(_fresh(a))
+        return True
+    assert pairedspace._annihilator(_fresh(a)) == want, (a, a.corrections)
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_subspaces())
+def test_annihilator_matches_the_old_elimination(a):
+    _same_annihilator(a)
+
+
+def _cross_model():
+    """h in V pairs to 1 with the f_j of even j, g in V* to 1 with the e_i
+    of odd i, and <h, g> = 3."""
+    return PairedSpaceModel(
+        v_augs=(Augmentation(EpSeq.make([], [1, 0])),),
+        w_augs=(Augmentation(EpSeq.make([], [0, 1])),),
+        cross=((F(3),),),
+    )
+
+
+def test_cross_value_enters_the_annihilator():
+    # a = span(e_i : i even, h + e_1).  For y = sum y_j f_j + d g, the e_i
+    # force y_i = 0 for even i, so <h + e_1, y> = 3 d + y_1 + d
+    m = _cross_model()
+    a = Subspace.span(m, SIDE_V, EVENS, [Vector(m, SIDE_V, {1: 1}, (1,))])
+    want = Subspace.span(m, SIDE_W, ODDS.difference(EpSet.finite({1})),
+                         [Vector(m, SIDE_W, {1: -4}, (1,))])
+    assert pairedspace._annihilator(a) == want == _old_annihilator(a)
+
+
+def test_annihilator_matches_the_old_elimination_on_two_sided_models():
+    from test_coherence import two_sided_model
+
+    rng = random.Random(19)
+    # rows that vanish on every other index let a V* augmentation survive
+    # on an aligned set that a V augmentation's tail needs, so the cross
+    # value enters the annihilator
+    seqs = [EpSeq.constant(1), EpSeq.make([], [1, 0]), EpSeq.make([], [0, 1]),
+            EpSeq.make([0], [1, -1]), EpSeq.make([1, 0], [0, 1, 1])]
+    models = [two_sided_model(), _cross_model()] + [
+        PairedSpaceModel(
+            v_augs=(Augmentation(rng.choice(seqs)),),
+            w_augs=(Augmentation(rng.choice(seqs)),),
+            cross=((F(rng.randrange(-2, 4)),),),
+        )
+        for _ in range(12)
+    ]
+    raised = kept = 0
+    for m in models:
+        for side in (SIDE_V, SIDE_W):
+            for _ in range(15):
+                period = rng.randrange(1, 4)
+                residues = {r for r in range(period) if rng.random() < 0.5}
+                aligned = EpSet.from_residues(period, residues, threshold=rng.randrange(3))
+                gens = [
+                    Vector(m, side, {rng.randrange(6): rng.randrange(-2, 3) for _ in range(2)},
+                           (rng.randrange(-1, 2),))
+                    for _ in range(rng.randrange(3))
+                ]
+                a = Subspace.span(m, side, aligned, gens)
+                if _same_annihilator(a):
+                    raised += 1
+                else:
+                    kept += 1
+    assert raised and kept > raised
 
 
 def _count_annihilators(monkeypatch):
