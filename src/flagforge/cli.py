@@ -4,6 +4,11 @@ Usage: flagforge run session.json [--seed N] [--report out.json]
 
 Exit codes: 0 every assertion passed, 1 at least one `expect` mismatched,
 2 the session failed to parse or referenced an unknown object.
+
+The report is one JSON object on one line, written by `json.dumps` with its
+defaults (the C encoder): `seed`, `passed` and `results`, in that order.
+Each result holds `index`, `cmd`, then `result` or `error`, then
+`expect_ok` when the command carries an `expect`, and `elapsed_ms`.
 """
 
 from __future__ import annotations
@@ -353,14 +358,22 @@ def run_session(data: dict, seed: int = 0) -> dict:
     return {"seed": seed, "passed": passed, "results": results}
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flagforge", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
     run_p = sub.add_parser("run", help="execute a session file")
     run_p.add_argument("session", help="path to the session JSON")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--report", help="write the report JSON here")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once per process: parse_args keeps no state between calls
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.session, "r", encoding="utf-8") as fh:
@@ -381,7 +394,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

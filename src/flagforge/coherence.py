@@ -6,16 +6,21 @@ further periods, so exact agreement at those levels certifies agreement at
 every higher level.  Annihilator comparisons hold modulo the degeneracy
 radical of the truncated pairing, which is reported, never an error.  The
 truncations of models, vectors, subspaces and elements live here as well.
+
+Everything finite is a sparse row {coordinate: Fraction}, with coordinates
+[e_0..e_{n-1}, augs...]: the truncated pairing is held as sparse rows and
+columns, a truncated subspace is an `Echelon`, an element's truncation is
+the list of its sparse columns, and every null space comes from `kernel`.
+Two spans are compared by their reduced echelon bases, which are unique.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .epcore import stabilization_window
-from .exactnum import Echelon, Matrix, dense, kernel, row_space_basis, sparse
+from .exactnum import QONE, Echelon, axpy, kernel
 from .finitary import FinitaryElement, in_joint_stabilizer, in_nilradical
 from .genflag import FinitePairFlag, TautCouple
 from .pairedspace import (
@@ -26,12 +31,11 @@ from .pairedspace import (
     Subspace,
     Vector,
     closure,
+    other_side,
     perp,
 )
 from .sampling import random_element, sample_nilradical, sample_pminus, sample_pplus
 
-QZERO = Fraction(0)
-QONE = Fraction(1)
 # basis vectors whose truncated action `compare_element` checks per level
 ELEMENT_SAMPLES = 4
 # draws of each sampler in the battery of `compare_couple`
@@ -40,70 +44,63 @@ COUPLE_SAMPLES = 6
 
 @dataclass
 class TruncatedModel:
-    """Finite slice of the model: indices below n plus explicit aug rows."""
+    """Finite slice of the model: indices below n plus explicit aug rows.
+
+    Each table is keyed by side.  `pairing[side][i]` pairs coordinate i of
+    side with the other side as a sparse row (the V rows and W rows are the
+    rows and columns of one matrix); `radical[side]` is a `kernel` basis."""
 
     n: int
-    v_dim: int
-    w_dim: int
-    pairing: Matrix
-    radical_v: list
-    radical_w: list
+    dim: dict
+    pairing: dict
+    radical: dict
 
 
 def truncate_model(model: PairedSpaceModel, n: int) -> TruncatedModel:
     if n < 1:
         raise ValueError("truncation level must be >= 1")
-    kv, lw = len(model.v_augs), len(model.w_augs)
-    v_dim, w_dim = n + kv, n + lw
+    lw = len(model.w_augs)
+    dim = {SIDE_V: n + len(model.v_augs), SIDE_W: n + lw}
     rows = []
     for i in range(n):
-        row = [Fraction(1) if j == i else QZERO for j in range(n)]
-        row += [model.w_augs[l].row.value(i) for l in range(lw)]
+        row = {i: QONE}
+        row.update((n + l, aug.row.value(i)) for l, aug in enumerate(model.w_augs))
         rows.append(row)
-    for k in range(kv):
-        row = [model.v_augs[k].row.value(j) for j in range(n)]
-        row += [model.cross_value(k, l) for l in range(lw)]
+    for k, aug in enumerate(model.v_augs):
+        row = {j: aug.row.value(j) for j in range(n)}
+        row.update((n + l, model.cross_value(k, l)) for l in range(lw))
         rows.append(row)
-    pairing = Matrix(rows)
-    return TruncatedModel(
-        n,
-        v_dim,
-        w_dim,
-        pairing,
-        [dense(y, v_dim) for y in kernel(map(sparse, pairing.transpose().entries), v_dim)],
-        [dense(y, w_dim) for y in kernel(map(sparse, pairing.entries), w_dim)],
-    )
+    rows = [{j: c for j, c in row.items() if c} for row in rows]
+    cols = [{} for _ in range(dim[SIDE_W])]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            cols[j][i] = c
+    radical = {SIDE_V: kernel(cols, dim[SIDE_V]), SIDE_W: kernel(rows, dim[SIDE_W])}
+    return TruncatedModel(n, dim, {SIDE_V: rows, SIDE_W: cols}, radical)
 
 
-def truncate_vector(v: Vector, n: int) -> list[Fraction]:
-    """Coordinates [e_0..e_{n-1}, augs...] of the truncated vector."""
-    coords = [v.basis.get(i, QZERO) for i in range(n)]
-    return coords + list(v.augs)
+def truncate_vector(v: Vector, n: int) -> dict:
+    """Sparse coordinates [e_0..e_{n-1}, augs...] of the truncated vector."""
+    row = {i: c for i, c in v.basis.items() if i < n}
+    row.update((n + k, c) for k, c in enumerate(v.augs) if c)
+    return row
 
 
-def truncate_subspace(a: Subspace, n: int) -> list[list[Fraction]]:
-    """RREF basis rows of the truncated subspace."""
-    width = n + len(a.model.augs(a.side))
+def truncate_subspace(a: Subspace, n: int) -> Echelon:
+    """Echelon basis of the truncated subspace: its truncated corrections and
+    the unit rows of its aligned indices below n."""
     rows = [truncate_vector(c, n) for c in a.corrections]
-    for i in a.aligned.members_below(n):
-        row = [QZERO] * width
-        row[i] = Fraction(1)
-        rows.append(row)
-    return row_space_basis(rows, width)
+    return Echelon(rows + [{i: QONE} for i in a.aligned.members_below(n)])
 
 
-def truncate_element(x: FinitaryElement, n: int, side: str = SIDE_V) -> Matrix:
-    """Operator matrix of x on the truncated space (basis then augs)."""
+def truncate_element(x: FinitaryElement, n: int, side: str = SIDE_V) -> list[dict]:
+    """Operator of x on the truncated space as sparse columns: entry j is
+    the truncated image of coordinate j (basis then augs)."""
     model = x.model
-    augs = model.augs(side)
-    dim = n + len(augs)
-    cols = []
     act = x.act_on_v if side == SIDE_V else x.act_on_vstar
-    for i in range(n):
-        cols.append(truncate_vector(act(Vector.basis_vector(model, side, i)), n))
-    for k in range(len(augs)):
-        cols.append(truncate_vector(act(Vector.aug_vector(model, side, k)), n))
-    return Matrix.from_rows(list(map(list, zip(*cols)))) if dim else Matrix([])
+    units = [Vector.basis_vector(model, side, i) for i in range(n)]
+    units += [Vector.aug_vector(model, side, k) for k in range(len(model.augs(side)))]
+    return [truncate_vector(act(u), n) for u in units]
 
 
 def window_levels(model, objs) -> list[int]:
@@ -135,10 +132,19 @@ def window_levels(model, objs) -> list[int]:
     return [base, base + p_star, base + 2 * p_star]
 
 
-def _rows_into(mat: Matrix, rows, target_rows) -> bool:
-    """Whether mat maps the span of rows into the span of target_rows."""
-    target = Echelon(map(sparse, target_rows))
-    return not any(target.reduce(sparse(mat.apply(r))) for r in rows)
+def _times(row: dict, images: list) -> dict:
+    """The combination sum of row[j] * images[j] of sparse rows: a row times
+    a pairing, or an operator's columns applied to a vector."""
+    out = {}
+    for j, c in row.items():
+        axpy(out, c, images[j])
+    return out
+
+
+def _rows_into(images: list, source: Echelon, target: Echelon) -> bool:
+    """Whether the operator with sparse columns images maps the span of
+    source into the span of target."""
+    return not any(target.reduce(_times(r, images)) for r in source.rows())
 
 
 @dataclass
@@ -152,11 +158,23 @@ class CoherenceReport:
         return all(c["ok"] for c in self.checks)
 
 
-def _annihilator_rows(eqs, aligned, n_star: int, n: int, width: int) -> list:
-    """Basis of the vectors y of length width with eqs . y = 0 and y_i = 0
-    for i in aligned with n_star <= i < n."""
-    eqs = [sparse(e) for e in eqs] + [{i: QONE} for i in range(n_star, n) if aligned.member(i)]
-    return [dense(y, width) for y in kernel(eqs, width)]
+def _annihilator(rows, pairing, aligned, n_star: int, n: int, width: int) -> list:
+    """Basis of the vectors y of length width with <r, y> = 0 for each row r,
+    paired through pairing, and y_i = 0 for i in aligned with n_star <= i < n."""
+    eqs = [_times(r, pairing) for r in rows]
+    eqs += [{i: QONE} for i in range(n_star, n) if aligned.member(i)]
+    return kernel(eqs, width)
+
+
+def _same_span(rows, ech: Echelon, radical) -> bool:
+    """Whether rows span what ech spans, modulo radical; ech takes the
+    radical in.  A reduced echelon basis is unique, so the spans agree
+    exactly when the pivots and rows do."""
+    fin = Echelon(rows)
+    for r in radical:
+        fin.add(r)
+        ech.add(r)
+    return fin.pivots == ech.pivots and fin.rows() == ech.rows()
 
 
 def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
@@ -182,23 +200,15 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
     n_star = stabilization_window([a.aligned, pa.aligned] + aug_rows)[0]
     levels = levels or window_levels(model, [a, pa, ca])
     report = CoherenceReport("subspace", levels)
+    own, opp = a.side, other_side(a.side)
     for n in levels:
         tm = truncate_model(model, n)
-        dim_own = tm.v_dim if a.side == SIDE_V else tm.w_dim
-        dim_opp = tm.w_dim if a.side == SIDE_V else tm.v_dim
-        rows = truncate_subspace(a, n)
-        pairing = tm.pairing if a.side == SIDE_V else tm.pairing.transpose()
-        rad_opp = tm.radical_w if a.side == SIDE_V else tm.radical_v
-        rad_own = tm.radical_v if a.side == SIDE_V else tm.radical_w
-        eqs = (Matrix(rows) * pairing).entries if rows else []
-        fin_perp = _annihilator_rows(eqs, a.aligned, n_star, n, dim_opp)
-        ours_perp = row_space_basis(truncate_subspace(pa, n) + rad_opp, dim_opp)
-        ok_perp = row_space_basis(fin_perp + rad_opp, dim_opp) == ours_perp
+        rows = truncate_subspace(a, n).rows()
+        fin_perp = _annihilator(rows, tm.pairing[own], a.aligned, n_star, n, tm.dim[opp])
+        ok_perp = _same_span(fin_perp, truncate_subspace(pa, n), tm.radical[opp])
         report.checks.append({"level": n, "check": "perp", "ok": ok_perp})
-        eqs = (Matrix(fin_perp) * pairing.transpose()).entries if fin_perp else []
-        back = _annihilator_rows(eqs, pa.aligned, n_star, n, dim_own)
-        ours_clo = row_space_basis(truncate_subspace(ca, n) + rad_own, dim_own)
-        ok_clo = row_space_basis(back + rad_own, dim_own) == ours_clo
+        back = _annihilator(fin_perp, tm.pairing[opp], pa.aligned, n_star, n, tm.dim[own])
+        ok_clo = _same_span(back, truncate_subspace(ca, n), tm.radical[own])
         report.checks.append({"level": n, "check": "closure", "ok": ok_clo})
     return report
 
@@ -209,12 +219,12 @@ def compare_element(x: FinitaryElement, levels=None) -> CoherenceReport:
     levels = levels or window_levels(model, [x])
     report = CoherenceReport("element", levels)
     for n in levels:
-        mat = truncate_element(x, n, SIDE_V)
+        images = truncate_element(x, n, SIDE_V)
         ok = True
         for i in range(min(n, ELEMENT_SAMPLES)):
             v = Vector.basis_vector(model, SIDE_V, i)
             lhs = truncate_vector(x.act_on_v(v), n)
-            if lhs != mat.apply(truncate_vector(v, n)):
+            if lhs != _times(truncate_vector(v, n), images):
                 ok = False
         report.checks.append({"level": n, "check": "action", "ok": ok})
     return report
@@ -233,29 +243,22 @@ def compare_couple(t: TautCouple, levels=None, seed: int = 0):
         battery.append(random_element(model, rng))
     levels = levels or window_levels(model, [t] + battery)
     report = CoherenceReport("couple", levels)
-    f_chain = t.f_flag.chain[1:-1]
-    g_chain = t.g_flag.chain[1:-1]
     for n in levels:
-        f_rows = [truncate_subspace(s, n) for s in f_chain]
-        g_rows = [truncate_subspace(s, n) for s in g_chain]
+        f_spans = [truncate_subspace(s, n) for s in t.f_flag.chain]
+        g_spans = [truncate_subspace(s, n) for s in t.g_flag.chain[1:-1]]
         ok_joint = True
         ok_nil = True
         for x in battery:
             xv = truncate_element(x, n, SIDE_V)
             xw = truncate_element(x, n, SIDE_W)
-            fin_joint = all(_rows_into(xv, rows, rows) for rows in f_rows) and all(
-                _rows_into(xw, rows, rows) for rows in g_rows
+            fin_joint = all(_rows_into(xv, s, s) for s in f_spans[1:-1]) and all(
+                _rows_into(xw, s, s) for s in g_spans
             )
             if fin_joint != in_joint_stabilizer(x, t):
                 ok_joint = False
             if fin_joint:
                 fin_nil = all(
-                    _rows_into(
-                        xv,
-                        truncate_subspace(t.f_flag.chain[fi + 1], n),
-                        truncate_subspace(t.f_flag.chain[fi], n),
-                    )
-                    for fi, _ in t.c_pairs
+                    _rows_into(xv, f_spans[fi + 1], f_spans[fi]) for fi, _ in t.c_pairs
                 )
                 if fin_nil != in_nilradical(x, t):
                     ok_nil = False

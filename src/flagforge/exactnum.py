@@ -4,9 +4,9 @@ Everything here works over the rationals (``fractions.Fraction``), with no
 floating point anywhere.  Elimination has one kernel, `Echelon`: a reduced
 echelon basis of sparse rows grown one row at a time, for reducing vectors
 against a span, reading their coordinates, rank and pivots, and testing
-membership.  The batch functions `kernel`, `solve` and `row_space_basis`
-build one `Echelon` from the rows of their input; a reduced row echelon
-form is unique, so they return what any correct elimination returns.
+membership.  The batch functions `kernel` and `solve` build one `Echelon`
+from the rows of their input; a reduced row echelon form is unique, so
+they return what any correct elimination returns.
 
 `kernel` is the one null-space routine: every subspace the program cuts
 out by linear conditions is read off its sparse basis, and callers that
@@ -94,10 +94,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._of([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls([list(r) for r in rows])
 
     def __eq__(self, other):
         return (
@@ -245,11 +241,6 @@ class Echelon:
         self._rows[p] = new
         insort(self.pivots, p)
         return True
-
-
-def row_space_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
-    """RREF basis of the span of the given rational rows of length cols."""
-    return [dense(r, cols) for r in Echelon(sparse(map(rat, row)) for row in rows).rows()]
 
 
 def kernel(rows, width: int) -> list[dict]:

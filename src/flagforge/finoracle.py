@@ -1183,20 +1183,3 @@ def block_parabolic_basis(sizes):
     block = [b for b, size in enumerate(sizes) for _ in range(size)]
     n = len(block)
     return [unit_matrix(n, i, j) for i in range(n) for j in range(n) if block[i] <= block[j]]
-
-
-def embed_block(mat: Matrix, n: int, offset: int) -> Matrix:
-    rows = enumerate(mat.entries, offset)
-    return _matrix({i * n + j: v for i, row in rows for j, v in enumerate(row, offset)}, n)
-
-
-def direct_sum_basis(blocks):
-    """Basis of the direct sum of matrix algebras given as (basis, size)."""
-    n = sum(size for _, size in blocks)
-    out = []
-    offset = 0
-    for basis, size in blocks:
-        for b in basis:
-            out.append(embed_block(b, n, offset))
-        offset += size
-    return out

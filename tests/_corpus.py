@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 from flagforge.epcore import EpSet
-from flagforge.exactnum import Matrix, row_space_basis, solve
+from flagforge.exactnum import Echelon, Matrix, dense, rat, solve, sparse
 from flagforge.finitary import FinitaryElement
-from flagforge.finoracle import FdLieAlgebra, direct_sum_basis, gl_basis
+from flagforge.finoracle import FdLieAlgebra, gl_basis
 from flagforge.genflag import flag_from_chain, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
     Subspace,
+    Vector,
     dense_line_model,
     plain_model,
+    split_form_model,
 )
 from flagforge.sampling import (  # noqa: F401  (re-exported for tests)
     random_element,
@@ -26,6 +28,30 @@ from flagforge.sampling import (  # noqa: F401  (re-exported for tests)
 F = Fraction
 EVENS = EpSet.from_residues(2, (0,))
 ODDS = EpSet.from_residues(2, (1,))
+
+
+def row_space_basis(rows, cols):
+    """RREF basis of the span of the given rational rows of length cols."""
+    return [dense(r, cols) for r in Echelon(sparse(map(rat, row)) for row in rows).rows()]
+
+
+def embed_block(mat, n, offset):
+    """The n x n matrix with mat as its diagonal block at (offset, offset)."""
+    out = [[F(0)] * n for _ in range(n)]
+    for i, row in enumerate(mat.entries, offset):
+        out[i][offset:offset + len(row)] = row
+    return Matrix(out)
+
+
+def direct_sum_basis(blocks):
+    """Basis of the direct sum of matrix algebras given as (basis, size)."""
+    n = sum(size for _, size in blocks)
+    out = []
+    offset = 0
+    for basis, size in blocks:
+        out += [embed_block(b, n, offset) for b in basis]
+        offset += size
+    return out
 
 
 def rank_one(v, w):
@@ -127,6 +153,37 @@ def criterion_2_chains():
     for trial in range(50):
         n = rng.randrange(2, 7) if trial < 44 else rng.randrange(7, 9)
         yield n, random_chain(n, rng, min_steps=2 if n >= 7 else 1)
+
+
+def criterion_9_corpus():
+    """The (subspaces, couples, elements) of acceptance criterion 9."""
+    rng = random.Random(909)
+    plain = plain_model()
+    dense_line = dense_line_model()
+    split = split_form_model("symmetric")
+    subspaces = [
+        Subspace.span(plain, SIDE_V, None, []),
+        Subspace.span(plain, SIDE_V, EpSet.from_residues(2, (0,))),
+        Subspace.span(plain, SIDE_V, EpSet.from_residues(3, (1,)),
+                      [Vector(plain, SIDE_V, {0: 1, 2: -2})]),
+        Subspace.span(dense_line, SIDE_V, EpSet.naturals()),
+        Subspace.span(dense_line, SIDE_W, EpSet.from_residues(2, (1,))),
+        Subspace.span(split, SIDE_V, EpSet.from_residues(2, (0,))),
+    ]
+    couples = [
+        evens_couple(),
+        trivial_couple(),
+        augmented_couple(),
+        random_plain_couple(rng),
+        random_plain_couple(rng),
+    ]
+    elements = [
+        random_element(plain, rng),
+        random_element(dense_line, rng),
+        sample_pplus(couples[0], rng),
+        sample_nilradical(couples[2], rng),
+    ]
+    return subspaces, couples, elements
 
 
 def gl3_plus_so2():

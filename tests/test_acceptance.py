@@ -14,12 +14,15 @@ import pytest
 from _corpus import (
     augmented_couple,
     criterion_2_chains,
-    evens_couple,
+    criterion_9_corpus,
+    direct_sum_basis,
+    embed_block,
     random_basis_subspaces,
     random_chain,
     random_element,
     random_plain_couple,
     rank_one,
+    row_space_basis,
     sample_nilradical,
     sample_pminus,
     sample_pplus,
@@ -34,7 +37,6 @@ from flagforge.exactnum import (
     minpoly,
     poly_eval_matrix,
     poly_is_squarefree,
-    row_space_basis,
     solve,
 )
 from flagforge.finitary import (
@@ -51,8 +53,6 @@ from flagforge.finoracle import (
     bracket_span,
     cartan_queries,
     diagonal_basis,
-    direct_sum_basis,
-    embed_block,
     flag_formula_spans,
     flag_stabilizer_brute,
     gl_basis,
@@ -70,12 +70,8 @@ from flagforge.genflag import flag_from_chain, make_taut_couple, pair_leq
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
-    Subspace,
     Vector,
-    dense_line_model,
     perp,
-    plain_model,
-    split_form_model,
 )
 
 F = Fraction
@@ -244,7 +240,7 @@ def test_criterion_5_jordan_chevalley():
         for _ in range(n):
             powers.append(powers[-1] * m)
         cols = [p.flatten() for p in powers]
-        coeff = Matrix.from_rows(list(map(list, zip(*cols))))
+        coeff = Matrix(list(zip(*cols)))
         x = solve(coeff, ss.flatten())
         if x is None or poly_eval_matrix(list(x), m) != ss:
             ok = False
@@ -467,46 +463,9 @@ def test_criterion_8_cartan_routes_agree():
               ok, time.monotonic() - start, 120)
 
 
-def _coherence_corpus():
-    rng = random.Random(909)
-    plain = plain_model()
-    dense = dense_line_model()
-    objs = []
-    objs.append(Subspace.span(plain, SIDE_V, None, []))
-    from flagforge.epcore import EpSet
-
-    objs.append(Subspace.span(plain, SIDE_V, EpSet.from_residues(2, (0,))))
-    objs.append(
-        Subspace.span(
-            plain,
-            SIDE_V,
-            EpSet.from_residues(3, (1,)),
-            [Vector(plain, SIDE_V, {0: 1, 2: -2})],
-        )
-    )
-    objs.append(Subspace.span(dense, SIDE_V, EpSet.naturals()))
-    objs.append(Subspace.span(dense, SIDE_W, EpSet.from_residues(2, (1,))))
-    split = split_form_model("symmetric")
-    objs.append(Subspace.span(split, SIDE_V, EpSet.from_residues(2, (0,))))
-    couples = [
-        evens_couple(),
-        trivial_couple(),
-        augmented_couple(),
-        random_plain_couple(rng),
-        random_plain_couple(rng),
-    ]
-    elements = [
-        random_element(plain, rng),
-        random_element(dense, rng),
-        sample_pplus(couples[0], rng),
-        sample_nilradical(couples[2], rng),
-    ]
-    return objs, couples, elements
-
-
 def test_criterion_9_truncation_coherence():
     start = time.monotonic()
-    subspaces, couples, elements = _coherence_corpus()
+    subspaces, couples, elements = criterion_9_corpus()
     ok = True
     for s in subspaces:
         report = compare_subspace(s)

@@ -452,6 +452,49 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(failing), "--report", str(tmp_path / "r.json")]) == 1
 
 
+def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
+    # the parser is built once per process; each call parses only its argv
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(AUGMENTED_SESSION))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["run", str(path), "--seed", "7", "--report", str(first)]) == 0
+    assert main(["run", str(path), "--report", str(second)]) == 0
+    assert json.loads(first.read_text())["seed"] == 7
+    assert json.loads(second.read_text())["seed"] == 0
+    before = first.read_text(), second.read_text()
+    capsys.readouterr()
+    assert main(["run", str(path), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    assert (first.read_text(), second.read_text()) == before
+    for argv in (["bogus"], ["run"], ["run", str(path), "--seed", "x"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert main(["run", str(path), "--report", str(second)]) == 0
+    assert json.loads(second.read_text())["seed"] == 0
+
+
+def test_report_is_one_line_of_the_same_json(tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(AUGMENTED_SESSION))
+    report_file = tmp_path / "report.json"
+    assert main(["run", str(path), "--seed", "5", "--report", str(report_file)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--seed", "5"]) == 0
+    for text in (report_file.read_text(), capsys.readouterr().out):
+        assert text.endswith("}\n") and text.count("\n") == 1
+        report = json.loads(text)
+        # what the indented layout held: same keys, values and key order
+        assert json.loads(json.dumps(report, indent=2)) == report
+        assert list(report) == ["seed", "passed", "results"]
+        want = run_session(json.loads(json.dumps(AUGMENTED_SESSION)), seed=5)
+        for entry in report["results"] + want["results"]:
+            assert list(entry)[-1] == "elapsed_ms"
+            del entry["elapsed_ms"]
+        assert [list(e) for e in report["results"]] == [list(e) for e in want["results"]]
+        assert report == want
+
+
 def test_cli_cartan_of_empty_subalgebra(tmp_path):
     # the zero subalgebra of gl2 is not a Cartan subalgebra on any route
     gl2 = serial.algebra_to_json(FdLieAlgebra(2, gl_basis(2)))["basis"]

@@ -6,26 +6,37 @@ alone keeps functionals whose V* augmentation part pairs nonzero with
 them.  `compare_subspace` adds the unit equations that rule these out; the
 tests below pin the case that used to fail, check random two-sided models,
 and check that wrong annihilators and closures are still reported.
+
+The last tests hold the sparse comparisons to the dense ones they replaced
+(`_dense_coherence`): same levels, same checks.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _dense_coherence as dense_ref
+from _corpus import criterion_9_corpus
 from flagforge import coherence
-from flagforge.coherence import compare_subspace
+from flagforge.coherence import compare_couple, compare_element, compare_subspace
 from flagforge.epcore import EpSeq, EpSet
+from flagforge.exactnum import dense
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
     Augmentation,
+    NotRepresentable,
     PairedSpaceModel,
     Subspace,
     Vector,
     closure,
+    dense_line_model,
     perp,
+    plain_model,
+    split_form_model,
 )
 
 F = Fraction
@@ -133,3 +144,77 @@ def test_two_sided_models_are_coherent(m, side, aligned, parts):
     a = Subspace.span(m, side, aligned, gens)
     report = compare_subspace(a)
     assert report.ok, (a, a.corrections, report.checks)
+
+
+# -- the sparse comparisons against the dense reference ----------------------
+
+
+def _report(r):
+    return r.object_kind, r.levels, r.checks
+
+
+def _random_subspace(m, side, rng):
+    """Aligned part with period 1 to 4, up to two corrections that may carry
+    augmentation coordinates."""
+    period = rng.choice([1, 2, 3, 4])
+    aligned = EpSet.from_residues(period, {r for r in range(period) if rng.random() < 0.5})
+    n_aug = len(m.augs(side))
+    gens = []
+    for _ in range(rng.randrange(3)):
+        basis = {rng.randrange(8): F(rng.randrange(-3, 4)) for _ in range(3)}
+        augs = [F(rng.randrange(-1, 2)) for _ in range(n_aug)]
+        gens.append(Vector(m, side, basis, augs))
+    return Subspace.span(m, side, aligned, gens)
+
+
+def test_compare_subspace_matches_the_dense_reference():
+    rng = random.Random(20)
+    models = [plain_model(), dense_line_model(), split_form_model("symmetric"),
+              two_sided_model()]
+    skipped = 0
+    for m in models:
+        for side in (SIDE_V, SIDE_W):
+            for _ in range(12):
+                a = _random_subspace(m, side, rng)
+                for levels in (None, [rng.randrange(1, 6), rng.randrange(6, 12)]):
+                    got = compare_subspace(a, levels)
+                    assert _report(got) == _report(dense_ref.compare_subspace(a, levels))
+                skipped += got.checks[0]["check"] == "perp-representable"
+    m = dense_line_model()
+    aug_line = Subspace.span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
+    with pytest.raises(NotRepresentable):
+        perp(aug_line)
+    assert _report(compare_subspace(aug_line)) == _report(dense_ref.compare_subspace(aug_line))
+    assert skipped  # some random inputs reach the NotRepresentable branch too
+
+
+def test_truncations_match_the_dense_reference():
+    rng = random.Random(21)
+    for m in (plain_model(), dense_line_model(), two_sided_model()):
+        for n in (1, 2, 5):
+            tm, ref = coherence.truncate_model(m, n), dense_ref.truncate_model(m, n)
+            v_dim, w_dim = tm.dim[SIDE_V], tm.dim[SIDE_W]
+            assert [dense(r, w_dim) for r in tm.pairing[SIDE_V]] == ref.pairing.entries
+            assert [dense(c, v_dim) for c in tm.pairing[SIDE_W]] == ref.pairing.transpose().entries
+            assert [dense(y, v_dim) for y in tm.radical[SIDE_V]] == ref.radical_v
+            assert [dense(y, w_dim) for y in tm.radical[SIDE_W]] == ref.radical_w
+            for side in (SIDE_V, SIDE_W):
+                width = n + len(m.augs(side))
+                a = _random_subspace(m, side, rng)
+                got = [dense(r, width) for r in coherence.truncate_subspace(a, n).rows()]
+                assert got == dense_ref.truncate_subspace(a, n)
+
+
+def test_criterion_9_corpus_matches_the_dense_reference():
+    subspaces, couples, elements = criterion_9_corpus()
+    for a in subspaces:
+        assert _report(compare_subspace(a)) == _report(dense_ref.compare_subspace(a))
+    for x in elements:
+        assert _report(compare_element(x)) == _report(dense_ref.compare_element(x))
+        assert _report(compare_element(x, [2, 5])) == _report(
+            dense_ref.compare_element(x, [2, 5]))
+    for idx, t in enumerate(couples):
+        assert _report(compare_couple(t, seed=idx)) == _report(
+            dense_ref.compare_couple(t, seed=idx))
+        assert _report(compare_couple(t, [3], seed=idx)) == _report(
+            dense_ref.compare_couple(t, [3], seed=idx))

@@ -21,6 +21,7 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _corpus import row_space_basis
 from flagforge.epcore import EpSet
 from flagforge.exactnum import (
     Echelon,
@@ -28,7 +29,6 @@ from flagforge.exactnum import (
     dense,
     kernel,
     minpoly,
-    row_space_basis,
     solve,
     sparse,
 )

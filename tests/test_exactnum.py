@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _corpus import direct_sum_basis
 from flagforge import exactnum
 from flagforge.exactnum import (
     QONE,
@@ -38,7 +39,6 @@ from flagforge.exactnum import (
 from flagforge.finoracle import (
     _min_poly_factors,
     block_parabolic_basis,
-    direct_sum_basis,
     gl_basis,
     sl_basis,
     upper_triangular_basis,
@@ -427,7 +427,7 @@ def _check_jc(m):
     for _ in range(n):
         powers.append(powers[-1] * m)
     cols = [p.flatten() for p in powers]
-    coeff = Matrix.from_rows(list(map(list, zip(*cols))))
+    coeff = Matrix(list(zip(*cols)))
     x = solve(coeff, ss.flatten())
     assert x is not None
     assert poly_eval_matrix(list(x), m) == ss

@@ -83,7 +83,7 @@ def block_matrix(x, t, gamma):
         coords = quotient.coords(image.to_sparse())
         assert coords is not None, "the image left the block"
         cols.append(coords)
-    return Matrix.from_rows(list(map(list, zip(*cols)))) if cols else Matrix([])
+    return Matrix(list(zip(*cols))) if cols else Matrix([])
 
 
 def test_trace_rank_one():
@@ -463,13 +463,13 @@ def test_so_sp_wrong_form():
 def test_truncate_element():
     m = plain_model()
     x = r1(m, 0, 1)
-    mat = truncate_element(x, 3)
-    assert mat.rows == 3 and mat.cols == 3
-    assert mat.entries[0][1] == 1 and sum(1 for r in mat.entries for v in r if v) == 1
+    cols = truncate_element(x, 3)
+    # e_0 (x) f_1 sends e_1 to e_0 and kills e_0 and e_2
+    assert cols == [{}, {0: 1}, {}]
     md = dense_line_model()
     vtilde = Vector.aug_vector(md, SIDE_V, 0)
     y = rank_one(vtilde, fw(md, 0))
-    mat2 = truncate_element(y, 2)
-    # column of e_0 is the augmentation coordinate
-    assert mat2.rows == 3 and mat2.cols == 3
-    assert mat2.entries[2][0] == 1
+    cols2 = truncate_element(y, 2)
+    # e_0 and the augmentation generator, which pairs to 1 with f_0, go to
+    # the augmentation coordinate; e_1 goes to 0
+    assert cols2 == [{2: 1}, {}, {2: 1}]

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import criterion_2_chains, gl3_plus_so2, matrix_trace
+from _corpus import (
+    criterion_2_chains,
+    direct_sum_basis,
+    embed_block,
+    gl3_plus_so2,
+    matrix_trace,
+    row_space_basis,
+)
 from flagforge import finoracle
 from flagforge.exactnum import (
     CheckFailed,
@@ -19,7 +26,6 @@ from flagforge.exactnum import (
     dense,
     is_nilpotent,
     kernel,
-    row_space_basis,
     solve,
     sparse,
 )
@@ -35,8 +41,6 @@ from flagforge.finoracle import (
     cartan_queries,
     composition_series,
     diagonal_basis,
-    direct_sum_basis,
-    embed_block,
     fd_parabolic_tests,
     fitting_null,
     flag_formula_spans,
@@ -171,8 +175,6 @@ def test_levi_of_parabolic_in_gl3():
 
 def test_levi_trace_condition_example():
     # two gl2 blocks with tr A = 2 tr B: Levi must be sl2 (+) sl2
-    from flagforge.finoracle import embed_block
-
     blocks = direct_sum_basis([(sl_basis(2), 2), (sl_basis(2), 2)])
     tr_link = embed_block(Matrix.identity(2).scale(2), 4, 0) + embed_block(
         Matrix.identity(2), 4, 2
@@ -479,7 +481,7 @@ def _reference_ad(g):
         return g.span.echelon.coords(sparse(m.flatten()))
 
     return [
-        Matrix.from_rows(list(map(list, zip(*[coords(bracket(x, y)) for y in g.basis]))))
+        Matrix(list(zip(*[coords(bracket(x, y)) for y in g.basis])))
         for x in g.basis
     ]
 

@@ -10,7 +10,7 @@ from flagforge import pairedspace
 
 from flagforge.coherence import truncate_model, truncate_subspace
 from flagforge.epcore import EpSeq, EpSet
-from flagforge.exactnum import Matrix
+from flagforge.exactnum import Echelon, kernel
 from flagforge.genflag import classify_flag, collapsed_couple, fc_flag, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
@@ -186,25 +186,27 @@ def test_plain_model_everything_closed():
 
 def test_truncate_plain_model():
     tm = truncate_model(plain_model(), 3)
-    assert tm.pairing == Matrix.identity(3)
-    assert tm.radical_v == [] and tm.radical_w == []
+    # the identity pairing, as rows and as columns
+    assert tm.dim == {SIDE_V: 3, SIDE_W: 3}
+    assert tm.pairing[SIDE_V] == [{0: 1}, {1: 1}, {2: 1}] == tm.pairing[SIDE_W]
+    assert tm.radical == {SIDE_V: [], SIDE_W: []}
 
 
 def test_truncate_augmented_model():
     tm = truncate_model(dense_line_model(), 2)
-    assert tm.pairing == Matrix([[1, 0], [0, 1], [1, 1]])
+    # the dense pairing [[1, 0], [0, 1], [1, 1]]: e_0, e_1, then the aug row
+    assert tm.pairing[SIDE_V] == [{0: 1}, {1: 1}, {0: 1, 1: 1}]
+    assert tm.pairing[SIDE_W] == [{0: 1, 2: 1}, {1: 1, 2: 1}]
     # one radical vector on the V side at every truncation level
-    assert len(tm.radical_v) == 1 and tm.radical_w == []
+    assert tm.radical == {SIDE_V: [{0: -1, 1: -1, 2: 1}], SIDE_W: []}
 
 
 def test_truncate_subspace():
     m = plain_model()
     evens = Subspace.span(m, SIDE_V, EVENS)
-    rows = truncate_subspace(evens, 5)
-    assert len(rows) == 3
-    got = {tuple(r) for r in rows}
-    unit = lambda i: tuple(F(1) if j == i else F(0) for j in range(5))
-    assert got == {unit(0), unit(2), unit(4)}
+    ech = truncate_subspace(evens, 5)
+    assert ech.pivots == [0, 2, 4]
+    assert ech.rows() == [{0: 1}, {2: 1}, {4: 1}]
 
 
 def test_truncation_coherence_perp():
@@ -218,10 +220,11 @@ def test_truncation_coherence_perp():
                 continue
             for n in _window_levels(m, a):
                 tm = truncate_model(m, n)
-                fin = _finite_perp(tm, truncate_subspace(a, n))
+                fin = Echelon(_finite_perp(tm, truncate_subspace(a, n)))
                 ours = truncate_subspace(pa, n)
-                ours_plus_rad = _span(ours + tm.radical_w, tm.w_dim)
-                assert _span(fin, tm.w_dim) == ours_plus_rad
+                for r in tm.radical[SIDE_W]:
+                    ours.add(r)
+                assert fin.rows() == ours.rows()
 
 
 def _window_levels(m, a):
@@ -235,22 +238,16 @@ def _window_levels(m, a):
     return [base, base + p_star, base + 2 * p_star]
 
 
-def _finite_perp(tm, rows):
-    if not rows:
-        return [
-            [F(1) if j == i else F(0) for j in range(tm.w_dim)]
-            for i in range(tm.w_dim)
-        ]
-    from flagforge.exactnum import dense, kernel, sparse
-
-    prod = Matrix(rows) * tm.pairing
-    return [dense(y, tm.w_dim) for y in kernel(map(sparse, prod.entries), tm.w_dim)]
-
-
-def _span(rows, width):
-    from flagforge.exactnum import row_space_basis
-
-    return row_space_basis([list(r) for r in rows], width)
+def _finite_perp(tm, ech):
+    """The functionals that pair to zero with every row of ech."""
+    eqs = []
+    for r in ech.rows():
+        eq = {}
+        for i, c in r.items():
+            for j, p in tm.pairing[SIDE_V][i].items():
+                eq[j] = eq.get(j, 0) + c * p
+        eqs.append(eq)
+    return kernel(eqs, tm.dim[SIDE_W])
 
 
 def test_form_maps_split_symmetric():
