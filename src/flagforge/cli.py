@@ -295,7 +295,7 @@ class Runner:
             }
         if op == "cartan":
             sub = self.s._lookup(self.s.algebras, cmd["sub"])
-            verdict = finoracle.cartan_queries(alg, sub.basis)
+            verdict = finoracle.cartan_queries(alg, sub.span)
             return {
                 "is_cartan": verdict.is_cartan,
                 "via": {
@@ -319,7 +319,7 @@ class Runner:
             }
         if op == "bijection":
             p_red = self.s._lookup(self.s.algebras, cmd["parabolic"])
-            q = finoracle.parabolic_bijection_check(alg, p_red.basis, seed)
+            q = finoracle.parabolic_bijection_check(alg, p_red.span, seed)
             return {"dim": q.dim, "basis": [serial.matrix_to_json(m) for m in q.basis]}
         raise SessionError(f"unknown fd op {op!r}")
 

@@ -4,13 +4,16 @@ Everything here works over the rationals (``fractions.Fraction``), with no
 floating point anywhere.  Elimination has one kernel, `Echelon`: a reduced
 echelon basis of sparse rows grown one row at a time, for reducing vectors
 against a span, reading their coordinates, rank and pivots, and testing
-membership.  The batch functions `kernel` and `solve` build one `Echelon`
-from the rows of their input; a reduced row echelon form is unique, so
-they return what any correct elimination returns.
+membership.  `kernel`, the one null-space routine, builds one `Echelon`
+from its equation rows; a reduced row echelon form is unique, so it
+returns what any correct elimination returns.
 
-`kernel` is the one null-space routine: every subspace the program cuts
-out by linear conditions is read off its sparse basis, and callers that
-hold dense vectors convert with `sparse` and `dense` at the call.
+A square matrix has one form in the computations: the flat sparse row
+{i * n + j: Fraction} next to its size n.  Products and brackets go through
+one kernel on integer row dicts over a common denominator
+(`sparse_matrix`), and `minpoly`, `jordan_chevalley`, `is_nilpotent` and
+`poly_eval_matrix` take and return flat rows.  `Matrix` is the validated
+value that callers hand in and read out: rectangular rows of Fractions.
 
 Polynomials are dense coefficient lists, index = degree: `Fraction`s for
 the `poly_*` helpers over Q, plain ints for `poly_factor_zz` over Z.
@@ -23,14 +26,10 @@ import random
 from bisect import insort
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
-
-
-class NonSquare(ValueError):
-    """Raised when an operation needs a square matrix and got a rectangle."""
 
 
 class CheckFailed(AssertionError):
@@ -65,7 +64,9 @@ def format_rational(x: Fraction) -> str:
 
 
 class Matrix:
-    """Dense rational matrix, immutable by convention after construction."""
+    """Rectangular rows of Fractions, validated on construction and
+    immutable by convention: the value read in from callers and handed
+    back out to them."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -87,14 +88,6 @@ class Matrix:
         m.cols = len(entries[0]) if entries else 0
         return m
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._of([[QZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._of([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -110,57 +103,8 @@ class Matrix:
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix._of([
-            [a + b if b else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix._of([
-            [a - b if b else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
-
-    def scale(self, c) -> "Matrix":
-        c = rat(c)
-        return Matrix._of([[c * v if v else v for v in row] for row in self.entries])
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        ocols = other.cols
-        oent = other.entries
-        for arow in self.entries:
-            acc = [QZERO] * ocols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = oent[k]
-                    for j in range(ocols):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append(acc)
-        return Matrix._of(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix._of([list(col) for col in zip(*self.entries)])
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
-
     def flatten(self) -> list[Fraction]:
         return [v for row in self.entries for v in row]
-
-    def apply(self, vec) -> list[Fraction]:
-        """The matrix-vector product self . vec, vec given as a list."""
-        nz = [(c, v) for c, v in enumerate(vec) if v]
-        return [sum((row[c] * v for c, v in nz if row[c]), QZERO) for row in self.entries]
 
 
 def sparse(vec) -> dict:
@@ -260,15 +204,62 @@ def kernel(rows, width: int) -> list[dict]:
     return list(basis.values())
 
 
-def solve(m: Matrix, rhs: list[Fraction]):
-    """One solution x of m x = rhs, or None if inconsistent."""
-    ech = Echelon(sparse(row + [rat(v)]) for row, v in zip(m.entries, rhs))
-    if m.cols in ech.pivots:
-        return None
-    x = [QZERO] * m.cols
-    for p, row in zip(ech.pivots, ech.rows()):
-        x[p] = row.get(m.cols, QZERO)
-    return x
+# ---------------------------------------------------------------------------
+# square matrices as flat sparse rows {i * n + j: Fraction}
+# ---------------------------------------------------------------------------
+
+
+def sparse_matrix(row: dict, n: int) -> tuple:
+    """The sparse matrix of a flat sparse row {i * n + j: v}: a common
+    denominator d and the integer row dicts {i: {j: d * v}}, so that the
+    kernel multiplies Python ints and forms one Fraction per entry."""
+    den = 1
+    for v in row.values():
+        den = lcm(den, v.denominator)
+    rows: dict = {}
+    for k, v in row.items():
+        i, j = divmod(k, n)
+        rows.setdefault(i, {})[j] = v.numerator * (den // v.denominator)
+    return den, rows
+
+
+def _product_into(out: dict, a: dict, b: dict, n: int, sign: int) -> None:
+    """out += sign * a b on integer row dicts, with out a flat sparse row
+    that may hold zeros."""
+    get = out.get
+    for i, arow in a.items():
+        base = i * n
+        for k, x in arow.items():
+            brow = b.get(k)
+            if brow:
+                x *= sign
+                for j, y in brow.items():
+                    out[base + j] = get(base + j, 0) + x * y
+
+
+def _over(out: dict, den: int) -> dict:
+    """The flat sparse row out / den, without its zeros."""
+    return {k: Fraction(v, den) for k, v in out.items() if v}
+
+
+def sparse_product(a: tuple, b: tuple, n: int) -> dict:
+    """The product a b of sparse n x n matrices, as a flat sparse row."""
+    out: dict = {}
+    _product_into(out, a[1], b[1], n, 1)
+    return _over(out, a[0] * b[0])
+
+
+def sparse_bracket(a: tuple, b: tuple, n: int) -> dict:
+    """[a, b] = a b - b a of sparse n x n matrices, as a flat sparse row."""
+    out: dict = {}
+    _product_into(out, a[1], b[1], n, 1)
+    _product_into(out, b[1], a[1], n, -1)
+    return _over(out, a[0] * b[0])
+
+
+def _scalar(c: Fraction, n: int) -> dict:
+    """c times the n x n identity, as a flat sparse row."""
+    return {i * n + i: c for i in range(n)} if c else {}
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +364,21 @@ def poly_derivative(p):
 def poly_squarefree_part(p):
     """p / gcd(p, p'), monic: the radical of p."""
     g = poly_gcd(p, poly_derivative(p))
-    q, r = poly_divmod(p, g)
-    if r:
-        raise CheckFailed("gcd(p, p') does not divide p", (p, g, r))
+    # g is the gcd by exact Euclidean division, so it divides p: no remainder
+    q = poly_divmod(p, g)[0]
     if q:
         q = [v / q[-1] for v in q]
     return q
 
 
-def poly_is_squarefree(p) -> bool:
-    return len(poly_gcd(p, poly_derivative(p))) == 1
-
-
-def poly_eval_matrix(p, m: Matrix) -> Matrix:
-    """Horner evaluation of p at a square matrix."""
-    n = m.rows
-    acc = Matrix.zero(n, n)
+def poly_eval_matrix(p, m: dict, n: int) -> dict:
+    """Horner evaluation of p at the n x n matrix m, as flat sparse rows."""
+    a = sparse_matrix(m, n)
+    acc: dict = {}
     for c in reversed(p):
-        acc = acc * m
+        acc = sparse_product(sparse_matrix(acc, n), a, n) if acc else {}
         if c:
-            acc = acc + Matrix.identity(n).scale(c)
+            axpy(acc, c, _scalar(QONE, n))
     return acc
 
 
@@ -578,70 +564,66 @@ def _factor_mod_p(f, p, rng):
 # ---------------------------------------------------------------------------
 
 
-def minpoly(m: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial, found by the first linear dependency
-    among I, m, m^2, ...
+def minpoly(m: dict, n: int) -> list[Fraction]:
+    """Monic minimal polynomial of the n x n matrix m, found by the first
+    linear dependency among I, m, m^2, ...
 
     The flattened power m^k is reduced with a tag 1 in column n^2 + k, so a
     residual with no entry below n^2 is the relation sum_j c_j m^j = 0,
-    with c_k = 1, read off the tag columns."""
-    if m.rows != m.cols:
-        raise NonSquare("minpoly needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return [QONE]
+    with c_k = 1, read off the tag columns.  The loop ends by k = n: I, m,
+    ..., m^n are dependent by Cayley-Hamilton."""
     nn = n * n
+    a = sparse_matrix(m, n)
     powers = Echelon()
-    power = Matrix.identity(n)
-    for k in range(n + 1):
-        row = sparse(power.flatten())
+    power = _scalar(QONE, n)
+    for k in itertools.count():
+        row = dict(power)
         row[nn + k] = QONE
         resid = powers.reduce(row)
         if min(resid) >= nn:
             return [resid.get(nn + j, QZERO) for j in range(k + 1)]
         powers.add(resid)
-        power = power * m
-    raise CheckFailed("no dependency among I, m, ..., m^n (Cayley-Hamilton)", m)
+        power = sparse_product(sparse_matrix(power, n), a, n)
 
 
-def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Split m = ss + nil with [ss, nil] = 0, nil nilpotent and the minimal
-    polynomial of ss squarefree.
+def jordan_chevalley(m: dict, n: int) -> tuple[dict, dict]:
+    """Split the n x n matrix m = ss + nil, as flat sparse rows, with
+    [ss, nil] = 0, nil nilpotent and the minimal polynomial of ss
+    squarefree.
 
     Both parts are polynomials in m, so everything happens in
     Q[t]/(mu), mu the minimal polynomial of m: no eigenvalues are ever
     extracted.  With q the squarefree part of mu, m is already semisimple
     when q = mu, and ss = lambda I when q = t - lambda; otherwise ss = s(m)
-    for the root s of q lifted from t by Newton iteration modulo mu.
+    for the root s of q lifted from t by Newton iteration modulo mu.  The
+    iteration stops only once q(s) = 0 modulo mu, so q(ss) = 0 exactly, and
+    q is squarefree.
     """
-    if m.rows != m.cols:
-        raise NonSquare("jordan_chevalley needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return m, m
-    mu = minpoly(m)
+    mu = minpoly(m, n)
     q = poly_squarefree_part(mu)
     if len(q) == len(mu):
-        return m, Matrix.zero(n, n)
+        return m, {}
     if len(q) == 2:
-        ss = Matrix.identity(n).scale(-q[0])
-        return ss, m - ss
-    dq = poly_derivative(q)
-    # u0: inverse of q'(t) modulo nilpotents (gcd(q, q') = 1 gives the seed)
-    _, _, u = poly_xgcd(q, dq)
-    s = [QZERO, QONE]  # the polynomial t
-    for _ in range(n + 2):
-        qs = _compose_mod(q, s, mu)
-        if not qs:
-            break
-        # refine u toward the inverse of q'(s) mod mu
-        dqs = _compose_mod(dq, s, mu)
-        u = poly_mod(poly_mul(u, poly_sub([Fraction(2)], poly_mul(dqs, u))), mu)
-        s = poly_mod(poly_sub(s, poly_mul(qs, u)), mu)
+        ss = _scalar(-q[0], n)
     else:
-        raise CheckFailed("Newton lifting did not stabilize", m)
-    ss = poly_eval_matrix(s, m)
-    return ss, m - ss
+        dq = poly_derivative(q)
+        # u0: inverse of q'(t) modulo nilpotents (gcd(q, q') = 1 gives the seed)
+        _, _, u = poly_xgcd(q, dq)
+        s = [QZERO, QONE]  # the polynomial t
+        for _ in range(n + 2):
+            qs = _compose_mod(q, s, mu)
+            if not qs:
+                break
+            # refine u toward the inverse of q'(s) mod mu
+            dqs = _compose_mod(dq, s, mu)
+            u = poly_mod(poly_mul(u, poly_sub([Fraction(2)], poly_mul(dqs, u))), mu)
+            s = poly_mod(poly_sub(s, poly_mul(qs, u)), mu)
+        else:
+            raise CheckFailed("Newton lifting did not stabilize", m)
+        ss = poly_eval_matrix(s, m, n)
+    nil = dict(m)
+    axpy(nil, -QONE, ss)
+    return ss, nil
 
 
 def _compose_mod(p, s, mod):
@@ -654,11 +636,10 @@ def _compose_mod(p, s, mod):
     return acc
 
 
-def is_nilpotent(m: Matrix) -> bool:
-    """Whether m^n = 0, by squaring m ceil(log2 n) times: m^(2^k) = 0 with
-    2^k >= n exactly when m is nilpotent."""
-    if m.rows != m.cols:
-        raise NonSquare("is_nilpotent needs a square matrix")
-    for _ in range(max(m.rows - 1, 0).bit_length()):
-        m = m * m
-    return m.is_zero()
+def is_nilpotent(m: dict, n: int) -> bool:
+    """Whether the n x n matrix m has m^n = 0, by squaring it ceil(log2 n)
+    times: m^(2^k) = 0 with 2^k >= n exactly when m is nilpotent."""
+    for _ in range(max(n - 1, 0).bit_length()):
+        a = sparse_matrix(m, n)
+        m = sparse_product(a, a, n)
+    return not m

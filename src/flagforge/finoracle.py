@@ -6,28 +6,28 @@ countable model.  It provides solvable radicals, linear nilradicals, Levi
 components, locally reductive parts, Cartan-subalgebra tests, invariant
 taut couples from composition series, and parabolic checks at desk scale.
 
-Inside the oracle an element of gl_n has one representation, the flat
+An element of gl_n has one representation from input to report, the flat
 sparse row {i * n + j: Fraction}, and a subspace is a `MatSpan`, the
 reduced echelon basis of such rows.  Every subspace cut out by linear
 conditions (radical, nilradical, centralizers, normalizers, Fitting
 components, intersections, flag stabilizers, Levi lifts) is the set of
 combinations of a basis whose images vanish: `_relations` transposes the
 image columns into equations, and `exactnum.kernel`, the one null-space
-routine, solves them.  Brackets and products go
-through one sparse kernel on integer row dicts with a common denominator
-(`sparse_matrix`).  An algebra keeps the coordinates of the brackets of
-its basis as sparse structure constants, and its Killing form and derived
-algebra are read off those.
+routine, solves them.  Brackets, products, Jordan-Chevalley parts and
+minimal polynomials come from the sparse matrix kernel of `exactnum`.  An
+algebra keeps the coordinates of the brackets of its basis as sparse
+structure constants, and its Killing form and derived algebra are read off
+those.  `Matrix` is built only where `matrices()` and `.basis` hand a basis
+out, and read only where `FdLieAlgebra` and `lie_close` take one in.
 
-`Matrix` appears only at the boundary: the basis handed to `FdLieAlgebra`,
-`.basis` and `matrices()` read out, `bracket`, Jordan-Chevalley parts and
-nilpotence (from `exactnum`), and the meataxe, which factors minimal
-polynomials over the integers with `exactnum.poly_factor_zz`.  The meataxe
-works on sections upper / lower of Q^n, lower < upper submodules held as
-`Echelon`s: the section acts on the reduced residues of upper modulo lower
-through the original matrices, and a submodule found there maps back by
-combining residues.  The parabolic test reads off one composition series:
-p is parabolic iff it equals the stabilizer of that series.
+The meataxe acts on Q^dim by flat sparse rows over dim and spins sparse
+vectors; it factors minimal polynomials over the integers with
+`exactnum.poly_factor_zz`.  It works on sections upper / lower of Q^n,
+lower < upper submodules held as `Echelon`s: the section acts on the
+reduced residues of upper modulo lower through the original actions, and a
+submodule found there maps back by combining residues.  The parabolic test
+reads off one composition series: p is parabolic iff it equals the
+stabilizer of that series.
 
 Random numbers are drawn in one place, the Las Vegas meataxe behind
 composition series, from an explicit seed; the verdicts built on it do not
@@ -57,9 +57,11 @@ from .exactnum import (
     minpoly,
     poly_eval_matrix,
     poly_factor_zz,
-    poly_is_squarefree,
     rat,
     sparse,
+    sparse_bracket,
+    sparse_matrix,
+    sparse_product,
 )
 
 
@@ -88,20 +90,17 @@ class MatSpan:
     oracle.  Reduction, coordinates, membership, sums, intersections and
     linearly defined subspaces (`kernel_of`) all work on these rows.
 
-    The other views of the same basis are built on first use and kept:
-    `sparse_matrices()` for the bracket kernel, and, at the boundary with
-    callers, the dense RREF rows `rows` and the `Matrix` list `matrices()`."""
+    One more view of the same basis is built on first use and kept:
+    `sparse_matrices()` for the bracket kernel.  The dense RREF rows `rows`
+    and the `Matrix` list `matrices()` are read out at the boundary with
+    callers, and built anew on each read."""
 
-    __slots__ = ("n", "echelon", "_rows", "_matrices", "_sparse")
+    __slots__ = ("n", "echelon", "_sparse")
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self.echelon = Echelon(rows)
-        self._rows = self._matrices = self._sparse = None
-
-    @staticmethod
-    def from_matrices(n: int, mats) -> "MatSpan":
-        return MatSpan(n, [sparse(m.flatten()) for m in mats])
+        self._sparse = None
 
     def sparse_matrices(self) -> list[tuple]:
         """The basis as sparse matrices (see `sparse_matrix`), in basis order."""
@@ -112,22 +111,17 @@ class MatSpan:
     @property
     def rows(self) -> list[list[Fraction]]:
         """The basis as dense RREF rows of length n^2."""
-        if self._rows is None:
-            self._rows = [dense(r, self.n * self.n) for r in self.echelon.rows()]
-        return self._rows
+        return [dense(r, self.n * self.n) for r in self.echelon.rows()]
 
     def matrices(self) -> list[Matrix]:
         """The basis as matrices, in basis order."""
-        if self._matrices is None:
-            self._matrices = [_matrix(r, self.n) for r in self.echelon.rows()]
-        return self._matrices
+        n = self.n
+        return [Matrix._of([[r.get(i * n + j, QZERO) for j in range(n)] for i in range(n)])
+                for r in self.echelon.rows()]
 
     @property
     def dim(self) -> int:
         return len(self.echelon.pivots)
-
-    def member(self, m: Matrix) -> bool:
-        return not self.echelon.reduce(sparse(m.flatten()))
 
     def contains(self, other: "MatSpan") -> bool:
         return not any(map(self.echelon.reduce, other.echelon.rows()))
@@ -162,11 +156,6 @@ class MatSpan:
         return {k: row[p] for k, p in enumerate(self.echelon.pivots) if p in row}
 
 
-def _matrix(row: dict, n: int) -> Matrix:
-    """The n x n matrix of a flat sparse row."""
-    return Matrix._of([[row.get(i * n + j, QZERO) for j in range(n)] for i in range(n)])
-
-
 def _combine(coeffs: dict, rows) -> dict:
     """sum_k coeffs[k] rows[k] on sparse rows, coeffs given as {k: c}."""
     out: dict = {}
@@ -190,67 +179,8 @@ def _relations(images) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# the sparse bracket kernel
+# brackets of spans, derived and lower central series
 # ---------------------------------------------------------------------------
-
-
-def sparse_matrix(row: dict, n: int) -> tuple:
-    """The sparse matrix of a flat sparse row {i * n + j: v}: a common
-    denominator d and the integer row dicts {i: {j: d * v}}, so that the
-    kernel multiplies Python ints and forms one Fraction per entry."""
-    den = 1
-    for v in row.values():
-        den = lcm(den, v.denominator)
-    rows: dict = {}
-    for k, v in row.items():
-        i, j = divmod(k, n)
-        rows.setdefault(i, {})[j] = v.numerator * (den // v.denominator)
-    return den, rows
-
-
-def _sparse_of(m: Matrix) -> tuple:
-    return sparse_matrix(sparse(m.flatten()), m.rows)
-
-
-def _product_into(out: dict, a: dict, b: dict, n: int, sign: int) -> None:
-    """out += sign * a b on integer row dicts, with out a flat sparse row
-    that may hold zeros."""
-    get = out.get
-    for i, arow in a.items():
-        base = i * n
-        for k, x in arow.items():
-            brow = b.get(k)
-            if brow:
-                x *= sign
-                for j, y in brow.items():
-                    out[base + j] = get(base + j, 0) + x * y
-
-
-def _over(out: dict, den: int) -> dict:
-    """The flat sparse row out / den, without its zeros."""
-    return {k: Fraction(v, den) for k, v in out.items() if v}
-
-
-def sparse_product(a: tuple, b: tuple, n: int) -> dict:
-    """The product a b of sparse n x n matrices, as a flat sparse row."""
-    out: dict = {}
-    _product_into(out, a[1], b[1], n, 1)
-    return _over(out, a[0] * b[0])
-
-
-def sparse_bracket(a: tuple, b: tuple, n: int) -> dict:
-    """[a, b] = a b - b a of sparse n x n matrices, as a flat sparse row.
-
-    This is the one bracket of the oracle: `bracket` wraps it for `Matrix`
-    arguments."""
-    out: dict = {}
-    _product_into(out, a[1], b[1], n, 1)
-    _product_into(out, b[1], a[1], n, -1)
-    return _over(out, a[0] * b[0])
-
-
-def bracket(a: Matrix, b: Matrix) -> Matrix:
-    return _matrix(sparse_bracket(_sparse_of(a), _sparse_of(b), a.rows), a.rows)
 
 
 def bracket_span(a: MatSpan, b: MatSpan) -> MatSpan:
@@ -291,7 +221,8 @@ def is_nilpotent_span(s: MatSpan) -> bool:
 
 class FdLieAlgebra:
     """Matrix Lie algebra: an ambient size n >= 0 and a bracket-closed basis
-    of n x n matrices; ValueError otherwise.
+    of n x n matrices, given as `Matrix`es or rows of rationals; ValueError
+    otherwise.  The input is read once into flat sparse rows.
 
     The basis is the RREF basis of the span, so the echelon coordinates
     `span.echelon.coords(row)` always agree with basis indexing.
@@ -302,18 +233,18 @@ class FdLieAlgebra:
     bracket has no entry.
     `on(span)` builds the algebra on a span the oracle computed, with the
     same closure check.  Two results are cached on first use: the
-    coordinates of the derived algebra (`derived_coords`) and the certified
-    solvable radical (`solvable_radical`).  The caches assume that the
-    basis is never mutated after construction.
+    coordinates of the derived algebra (`derived_coords`) and the derived
+    series of the solvable radical that certifies it (`solvable_radical`).
+    The caches assume that the basis is never mutated after construction.
     """
 
     __slots__ = ("n", "span", "consts", "_derived_coords", "_radical")
 
     def __init__(self, n: int, basis):
-        gens = [Matrix(b.entries) if isinstance(b, Matrix) else Matrix(b) for b in basis]
+        gens = [b if isinstance(b, Matrix) else Matrix(b) for b in basis]
         if n < 0 or any((b.rows, b.cols) != (n, n) for b in gens):
             raise ValueError(f"the basis must be {n} x {n} matrices, with n >= 0")
-        span = MatSpan.from_matrices(n, gens)
+        span = MatSpan(n, [sparse(b.flatten()) for b in gens])
         self._setup(span, _closed_brackets(span))
 
     @classmethod
@@ -344,12 +275,10 @@ class FdLieAlgebra:
     def dim(self) -> int:
         return self.span.dim
 
-    def member(self, m: Matrix) -> bool:
-        return self.span.member(m)
-
-    def killing(self) -> Matrix:
-        """K_ij = tr(ad x_i ad x_j) = sum_{k,l} (ad x_i)[k, l] (ad x_j)[l, k],
-        where (ad x_i)[k, l] is consts[i, l][k], or -consts[l, i][k].
+    def killing(self) -> list[dict]:
+        """The rows {j: K_ij} of the Killing form, K_ij = tr(ad x_i ad x_j) =
+        sum_{k,l} (ad x_i)[k, l] (ad x_j)[l, k], where (ad x_i)[k, l] is
+        consts[i, l][k], or -consts[l, i][k].
 
         Each product of two nonzero entries is formed once, on integers
         over the common denominator of the constants."""
@@ -368,7 +297,7 @@ class FdLieAlgebra:
                 row = kill[i]
                 for j, y in partners:
                     row[j] += x * y
-        return Matrix._of([[Fraction(v, den * den) for v in row] for row in kill])
+        return [{j: Fraction(v, den * den) for j, v in enumerate(row) if v} for row in kill]
 
     def derived_coords(self) -> list[dict]:
         """Reduced echelon basis of [g, g] in basis coordinates, as sparse
@@ -425,21 +354,26 @@ def _lie_closure(n: int, rows):
 
 def solvable_radical(g: FdLieAlgebra) -> MatSpan:
     """Killing-perp of the derived subalgebra (exact, char 0), verified
-    solvable by its derived series.  Computed once per algebra and cached
-    on it."""
+    solvable by its derived series."""
+    return _radical_series(g)[0]
+
+
+def _radical_series(g: FdLieAlgebra) -> list[MatSpan]:
+    """The derived series of the solvable radical, ending at 0, which
+    certifies it solvable.  Computed once per algebra and cached on it."""
     if g._radical is not None:
         return g._radical
     # the image of x_k is (K(x_k, mu))_mu over the derived basis mu
     derived = g.derived_coords()
     images = []
-    for kill in g.killing().entries:
-        values = (sum(kill[j] * c for j, c in mu.items() if kill[j]) for mu in derived)
+    for kill in g.killing():
+        values = (sum(kill[j] * c for j, c in mu.items() if j in kill) for mu in derived)
         images.append({r: v for r, v in enumerate(values) if v})
-    rad = g.span.kernel_of(images)
-    if not is_solvable_span(rad):
-        raise CheckFailed("Killing-perp radical is not solvable", rad)
-    g._radical = rad
-    return rad
+    series = derived_series(g.span.kernel_of(images))
+    if series[-1].dim:
+        raise CheckFailed("Killing-perp radical is not solvable", series[0])
+    g._radical = series
+    return series
 
 
 def linear_nilradical(g: FdLieAlgebra, seed: int = 0) -> MatSpan:
@@ -465,13 +399,13 @@ def linear_nilradical(g: FdLieAlgebra, seed: int = 0) -> MatSpan:
         values = (_trace_of_product(x, b) for b in algebra)
         images.append({t: v for t, v in enumerate(values) if v})
     nil = rad.kernel_of(images)
-    for m in nil.matrices():
-        if not is_nilpotent(m):
+    for m in nil.echelon.rows():
+        if not is_nilpotent(m, n):
             raise CheckFailed("nilradical candidate is not nilpotent", m)
-    for b, bs in enumerate(g.span.sparse_matrices()):
-        for m, ms in enumerate(nil.sparse_matrices()):
+    for b, bs in zip(g.span.echelon.rows(), g.span.sparse_matrices()):
+        for m, ms in zip(nil.echelon.rows(), nil.sparse_matrices()):
             if nil.echelon.reduce(sparse_bracket(bs, ms, n)):
-                raise CheckFailed("nilradical is not an ideal", (g.basis[b], nil.matrices()[m]))
+                raise CheckFailed("nilradical is not an ideal", (b, m))
     return nil
 
 
@@ -517,18 +451,40 @@ def _trace_of_product(a: tuple, b: tuple) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def spin(vectors, actions, dim) -> list:
-    """RREF basis of the smallest subspace containing vectors and closed
-    under the action matrices."""
+def _lines(a: dict, n: int, columns: bool = False) -> dict:
+    """The rows {i: {j: v}} of the flat sparse n x n matrix a, or its
+    columns {j: {i: v}}."""
+    out: dict = {}
+    for k, v in a.items():
+        i, j = divmod(k, n)
+        if columns:
+            i, j = j, i
+        out.setdefault(i, {})[j] = v
+    return out
+
+
+def _apply(columns: dict, v: dict) -> dict:
+    """The image of the sparse vector v under the matrix of `columns`."""
+    out: dict = {}
+    for j, x in v.items():
+        if j in columns:
+            axpy(out, x, columns[j])
+    return out
+
+
+def spin(vectors, actions, dim) -> list[dict]:
+    """RREF basis of the smallest subspace of Q^dim containing the sparse
+    vectors and closed under the actions, flat sparse rows over dim."""
+    columns = [_lines(a, dim, columns=True) for a in actions]
     span = Echelon()
-    queue = [list(v) for v in vectors if span.add(sparse(v))]
+    queue = [v for v in vectors if span.add(v)]
     while queue:
         v = queue.pop()
-        for a in actions:
-            img = a.apply(v)
-            if span.add(sparse(img)):
+        for cols in columns:
+            img = _apply(cols, v)
+            if span.add(img):
                 queue.append(img)
-    return [dense(r, dim) for r in span.rows()]
+    return span.rows()
 
 
 _THETA_ROUNDS = 30
@@ -537,68 +493,70 @@ _THETA_ROUNDS = 30
 def _theta_battery(actions, rng, dim):
     """The nonzero actions, then up to `_THETA_ROUNDS` random combinations
     of them, some plus a product of two."""
-    mats = [a for a in actions if not a.is_zero()]
-    for a in mats:
-        yield a
+    mats = [a for a in actions if a]
+    yield from mats
     for _ in range(_THETA_ROUNDS):
         if not mats:
             return
-        combo = Matrix.zero(dim, dim)
+        combo: dict = {}
         for a in mats:
             c = rng.randrange(-2, 3)
             if c:
-                combo = combo + a.scale(c)
+                axpy(combo, c, a)
         if rng.random() < 0.5 and len(mats) >= 2:
-            combo = combo + rng.choice(mats) * rng.choice(mats)
-        if not combo.is_zero():
+            x, y = (sparse_matrix(rng.choice(mats), dim) for _ in range(2))
+            axpy(combo, QONE, sparse_product(x, y, dim))
+        if combo:
             yield combo
 
 
-def _min_poly_factors(theta: Matrix):
+def _min_poly_factors(theta: dict, dim: int):
     """The irreducible factors of the minimal polynomial of theta and their
     multiplicities, primitive over ZZ: `poly_factor_zz` factors it with
     denominators cleared."""
-    coeffs = minpoly(theta)
+    coeffs = minpoly(theta, dim)
     den = lcm(*(c.denominator for c in coeffs))
     _, factors = poly_factor_zz([int(c * den) for c in coeffs])
     return [([Fraction(c) for c in f], mult) for f, mult in factors]
 
 
 def find_proper_submodule(actions, dim, rng):
-    """A basis of a proper nonzero submodule of Q^dim as dense rows, or None
+    """A basis of a proper nonzero submodule of Q^dim as sparse rows, or None
     if the module is certified irreducible (Norton's test on a nullity-one
-    factor)."""
+    factor), for actions given as flat sparse rows over dim.
+
+    The dual half needs no check of its own.  A factor p of nullity deg p
+    >= 1 on theta has it on p(theta)^T = p(theta^T) too, so the spin U of a
+    null vector of the transpose under the transposed actions is nonzero.
+    When U is proper, its annihilator is a submodule of dimension dim -
+    dim U, strictly between 0 and dim."""
     if dim <= 1:
         return None
-    if all(a.is_zero() for a in actions):
-        return [[QONE] + [QZERO] * (dim - 1)]
-    transposed = [a.transpose() for a in actions]
+    if not any(actions):
+        return [{0: QONE}]
     for theta in _theta_battery(actions, rng, dim):
         nullity_one = None
-        for p, _ in _min_poly_factors(theta):
-            null = kernel(map(sparse, poly_eval_matrix(p, theta).entries), dim)
+        for p, _ in _min_poly_factors(theta, dim):
+            p_theta = poly_eval_matrix(p, theta, dim)
+            null = kernel(_lines(p_theta, dim).values(), dim)
             for w in null:
-                sub = spin([dense(w, dim)], actions, dim)
+                sub = spin([w], actions, dim)
                 if 0 < len(sub) < dim:
                     return sub
             if len(null) == len(p) - 1:
-                nullity_one = (p, null)
+                nullity_one = p_theta
         if nullity_one is not None:
-            p, null = nullity_one
-            dual_null = kernel(map(sparse, poly_eval_matrix(p, theta.transpose()).entries), dim)
-            dual_sub = spin([dense(dual_null[0], dim)], transposed, dim)
-            if len(dual_sub) < dim:
-                ann = kernel(map(sparse, dual_sub), dim)
-                if 0 < len(ann) < dim:
-                    return [dense(v, dim) for v in ann]
-                raise CheckFailed("dual spin produced a trivial annihilator", theta)
-            return None
+            dual_null = kernel(_lines(nullity_one, dim, columns=True).values(), dim)
+            transposed = [{k % dim * dim + k // dim: v for k, v in a.items()} for a in actions]
+            dual_sub = spin(dual_null[:1], transposed, dim)
+            return kernel(dual_sub, dim) if len(dual_sub) < dim else None
     raise CertificationFailed("no nullity-one element found; change the seed")
 
 
 def composition_series(actions, dim, rng) -> list:
-    """Increasing chain of RREF row bases 0 < W_1 < ... < W_s = Q^dim with
-    irreducible quotients (the zero step is omitted)."""
+    """Increasing chain of dense RREF row bases 0 < W_1 < ... < W_s = Q^dim
+    with irreducible quotients (the zero step is omitted), for actions given
+    as flat sparse rows over dim."""
     if dim == 0:
         return []
     full = Echelon({i: QONE} for i in range(dim))
@@ -612,25 +570,28 @@ def _section_series(actions, lower: Echelon, upper: Echelon, dim: int, rng) -> l
 
     The section upper / lower has for basis the reduced residues of upper
     modulo lower, and a residue's coordinates are its entries at its
-    pivots, so the section's action matrices come from the original actions
-    with no change of basis.  A submodule of the section maps back to Q^dim
-    by combining residues.  Every image of a residue is checked to lie in
+    pivots, so the columns of the section's actions come from the original
+    actions with no change of basis.  A submodule of the section maps back
+    to Q^dim by combining residues.  Every image of a residue is checked to lie in
     upper, which certifies upper as a submodule once lower is one; every
     level is the upper of one section."""
     residues = Echelon(map(lower.reduce, upper.rows()))
+    basis = residues.rows()
+    d = len(basis)
     section = []
     for a in actions:
-        cols = []
-        for r in residues.rows():
-            col = residues.coords(lower.reduce(sparse(a.apply(dense(r, dim)))))
+        cols = _lines(a, dim, columns=True)
+        action: dict = {}
+        for k, r in enumerate(basis):
+            col = residues.coords(lower.reduce(_apply(cols, r)))
             if col is None:
-                raise CheckFailed("submodule is not invariant", (a, dense(r, dim)))
-            cols.append(col)
-        section.append(Matrix._of([list(row) for row in zip(*cols)]))
-    sub = find_proper_submodule(section, len(residues.pivots), rng)
+                raise CheckFailed("submodule is not invariant", (a, r))
+            action.update((i * d + k, v) for i, v in enumerate(col) if v)
+        section.append(action)
+    sub = find_proper_submodule(section, d, rng)
     if sub is None:
         return [upper]
-    mid = Echelon(lower.rows() + [_combine(sparse(s), residues.rows()) for s in sub])
+    mid = Echelon(lower.rows() + [_combine(s, basis) for s in sub])
     return (_section_series(actions, lower, mid, dim, rng)
             + _section_series(actions, mid, upper, dim, rng))
 
@@ -643,7 +604,8 @@ def _section_series(actions, lower: Echelon, upper: Echelon, dim: int, rng) -> l
 def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
     """A semisimple complement of the radical, lifted along the derived
     series of the radical by solving the linear congruences level by level."""
-    rad = solvable_radical(g)
+    series = _radical_series(g)
+    rad = series[0]
     if rad.dim == g.dim:
         return FdLieAlgebra.on(MatSpan(g.n))
     if rad.dim == 0:
@@ -664,12 +626,7 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
             resid = rad_coeffs.reduce(g.consts.get((free[i], free[j]), {}))
             c[i, j] = {position[k]: v for k, v in resid.items()}
 
-    series = derived_series(rad)
-    series.append(MatSpan(n))
-    for t in range(len(series) - 1):
-        level, nxt = series[t], series[t + 1]
-        if not level.dim:
-            break
+    for level, nxt in zip(series, series[1:]):  # the series ends at 0
         nxt_coeffs = Echelon(map(coords, nxt.echelon.rows()))
         # corrections only matter modulo the next derived term, so the
         # unknowns range over complement representatives of that quotient:
@@ -730,7 +687,7 @@ def _verify_levi(g, rad, levi):
         raise CheckFailed("Levi does not complement r cap [g,g]", levi)
     if not dg.contains(levi.span):
         raise CheckFailed("Levi is not inside the derived subalgebra", levi)
-    if levi.dim and kernel(map(sparse, levi.killing().entries), levi.dim):
+    if levi.dim and kernel(levi.killing(), levi.dim):
         raise CheckFailed("Killing form on the Levi is degenerate", levi)
 
 
@@ -738,14 +695,12 @@ def splittable_closure(g: FdLieAlgebra) -> FdLieAlgebra:
     """Smallest splittable subalgebra containing g."""
     current = g
     while True:
-        extra = []
-        for b in current.basis:
-            ss, nil = jordan_chevalley(b)
-            if not current.member(ss):
-                extra.append(sparse(ss.flatten()))
+        span = current.span.echelon
+        parts = (jordan_chevalley(b, g.n)[0] for b in span.rows())
+        extra = [ss for ss in parts if span.reduce(ss)]
         if not extra:
             return current
-        current = FdLieAlgebra._of(*_lie_closure(g.n, current.span.echelon.rows() + extra))
+        current = FdLieAlgebra._of(*_lie_closure(g.n, span.rows() + extra))
 
 
 @dataclass
@@ -757,43 +712,38 @@ class FdDecomposition:
 
 
 def locally_reductive_part(g: FdLieAlgebra, seed: int = 0) -> FdDecomposition:
-    """Splittable g = nilradical (+) (levi (+ semidirect) torus)."""
-    for b in g.basis:
-        ss, _ = jordan_chevalley(b)
-        if not g.member(ss):
-            raise NotSplittable(b)
+    """Splittable g = nilradical (+) (levi (+ semidirect) torus).
+
+    The torus needs no check of its own.  Its element t is the semisimple
+    part of y = y_0 - delta, y_0 in the centralizer of the Levi in rad and
+    delta in the nilradical part of that centralizer, so y centralizes the
+    Levi; `_commuting_correction` makes y commute with every earlier torus
+    element.  t is a polynomial in y, so it commutes with all of these, and
+    `jordan_chevalley` returns it with q(t) = 0 for a squarefree q."""
     n = g.n
+    for b in g.span.echelon.rows():
+        if g.span.echelon.reduce(jordan_chevalley(b, n)[0]):
+            raise NotSplittable(b)
     nil = linear_nilradical(g, seed)
     rad = solvable_radical(g)
     levi = levi_component(g)
     cent = _centralizer_span(rad, levi.span.sparse_matrices())
     nil_in_cent = nil.intersect(cent)
-    torus_elems = []
     torus_rows = []
     seen = Echelon(nil_in_cent.echelon.rows())
     for y in [r for r in cent.echelon.rows() if seen.add(r)]:
         if torus_rows:
             y = _commuting_correction(y, torus_rows, nil_in_cent)
-        ss, nl = jordan_chevalley(_matrix(y, n))
-        if not nil.member(nl):
-            raise CheckFailed("nilpotent part escaped the nilradical", _matrix(y, n))
-        torus_elems.append(ss)
-        torus_rows.append(sparse(ss.flatten()))
+        ss, nl = jordan_chevalley(y, n)
+        if nil.echelon.reduce(nl):
+            raise CheckFailed("nilpotent part escaped the nilradical", y)
+        torus_rows.append(ss)
     torus = FdLieAlgebra.on(MatSpan(n, torus_rows))
     g_red = FdLieAlgebra.on(levi.span.sum(torus.span))
     if g_red.span.intersect(nil).dim:
         raise CheckFailed("reductive part meets the nilradical", g_red)
     if g_red.span.sum(nil).dim != g.dim:
         raise CheckFailed("reductive part and nilradical do not span g", g_red)
-    for t in torus_elems:
-        if not poly_is_squarefree(minpoly(t)):
-            raise CheckFailed("torus element is not semisimple", t)
-        for s in torus_elems:
-            if not bracket(t, s).is_zero():
-                raise CheckFailed("torus is not commutative", (t, s))
-        for l in levi.basis:
-            if not bracket(t, l).is_zero():
-                raise CheckFailed("torus does not centralize the Levi", (t, l))
     return FdDecomposition(nil, levi, torus, g_red)
 
 
@@ -832,7 +782,7 @@ def _commuting_correction(y: dict, torus_rows, nil_span: MatSpan) -> dict:
     found = _relations(_bracket_images([sparse_matrix(r, n) for r in rows], ts, n, Echelon()))
     corrected = _combine(found[-1], rows) if found else {}
     if not nil_span.echelon.reduce(corrected):
-        raise CheckFailed("no commuting correction exists", _matrix(y, n))
+        raise CheckFailed("no commuting correction exists", y)
     return corrected
 
 
@@ -841,26 +791,13 @@ def _commuting_correction(y: dict, torus_rows, nil_span: MatSpan) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _semisimple_parts_span(h_basis, n):
-    """Span of the semisimple Jordan parts of the basis, with sanity checks."""
-    parts = []
-    for b in h_basis:
-        ss, _ = jordan_chevalley(b)
-        if not ss.is_zero():
-            parts.append(ss)
-    for a, b in itertools.combinations(parts, 2):
-        if not bracket(a, b).is_zero():
-            raise CheckFailed("semisimple parts fail to commute", (a, b))
-    return MatSpan.from_matrices(n, parts)
-
-
-def fitting_null(k: FdLieAlgebra, h_basis) -> FdLieAlgebra:
-    """Joint generalized null component of ad(h) on k: the elements killed
-    by every sufficiently long word in ad of the given generators.
+def fitting_null(k: FdLieAlgebra, h_span: MatSpan) -> FdLieAlgebra:
+    """Joint generalized null component of ad(h) on k for h in h_span: the
+    elements killed by every sufficiently long word in ad of its basis.
 
     It is the limit of 0 = K_0 < K_1 < ..., K_(i+1) the x in k with
-    [x, h] in K_i for every generator h."""
-    hs = list(map(_sparse_of, h_basis))
+    [x, h] in K_i for every basis element h."""
+    hs = h_span.sparse_matrices()
     xs = k.span.sparse_matrices()
     current = MatSpan(k.n)
     while True:
@@ -877,8 +814,8 @@ class CartanVerdict:
     via_fitting_null: bool
 
 
-def cartan_queries(k: FdLieAlgebra, h_basis) -> CartanVerdict:
-    """Two independent routes to the Cartan property of span(h) in k.
+def cartan_queries(k: FdLieAlgebra, h_span: MatSpan) -> CartanVerdict:
+    """Two independent routes to the Cartan property of h = h_span in k.
 
     Route D: h equals the centralizer of the semisimple parts of h.  Route
     F: h equals its own Fitting null component.  A disagreement between the
@@ -886,32 +823,34 @@ def cartan_queries(k: FdLieAlgebra, h_basis) -> CartanVerdict:
     CheckFailed.  No route draws random numbers.  The maximal-torus route
     adds nothing to D: once the centralizer of the semisimple parts is h,
     they span a maximal torus of it.
+
+    Route D runs only on a nilpotent h, whose semisimple parts commute with
+    no check: on a nilpotent linear Lie algebra every semisimple part acts
+    as a scalar on each generalized weight space of h in Q^n.
     """
-    for b in h_basis:
-        if not k.member(b):
-            raise ValueError("candidate subalgebra is not inside k")
-    h_span = MatSpan.from_matrices(k.n, h_basis)
+    if not k.span.contains(h_span):
+        raise ValueError("candidate subalgebra is not inside k")
     try:
-        h_alg = FdLieAlgebra.on(h_span)
+        FdLieAlgebra.on(h_span)
     except ValueError:
         return CartanVerdict(False, False, False)
     nilpotent = is_nilpotent_span(h_span)
 
-    via_f = fitting_null(k, h_alg.basis).span == h_span
+    via_f = fitting_null(k, h_span).span == h_span
 
     if not nilpotent:
         if via_f:
-            raise CheckFailed("Fitting route accepted a non-nilpotent subalgebra", h_basis)
+            raise CheckFailed("Fitting route accepted a non-nilpotent subalgebra", h_span)
         return CartanVerdict(False, False, via_f)
 
-    ss_span = _semisimple_parts_span(h_alg.basis, k.n)
-    via_d = _centralizer_span(k.span, ss_span.sparse_matrices()) == h_span
+    parts = MatSpan(k.n, [jordan_chevalley(h, k.n)[0] for h in h_span.echelon.rows()])
+    via_d = _centralizer_span(k.span, parts.sparse_matrices()) == h_span
 
     verdict = CartanVerdict(via_d, via_d, via_f)
     if via_d != via_f:
-        raise CheckFailed("Cartan routes disagree", (h_basis, verdict))
+        raise CheckFailed("Cartan routes disagree", (h_span, verdict))
     if verdict.is_cartan and _normalizer_in(k, h_span) != h_span:
-        raise CheckFailed("Cartan candidate is not self-normalizing", h_basis)
+        raise CheckFailed("Cartan candidate is not self-normalizing", h_span)
     return verdict
 
 
@@ -1000,7 +939,7 @@ def invariant_taut_couple(k: FdLieAlgebra, seed: int = 0) -> InvariantCoupleRepo
     """Composition series of the natural k-module, its joint stabilizer, and
     the nilradical identities that make it a taut couple at finite scale."""
     rng = random.Random(seed)
-    chain = composition_series(k.basis, k.n, rng) or [[]]  # n = 0: the zero space
+    chain = composition_series(k.span.echelon.rows(), k.n, rng) or [[]]  # n = 0: the zero space
     p_plus_span = flag_stabilizer_brute(k.n, chain)
     s_formula, n_formula = flag_formula_spans(k.n, chain)
     if s_formula != p_plus_span:
@@ -1041,7 +980,7 @@ def fd_parabolic_tests(p: FdLieAlgebra, seed: int = 0) -> ParabolicReport:
     complete flag F refining C, is a Borel of p over C, by the exact test
     `_is_maximal_solvable_in`; then b cap [p, p] is a Borel of [p, p] (see
     `_borel_restriction_check`).  The seed only feeds the meataxe."""
-    series = composition_series(p.basis, p.n, random.Random(seed))
+    series = composition_series(p.span.echelon.rows(), p.n, random.Random(seed))
     is_parabolic = flag_stabilizer_brute(p.n, series) == p.span
     return ParabolicReport(is_parabolic, _borel_restriction_check(p, series))
 
@@ -1108,25 +1047,22 @@ def _borel_restriction_check(p: FdLieAlgebra, series) -> bool:
     return _is_maximal_solvable_in(stab.intersect(p.span), p)
 
 
-def parabolic_bijection_check(
-    g: FdLieAlgebra, p_red_basis, seed: int = 0
-) -> FdLieAlgebra:
+def parabolic_bijection_check(g: FdLieAlgebra, p_red: MatSpan, seed: int = 0) -> FdLieAlgebra:
     """Map a parabolic of the reductive part to n_g (+) p_red and verify the
     round trip of the bijection.  Both Borel verdicts, on b_red in g_red and
     on n_g + b_red in g, are exact (`_is_maximal_solvable_in`); the seed
     only feeds the meataxe."""
     dec = locally_reductive_part(g, seed)
     g_red = dec.reductive_part
-    p_red = MatSpan.from_matrices(g.n, p_red_basis)
     if not g_red.span.contains(p_red):
         raise NotParabolicInput("p_red is not inside the reductive part")
     try:
-        p_red_alg = FdLieAlgebra.on(p_red)
+        FdLieAlgebra.on(p_red)
     except ValueError as exc:
         raise NotParabolicInput("p_red is not a subalgebra") from exc
     # parabolic criterion inside g_red: a full invariant flag of p_red gives
     # a maximal solvable subalgebra of g_red contained in p_red
-    series = composition_series(p_red_alg.basis, g.n, random.Random(seed))
+    series = composition_series(p_red.echelon.rows(), g.n, random.Random(seed))
     flag = _full_flag_refining(series, g.n)
     b_red = flag_stabilizer_brute(g.n, flag).intersect(g_red.span)
     if not p_red.contains(b_red):
@@ -1135,51 +1071,12 @@ def parabolic_bijection_check(
         raise NotParabolicInput("constructed candidate is not maximal solvable")
     q = FdLieAlgebra._of(*_lie_closure(g.n, dec.nilradical.echelon.rows() + p_red.echelon.rows()))
     if q.dim != dec.nilradical.sum(p_red).dim:
-        raise CheckFailed("n_g + p_red is not a subalgebra", (p_red_basis, seed))
+        raise CheckFailed("n_g + p_red is not a subalgebra", (p_red, seed))
     borel_g = dec.nilradical.sum(b_red)
     if not q.span.contains(borel_g):
-        raise CheckFailed("n_g + b_red is not inside n_g + p_red", (p_red_basis, seed))
+        raise CheckFailed("n_g + b_red is not inside n_g + p_red", (p_red, seed))
     if not _is_maximal_solvable_in(borel_g, g):
-        raise CheckFailed("n_g + b_red is not a Borel of g", (p_red_basis, seed))
+        raise CheckFailed("n_g + b_red is not a Borel of g", (p_red, seed))
     if q.span.intersect(g_red.span) != p_red:
-        raise CheckFailed("round trip does not recover p_red", (p_red_basis, seed))
+        raise CheckFailed("round trip does not recover p_red", (p_red, seed))
     return q
-
-
-# ---------------------------------------------------------------------------
-# standard constructions for batteries and examples
-# ---------------------------------------------------------------------------
-
-
-def unit_matrix(n, i, j) -> Matrix:
-    return _matrix({i * n + j: QONE}, n)
-
-
-def gl_basis(n):
-    return [unit_matrix(n, i, j) for i in range(n) for j in range(n)]
-
-
-def sl_basis(n):
-    out = [unit_matrix(n, i, j) for i in range(n) for j in range(n) if i != j]
-    for i in range(n - 1):
-        out.append(unit_matrix(n, i, i) - unit_matrix(n, i + 1, i + 1))
-    return out
-
-
-def upper_triangular_basis(n):
-    return [unit_matrix(n, i, j) for i in range(n) for j in range(i, n)]
-
-
-def strict_upper_basis(n):
-    return [unit_matrix(n, i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def diagonal_basis(n):
-    return [unit_matrix(n, i, i) for i in range(n)]
-
-
-def block_parabolic_basis(sizes):
-    """Block upper-triangular matrices for the given diagonal block sizes."""
-    block = [b for b, size in enumerate(sizes) for _ in range(size)]
-    n = len(block)
-    return [unit_matrix(n, i, j) for i in range(n) for j in range(n) if block[i] <= block[j]]

@@ -1,4 +1,5 @@
-"""JSON encoding and decoding for the values of a session file.
+"""JSON decoding for the values of a session file, and encoding for the
+values a report holds: rationals, subspaces and matrices.
 
 A session names flags as chains of subspaces and couples by the names of
 their two flags, so both are read in `cli.Session`, not here.
@@ -62,32 +63,11 @@ def epset_from_json(d: dict) -> EpSet:
     )
 
 
-def epseq_to_json(s: EpSeq) -> dict:
-    return {
-        "pre": [rational_to_json(v) for v in s.pre],
-        "repeat": [rational_to_json(v) for v in s.repeat],
-    }
-
-
 def epseq_from_json(d: dict) -> EpSeq:
     return EpSeq.make(
         [rational_from_json(v) for v in d.get("pre", [])],
         [rational_from_json(v) for v in d.get("repeat", [1])],
     )
-
-
-def model_to_json(m: PairedSpaceModel) -> dict:
-    out = {
-        "v_augs": [epseq_to_json(a.row) for a in m.v_augs],
-        "w_augs": [epseq_to_json(a.row) for a in m.w_augs],
-        "cross": [[rational_to_json(v) for v in row] for row in m.cross],
-        "form_kind": m.form_kind,
-    }
-    if m.form_kind != "none":
-        out["iota"] = [
-            {"indices": epset_to_json(p.indices), "offset": p.offset} for p in m.iota
-        ]
-    return out
 
 
 def model_from_json(d: dict) -> PairedSpaceModel:
@@ -142,16 +122,6 @@ def subspace_from_json(model, d: dict) -> Subspace:
     return Subspace.span(model, side, epset_from_json(d.get("aligned", {})), gens)
 
 
-def basis_flag_to_json(b: BasisOrderFlag) -> dict:
-    blocks = []
-    for blk in b.blocks:
-        if blk.kind == FINITE:
-            blocks.append({"kind": FINITE, "points": [list(pt) for pt in blk.points]})
-        else:
-            blocks.append({"kind": blk.kind, "indices": epset_to_json(blk.indices)})
-    return {"blocks": blocks}
-
-
 def basis_flag_from_json(model, d: dict) -> BasisOrderFlag:
     blocks = []
     for blk in d.get("blocks", []):
@@ -165,12 +135,6 @@ def basis_flag_from_json(model, d: dict) -> BasisOrderFlag:
         else:
             raise ValueError(f"unknown block kind {kind!r}")
     return BasisOrderFlag(model, tuple(blocks))
-
-
-def element_to_json(x: FinitaryElement) -> dict:
-    return {
-        "terms": [[vector_to_json(v), vector_to_json(w)] for v, w in x.terms]
-    }
 
 
 def element_from_json(model, d: dict) -> FinitaryElement:
@@ -189,19 +153,8 @@ def matrix_from_json(rows) -> Matrix:
     return Matrix([[rational_from_json(v) for v in row] for row in rows])
 
 
-def algebra_to_json(g: FdLieAlgebra) -> dict:
-    return {"n": g.n, "basis": [matrix_to_json(b) for b in g.basis]}
-
-
 def algebra_from_json(d: dict) -> FdLieAlgebra:
     return FdLieAlgebra(int(d["n"]), [matrix_from_json(b) for b in d.get("basis", [])])
-
-
-def tc_to_json(s: TraceConditionSubalgebra) -> dict:
-    return {
-        "ambient": s.ambient,
-        "constraints": [[rational_to_json(v) for v in row] for row in s.constraints],
-    }
 
 
 def tc_from_json(couple, d: dict) -> TraceConditionSubalgebra:

@@ -1,16 +1,22 @@
-"""Shared builders for the test suite: models, flags, couples, random data."""
+"""Shared builders for the test suite: models, flags, couples, random data,
+the standard bases of gl_n and its subalgebras, and the JSON writers that
+build test sessions (the CLI only reads these values)."""
 
 import random
 from fractions import Fraction
 
-from flagforge.epcore import EpSet
-from flagforge.exactnum import Echelon, Matrix, dense, rat, solve, sparse
-from flagforge.finitary import FinitaryElement
-from flagforge.finoracle import FdLieAlgebra, gl_basis
-from flagforge.genflag import flag_from_chain, make_taut_couple
+from _dense import Dense, solve
+from flagforge.epcore import EpSeq, EpSet
+from flagforge.exactnum import Echelon, dense, rat, sparse
+from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra
+from flagforge import finoracle
+from flagforge.finoracle import FdLieAlgebra
+from flagforge.genflag import FINITE, BasisOrderFlag, flag_from_chain, make_taut_couple
+from flagforge.serial import epset_to_json, matrix_to_json, rational_to_json, vector_to_json
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
+    PairedSpaceModel,
     Subspace,
     Vector,
     dense_line_model,
@@ -40,7 +46,7 @@ def embed_block(mat, n, offset):
     out = [[F(0)] * n for _ in range(n)]
     for i, row in enumerate(mat.entries, offset):
         out[i][offset:offset + len(row)] = row
-    return Matrix(out)
+    return Dense(out)
 
 
 def direct_sum_basis(blocks):
@@ -89,8 +95,7 @@ def augmented_couple():
 
 def random_ep_model(rng: random.Random):
     """A plain model or a small augmented variant, randomly."""
-    from flagforge.epcore import EpSeq
-    from flagforge.pairedspace import Augmentation, PairedSpaceModel, validate_model
+    from flagforge.pairedspace import Augmentation, validate_model
 
     roll = rng.random()
     if roll < 0.5:
@@ -191,10 +196,10 @@ def gl3_plus_so2():
     two coordinates.  J lies in the radical and has no rational eigenvalue,
     so no complete rational flag F has J in stab(F): b = stab(F) cap p is
     solvable, and no Borel, since b + span(J) is solvable too."""
-    p = Matrix([[-1, 0, 0, -1, 0], [-1, -1, -1, 1, 1], [0, -1, -1, -1, -1],
-                [-1, -1, -1, -1, 0], [0, -1, 1, 1, 1]])
-    inverse = Matrix([solve(p, e) for e in Matrix.identity(5).entries]).transpose()
-    basis = direct_sum_basis([(gl_basis(3), 3), ([Matrix([[0, 1], [-1, 0]])], 2)])
+    p = Dense([[-1, 0, 0, -1, 0], [-1, -1, -1, 1, 1], [0, -1, -1, -1, -1],
+               [-1, -1, -1, -1, 0], [0, -1, 1, 1, 1]])
+    inverse = Dense([solve(p, e) for e in Dense.identity(5).entries]).transpose()
+    basis = direct_sum_basis([(gl_basis(3), 3), ([Dense([[0, 1], [-1, 0]])], 2)])
     return FdLieAlgebra(5, [p * b * inverse for b in basis])
 
 
@@ -283,4 +288,107 @@ def random_session(rng: random.Random) -> dict:
              "expect": {"ok": True}},
             {"cmd": "fd", "op": "radical", "alg": "b2", "expect": {"dim": 3}},
         ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# standard bases of gl_n and its subalgebras
+# ---------------------------------------------------------------------------
+
+
+def unit_matrix(n, i, j) -> Dense:
+    return Dense._of([[F(int((a, b) == (i, j))) for b in range(n)] for a in range(n)])
+
+
+def gl_basis(n):
+    return [unit_matrix(n, i, j) for i in range(n) for j in range(n)]
+
+
+def sl_basis(n):
+    out = [unit_matrix(n, i, j) for i in range(n) for j in range(n) if i != j]
+    for i in range(n - 1):
+        out.append(unit_matrix(n, i, i) - unit_matrix(n, i + 1, i + 1))
+    return out
+
+
+def upper_triangular_basis(n):
+    return [unit_matrix(n, i, j) for i in range(n) for j in range(i, n)]
+
+
+def strict_upper_basis(n):
+    return [unit_matrix(n, i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def diagonal_basis(n):
+    return [unit_matrix(n, i, i) for i in range(n)]
+
+
+def block_parabolic_basis(sizes):
+    """Block upper-triangular matrices for the given diagonal block sizes."""
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    return [unit_matrix(n, i, j) for i in range(n) for j in range(n) if block[i] <= block[j]]
+
+
+def mat_span(n, mats):
+    """The `MatSpan` of a list of n x n matrices (the class `finoracle`
+    holds at the call)."""
+    return finoracle.MatSpan(n, [sparse(m.flatten()) for m in mats])
+
+
+def has_matrix(span, m) -> bool:
+    """Whether the matrix m lies in the `MatSpan` span."""
+    return not span.echelon.reduce(sparse(m.flatten()))
+
+
+# ---------------------------------------------------------------------------
+# JSON writers for test sessions
+# ---------------------------------------------------------------------------
+
+
+def epseq_to_json(s: EpSeq) -> dict:
+    return {
+        "pre": [rational_to_json(v) for v in s.pre],
+        "repeat": [rational_to_json(v) for v in s.repeat],
+    }
+
+
+def model_to_json(m: PairedSpaceModel) -> dict:
+    out = {
+        "v_augs": [epseq_to_json(a.row) for a in m.v_augs],
+        "w_augs": [epseq_to_json(a.row) for a in m.w_augs],
+        "cross": [[rational_to_json(v) for v in row] for row in m.cross],
+        "form_kind": m.form_kind,
+    }
+    if m.form_kind != "none":
+        out["iota"] = [
+            {"indices": epset_to_json(p.indices), "offset": p.offset} for p in m.iota
+        ]
+    return out
+
+
+def basis_flag_to_json(b: BasisOrderFlag) -> dict:
+    blocks = []
+    for blk in b.blocks:
+        if blk.kind == FINITE:
+            blocks.append({"kind": FINITE, "points": [list(pt) for pt in blk.points]})
+        else:
+            blocks.append({"kind": blk.kind, "indices": epset_to_json(blk.indices)})
+    return {"blocks": blocks}
+
+
+def element_to_json(x: FinitaryElement) -> dict:
+    return {
+        "terms": [[vector_to_json(v), vector_to_json(w)] for v, w in x.terms]
+    }
+
+
+def algebra_to_json(g: FdLieAlgebra) -> dict:
+    return {"n": g.n, "basis": [matrix_to_json(b) for b in g.basis]}
+
+
+def tc_to_json(s: TraceConditionSubalgebra) -> dict:
+    return {
+        "ambient": s.ambient,
+        "constraints": [[rational_to_json(v) for v in row] for row in s.constraints],
     }

@@ -1,7 +1,7 @@
 """The dense truncation coherence: the reference for `flagforge.coherence`.
 
 These are the comparisons as they were first written, on dense `Fraction`
-lists and `Matrix` products: the truncated pairing is a dense matrix, a
+lists and `Dense` products: the truncated pairing is a dense matrix, a
 truncated subspace is the RREF basis of its rows, an element's truncation
 is its operator matrix, and every span comparison goes through
 `row_space_basis`.  `coherence` computes the same on sparse rows, and the
@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from _corpus import row_space_basis
+from _dense import Dense
 from flagforge.coherence import (
     COUPLE_SAMPLES,
     ELEMENT_SAMPLES,
@@ -19,7 +20,7 @@ from flagforge.coherence import (
     window_levels,
 )
 from flagforge.epcore import stabilization_window
-from flagforge.exactnum import QONE, QZERO, Echelon, Matrix, dense, kernel, sparse
+from flagforge.exactnum import QONE, QZERO, Echelon, dense, kernel, sparse
 from flagforge.finitary import in_joint_stabilizer, in_nilradical
 from flagforge.pairedspace import SIDE_V, SIDE_W, NotRepresentable, Vector, closure, perp
 from flagforge.sampling import random_element, sample_nilradical, sample_pminus, sample_pplus
@@ -32,7 +33,7 @@ class TruncatedModel:
     n: int
     v_dim: int
     w_dim: int
-    pairing: Matrix
+    pairing: Dense
     radical_v: list
     radical_w: list
 
@@ -51,7 +52,7 @@ def truncate_model(model, n: int) -> TruncatedModel:
         row = [model.v_augs[k].row.value(j) for j in range(n)]
         row += [model.cross_value(k, l) for l in range(lw)]
         rows.append(row)
-    pairing = Matrix(rows)
+    pairing = Dense(rows)
     return TruncatedModel(
         n,
         v_dim,
@@ -78,7 +79,7 @@ def truncate_subspace(a, n: int) -> list:
     return row_space_basis(rows, width)
 
 
-def truncate_element(x, n: int, side: str = SIDE_V) -> Matrix:
+def truncate_element(x, n: int, side: str = SIDE_V) -> Dense:
     """Operator matrix of x on the truncated space (basis then augs)."""
     model = x.model
     augs = model.augs(side)
@@ -86,10 +87,10 @@ def truncate_element(x, n: int, side: str = SIDE_V) -> Matrix:
     act = x.act_on_v if side == SIDE_V else x.act_on_vstar
     cols = [truncate_vector(act(Vector.basis_vector(model, side, i)), n) for i in range(n)]
     cols += [truncate_vector(act(Vector.aug_vector(model, side, k)), n) for k in range(len(augs))]
-    return Matrix(list(zip(*cols))) if dim else Matrix([])
+    return Dense(list(zip(*cols))) if dim else Dense([])
 
 
-def _rows_into(mat: Matrix, rows, target_rows) -> bool:
+def _rows_into(mat: Dense, rows, target_rows) -> bool:
     target = Echelon(map(sparse, target_rows))
     return not any(target.reduce(sparse(mat.apply(r))) for r in rows)
 
@@ -122,12 +123,12 @@ def compare_subspace(a, levels=None) -> CoherenceReport:
         pairing = tm.pairing if a.side == SIDE_V else tm.pairing.transpose()
         rad_opp = tm.radical_w if a.side == SIDE_V else tm.radical_v
         rad_own = tm.radical_v if a.side == SIDE_V else tm.radical_w
-        eqs = (Matrix(rows) * pairing).entries if rows else []
+        eqs = (Dense(rows) * pairing).entries if rows else []
         fin_perp = _annihilator_rows(eqs, a.aligned, n_star, n, dim_opp)
         ours_perp = row_space_basis(truncate_subspace(pa, n) + rad_opp, dim_opp)
         ok_perp = row_space_basis(fin_perp + rad_opp, dim_opp) == ours_perp
         report.checks.append({"level": n, "check": "perp", "ok": ok_perp})
-        eqs = (Matrix(fin_perp) * pairing.transpose()).entries if fin_perp else []
+        eqs = (Dense(fin_perp) * pairing.transpose()).entries if fin_perp else []
         back = _annihilator_rows(eqs, pa.aligned, n_star, n, dim_own)
         ours_clo = row_space_basis(truncate_subspace(ca, n) + rad_own, dim_own)
         ok_clo = row_space_basis(back + rad_own, dim_own) == ours_clo

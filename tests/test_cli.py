@@ -17,20 +17,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (
+    algebra_to_json,
     augmented_couple,
+    basis_flag_to_json,
+    element_to_json,
+    epseq_to_json,
     evens_couple,
     gl3_plus_so2,
+    gl_basis,
+    mat_span,
+    model_to_json,
     random_element,
     random_session,
     rank_one,
+    tc_to_json,
     trivial_couple,
+    upper_triangular_basis,
 )
+from _dense import D
 from flagforge import coherence, epcore, finitary, finoracle, pairedspace, serial
 from flagforge.cli import Runner, Session, SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix
 from flagforge.finitary import TraceConditionSubalgebra, flip
-from flagforge.finoracle import FdLieAlgebra, gl_basis, upper_triangular_basis
+from flagforge.finoracle import FdLieAlgebra
 from flagforge.genflag import (
     FINITE,
     OMEGA_DOWN,
@@ -125,13 +135,13 @@ def _fd_session():
         "algebras": {
             "b3": {
                 "n": 3,
-                "basis": serial.algebra_to_json(
+                "basis": algebra_to_json(
                     FdLieAlgebra(3, upper_triangular_basis(3))
                 )["basis"],
             },
             "gl2": {
                 "n": 2,
-                "basis": serial.algebra_to_json(FdLieAlgebra(2, gl_basis(2)))["basis"],
+                "basis": algebra_to_json(FdLieAlgebra(2, gl_basis(2)))["basis"],
             },
         },
         "commands": [
@@ -159,7 +169,7 @@ def test_fd_commands():
 def test_fd_parabolic_finds_no_borel_in_gl3_plus_so2():
     # stab(F) cap p leaves out the rotation J of rad p, so it is no Borel
     session = {
-        "algebras": {"p": serial.algebra_to_json(gl3_plus_so2())},
+        "algebras": {"p": algebra_to_json(gl3_plus_so2())},
         "commands": [{"cmd": "fd", "op": "parabolic", "alg": "p",
                       "expect": {"is_parabolic": False, "borel_restriction_check": False}}],
     }
@@ -172,7 +182,7 @@ def _full_surface_session():
     m_plain = plain_model()
     t = evens_couple(m_plain)
     return {
-        "models": {"m": serial.model_to_json(m_plain)},
+        "models": {"m": model_to_json(m_plain)},
         "subspaces": {
             "evens": serial.subspace_to_json(t.f_flag.chain[1]) | {"model": "m"},
             "odds_w": serial.subspace_to_json(t.g_flag.chain[1]) | {"model": "m"},
@@ -245,21 +255,21 @@ def _rarely_run_paths_session():
 
     elements = {"x02": so_element(0, 2), "x00": so_element(0, 0)}
     gl2 = FdLieAlgebra(2, gl_basis(2))
-    q = finoracle.parabolic_bijection_check(gl2, upper_triangular_basis(2))
+    q = finoracle.parabolic_bijection_check(gl2, mat_span(2, upper_triangular_basis(2)))
     flag_report = coherence.compare(f)
     collapsed = fc_flag(dense_flag)
     session = {
-        "models": {"split": serial.model_to_json(split), "dense": serial.model_to_json(dense),
-                   "plain": serial.model_to_json(plain_model())},
+        "models": {"split": model_to_json(split), "dense": model_to_json(dense),
+                   "plain": model_to_json(plain_model())},
         "subspaces": {"evens": serial.subspace_to_json(evens) | {"model": "split"},
                       "v_std": serial.subspace_to_json(v_std) | {"model": "dense"}},
         "flags": {"f": {"model": "split", "side": "V", "chain": ["evens"]},
                   "d": {"model": "dense", "side": "V", "chain": ["v_std"]}},
-        "basis_flags": {"b": serial.basis_flag_to_json(basis_flag) | {"model": "plain"}},
-        "elements": {name: serial.element_to_json(x) | {"model": "split"}
+        "basis_flags": {"b": basis_flag_to_json(basis_flag) | {"model": "plain"}},
+        "elements": {name: element_to_json(x) | {"model": "split"}
                      for name, x in elements.items()},
-        "algebras": {"gl2": serial.algebra_to_json(gl2),
-                     "b2": serial.algebra_to_json(FdLieAlgebra(2, upper_triangular_basis(2)))},
+        "algebras": {"gl2": algebra_to_json(gl2),
+                     "b2": algebra_to_json(FdLieAlgebra(2, upper_triangular_basis(2)))},
         "commands": [
             {"cmd": "fd", "op": "bijection", "alg": "gl2", "parabolic": "b2",
              "expect": {"dim": q.dim, "basis": [serial.matrix_to_json(m) for m in q.basis]}},
@@ -335,10 +345,10 @@ def _element_and_basis_flag_session():
                              "flag": flag_name,
                              "expect": {"verdict": finitary.in_stabilizer(x, flag)}})
     return {
-        "models": {"plain": serial.model_to_json(plain), "dense": serial.model_to_json(dense)},
-        "basis_flags": {"up": serial.basis_flag_to_json(up) | {"model": "plain"},
-                        "mixed": serial.basis_flag_to_json(mixed) | {"model": "plain"}},
-        "elements": {name: serial.element_to_json(x) | {"model": model}
+        "models": {"plain": model_to_json(plain), "dense": model_to_json(dense)},
+        "basis_flags": {"up": basis_flag_to_json(up) | {"model": "plain"},
+                        "mixed": basis_flag_to_json(mixed) | {"model": "plain"}},
+        "elements": {name: element_to_json(x) | {"model": model}
                      for model, table in (("plain", plain_elements), ("dense", dense_elements))
                      for name, x in table.items()},
         "commands": commands,
@@ -497,7 +507,7 @@ def test_report_is_one_line_of_the_same_json(tmp_path, capsys):
 
 def test_cli_cartan_of_empty_subalgebra(tmp_path):
     # the zero subalgebra of gl2 is not a Cartan subalgebra on any route
-    gl2 = serial.algebra_to_json(FdLieAlgebra(2, gl_basis(2)))["basis"]
+    gl2 = algebra_to_json(FdLieAlgebra(2, gl_basis(2)))["basis"]
     session = {
         "algebras": {"gl2": {"n": 2, "basis": gl2}, "zero": {"n": 2, "basis": []}},
         "commands": [
@@ -540,14 +550,16 @@ class NoSympy(MetaPathFinder):
 
 
 sys.meta_path.insert(0, NoSympy())
+from fractions import Fraction
+from _corpus import block_parabolic_basis
+from _dense import Dense
 from flagforge import cli, finoracle
-from flagforge.exactnum import Matrix
 
-rotation = Matrix([[0, 1], [-1, 0]])  # minimal polynomial t^2 + 1
+rotation = {1: Fraction(1), 2: Fraction(-1)}  # [[0, 1], [-1, 0]]: t^2 + 1
 chain = finoracle.composition_series([rotation], 2, random.Random(1))
 print("rotation", [len(level) for level in chain])
-perm = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-basis = [perm * b * perm.transpose() for b in finoracle.block_parabolic_basis([1, 2])]
+perm = Dense([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+basis = [perm * b * perm.transpose() for b in block_parabolic_basis([1, 2])]
 report = finoracle.fd_parabolic_tests(finoracle.FdLieAlgebra(3, basis), seed=2)
 print("parabolic", report.is_parabolic)
 with contextlib.redirect_stdout(io.StringIO()):
@@ -561,16 +573,16 @@ def test_fd_runtime_needs_no_sympy(tmp_path):
     # the meataxe factors over ZZ in the package: with every sympy import
     # failing, composition series, parabolic tests and a session still run
     session = _fd_session()
-    session["algebras"]["rot"] = {"n": 2, "basis": serial.algebra_to_json(
+    session["algebras"]["rot"] = {"n": 2, "basis": algebra_to_json(
         FdLieAlgebra(2, [Matrix([[0, 1], [-1, 0]])]))["basis"]}
     session["commands"].append(
         {"cmd": "fd", "op": "taut", "alg": "rot", "expect": {"block_dims": [2]}})
     path = tmp_path / "fd.json"
     path.write_text(json.dumps(session))
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    here = Path(__file__).resolve().parent
     out = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SYMPY, str(path)],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])},
         capture_output=True,
         text=True,
         check=True,
@@ -658,7 +670,7 @@ def test_round_trip_serialization():
     rng = random.Random(5)
     models = [plain_model(), dense_line_model(), split_form_model("symmetric")]
     for m in models:
-        again = serial.model_from_json(serial.model_to_json(m))
+        again = serial.model_from_json(model_to_json(m))
         assert again == m
     m = dense_line_model()
     sub = Subspace.span(
@@ -674,13 +686,13 @@ def test_round_trip_serialization():
     assert t2.f_flag == t.f_flag and t2.g_flag == t.g_flag
     assert t2.c_pairs == t.c_pairs
     x = random_element(m, rng)
-    x2 = serial.element_from_json(m, serial.element_to_json(x))
+    x2 = serial.element_from_json(m, element_to_json(x))
     assert x2 == x
     g = FdLieAlgebra(3, upper_triangular_basis(3))
-    g2 = serial.algebra_from_json(serial.algebra_to_json(g))
+    g2 = serial.algebra_from_json(algebra_to_json(g))
     assert g2.span == g.span
     seq = EpSeq.make([1], [2, 3])
-    assert serial.epseq_from_json(serial.epseq_to_json(seq)) == seq
+    assert serial.epseq_from_json(epseq_to_json(seq)) == seq
 
 
 def _flag_to_session(f):
@@ -698,7 +710,7 @@ def _couple_to_session(t):
 def _session_reader(model, section):
     """Read the object "x" of a session section, the model named "m"."""
     def read(fragment):
-        data = {"models": {"m": serial.model_to_json(model)}} | fragment
+        data = {"models": {"m": model_to_json(model)}} | fragment
         return getattr(Session(data), section)["x"]
     return read
 
@@ -727,20 +739,20 @@ def _serial_case(kind):
     te = evens_couple()
     tc = TraceConditionSubalgebra(te, "gl", [["1/2", -1]])
     cases = {
-        "model": (mf, serial.model_to_json, serial.model_from_json),
-        "augmented_model": (m, serial.model_to_json, serial.model_from_json),
+        "model": (mf, model_to_json, serial.model_from_json),
+        "augmented_model": (m, model_to_json, serial.model_from_json),
         "vector": (sub.corrections[0], serial.vector_to_json, partial(serial.vector_from_json, m)),
         "subspace": (sub, serial.subspace_to_json, partial(serial.subspace_from_json, m)),
         "flag": (t.f_flag, lambda f: {"flags": {"x": _flag_to_session(f)}},
                  _session_reader(m, "flags")),
-        "basis_flag": (bflag, serial.basis_flag_to_json,
+        "basis_flag": (bflag, basis_flag_to_json,
                        partial(serial.basis_flag_from_json, bflag.model)),
         "couple": (t, _couple_to_session, _session_reader(m, "couples")),
-        "element": (x, serial.element_to_json, partial(serial.element_from_json, m)),
-        "matrix": (g.basis[1].scale(Fraction(-5, 2)), serial.matrix_to_json,
+        "element": (x, element_to_json, partial(serial.element_from_json, m)),
+        "matrix": (D(g.basis[1]).scale(Fraction(-5, 2)), serial.matrix_to_json,
                    serial.matrix_from_json),
-        "algebra": (g, serial.algebra_to_json, serial.algebra_from_json),
-        "tc_subalgebra": (tc, serial.tc_to_json, partial(serial.tc_from_json, te)),
+        "algebra": (g, algebra_to_json, serial.algebra_from_json),
+        "tc_subalgebra": (tc, tc_to_json, partial(serial.tc_from_json, te)),
     }
     return cases[kind]
 

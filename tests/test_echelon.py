@@ -22,14 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _corpus import row_space_basis
+from _dense import Dense, flat, solve
 from flagforge.epcore import EpSet
 from flagforge.exactnum import (
     Echelon,
-    Matrix,
     dense,
     kernel,
     minpoly,
-    solve,
     sparse,
 )
 from flagforge.finitary import FinitaryElement
@@ -487,9 +486,10 @@ square = st.integers(2, 4).flatmap(
 @given(square)
 def test_spin_matches_old(case):
     dim, mats, vecs = case
-    actions = [Matrix(m) for m in mats]
+    actions = [Dense(m) for m in mats]
     vectors = [[Fraction(v) for v in vec] for vec in vecs]
-    assert spin(vectors, actions, dim) == old_spin(vectors, actions, dim)
+    got = spin([sparse(v) for v in vectors], [flat(a) for a in actions], dim)
+    assert [dense(r, dim) for r in got] == old_spin(vectors, actions, dim)
     for a in actions:
         for v in vectors:
             assert a.apply(v) == [
@@ -510,7 +510,7 @@ shaped = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 
 
 def check_batch(entries, rhs):
-    m = Matrix(entries)
+    m = Dense(entries)
     ech = Echelon(map(sparse, m.entries))
     red, pivots = old_rref(m.entries, m.cols)
     assert ech.pivots == pivots
@@ -531,8 +531,8 @@ def test_batch_functions_match_integer_elimination(entries, data):
     # a consistent right-hand side: the image of a random vector
     if entries:
         x = data.draw(st.lists(entry, min_size=len(entries[0]), max_size=len(entries[0])))
-        image = Matrix(entries).apply(x) if x else [QZERO] * len(entries)
-        assert solve(Matrix(entries), image) is not None
+        image = Dense(entries).apply(x) if x else [QZERO] * len(entries)
+        assert solve(Dense(entries), image) is not None
         check_batch(entries, image)
 
 
@@ -550,7 +550,7 @@ def test_batch_functions_edge_shapes():
     ]
     for entries, rhs in cases:
         check_batch(entries, rhs)
-    assert solve(Matrix([[one, one], [one, one]]), [one, two]) is None
+    assert solve(Dense([[one, one], [one, one]]), [one, two]) is None
     assert kernel([{}], 3) == kernel([], 3) == [{0: one}, {1: one}, {2: one}]
     assert row_space_basis([], 4) == [] and row_space_basis([[QZERO] * 4], 4) == []
 
@@ -571,4 +571,4 @@ def _fr(rows):
 @example(_fr([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
 @example(_fr([[0, -1], [1, 0]]))
 def test_minpoly_matches_solve_per_power(entries):
-    assert minpoly(Matrix(entries)) == old_minpoly(entries)
+    assert minpoly(flat(Dense(entries)), len(entries)) == old_minpoly(entries)

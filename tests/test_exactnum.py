@@ -4,19 +4,33 @@ from functools import reduce
 from math import lcm
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import direct_sum_basis
+from _corpus import (
+    block_parabolic_basis,
+    direct_sum_basis,
+    gl_basis,
+    sl_basis,
+    upper_triangular_basis,
+)
+from _dense import (
+    Dense,
+    dense_is_nilpotent,
+    dense_jordan_chevalley,
+    dense_minpoly,
+    dense_poly_eval_matrix,
+    flat,
+    of_flat,
+    poly_is_squarefree,
+    solve,
+)
 from flagforge import exactnum
 from flagforge.exactnum import (
     QONE,
     QZERO,
     CheckFailed,
     Echelon,
-    Matrix,
-    NonSquare,
     _compose_mod,
     dense,
     is_nilpotent,
@@ -27,24 +41,29 @@ from flagforge.exactnum import (
     poly_eval_matrix,
     poly_factor_zz,
     poly_gcd,
-    poly_is_squarefree,
     poly_mod,
     poly_mul,
     poly_squarefree_part,
     poly_sub,
     poly_xgcd,
-    solve,
     sparse,
 )
-from flagforge.finoracle import (
-    _min_poly_factors,
-    block_parabolic_basis,
-    gl_basis,
-    sl_basis,
-    upper_triangular_basis,
-)
+from flagforge.finoracle import _min_poly_factors
 
 F = Fraction
+
+
+def jc(m):
+    """`jordan_chevalley` of a matrix, its parts read back as matrices."""
+    return tuple(of_flat(part, m.rows) for part in jordan_chevalley(flat(m), m.rows))
+
+
+def nilpotent(m):
+    return is_nilpotent(flat(m), m.rows)
+
+
+def min_poly(m):
+    return minpoly(flat(m), m.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -53,26 +72,24 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 
-def charpoly(m: Matrix) -> list[Fraction]:
+def charpoly(m: Dense) -> list[Fraction]:
     """Monic characteristic polynomial via Faddeev-LeVerrier."""
-    if m.rows != m.cols:
-        raise NonSquare("charpoly needs a square matrix")
     n = m.rows
     if n == 0:
         return [QONE]
     coeffs = [QZERO] * (n + 1)
     coeffs[n] = QONE
-    mk = Matrix.identity(n)
+    mk = Dense.identity(n)
     for k in range(1, n + 1):
         mk = m * mk
         ck = -sum((mk.entries[i][i] for i in range(n)), QZERO) / k
         coeffs[n - k] = ck
         if k < n:
-            mk = mk + Matrix.identity(n).scale(ck)
+            mk = mk + Dense.identity(n).scale(ck)
     return coeffs
 
 
-def charpoly_jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
+def charpoly_jordan_chevalley(m: Dense) -> tuple[Dense, Dense]:
     """ss = P(m) with P from Newton iteration in Q[t]/(charpoly)."""
     n = m.rows
     if n == 0:
@@ -80,7 +97,7 @@ def charpoly_jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
     chi = charpoly(m)
     q = poly_squarefree_part(chi)
     if len(q) == len(chi):
-        return m, Matrix.zero(n, n)
+        return m, Dense.zero(n, n)
     dq = poly_derivative(q)
     _, _, u = poly_xgcd(q, dq)
     s = [QZERO, QONE]
@@ -93,20 +110,20 @@ def charpoly_jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
         s = poly_mod(poly_sub(s, poly_mul(qs, u)), chi)
     else:
         raise CheckFailed("Newton lifting did not stabilize", m)
-    ss = poly_eval_matrix(s, m)
+    ss = dense_poly_eval_matrix(s, m)
     return ss, m - ss
 
 
-def charpoly_is_nilpotent(m: Matrix) -> bool:
+def charpoly_is_nilpotent(m: Dense) -> bool:
     return charpoly(m)[:-1] == [QZERO] * m.rows
 
 
-def qq_min_poly_factors(theta: Matrix):
+def qq_min_poly_factors(theta: Dense):
     """The factors of the minimal polynomial from sympy's `Poly` over QQ."""
     import sympy
 
     x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c) for c in reversed(minpoly(theta))], x, domain="QQ")
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(min_poly(theta))], x, domain="QQ")
     return [
         ([Fraction(str(c)) for c in reversed(factor.all_coeffs())], mult)
         for factor, mult in poly.factor_list()[1]
@@ -115,15 +132,15 @@ def qq_min_poly_factors(theta: Matrix):
 
 def _elementary(n, i, j, c):
     """I + c e_ij, i != j, whose inverse is I - c e_ij."""
-    return Matrix([[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n)]
-                   for a in range(n)])
+    return Dense([[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n)]
+                  for a in range(n)])
 
 
 @st.composite
 def random_matrices(draw):
     n = draw(st.integers(1, 5))
-    return Matrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                                min_size=n, max_size=n)))
+    return Dense(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=n, max_size=n)))
 
 
 @st.composite
@@ -132,8 +149,8 @@ def single_eigenvalue_matrices(draw):
     elementary matrices."""
     n = draw(st.integers(1, 5))
     lam = draw(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 2)]))
-    m = Matrix([[lam if i == j else (draw(st.integers(-2, 2)) if j > i else 0)
-                 for j in range(n)] for i in range(n)])
+    m = Dense([[lam if i == j else (draw(st.integers(-2, 2)) if j > i else 0)
+                for j in range(n)] for i in range(n)])
     if n > 1:
         for _ in range(draw(st.integers(0, 3))):
             i, j = draw(st.permutations(range(n)))[:2]
@@ -160,11 +177,11 @@ def oracle_family_elements(draw):
     direct sum or sl_3, conjugated by a permutation of the basis vectors."""
     basis = draw(st.sampled_from(ORACLE_FAMILIES))
     n = basis[0].rows
-    acc = Matrix.zero(n, n)
+    acc = Dense.zero(n, n)
     for b in basis:
         acc = acc + b.scale(draw(st.integers(-2, 2)))
     p = draw(st.permutations(range(n)))
-    return Matrix([[acc.entries[p[i]][p[j]] for j in range(n)] for i in range(n)])
+    return Dense([[acc.entries[p[i]][p[j]] for j in range(n)] for i in range(n)])
 
 
 square_matrices = st.one_of(
@@ -175,20 +192,67 @@ square_matrices = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(square_matrices)
 def test_jordan_chevalley_matches_charpoly_newton(m):
-    assert jordan_chevalley(m) == charpoly_jordan_chevalley(m)
+    assert jc(m) == charpoly_jordan_chevalley(m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(square_matrices)
 def test_is_nilpotent_matches_charpoly(m):
     for x in (m, charpoly_jordan_chevalley(m)[1]):
-        assert is_nilpotent(x) == charpoly_is_nilpotent(x)
+        assert nilpotent(x) == charpoly_is_nilpotent(x)
 
 
 @settings(max_examples=200, deadline=None)
 @given(square_matrices)
 def test_min_poly_factors_match_qq_poly(m):
-    assert _min_poly_factors(m) == qq_min_poly_factors(m)
+    assert _min_poly_factors(flat(m), m.rows) == qq_min_poly_factors(m)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against the dense one it replaced
+# ---------------------------------------------------------------------------
+
+
+_wide_entries = st.one_of(
+    st.just(F(0)), st.integers(-3, 3).map(F),
+    st.fractions(-(2 ** 40), 2 ** 40, max_denominator=2 ** 40),
+)
+
+
+@st.composite
+def wide_matrices(draw):
+    """n x n, n <= 4 and possibly 0 or 1, with entries that are zero, small
+    or carry denominators up to 2^40; half of them nilpotent (strictly
+    triangular) or one eigenvalue plus a nilpotent."""
+    n = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(["full", "strict", "shifted"]))
+    lam = draw(_wide_entries)
+    return Dense([[draw(_wide_entries) if shape == "full" or j > i else
+                   (lam if shape == "shifted" and i == j else F(0))
+                   for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(wide_matrices(), square_matrices),
+       st.lists(_wide_entries, max_size=4))
+def test_sparse_kernel_matches_the_dense_reference(m, poly):
+    n = m.rows
+    assert min_poly(m) == dense_minpoly(m)
+    assert jc(m) == dense_jordan_chevalley(m)
+    assert nilpotent(m) == dense_is_nilpotent(m)
+    assert of_flat(poly_eval_matrix(poly, flat(m), n), n) == dense_poly_eval_matrix(poly, m)
+    for part in jordan_chevalley(flat(m), n):
+        assert all(isinstance(v, Fraction) and v for v in part.values())
+
+
+def test_sparse_kernel_on_empty_and_one_by_one_matrices():
+    assert minpoly({}, 0) == [QONE] and jordan_chevalley({}, 0) == ({}, {})
+    assert is_nilpotent({}, 0) and poly_eval_matrix([F(3)], {}, 0) == {}
+    assert minpoly({}, 1) == [QZERO, QONE] and is_nilpotent({}, 1)
+    big = F(2 ** 40 - 1, 2 ** 40)
+    assert minpoly({0: big}, 1) == [-big, QONE] and not is_nilpotent({0: big}, 1)
+    assert jordan_chevalley({0: big}, 1) == ({0: big}, {})
+    assert poly_eval_matrix([F(1), F(0), F(1)], {0: big}, 1) == {0: 1 + big * big}
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +322,7 @@ cyclotomic_products = st.lists(
 
 
 def _cleared_minpoly(m):
-    coeffs = minpoly(m)
+    coeffs = min_poly(m)
     den = lcm(*(c.denominator for c in coeffs))
     return [int(c * den) for c in coeffs]
 
@@ -324,13 +388,8 @@ def test_factor_zz_does_not_depend_on_the_splitting_seed(monkeypatch):
         assert [poly_factor_zz(f) for f in polys] == expected
 
 
-def test_is_nilpotent_nonsquare():
-    with pytest.raises(NonSquare):
-        is_nilpotent(Matrix.zero(2, 3))
-
-
 def M(rows):
-    return Matrix(rows)
+    return Dense(rows)
 
 
 def echelon_of(m):
@@ -344,7 +403,7 @@ def test_rref_rank_one():
 
 
 def test_rref_identity():
-    ech = echelon_of(Matrix.identity(3))
+    ech = echelon_of(Dense.identity(3))
     assert ech.rows() == [{0: 1}, {1: 1}, {2: 1}]
     assert ech.pivots == [0, 1, 2]
 
@@ -367,7 +426,7 @@ def test_kernel_single_relation():
 
 
 def test_kernel_identity_empty():
-    assert dense_kernel(Matrix.identity(3)) == []
+    assert dense_kernel(Dense.identity(3)) == []
 
 
 def test_kernel_proportional_rows():
@@ -379,7 +438,7 @@ def test_kernel_proportional_rows():
 
 
 def test_charpoly_zero():
-    assert charpoly(Matrix.zero(2, 2)) == [F(0), F(0), F(1)]
+    assert charpoly(Dense.zero(2, 2)) == [F(0), F(0), F(1)]
 
 
 def test_charpoly_rotation():
@@ -391,46 +450,41 @@ def test_charpoly_jordan_block():
     assert charpoly(M([[1, 1], [0, 1]])) == [F(1), F(-2), F(1)]
 
 
-def test_charpoly_nonsquare():
-    with pytest.raises(NonSquare):
-        charpoly(Matrix.zero(2, 3))
-
-
 def test_jc_nilpotent_input():
-    ss, nil = jordan_chevalley(M([[0, 1], [0, 0]]))
+    ss, nil = jc(M([[0, 1], [0, 0]]))
     assert ss.is_zero()
     assert nil == M([[0, 1], [0, 0]])
 
 
 def test_jc_jordan_block():
-    ss, nil = jordan_chevalley(M([[1, 1], [0, 1]]))
-    assert ss == Matrix.identity(2)
+    ss, nil = jc(M([[1, 1], [0, 1]]))
+    assert ss == Dense.identity(2)
     assert nil == M([[0, 1], [0, 0]])
 
 
 def test_jc_semisimple_input():
     m = M([[0, 1], [-1, 0]])
-    ss, nil = jordan_chevalley(m)
+    ss, nil = jc(m)
     assert ss == m
     assert nil.is_zero()
 
 
 def _check_jc(m):
     n = m.rows
-    ss, nil = jordan_chevalley(m)
+    ss, nil = jc(m)
     assert ss + nil == m
     assert ss * nil == nil * ss
-    assert is_nilpotent(nil)
-    assert poly_is_squarefree(minpoly(ss))
+    assert nilpotent(nil)
+    assert poly_is_squarefree(min_poly(ss))
     # ss is a polynomial in m: solve for coefficients on powers of m
-    powers = [Matrix.identity(n)]
+    powers = [Dense.identity(n)]
     for _ in range(n):
         powers.append(powers[-1] * m)
     cols = [p.flatten() for p in powers]
-    coeff = Matrix(list(zip(*cols)))
+    coeff = Dense(list(zip(*cols)))
     x = solve(coeff, ss.flatten())
     assert x is not None
-    assert poly_eval_matrix(list(x), m) == ss
+    assert of_flat(poly_eval_matrix(list(x), flat(m), n), n) == ss
 
 
 def test_jc_mixed_blocks():
@@ -448,7 +502,7 @@ def test_jc_mixed_blocks():
 
 def test_jc_companion_t4_minus_1():
     m = M([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    ss, nil = jordan_chevalley(m)
+    ss, nil = jc(m)
     assert nil.is_zero() and ss == m
 
 
