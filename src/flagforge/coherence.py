@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .epcore import stabilization_window
-from .exactnum import QONE, Echelon, axpy, kernel
+from .exactnum import QONE, QZERO, Echelon, axpy, kernel
 from .finitary import FinitaryElement, in_joint_stabilizer, in_nilradical
 from .genflag import FinitePairFlag, TautCouple
 from .pairedspace import (
@@ -33,6 +33,7 @@ from .pairedspace import (
     closure,
     other_side,
     perp,
+    row_support,
 )
 from .sampling import random_element, sample_nilradical, sample_pminus, sample_pplus
 
@@ -59,8 +60,20 @@ class TruncatedModel:
 def truncate_model(model: PairedSpaceModel, n: int) -> TruncatedModel:
     if n < 1:
         raise ValueError("truncation level must be >= 1")
+    dim = {SIDE_V: n + len(model.v_augs), SIDE_W: n + len(model.w_augs)}
+    rows = _pairing_rows(model, n)
+    cols = [{} for _ in range(dim[SIDE_W])]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            cols[j][i] = c
+    radical = {SIDE_V: kernel(cols, dim[SIDE_V]), SIDE_W: kernel(rows, dim[SIDE_W])}
+    return TruncatedModel(n, dim, {SIDE_V: rows, SIDE_W: cols}, radical)
+
+
+def _pairing_rows(model: PairedSpaceModel, n: int) -> list[dict]:
+    """Sparse rows of the truncated pairing: row i is <e_i, .> for i < n and
+    row n + k is <v~_k, .> for the k-th V augmentation."""
     lw = len(model.w_augs)
-    dim = {SIDE_V: n + len(model.v_augs), SIDE_W: n + lw}
     rows = []
     for i in range(n):
         row = {i: QONE}
@@ -70,20 +83,17 @@ def truncate_model(model: PairedSpaceModel, n: int) -> TruncatedModel:
         row = {j: aug.row.value(j) for j in range(n)}
         row.update((n + l, model.cross_value(k, l)) for l in range(lw))
         rows.append(row)
-    rows = [{j: c for j, c in row.items() if c} for row in rows]
-    cols = [{} for _ in range(dim[SIDE_W])]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            cols[j][i] = c
-    radical = {SIDE_V: kernel(cols, dim[SIDE_V]), SIDE_W: kernel(rows, dim[SIDE_W])}
-    return TruncatedModel(n, dim, {SIDE_V: rows, SIDE_W: cols}, radical)
+    return [{j: c for j, c in row.items() if c} for row in rows]
 
 
 def truncate_vector(v: Vector, n: int) -> dict:
     """Sparse coordinates [e_0..e_{n-1}, augs...] of the truncated vector."""
-    row = {i: c for i, c in v.basis.items() if i < n}
-    row.update((n + k, c) for k, c in enumerate(v.augs) if c)
-    return row
+    return _truncate_row(v.to_sparse(), n)
+
+
+def _truncate_row(row: dict, n: int) -> dict:
+    """`truncate_vector` of the vector with the sparse (tag, idx) row."""
+    return {(idx if tag else n + idx): c for (tag, idx), c in row.items() if not tag or idx < n}
 
 
 def truncate_subspace(a: Subspace, n: int) -> Echelon:
@@ -120,8 +130,8 @@ def window_levels(model, objs) -> list[int]:
                     items.append(s.aligned)
                     items += [c.support_bound() for c in s.corrections]
         elif isinstance(obj, FinitaryElement):
-            for v, w in obj.terms:
-                items += [v.support_bound(), w.support_bound()]
+            for v, w in obj._rows:
+                items += [row_support(v), row_support(w)]
         elif isinstance(obj, int):
             items.append(obj)
     n_star, p_star = stabilization_window(items)
@@ -214,17 +224,26 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
 
 
 def compare_element(x: FinitaryElement, levels=None) -> CoherenceReport:
-    """Operator truncation against the truncated action, exact."""
+    """The action of x on the first basis vectors, through the row pairing
+    of `act_on_v`, against the same action read off the truncated pairing
+    table.  For i < n, x(e_i) = sum_t <e_i, w_t> v_t, and row i of the
+    table holds every coordinate that e_i pairs with, so <e_i, w_t> is row
+    i times the truncated w_t, exactly."""
     model = x.model
     levels = levels or window_levels(model, [x])
     report = CoherenceReport("element", levels)
     for n in levels:
-        images = truncate_element(x, n, SIDE_V)
+        table = _pairing_rows(model, n)
+        terms = [(_truncate_row(v, n), _truncate_row(w, n)) for v, w in x._rows]
         ok = True
         for i in range(min(n, ELEMENT_SAMPLES)):
-            v = Vector.basis_vector(model, SIDE_V, i)
-            lhs = truncate_vector(x.act_on_v(v), n)
-            if lhs != _times(truncate_vector(v, n), images):
+            want: dict = {}
+            for v, w in terms:
+                c = sum((a * w[j] for j, a in table[i].items() if j in w), QZERO)
+                if c:
+                    axpy(want, c, v)
+            got = truncate_vector(x.act_on_v(Vector.basis_vector(model, SIDE_V, i)), n)
+            if got != want:
                 ok = False
         report.checks.append({"level": n, "check": "action", "ok": ok})
     return report

@@ -6,12 +6,16 @@ couples, their linear nilradicals, the trace-zero subalgebras sitting under
 a joint stabilizer, and the orthogonal/symplectic variants obtained through
 a form on the model.
 
-Each element is canonicalized once, when it is built, and keeps the sparse
-rows of its terms beside the `Vector`s.  It also keeps the stabilizer
-verdict of every `FinitePairFlag` it has been tested against, matched by
-identity, so the joint stabilizer that every membership kind starts from is
-decided once per element and flag.  Elements and flags must therefore not
-be mutated after construction.
+Each element is canonicalized once, when it is built, and is held as the
+sparse (V row, V* row) pairs of its terms; every pairing goes through
+`pair_rows`.  A stabilizer test reduces each term's image modulo the target
+once, and pairs against the source only the terms whose image falls
+outside it.  The element also keeps the stabilizer verdict of every
+`FinitePairFlag` and the block components of every `TautCouple` it has
+been asked about, matched by identity, so the joint stabilizer that every
+membership kind starts from is decided once per element and flag, and each
+block trace is computed once per element, couple and block.  Elements,
+flags and couples must therefore not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ from .pairedspace import (
     SideMismatch,
     Subspace,
     Vector,
-    form_to_v,
-    form_to_vstar,
-    pair,
+    pair_rows,
+    row_support,
 )
 
 QZERO = Fraction(0)
@@ -53,15 +56,17 @@ class WrongFormKind(ValueError):
 
 
 class FinitaryElement:
-    """Finite-rank operator, canonicalized so the left tensor factors are
-    linearly independent.
+    """Finite-rank operator sum_t v_t (x) w_t, canonicalized so the left
+    tensor factors v_t are linearly independent.
 
-    Beside `terms`, the element keeps their sparse `(tag, idx)` rows and the
-    `in_stabilizer` verdict of every `FinitePairFlag` it has been asked
-    about, matched by identity; neither takes part in equality.  Elements
-    and the flags they were tested against must therefore not be mutated."""
+    The element is held as `_rows`, the sparse `(tag, idx)` rows (v_t, w_t)
+    of its terms.  Beside them it keeps the `in_stabilizer` verdict of every
+    `FinitePairFlag` and the block components of every `TautCouple` it has
+    been asked about, matched by identity; neither takes part in equality.
+    Elements and the flags and couples they were tested against must
+    therefore not be mutated."""
 
-    __slots__ = ("model", "terms", "_rows", "_verdicts")
+    __slots__ = ("model", "_rows", "_verdicts", "_blocks")
 
     def __init__(self, model, terms=()):
         rows = []
@@ -95,15 +100,12 @@ class FinitaryElement:
             if payload:
                 out.append((b, payload))
         self.model = model
-        self.terms = tuple(
-            (Vector.from_sparse(model, SIDE_V, b), Vector.from_sparse(model, SIDE_W, w))
-            for b, w in out
-        )
         self._rows = out
         self._verdicts = []  # (flag, in_stabilizer verdict)
+        self._blocks = []  # (couple, block component or None per c-pair)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._rows
 
     def add(self, other) -> "FinitaryElement":
         self._check(other)
@@ -117,12 +119,13 @@ class FinitaryElement:
         """Rows of the associative product: (v (x) w)(v' (x) w') =
         v (x) <v', w> w'."""
         self._check(other)
+        model = self.model
         out = []
-        for (_, w), (v_row, _) in zip(self.terms, self._rows):
-            for (v2, _), (_, w2_row) in zip(other.terms, other._rows):
-                c = pair(v2, w)
+        for v, w in self._rows:
+            for v2, w2 in other._rows:
+                c = pair_rows(model, v2, w)
                 if c:
-                    out.append((v_row, {k: c * val for k, val in w2_row.items()}))
+                    out.append((v, {k: c * val for k, val in w2.items()}))
         return out
 
     def bracket(self, other) -> "FinitaryElement":
@@ -132,23 +135,30 @@ class FinitaryElement:
         )
 
     def trace(self) -> Fraction:
-        return sum((pair(v, w) for v, w in self.terms), QZERO)
+        model = self.model
+        return sum((pair_rows(model, v, w) for v, w in self._rows), QZERO)
 
     def act_on_v(self, u: Vector) -> Vector:
-        out = Vector.zero(self.model, SIDE_V)
-        for v, w in self.terms:
-            c = pair(u, w)
+        """x(u) = sum_t <u, w_t> v_t."""
+        self._check_vector(u, SIDE_V, "act_on_v wants a V-side vector")
+        model, row = self.model, u.to_sparse()
+        out: dict = {}
+        for v, w in self._rows:
+            c = pair_rows(model, row, w)
             if c:
-                out = out.add(v.scale(c))
-        return out
+                axpy(out, c, v)
+        return Vector.from_sparse(model, SIDE_V, out)
 
     def act_on_vstar(self, y: Vector) -> Vector:
-        out = Vector.zero(self.model, SIDE_W)
-        for v, w in self.terms:
-            c = pair(v, y)
+        """x . y = -sum_t <v_t, y> w_t."""
+        self._check_vector(y, SIDE_W, "act_on_vstar wants a V*-side vector")
+        model, row = self.model, y.to_sparse()
+        out: dict = {}
+        for v, w in self._rows:
+            c = pair_rows(model, v, row)
             if c:
-                out = out.add(w.scale(-c))
-        return out
+                axpy(out, -c, w)
+        return Vector.from_sparse(model, SIDE_W, out)
 
     def __eq__(self, other):
         return isinstance(other, FinitaryElement) and self.sub(other).is_zero()
@@ -156,11 +166,17 @@ class FinitaryElement:
     __hash__ = None
 
     def __repr__(self):
-        return f"FinitaryElement({len(self.terms)} terms)"
+        return f"FinitaryElement({len(self._rows)} terms)"
 
     def _check(self, other):
         if self.model is not other.model and self.model != other.model:
             raise ModelMismatch("elements from different models")
+
+    def _check_vector(self, u: Vector, side: str, msg: str):
+        if u.side != side:
+            raise SideMismatch(msg)
+        if u.model is not self.model and u.model != self.model:
+            raise ModelMismatch("vector from a different model")
 
 
 def _scaled(c: Fraction, rows) -> list:
@@ -179,51 +195,61 @@ def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
     """Whether x . source is contained in target (same side as source).
 
     x = sum_t v_t (x) w_t sends u in V to sum_t <u, w_t> v_t and y in V* to
-    -sum_t <v_t, y> w_t.  So x . source is the image of the span C in Q^r
-    of the pairing rows (<u, w_t>)_t, resp. (<v_t, y>)_t, of the vectors of
-    source under c -> sum_t c_t v_t, resp. -sum_t c_t w_t (the sign does not
-    change membership).  Past the support of the pairing partners w_t,
-    resp. v_t, a basis vector's row depends only on the augmentation rows,
-    which are eventually periodic, so the aligned indices of one
-    stabilization window plus the corrections span C; when no partner has
-    augmentation coordinates, only the aligned indices in their supports
-    give nonzero rows.  One image per echelon row of C decides the test: at
-    most r = len(x.terms) membership tests.
+    -sum_t <v_t, y> w_t (the sign does not change membership).  Reduction
+    modulo target is linear, so with r_t the residue of the image v_t,
+    resp. w_t, x . source lies in target exactly when sum_t c_t r_t = 0 for
+    every c in the span C of the pairing rows (<u, w_t>)_t, resp.
+    (<v_t, y>)_t, of the vectors of source.  Each term's image is reduced
+    once; the terms with r_t = 0 drop out, and when none is left the answer
+    is yes without a pairing row.  C is taken over the partners w_t, resp.
+    v_t, of the remaining terms.  Past their support a basis vector's row
+    depends only on the augmentation rows, which are eventually periodic,
+    so the aligned indices of one stabilization window plus the corrections
+    span C, whichever partners remain; when none of them has augmentation
+    coordinates, only the aligned indices in their supports give nonzero
+    rows.  One combination of residues per echelon row of C decides the
+    test.
     """
     model = x.model
-    if source.side == SIDE_V:
+    on_v = source.side == SIDE_V
+    residues, partners = [], []
+    for v, w in x._rows:
+        image, partner = (v, w) if on_v else (w, v)
+        residue = target._reduce_row(image)
+        if residue:
+            residues.append(residue)
+            partners.append(partner)
+    if not partners:
+        return True
+    if on_v:
         aug_rows = [aug.row for aug in model.w_augs]
-        partners = [w for _, w in x.terms]
-        images = [v for v, _ in x._rows]
-        row_of = lambda u: [pair(u, w) for w in partners]
+        row_of = lambda u: [pair_rows(model, u, w) for w in partners]
     else:
         aug_rows = [aug.row for aug in model.v_augs]
-        partners = [v for v, _ in x.terms]
-        images = [w for _, w in x._rows]
-        row_of = lambda y: [pair(v, y) for v in partners]
+        row_of = lambda y: [pair_rows(model, v, y) for v in partners]
+    partner_augs = [[(k, a) for (tag, k), a in c.items() if not tag] for c in partners]
     aligned = source.aligned
-    if any(any(c.augs) for c in partners):
-        support = max(c.support_bound() for c in partners)
+    if any(partner_augs):
+        support = max(row_support(c) for c in partners)
         n_star, p_star = stabilization_window([aligned, support] + aug_rows)
         indices = aligned.members_below(n_star + p_star)
     else:
         aug_rows = []
-        indices = {i for c in partners for i in c.basis if aligned.member(i)}
+        indices = {i for c in partners for _, i in c if aligned.member(i)}
 
     def rows():
         for i in indices:
             tails = [row.value(i) for row in aug_rows]
             row = {}
-            for t, c in enumerate(partners):
-                val = c.basis.get(i, QZERO)
-                for a, tail in zip(c.augs, tails):
-                    if a:
-                        val += a * tail
+            for t, (c, augs) in enumerate(zip(partners, partner_augs)):
+                val = c.get((1, i), QZERO)
+                for k, a in augs:
+                    val += a * tails[k]
                 if val:
                     row[t] = val
             yield row
         for corr in source.corrections:
-            yield {t: c for t, c in enumerate(row_of(corr)) if c}
+            yield {t: c for t, c in enumerate(row_of(corr.to_sparse())) if c}
 
     span = Echelon()
     for row in rows():
@@ -231,10 +257,10 @@ def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
             break
         span.add(row)
     for coeffs in span.rows():
-        image: dict = {}
+        combination: dict = {}
         for t, c in coeffs.items():
-            axpy(image, c, images[t])
-        if target._reduce_row(image):
+            axpy(combination, c, residues[t])
+        if combination:
             return False
     return True
 
@@ -243,11 +269,12 @@ def in_stabilizer(x: FinitaryElement, flag) -> bool:
     """Whether x stabilizes every subspace of the flag.
 
     A finite flag is stabilized when x maps each of its members into itself,
-    which `_maps_into` decides in coordinates: the span of the pairing rows
-    of the member against the terms of x, read off one stabilization window
-    of aligned indices plus the corrections, and at most one membership test
-    per term.  The verdict is kept on x for this flag object, so later
-    questions about x and the same flag cost a lookup.  Basis-order flags
+    which `_maps_into` decides in coordinates: one reduction of each term's
+    image modulo the member, then the span of the pairing rows of the member
+    against the terms whose image falls outside it, read off one
+    stabilization window of aligned indices plus the corrections.  The
+    verdict is kept on x for this flag object, so later questions about x
+    and the same flag cost a lookup.  Basis-order flags
     reduce to the support comparator test.
     """
     if isinstance(flag, BasisOrderFlag):
@@ -267,13 +294,18 @@ def in_stabilizer(x: FinitaryElement, flag) -> bool:
 def _in_basis_flag_stabilizer(x: FinitaryElement, flag: BasisOrderFlag) -> bool:
     if x.model is not flag.model and x.model != flag.model:
         raise ModelMismatch("element and flag from different models")
+    return all(flag.leq(i, j) for i, j in _entries(x))
+
+
+def _entries(x: FinitaryElement) -> dict:
+    """The nonzero entries M[i, j] = sum_t v_t[i] w_t[j] of x on a
+    pure-basis model, where x = sum_(i, j) M[i, j] e_i (x) f_j."""
     entries: dict = {}
-    for v, w in x.terms:
-        for i, a in v.basis.items():
-            for j, b in w.basis.items():
-                val = entries.get((i, j), QZERO) + a * b
-                entries[(i, j)] = val
-    return all(flag.leq(i, j) for (i, j), val in entries.items() if val)
+    for v, w in x._rows:
+        for (_, i), a in v.items():
+            for (_, j), b in w.items():
+                entries[i, j] = entries.get((i, j), QZERO) + a * b
+    return {ij: val for ij, val in entries.items() if val}
 
 
 def in_joint_stabilizer(x: FinitaryElement, t: TautCouple) -> bool:
@@ -292,7 +324,7 @@ def in_nilradical(x: FinitaryElement, t: TautCouple) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockComponent:
     """Image of an element in one diagonal block of the joint stabilizer."""
 
@@ -302,12 +334,12 @@ class BlockComponent:
     trace: Fraction
 
 
-def _chain_component(chain_pred: Subspace, chain_succ: Subspace, row: dict) -> Vector:
-    """Component of the sparse row in the pivot-rule complement of pred
-    inside succ."""
+def _chain_component(chain_pred: Subspace, chain_succ: Subspace, row: dict) -> dict:
+    """Sparse component of the sparse row in the pivot-rule complement of
+    pred inside succ."""
     out = chain_pred._reduce_row(row)
     axpy(out, Fraction(-1), chain_succ._reduce_row(row))
-    return Vector.from_sparse(chain_pred.model, chain_pred.side, out)
+    return out
 
 
 def block_component(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
@@ -320,23 +352,40 @@ def block_component(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockCompo
         raise ValueError(f"gamma {gamma} is outside 0..{len(t.c_pairs) - 1}")
     if not in_joint_stabilizer(x, t):
         raise NotInJointStabilizer("element is outside the joint stabilizer")
-    return _block_component_unchecked(x, t, gamma)
+    return _block(x, t, gamma)
 
 
-def _block_component_unchecked(x, t, gamma):
+def _block(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
+    """The gamma-th block component of x, computed once per element, couple
+    and gamma and kept on x for the couple object."""
+    for seen, blocks in x._blocks:
+        if seen is t:
+            break
+    else:
+        blocks = [None] * len(t.c_pairs)
+        x._blocks.append((t, blocks))
+    if blocks[gamma] is None:
+        blocks[gamma] = _compute_block(x, t, gamma)
+    return blocks[gamma]
+
+
+def _compute_block(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
     fi, gj = t.c_pairs[gamma]
     f_pred, f_succ = t.f_pair(fi)
     g_pred, g_succ = t.g_pair(gj)
+    model = x.model
     terms = []
     total = QZERO
     for v, w in x._rows:
         vbar = _chain_component(f_pred, f_succ, v)
-        if vbar.is_zero():
+        if not vbar:
             continue
         wbar = _chain_component(g_pred, g_succ, w)
-        if not wbar.is_zero():
-            terms.append((vbar, wbar))
-            total += pair(vbar, wbar)
+        if wbar:
+            terms.append(
+                (Vector.from_sparse(model, SIDE_V, vbar), Vector.from_sparse(model, SIDE_W, wbar))
+            )
+            total += pair_rows(model, vbar, wbar)
     return BlockComponent(fi, gj, tuple(terms), total)
 
 
@@ -355,7 +404,7 @@ def in_pminus(x: FinitaryElement, t: TautCouple, ambient: str = "gl") -> bool:
         return False
     for gamma, (fi, _) in enumerate(t.c_pairs):
         if t.f_quotient_dim(fi) == math.inf:
-            if _block_component_unchecked(x, t, gamma).trace:
+            if _block(x, t, gamma).trace:
                 return False
     return True
 
@@ -397,7 +446,7 @@ class TraceConditionSubalgebra:
         if not self.constraints:
             return True
         traces = [
-            _block_component_unchecked(x, self.couple, g).trace
+            _block(x, self.couple, g).trace
             for g in range(len(self.couple.c_pairs))
         ]
         return all(
@@ -417,22 +466,31 @@ def perp_parabolic_member(x: FinitaryElement, t: TautCouple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def flip(x: FinitaryElement) -> FinitaryElement:
-    """The tensor-swap v (x) w -> w (x) v through the form identification."""
-    return FinitaryElement(
-        x.model, [(form_to_v(w), form_to_vstar(v)) for v, w in x.terms]
-    )
-
-
 _FORM_OF_KIND = {"so": "symmetric", "sp": "antisymmetric"}
 
 
 def in_algebra_of_form(x: FinitaryElement, kind: str) -> bool:
-    if kind == "so":
-        return flip(x).add(x).is_zero()
-    if kind == "sp":
-        return flip(x).sub(x).is_zero()
-    raise ValueError(f"unknown algebra kind {kind!r}")
+    """Whether x + flip(x) = 0 (so) or x - flip(x) = 0 (sp), flip being the
+    tensor swap v (x) w -> phi^-1(w) (x) phi(v) through the form phi.
+
+    Form models are pure-basis, and phi(e_a) = s(a) f_iota(a), so flip
+    sends e_a (x) f_b to s(a) s(iota(b)) e_iota(b) (x) f_iota(a).  On the
+    entry table M of x the test reads M[a, b] +- M[iota(b), iota(a)] s(a)
+    s(iota(b)) = 0; it suffices on the support of M, since an entry of
+    flip(x) off that support has its mirror image on it."""
+    if kind not in _FORM_OF_KIND:
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    model = x.model
+    if model.form_kind == "none":
+        raise NoFormOnModel("model carries no form")
+    sign = 1 if kind == "so" else -1
+    entries = _entries(x)
+    for (a, b), val in entries.items():
+        ia, ib = model.iota_of(a), model.iota_of(b)
+        mirror = entries.get((ib, ia), QZERO) * model.form_sign(a) * model.form_sign(ib)
+        if val + sign * mirror:
+            return False
+    return True
 
 
 def self_taut_couple(f: FinitePairFlag) -> TautCouple:

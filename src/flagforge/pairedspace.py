@@ -162,7 +162,7 @@ class Vector:
             raise SideMismatch(f"unknown side {side!r}")
         self.model = model
         self.side = side
-        self.basis = {int(i): rat(v) for i, v in (basis or {}).items() if rat(v)}
+        self.basis = {int(i): c for i, v in (basis or {}).items() if (c := rat(v))}
         n_aug = len(model.augs(side))
         augs = tuple(rat(v) for v in (augs or ()))
         if len(augs) < n_aug:
@@ -258,29 +258,31 @@ class Vector:
         return Vector._of(model, side, basis, tuple(augs))
 
 
-def pair(v: Vector, g: Vector) -> Fraction:
-    """Exact pairing <v, g> with v on the V side and g on the V* side."""
-    if v.side != SIDE_V or g.side != SIDE_W:
-        raise SideMismatch("pair() wants (V, V*) arguments")
-    if v.model is not g.model and v.model != g.model:
-        raise ModelMismatch("vectors belong to different models")
-    model = v.model
+def row_support(row: dict) -> int:
+    """One past the largest basis index of a sparse row, 0 when it has none."""
+    return 1 + max((i for tag, i in row if tag), default=-1)
+
+
+def pair_rows(model: PairedSpaceModel, v: dict, w: dict) -> Fraction:
+    """Exact pairing <v, w> of a sparse V row v and a sparse V* row w of the
+    model: basis against basis, an augmentation coordinate of either side
+    against the other side's basis through its pairing row, and the two
+    augmentation parts through the cross table."""
     total = QZERO
-    for i, a in v.basis.items():
-        b = g.basis.get(i)
-        if b:
-            total += a * b
-        for l, d in enumerate(g.augs):
-            if d:
+    w_augs = [(l, d) for (tag, l), d in w.items() if not tag]
+    for (tag, i), a in v.items():
+        if tag:
+            b = w.get((1, i))
+            if b:
+                total += a * b
+            for l, d in w_augs:
                 total += a * d * model.w_augs[l].row.value(i)
-    for k, u in enumerate(v.augs):
-        if u:
-            for j, c in g.basis.items():
-                if c:
-                    total += u * c * model.v_augs[k].row.value(j)
-            for l, d in enumerate(g.augs):
-                if d:
-                    total += u * d * model.cross_value(k, l)
+        else:
+            for (tag_w, j), c in w.items():
+                if tag_w:
+                    total += a * c * model.v_augs[i].row.value(j)
+                else:
+                    total += a * c * model.cross_value(i, j)
     return total
 
 
@@ -496,20 +498,6 @@ def form_to_vstar(v: Vector) -> Vector:
     for j, c in v.basis.items():
         basis[model.iota_of(j)] = c * model.form_sign(j)
     return Vector(model, SIDE_W, basis)
-
-
-def form_to_v(g: Vector) -> Vector:
-    """Inverse of form_to_vstar."""
-    model = g.model
-    if model.form_kind == "none":
-        raise NoFormOnModel("model carries no form")
-    if g.side != SIDE_W:
-        raise SideMismatch("form_to_v wants a V*-side vector")
-    basis = {}
-    for j, c in g.basis.items():
-        i = model.iota_of(j)
-        basis[i] = c * model.form_sign(i)
-    return Vector(model, SIDE_V, basis)
 
 
 def form_map_subspace(a: Subspace) -> Subspace:

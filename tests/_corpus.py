@@ -16,10 +16,14 @@ from flagforge.serial import epset_to_json, matrix_to_json, rational_to_json, ve
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
+    ModelMismatch,
+    NoFormOnModel,
     PairedSpaceModel,
+    SideMismatch,
     Subspace,
     Vector,
     dense_line_model,
+    form_to_vstar,
     plain_model,
     split_form_model,
 )
@@ -63,6 +67,63 @@ def direct_sum_basis(blocks):
 def rank_one(v, w):
     """The rank-one element v (x) w."""
     return FinitaryElement(v.model, [(v, w)])
+
+
+def element_terms(x):
+    """The terms of x as (V vector, V* vector) pairs, read off its rows."""
+    return tuple(
+        (Vector.from_sparse(x.model, SIDE_V, v), Vector.from_sparse(x.model, SIDE_W, w))
+        for v, w in x._rows
+    )
+
+
+def pair(v, g):
+    """Exact pairing <v, g> of `Vector`s, v on the V side and g on the V*
+    side: the reference for `pairedspace.pair_rows`."""
+    if v.side != SIDE_V or g.side != SIDE_W:
+        raise SideMismatch("pair() wants (V, V*) arguments")
+    if v.model is not g.model and v.model != g.model:
+        raise ModelMismatch("vectors belong to different models")
+    model = v.model
+    total = F(0)
+    for i, a in v.basis.items():
+        b = g.basis.get(i)
+        if b:
+            total += a * b
+        for l, d in enumerate(g.augs):
+            if d:
+                total += a * d * model.w_augs[l].row.value(i)
+    for k, u in enumerate(v.augs):
+        if u:
+            for j, c in g.basis.items():
+                if c:
+                    total += u * c * model.v_augs[k].row.value(j)
+            for l, d in enumerate(g.augs):
+                if d:
+                    total += u * d * model.cross_value(k, l)
+    return total
+
+
+def form_to_v(g):
+    """Inverse of `pairedspace.form_to_vstar`."""
+    model = g.model
+    if model.form_kind == "none":
+        raise NoFormOnModel("model carries no form")
+    if g.side != SIDE_W:
+        raise SideMismatch("form_to_v wants a V*-side vector")
+    basis = {}
+    for j, c in g.basis.items():
+        i = model.iota_of(j)
+        basis[i] = c * model.form_sign(i)
+    return Vector(model, SIDE_V, basis)
+
+
+def flip(x):
+    """The tensor swap v (x) w -> form_to_v(w) (x) form_to_vstar(v): the
+    reference for the entry-table test of `finitary.in_algebra_of_form`."""
+    return FinitaryElement(
+        x.model, [(form_to_v(w), form_to_vstar(v)) for v, w in element_terms(x)]
+    )
 
 
 def matrix_trace(m):
@@ -379,7 +440,7 @@ def basis_flag_to_json(b: BasisOrderFlag) -> dict:
 
 def element_to_json(x: FinitaryElement) -> dict:
     return {
-        "terms": [[vector_to_json(v), vector_to_json(w)] for v, w in x.terms]
+        "terms": [[vector_to_json(v), vector_to_json(w)] for v, w in element_terms(x)]
     }
 
 

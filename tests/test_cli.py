@@ -23,6 +23,7 @@ from _corpus import (
     element_to_json,
     epseq_to_json,
     evens_couple,
+    flip,
     gl3_plus_so2,
     gl_basis,
     mat_span,
@@ -39,7 +40,7 @@ from flagforge import coherence, epcore, finitary, finoracle, pairedspace, seria
 from flagforge.cli import Runner, Session, SessionError, main, run_session
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Matrix
-from flagforge.finitary import TraceConditionSubalgebra, flip
+from flagforge.finitary import TraceConditionSubalgebra
 from flagforge.finoracle import FdLieAlgebra
 from flagforge.genflag import (
     FINITE,

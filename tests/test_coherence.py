@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 import _dense_coherence as dense_ref
 from _corpus import criterion_9_corpus
-from flagforge import coherence
+from flagforge import coherence, finitary
 from flagforge.coherence import compare_couple, compare_element, compare_subspace
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import dense
+from flagforge.finitary import FinitaryElement
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
@@ -91,6 +92,45 @@ def test_wrong_perp_is_reported(monkeypatch, wrong_perp):
     monkeypatch.setattr(coherence, "perp", lambda s: wrong)
     report = compare_subspace(a)
     assert [c["ok"] for c in report.checks if c["check"] == "perp"] == [False] * 3
+
+
+def _pairing_without_augmentation_terms(model, v, w):
+    """`pair_rows` that pairs basis coordinates only."""
+    return sum((a * w[k] for k, a in v.items() if k[0] == 1 and k in w), F(0))
+
+
+def test_element_action_agrees_with_the_truncated_pairing():
+    rng = random.Random(17)
+    models = (plain_model(), dense_line_model(), two_sided_model(),
+              split_form_model("antisymmetric"))
+    checked = 0
+    for m in models:
+        for _ in range(10):
+            terms = [
+                tuple(
+                    Vector(m, side, {rng.randrange(8): rng.randrange(-2, 3) for _ in range(2)},
+                           [rng.randrange(-1, 2) for _ in m.augs(side)])
+                    for side in (SIDE_V, SIDE_W)
+                )
+                for _ in range(rng.randrange(1, 4))
+            ]
+            x = FinitaryElement(m, terms)
+            for levels in (None, [1, 2, 5]):
+                report = compare_element(x, levels)
+                assert report.ok, (m, terms, report.checks)
+                checked += len(report.checks)
+    assert checked > 200
+
+
+def test_wrong_pairing_is_reported(monkeypatch):
+    m = two_sided_model()
+    # e_0 (x) g, g the V* augmentation generator: x(e_i) = <e_i, g> e_0,
+    # which is e_0 for even i
+    x = FinitaryElement(m, [(Vector(m, SIDE_V, {0: 1}), Vector.aug_vector(m, SIDE_W, 0))])
+    assert compare_element(x).ok
+    monkeypatch.setattr(finitary, "pair_rows", _pairing_without_augmentation_terms)
+    report = compare_element(x)
+    assert [c["ok"] for c in report.checks] == [False] * 3
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _corpus import row_space_basis
+from _corpus import element_terms, row_space_basis
 from _dense import Dense, flat, solve
 from flagforge.epcore import EpSet
 from flagforge.exactnum import (
@@ -428,9 +428,9 @@ def test_element_terms_match_old(pairs):
     x = FinitaryElement(m, terms)
     old_rows, old_terms = old_element_basis(m, terms)
     if is_reduced(old_rows):
-        assert x.terms == old_terms
-    assert _operator(x.terms) == _operator(old_terms) == _operator(terms)
-    assert is_reduced([v.to_sparse() for v, _ in x.terms])
+        assert element_terms(x) == old_terms
+    assert _operator(element_terms(x)) == _operator(old_terms) == _operator(terms)
+    assert is_reduced([v for v, _ in x._rows])
 
 
 @settings(max_examples=150, deadline=None)

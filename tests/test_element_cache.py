@@ -1,11 +1,14 @@
-"""Elements built once and stabilizer verdicts kept per (element, flag).
+"""Elements built once, stabilizer verdicts kept per (element, flag) and
+block components per (element, couple, block).
 
 A `FinitaryElement` keeps the `in_stabilizer` verdict of each flag object it
-was tested against.  These tests check that the kept verdicts never change
-an answer (against fresh elements that have none), that each flag's image
-tests run once per element, that an equal but distinct flag is computed on
-its own, and that the samplers, which now build their element from all its
-terms at once, give the terms of the old one-term-at-a-time path.
+was tested against, and each block component of each couple object.  These
+tests check that the kept verdicts never change an answer (against fresh
+elements that keep nothing), that each flag's image tests run once per
+element, that each block component is computed once per element, couple
+and block, that an equal but distinct flag is computed on its own, and
+that the samplers, which now build their element from all its terms at
+once, give the terms of the old one-term-at-a-time path.
 """
 
 import math
@@ -16,6 +19,7 @@ import pytest
 
 from _corpus import (
     augmented_couple,
+    element_terms,
     evens_couple,
     random_element,
     random_plain_couple,
@@ -30,6 +34,7 @@ from flagforge import finitary
 from flagforge.finitary import (
     FinitaryElement,
     TraceConditionSubalgebra,
+    block_component,
     block_trace,
     in_joint_stabilizer,
     in_nilradical,
@@ -88,15 +93,16 @@ def _trace_or_none(x, t, gamma):
 
 
 class _NoMemo(list):
-    """A verdict list that never keeps one: an element with it is uncached."""
+    """A memo list that never keeps an entry: an element with it is uncached."""
 
     def append(self, item):
         pass
 
 
 def _uncached(x):
-    fresh = FinitaryElement(x.model, x.terms)
+    fresh = FinitaryElement(x.model, element_terms(x))
     fresh._verdicts = _NoMemo()
+    fresh._blocks = _NoMemo()
     return fresh
 
 
@@ -111,7 +117,7 @@ def test_kept_verdicts_match_fresh_elements():
             rng.shuffle(order)
             for name, ask in order:
                 fresh = _uncached(x)
-                assert ask(x) == ask(fresh), (name, x.terms)
+                assert ask(x) == ask(fresh), (name, element_terms(x))
                 asked[name, bool(ask(fresh))] += 1
     # both verdicts occur for the stabilizer questions
     assert asked["joint", True] > 100 and asked["joint", False] > 100, asked
@@ -148,6 +154,39 @@ def test_image_tests_run_once_per_element_and_flag_member(monkeypatch):
                 assert stabilizer == {(id(s), id(s)) for s in members}
             else:
                 assert stabilizer <= {(id(s), id(s)) for s in members}
+    assert joint_seen > 20
+
+
+def test_block_components_computed_once_per_element_couple_and_block(monkeypatch):
+    calls = Counter()
+    compute = finitary._compute_block
+
+    def counting(x, t, gamma):
+        calls[id(x), id(t), gamma] += 1
+        return compute(x, t, gamma)
+
+    monkeypatch.setattr(finitary, "_compute_block", counting)
+    rng = random.Random(6)
+    joint_seen = 0
+    for t in [augmented_couple(), evens_couple()] + [random_plain_couple(rng) for _ in range(5)]:
+        infinite = [int(t.f_quotient_dim(fi) == math.inf) for fi, _ in t.c_pairs]
+        tc = TraceConditionSubalgebra(t, "gl", [infinite])
+        for x in _elements(t, rng):
+            calls.clear()
+            for _ in range(2):
+                in_pminus(x, t)
+                in_pminus(x, t, "sl")
+                tc.member(x)
+                if in_joint_stabilizer(x, t):
+                    for gamma in range(len(t.c_pairs)):
+                        block_trace(x, t, gamma)
+                        block_component(x, t, gamma)
+            assert all(n == 1 for n in calls.values()), calls
+            if in_joint_stabilizer(x, t):
+                joint_seen += 1
+                assert set(calls) == {(id(x), id(t), g) for g in range(len(t.c_pairs))}
+            else:
+                assert not calls
     assert joint_seen > 20
 
 
@@ -261,7 +300,7 @@ def test_samplers_match_repeated_add(name, new, old):
         for seed in range(20):
             r_new, r_old = random.Random(seed), random.Random(seed)
             got, want = new(t, r_new), old(t, r_old)
-            assert got.terms == want.terms, (name, seed)
+            assert element_terms(got) == element_terms(want), (name, seed)
             assert r_new.getstate() == r_old.getstate()
             nonzero += not got.is_zero()
     assert nonzero > 100

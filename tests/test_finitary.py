@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _corpus import (
     augmented_couple,
     evens_couple,
+    flip,
     matrix_trace,
     random_element,
     random_plain_couple,
@@ -25,7 +28,7 @@ from flagforge.finitary import (
     WrongFormKind,
     block_component,
     block_trace,
-    flip,
+    in_algebra_of_form,
     in_joint_stabilizer,
     in_nilradical,
     in_pminus,
@@ -46,6 +49,8 @@ from flagforge.genflag import (
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
+    IotaPiece,
+    PairedSpaceModel,
     Subspace,
     Vector,
     dense_line_model,
@@ -438,6 +443,40 @@ def test_lambda_s_maps():
     sy = y.add(flip(y))
     assert not sy.is_zero()
     assert flip(sy).sub(sy).is_zero()  # symmetric under the flip
+
+
+FORM_MODELS = (
+    split_form_model("symmetric"),
+    split_form_model("antisymmetric"),
+    # iota fixes every index: a symmetric form with e_i paired to itself
+    PairedSpaceModel(form_kind="symmetric", iota=(IotaPiece(EpSet.naturals(), 0),)),
+)
+
+
+@st.composite
+def form_elements(draw):
+    """An element of a form model, often moved into so or sp by x -+ flip(x)
+    so that both verdicts occur."""
+    m = draw(st.sampled_from(FORM_MODELS))
+    coords = st.dictionaries(st.integers(0, 7), st.integers(-2, 2), min_size=1, max_size=3)
+    terms = [
+        (Vector(m, SIDE_V, draw(coords)), Vector(m, SIDE_W, draw(coords)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    x = FinitaryElement(m, terms)
+    how = draw(st.sampled_from(["as drawn", "minus flip", "plus flip"]))
+    if how == "minus flip":
+        x = x.sub(flip(x))
+    elif how == "plus flip":
+        x = x.add(flip(x))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_elements())
+def test_entry_table_form_test_matches_the_flip_reference(x):
+    assert in_algebra_of_form(x, "so") == flip(x).add(x).is_zero()
+    assert in_algebra_of_form(x, "sp") == flip(x).sub(x).is_zero()
 
 
 def test_so_nilradical_membership():

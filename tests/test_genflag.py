@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from _corpus import augmented_couple, evens_couple, random_plain_couple, trivial_couple
+from _corpus import augmented_couple, evens_couple, pair, random_plain_couple, trivial_couple
 from flagforge.epcore import EpSet, stabilization_window
 from flagforge.genflag import (
     OMEGA_UP,
@@ -36,7 +36,6 @@ from flagforge.pairedspace import (
     closure,
     dense_line_model,
     form_perp,
-    pair,
     plain_model,
     split_form_model,
 )

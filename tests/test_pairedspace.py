@@ -5,17 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import augmented_couple, evens_couple, random_plain_couple, trivial_couple
+from _corpus import (
+    augmented_couple,
+    evens_couple,
+    form_to_v,
+    pair,
+    random_plain_couple,
+    trivial_couple,
+)
 from flagforge import pairedspace
 
 from flagforge.coherence import truncate_model, truncate_subspace
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Echelon, kernel
+from flagforge.finitary import FinitaryElement
 from flagforge.genflag import classify_flag, collapsed_couple, fc_flag, make_taut_couple
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
     Augmentation,
+    ModelMismatch,
     NotRepresentable,
     PairedSpaceModel,
     SideMismatch,
@@ -24,10 +33,9 @@ from flagforge.pairedspace import (
     closure,
     dense_line_model,
     form_perp,
-    form_to_v,
     form_to_vstar,
     is_closed,
-    pair,
+    pair_rows,
     perp,
     plain_model,
     split_form_model,
@@ -69,21 +77,76 @@ def test_validate_degenerate_duplicate_row():
 
 def test_pair_deltas():
     m = plain_model()
-    assert pair(ev(m, 3), fw(m, 3)) == 1
-    assert pair(ev(m, 3), fw(m, 4)) == 0
+    for pairing in (pair, _pair_by_rows):
+        assert pairing(ev(m, 3), fw(m, 3)) == 1
+        assert pairing(ev(m, 3), fw(m, 4)) == 0
 
 
 def test_pair_augmented_row_of_ones():
     m = dense_line_model()
     vtilde = Vector.aug_vector(m, SIDE_V, 0)
-    assert pair(vtilde, fw(m, 7)) == 1
-    assert pair(vtilde, fw(m, 0)) == 1
+    for pairing in (pair, _pair_by_rows):
+        assert pairing(vtilde, fw(m, 7)) == 1
+        assert pairing(vtilde, fw(m, 0)) == 1
+
+
+def _pair_by_rows(v, w):
+    return pair_rows(v.model, v.to_sparse(), w.to_sparse())
+
+
+PAIRING_MODELS = (
+    plain_model(),
+    dense_line_model(),
+    # augmented on both sides, so the two augmentation parts meet through
+    # the cross table
+    PairedSpaceModel(
+        v_augs=(Augmentation(EpSeq.constant(1)),),
+        w_augs=(Augmentation(EpSeq.make([2], [1, 0])),),
+        cross=((F(3),),),
+    ),
+    split_form_model("antisymmetric"),
+)
+
+
+@st.composite
+def paired_vectors(draw):
+    """A V vector and a V* vector of one model, augmentation parts included."""
+    m = draw(st.sampled_from(PAIRING_MODELS))
+    out = []
+    for side in (SIDE_V, SIDE_W):
+        n_aug = len(m.augs(side))
+        basis = draw(st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=4))
+        augs = draw(st.lists(st.integers(-2, 2), min_size=n_aug, max_size=n_aug))
+        out.append(Vector(m, side, basis, augs))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(paired_vectors())
+def test_row_pairing_matches_the_vector_reference(vw):
+    v, w = vw
+    assert pair_rows(v.model, v.to_sparse(), w.to_sparse()) == pair(v, w)
 
 
 def test_pair_side_mismatch():
     m = plain_model()
     with pytest.raises(SideMismatch):
         pair(fw(m, 0), ev(m, 0))
+    x = FinitaryElement(m, [(ev(m, 0), fw(m, 1))])
+    with pytest.raises(SideMismatch):
+        x.act_on_v(fw(m, 1))
+    with pytest.raises(SideMismatch):
+        x.act_on_vstar(ev(m, 0))
+
+
+def test_act_on_a_vector_of_another_model():
+    m = plain_model()
+    x = FinitaryElement(m, [(ev(m, 0), fw(m, 1))])
+    other = dense_line_model()
+    with pytest.raises(ModelMismatch):
+        x.act_on_v(ev(other, 1))
+    with pytest.raises(ModelMismatch):
+        x.act_on_vstar(fw(other, 0))
 
 
 def test_sum_aligned_plus_correction():
