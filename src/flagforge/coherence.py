@@ -5,7 +5,8 @@ any eventually periodic behaviour is pinned down by one threshold and two
 further periods, so exact agreement at those levels certifies agreement at
 every higher level.  Annihilator comparisons hold modulo the degeneracy
 radical of the truncated pairing, which is reported, never an error.  The
-truncations of models, vectors, subspaces and elements live here as well.
+truncations of models, sparse rows, subspaces and elements live here as
+well, and `truncate_vector` truncates a boundary `Vector`.
 
 Everything finite is a sparse row {coordinate: Fraction}, with coordinates
 [e_0..e_{n-1}, augs...]: the truncated pairing is held as sparse rows and
@@ -92,14 +93,15 @@ def truncate_vector(v: Vector, n: int) -> dict:
 
 
 def _truncate_row(row: dict, n: int) -> dict:
-    """`truncate_vector` of the vector with the sparse (tag, idx) row."""
+    """Sparse coordinates [e_0..e_{n-1}, augs...] of the truncated sparse
+    (tag, idx) row."""
     return {(idx if tag else n + idx): c for (tag, idx), c in row.items() if not tag or idx < n}
 
 
 def truncate_subspace(a: Subspace, n: int) -> Echelon:
     """Echelon basis of the truncated subspace: its truncated corrections and
     the unit rows of its aligned indices below n."""
-    rows = [truncate_vector(c, n) for c in a.corrections]
+    rows = [_truncate_row(c, n) for c in a.corrections]
     return Echelon(rows + [{i: QONE} for i in a.aligned.members_below(n)])
 
 
@@ -116,24 +118,22 @@ def truncate_element(x: FinitaryElement, n: int, side: str = SIDE_V) -> list[dic
 def window_levels(model, objs) -> list[int]:
     """Three certified truncation levels for the given objects."""
     items = [aug.row for aug in model.v_augs] + [aug.row for aug in model.w_augs]
+    subspaces = []
     for obj in objs:
         if isinstance(obj, Subspace):
-            items.append(obj.aligned)
-            items += [c.support_bound() for c in obj.corrections]
+            subspaces.append(obj)
         elif isinstance(obj, FinitePairFlag):
-            for s in obj.chain:
-                items.append(s.aligned)
-                items += [c.support_bound() for c in s.corrections]
+            subspaces += obj.chain
         elif isinstance(obj, TautCouple):
-            for flag in (obj.f_flag, obj.g_flag):
-                for s in flag.chain:
-                    items.append(s.aligned)
-                    items += [c.support_bound() for c in s.corrections]
+            subspaces += obj.f_flag.chain + obj.g_flag.chain
         elif isinstance(obj, FinitaryElement):
             for v, w in obj._rows:
                 items += [row_support(v), row_support(w)]
         elif isinstance(obj, int):
             items.append(obj)
+    for s in subspaces:
+        items.append(s.aligned)
+        items += map(row_support, s.corrections)
     n_star, p_star = stabilization_window(items)
     # the finite recomputation needs one full period of tail constraints
     # inside the truncation, so the certified base sits one period beyond

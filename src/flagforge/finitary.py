@@ -11,8 +11,8 @@ sparse (V row, V* row) pairs of its terms; every pairing goes through
 `pair_rows`.  A stabilizer test reduces each term's image modulo the target
 once, and pairs against the source only the terms whose image falls
 outside it.  The element also keeps the stabilizer verdict of every
-`FinitePairFlag` and the block components of every `TautCouple` it has
-been asked about, matched by identity, so the joint stabilizer that every
+`FinitePairFlag` and the block traces of every `TautCouple` it has been
+asked about, matched by identity, so the joint stabilizer that every
 membership kind starts from is decided once per element and flag, and each
 block trace is computed once per element, couple and block.  Elements,
 flags and couples must therefore not be mutated after construction.
@@ -21,7 +21,6 @@ flags and couples must therefore not be mutated after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .epcore import stabilization_window
@@ -61,7 +60,7 @@ class FinitaryElement:
 
     The element is held as `_rows`, the sparse `(tag, idx)` rows (v_t, w_t)
     of its terms.  Beside them it keeps the `in_stabilizer` verdict of every
-    `FinitePairFlag` and the block components of every `TautCouple` it has
+    `FinitePairFlag` and the block traces of every `TautCouple` it has
     been asked about, matched by identity; neither takes part in equality.
     Elements and the flags and couples they were tested against must
     therefore not be mutated."""
@@ -102,7 +101,7 @@ class FinitaryElement:
         self.model = model
         self._rows = out
         self._verdicts = []  # (flag, in_stabilizer verdict)
-        self._blocks = []  # (couple, block component or None per c-pair)
+        self._blocks = []  # (couple, block trace or None per c-pair)
 
     def is_zero(self) -> bool:
         return not self._rows
@@ -249,7 +248,7 @@ def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
                     row[t] = val
             yield row
         for corr in source.corrections:
-            yield {t: c for t, c in enumerate(row_of(corr.to_sparse())) if c}
+            yield {t: c for t, c in enumerate(row_of(corr)) if c}
 
     span = Echelon()
     for row in rows():
@@ -324,16 +323,6 @@ def in_nilradical(x: FinitaryElement, t: TautCouple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlockComponent:
-    """Image of an element in one diagonal block of the joint stabilizer."""
-
-    f_pair: int
-    g_pair: int
-    terms: tuple  # (class representative in F''/F', class representative in G''/G')
-    trace: Fraction
-
-
 def _chain_component(chain_pred: Subspace, chain_succ: Subspace, row: dict) -> dict:
     """Sparse component of the sparse row in the pivot-rule complement of
     pred inside succ."""
@@ -342,8 +331,9 @@ def _chain_component(chain_pred: Subspace, chain_succ: Subspace, row: dict) -> d
     return out
 
 
-def block_component(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
-    """Block image and trace of x at the gamma-th matched pair.
+def block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
+    """Trace of the image of x in the gamma-th diagonal block of the joint
+    stabilizer, the matched pair F''/F' x G''/G'.
 
     The complement decomposition uses the canonical reduction residuals of
     the chain; the induced trace does not depend on that choice.
@@ -352,45 +342,36 @@ def block_component(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockCompo
         raise ValueError(f"gamma {gamma} is outside 0..{len(t.c_pairs) - 1}")
     if not in_joint_stabilizer(x, t):
         raise NotInJointStabilizer("element is outside the joint stabilizer")
-    return _block(x, t, gamma)
+    return _block_trace(x, t, gamma)
 
 
-def _block(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
-    """The gamma-th block component of x, computed once per element, couple
-    and gamma and kept on x for the couple object."""
-    for seen, blocks in x._blocks:
+def _block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
+    """The gamma-th block trace of x, computed once per element, couple and
+    gamma and kept on x for the couple object."""
+    for seen, traces in x._blocks:
         if seen is t:
             break
     else:
-        blocks = [None] * len(t.c_pairs)
-        x._blocks.append((t, blocks))
-    if blocks[gamma] is None:
-        blocks[gamma] = _compute_block(x, t, gamma)
-    return blocks[gamma]
+        traces = [None] * len(t.c_pairs)
+        x._blocks.append((t, traces))
+    if traces[gamma] is None:
+        traces[gamma] = _compute_block_trace(x, t, gamma)
+    return traces[gamma]
 
 
-def _compute_block(x: FinitaryElement, t: TautCouple, gamma: int) -> BlockComponent:
+def _compute_block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
     fi, gj = t.c_pairs[gamma]
     f_pred, f_succ = t.f_pair(fi)
     g_pred, g_succ = t.g_pair(gj)
     model = x.model
-    terms = []
     total = QZERO
     for v, w in x._rows:
         vbar = _chain_component(f_pred, f_succ, v)
-        if not vbar:
-            continue
-        wbar = _chain_component(g_pred, g_succ, w)
-        if wbar:
-            terms.append(
-                (Vector.from_sparse(model, SIDE_V, vbar), Vector.from_sparse(model, SIDE_W, wbar))
-            )
-            total += pair_rows(model, vbar, wbar)
-    return BlockComponent(fi, gj, tuple(terms), total)
-
-
-def block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
-    return block_component(x, t, gamma).trace
+        if vbar:
+            wbar = _chain_component(g_pred, g_succ, w)
+            if wbar:
+                total += pair_rows(model, vbar, wbar)
+    return total
 
 
 def in_pminus(x: FinitaryElement, t: TautCouple, ambient: str = "gl") -> bool:
@@ -404,7 +385,7 @@ def in_pminus(x: FinitaryElement, t: TautCouple, ambient: str = "gl") -> bool:
         return False
     for gamma, (fi, _) in enumerate(t.c_pairs):
         if t.f_quotient_dim(fi) == math.inf:
-            if _block(x, t, gamma).trace:
+            if _block_trace(x, t, gamma):
                 return False
     return True
 
@@ -446,7 +427,7 @@ class TraceConditionSubalgebra:
         if not self.constraints:
             return True
         traces = [
-            _block(x, self.couple, g).trace
+            _block_trace(x, self.couple, g)
             for g in range(len(self.couple.c_pairs))
         ]
         return all(

@@ -131,7 +131,7 @@ def quotient_basis(pred: Subspace, succ: Subspace):
     if not gap.is_finite():
         return None
     rows = [{(1, i): QONE} for i in sorted(gap.pre)]
-    rows += [c.to_sparse() for c in succ.corrections]
+    rows += succ.corrections
     return Echelon(pred._reduce_row(row) for row in rows)
 
 
@@ -301,8 +301,8 @@ class SelfTautReport:
 def self_taut_and_iso(f: FinitePairFlag) -> SelfTautReport:
     """Self-tautness and the isotropic/coisotropic structure under the form.
 
-    Write P for `form_perp` and phi for `form_to_vstar`.  The model is
-    pure-basis, so phi is a bijection V -> V* with <v, phi(w)> = B(v, w) =
+    Write P for `form_perp` and phi for the form map V -> V*.  The model is
+    pure-basis, so phi is a bijection with <v, phi(w)> = B(v, w) =
     +-B(w, v); hence P(a) = perp(phi(a)) = phi^-1(perp(a)), P(P(a)) =
     closure(a), and P has the laws of perp used in `make_taut_couple`.  B
     is nondegenerate, so P(full) = 0: 0 is closed, hence a member like the

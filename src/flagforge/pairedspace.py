@@ -6,21 +6,28 @@ either side whose pairing rows against the opposite standard basis are
 eventually periodic sequences.  A nondegenerate symmetric or antisymmetric
 form identifying V* with V can be declared through an index involution.
 
+Inside the package a vector of either side is a sparse row {(tag, idx):
+Fraction}: (0, k) is the k-th augmentation generator and (1, i) the i-th
+basis vector, so augmentation coordinates sort first.  `Vector` is the
+value that crosses the boundary: what a caller hands in and reads out, as
+`exactnum.Matrix` is for the oracle.  `to_sparse` and `from_sparse`
+convert.
+
 Subspaces are stored in a canonical form: an eventually periodic aligned
-index set S (the subspace contains e_i for every i in S) plus finitely many
-correction vectors in reduced echelon form whose basis support avoids S.
-The module offers spans (`Subspace.span`), inclusion (`contains`),
-membership (`member`, by reduction modulo the subspace) and annihilators
-(`perp`, `closure`); `perp` certifies that the annihilator is again such a
-subspace and raises NotRepresentable otherwise.
+index set S (the subspace contains e_i for every i in S) plus the reduced
+echelon basis (`Subspace.echelon`) of finitely many correction rows whose
+basis support avoids S.  The module offers spans (`Subspace.span`),
+inclusion (`contains`), residues modulo a subspace (`_reduce_row`) and
+annihilators (`perp`, `closure`); `perp` certifies that the annihilator is
+again such a subspace and raises NotRepresentable otherwise.
 
 `perp` computes each annihilator once per value per model: the result is
 kept on the subspace it is asked about and in a table on the model object,
 keyed by the subspace's value, so equal subspaces rebuilt later (flag
 endpoints, perp(perp(x)) landing on a copy of a partner-flag member) reuse
 it.  Equal models built separately are different objects with their own
-tables, which die with the model.  Subspaces must therefore not be mutated
-after construction.
+tables, which die with the model.  Subspaces, and the correction rows they
+hand out, must therefore not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -153,7 +160,10 @@ def other_side(side: str) -> str:
 
 
 class Vector:
-    """Finitely supported vector: basis coordinates plus augmentation part."""
+    """Finitely supported vector: basis coordinates plus augmentation part.
+
+    The boundary value of the model, which callers hand in and read out;
+    everything inside runs on the sparse rows of `to_sparse`."""
 
     __slots__ = ("model", "side", "basis", "augs")
 
@@ -188,33 +198,6 @@ class Vector:
         n_aug = len(model.augs(side))
         return Vector(model, side, {}, tuple(1 if j == k else 0 for j in range(n_aug)))
 
-    @staticmethod
-    def zero(model, side) -> "Vector":
-        return Vector(model, side)
-
-    def is_zero(self) -> bool:
-        return not self.basis and not any(self.augs)
-
-    def support_bound(self) -> int:
-        return 1 + max(self.basis) if self.basis else 0
-
-    def add(self, other: "Vector") -> "Vector":
-        self._check_compatible(other)
-        basis = dict(self.basis)
-        for i, v in other.basis.items():
-            basis[i] = basis.get(i, QZERO) + v
-        augs = tuple(a + b for a, b in zip(self.augs, other.augs))
-        return Vector(self.model, self.side, basis, augs)
-
-    def scale(self, c) -> "Vector":
-        c = rat(c)
-        return Vector(
-            self.model,
-            self.side,
-            {i: c * v for i, v in self.basis.items()},
-            tuple(c * v for v in self.augs),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Vector)
@@ -232,15 +215,8 @@ class Vector:
         parts += [f"{v}*aug{k}" for k, v in enumerate(self.augs) if v]
         return f"Vector({self.side}: {' + '.join(parts) or '0'})"
 
-    def _check_compatible(self, other: "Vector"):
-        if self.side != other.side:
-            raise SideMismatch("vectors live on different sides")
-        if self.model is not other.model and self.model != other.model:
-            raise ModelMismatch("vectors belong to different models")
-
-    # sparse-key form used by the subspace calculus: augmentation
-    # coordinates sort before basis coordinates
     def to_sparse(self) -> dict:
+        """The sparse (tag, idx) row of the vector."""
         row = {(0, k): v for k, v in enumerate(self.augs) if v}
         row.update({(1, i): v for i, v in self.basis.items()})
         return row
@@ -287,73 +263,87 @@ def pair_rows(model: PairedSpaceModel, v: dict, w: dict) -> Fraction:
 
 
 class Subspace:
-    """Canonical subspace of V or V*: aligned EpSet plus corrections.
+    """Canonical subspace of V or V*: aligned EpSet plus the reduced echelon
+    basis `echelon` of the correction rows.
 
-    Must not be mutated after construction: the echelon of the corrections
-    and `perp(self)` are cached on the object, outside equality and hashing."""
+    Must not be mutated after construction, nor may the rows it hands out:
+    they are the echelon's own dicts, and `perp(self)` is cached on the
+    object and on the model by its value."""
 
-    __slots__ = ("model", "side", "aligned", "corrections", "_echelon", "_perp")
+    __slots__ = ("model", "side", "aligned", "echelon", "_perp")
 
-    def __init__(self, model, side, aligned: EpSet, corrections: tuple):
+    def __init__(self, model, side, aligned: EpSet, echelon: Echelon):
         self.model = model
         self.side = side
         self.aligned = aligned
-        self.corrections = corrections
-        self._echelon = None  # of the corrections, built on first reduction
+        self.echelon = echelon
         self._perp = None  # perp(self), computed on first request
 
     @staticmethod
     def span(model, side, aligned: EpSet = None, gens=()) -> "Subspace":
-        """Canonicalize the span of aligned basis vectors and generators."""
+        """Canonicalize the span of aligned basis vectors and generators,
+        given as sparse (tag, idx) rows with Fraction values."""
+        if side not in (SIDE_V, SIDE_W):
+            raise SideMismatch(f"unknown side {side!r}")
         aligned = aligned if aligned is not None else EpSet.empty()
-        rows = [g.to_sparse() for g in gens]
+        rows = gens
         while True:
-            rows = Echelon(
+            echelon = Echelon(
                 {k: v for k, v in row.items() if not (k[0] == 1 and aligned.member(k[1]))}
                 for row in rows
-            ).rows()
+            )
+            rows = echelon.rows()
             absorbed = [
                 row for row in rows if len(row) == 1 and next(iter(row))[0] == 1
             ]
             if not absorbed:
-                break
+                return Subspace(model, side, aligned, echelon)
             aligned = aligned.union(
                 EpSet.finite({next(iter(row))[1] for row in absorbed})
             )
             rows = [row for row in rows if row not in absorbed]
-        corr = tuple(Vector.from_sparse(model, side, row) for row in rows)
-        return Subspace(model, side, aligned, corr)
 
     @staticmethod
     def zero(model, side) -> "Subspace":
-        return Subspace(model, side, EpSet.empty(), ())
+        return Subspace(model, side, EpSet.empty(), Echelon())
 
     @staticmethod
     def full(model, side) -> "Subspace":
-        gens = [
-            Vector.aug_vector(model, side, k) for k in range(len(model.augs(side)))
-        ]
+        gens = [{(0, k): QONE} for k in range(len(model.augs(side)))]
         return Subspace.span(model, side, EpSet.naturals(), gens)
+
+    @property
+    def corrections(self) -> list[dict]:
+        """The correction rows in pivot order: read them, do not change them."""
+        return self.echelon.rows()
+
+    def _key(self) -> tuple:
+        """The value of the subspace, hashable, for `__hash__` and `perp`."""
+        return (
+            self.side,
+            self.aligned,
+            tuple(frozenset(row.items()) for row in self.echelon.rows()),
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.side == other.side
             and self.aligned == other.aligned
-            and self.corrections == other.corrections
+            and self.echelon.rows() == other.echelon.rows()
         )
 
     def __hash__(self):
-        return hash((self.side, self.aligned, self.corrections))
+        return hash(self._key())
 
     def __repr__(self):
         return (
             f"Subspace({self.side}, aligned={self.aligned}, "
-            f"{len(self.corrections)} corrections)"
+            f"{len(self.echelon.pivots)} corrections)"
         )
 
     def is_zero(self) -> bool:
-        return self.aligned.is_empty() and not self.corrections
+        return self.aligned.is_empty() and not self.echelon.pivots
 
     def is_full(self) -> bool:
         return self == Subspace.full(self.model, self.side)
@@ -363,17 +353,7 @@ class Subspace:
         size = self.aligned.size()
         if size is None:
             return None
-        return size + len(self.corrections)
-
-    def member(self, v: Vector) -> bool:
-        return not self._reduce(v)
-
-    def _reduce(self, v: Vector) -> dict:
-        if v.side != self.side:
-            raise SideMismatch("vector and subspace sides differ")
-        if v.model is not self.model and v.model != self.model:
-            raise ModelMismatch("vector and subspace models differ")
-        return self._reduce_row(v.to_sparse())
+        return size + len(self.echelon.pivots)
 
     def _reduce_row(self, row: dict) -> dict:
         """Sparse residual of a sparse row of this side and model, as a new
@@ -381,18 +361,16 @@ class Subspace:
         corrections."""
         member = self.aligned.member
         row = {k: val for k, val in row.items() if not (k[0] == 1 and member(k[1]))}
-        if not self.corrections:
+        if not self.echelon.pivots:
             return row
-        if self._echelon is None:
-            self._echelon = Echelon(c.to_sparse() for c in self.corrections)
-        return self._echelon.reduce(row)
+        return self.echelon.reduce(row)
 
     def contains(self, other: "Subspace") -> bool:
         if self.side != other.side:
             raise SideMismatch("subspace sides differ")
         if not other.aligned.is_subset(self.aligned):
             return False
-        return all(self.member(c) for c in other.corrections)
+        return not any(map(self._reduce_row, other.corrections))
 
 
 def perp(a: Subspace) -> Subspace:
@@ -405,7 +383,7 @@ def perp(a: Subspace) -> Subspace:
     vanish off the aligned set); a raise is not cached.
     """
     if a._perp is None:
-        key = (a.side, a.aligned, a.corrections)
+        key = a._key()
         found = a.model._perps.get(key)
         if found is None:
             found = a.model._perps[key] = _annihilator(a)
@@ -419,23 +397,28 @@ def _annihilator(a: Subspace) -> Subspace:
     out_rows = [aug.row for aug in model.augs(out_side)]
     in_rows = [aug.row for aug in model.augs(a.side)]
 
-    def cross_val(out_idx: int, in_idx: int) -> Fraction:
-        if out_side == SIDE_V:
-            return model.cross_value(out_idx, in_idx)
-        return model.cross_value(in_idx, out_idx)
+    def out_pairing(k: int, tag: int, i: int) -> Fraction:
+        """The pairing of the k-th out augmentation with coordinate (tag, i)."""
+        if tag:
+            return out_rows[k].value(i)
+        return model.cross_value(k, i) if out_side == SIDE_V else model.cross_value(i, k)
 
     s = a.aligned
-    support = max((c.support_bound() for c in a.corrections), default=0)
+    corrections = a.corrections
+    support = max(map(row_support, corrections), default=0)
     n_star, p_star = stabilization_window([s] + out_rows + in_rows)
     cut = max(n_star, support)
+
+    def aug_part(c: dict, j: int) -> Fraction:
+        """The pairing of c's augmentation part with the j-th out basis vector."""
+        return sum((u * in_rows[l].value(j) for (tag, l), u in c.items() if not tag), QZERO)
 
     # representability: tails of augmented corrections must vanish off s
     for r in range(p_star):
         j = cut + ((r - cut) % p_star)
         if not s.member(j):
-            for c in a.corrections:
-                tail = sum((uk * row.value(j) for uk, row in zip(c.augs, in_rows)), QZERO)
-                if tail:
+            for c in corrections:
+                if aug_part(c, j):
                     raise NotRepresentable(
                         "annihilator is not an aligned-plus-corrections subspace"
                     )
@@ -450,24 +433,16 @@ def _annihilator(a: Subspace) -> Subspace:
         if i < cut:
             row[n_out + i] = QONE
         eqs.append(row)
-    for c in a.corrections:  # <c, y> = 0
+    for c in corrections:  # <c, y> = 0
         row = {}
         for k in range(n_out):
-            row[k] = sum((xv * out_rows[k].value(j) for j, xv in c.basis.items()), QZERO)
-            row[k] += sum((ul * cross_val(k, l) for l, ul in enumerate(c.augs)), QZERO)
+            row[k] = sum((x * out_pairing(k, *key) for key, x in c.items()), QZERO)
         for j in range(cut):
-            val = c.basis.get(j, QZERO)
-            val += sum((ul * in_rows[l].value(j) for l, ul in enumerate(c.augs)), QZERO)
-            row[n_out + j] = val
+            row[n_out + j] = c.get((1, j), QZERO) + aug_part(c, j)
         eqs.append(row)
 
     gens = [
-        Vector(
-            model,
-            out_side,
-            {col - n_out: v for col, v in z.items() if col >= n_out},
-            tuple(z.get(k, QZERO) for k in range(n_out)),
-        )
+        {((1, col - n_out) if col >= n_out else (0, col)): v for col, v in z.items()}
         for z in kernel(eqs, n_out + cut)
     ]
     tail = s.complement().intersection(EpSet.from_bound(cut))
@@ -487,19 +462,6 @@ def is_closed(a: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def form_to_vstar(v: Vector) -> Vector:
-    """phi(v): the functional <., v> of the declared form, as a V* vector."""
-    model = v.model
-    if model.form_kind == "none":
-        raise NoFormOnModel("model carries no form")
-    if v.side != SIDE_V:
-        raise SideMismatch("form_to_vstar wants a V-side vector")
-    basis = {}
-    for j, c in v.basis.items():
-        basis[model.iota_of(j)] = c * model.form_sign(j)
-    return Vector(model, SIDE_W, basis)
-
-
 def form_map_subspace(a: Subspace) -> Subspace:
     """Image of a V-side subspace under the form identification, in V*."""
     model = a.model
@@ -513,7 +475,11 @@ def form_map_subspace(a: Subspace) -> Subspace:
     image = EpSet.empty()
     for s in pieces:
         image = image.union(s)
-    gens = [form_to_vstar(c) for c in a.corrections]
+    # phi(e_j) = s(j) f_iota(j); form models are pure-basis
+    gens = [
+        {(1, model.iota_of(j)): c * model.form_sign(j) for (_, j), c in row.items()}
+        for row in a.corrections
+    ]
     return Subspace.span(model, SIDE_W, image, gens)
 
 

@@ -28,6 +28,7 @@ from .pairedspace import (
     Augmentation,
     IotaPiece,
     PairedSpaceModel,
+    SideMismatch,
     Subspace,
     Vector,
 )
@@ -112,14 +113,19 @@ def subspace_to_json(s: Subspace) -> dict:
     return {
         "side": s.side,
         "aligned": epset_to_json(s.aligned),
-        "corrections": [vector_to_json(c) for c in s.corrections],
+        "corrections": [
+            vector_to_json(Vector.from_sparse(s.model, s.side, c)) for c in s.corrections
+        ],
     }
 
 
 def subspace_from_json(model, d: dict) -> Subspace:
     side = d["side"]
     gens = [vector_from_json(model, c) for c in d.get("corrections", [])]
-    return Subspace.span(model, side, epset_from_json(d.get("aligned", {})), gens)
+    if any(v.side != side for v in gens):
+        raise SideMismatch(f"a correction of a {side} subspace lies on the other side")
+    rows = [v.to_sparse() for v in gens]
+    return Subspace.span(model, side, epset_from_json(d.get("aligned", {})), rows)
 
 
 def basis_flag_from_json(model, d: dict) -> BasisOrderFlag:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: models, flags, couples, random data,
-the standard bases of gl_n and its subalgebras, and the JSON writers that
-build test sessions (the CLI only reads these values)."""
+the `Vector` arithmetic and references that only tests use, the standard
+bases of gl_n and its subalgebras, and the JSON writers that build test
+sessions (the CLI only reads these values)."""
 
 import random
 from fractions import Fraction
@@ -23,13 +24,11 @@ from flagforge.pairedspace import (
     Subspace,
     Vector,
     dense_line_model,
-    form_to_vstar,
     plain_model,
     split_form_model,
 )
 from flagforge.sampling import (  # noqa: F401  (re-exported for tests)
     random_element,
-    random_vector_in,
     sample_nilradical,
     sample_pminus,
     sample_pplus,
@@ -77,6 +76,125 @@ def element_terms(x):
     )
 
 
+# ---------------------------------------------------------------------------
+# the Vector side of the boundary: conversions between `Vector`s and the
+# sparse (tag, idx) rows of the package, and the vector arithmetic,
+# membership and form map that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def rows(vecs):
+    """The sparse (tag, idx) rows of the vectors."""
+    return [v.to_sparse() for v in vecs]
+
+
+def vectors(sub):
+    """The corrections of the subspace as `Vector`s."""
+    return tuple(Vector.from_sparse(sub.model, sub.side, c) for c in sub.corrections)
+
+
+def span(model, side, aligned=None, gens=()):
+    """`Subspace.span` of `Vector` generators."""
+    return Subspace.span(model, side, aligned, rows(gens))
+
+
+def zero_vector(model, side):
+    return Vector(model, side)
+
+
+def is_zero_vector(v):
+    return not v.basis and not any(v.augs)
+
+
+def support_bound(v):
+    """One past the largest basis index of v, 0 when it has none."""
+    return 1 + max(v.basis) if v.basis else 0
+
+
+def add_vectors(u, v):
+    if u.side != v.side:
+        raise SideMismatch("vectors live on different sides")
+    if u.model is not v.model and u.model != v.model:
+        raise ModelMismatch("vectors belong to different models")
+    basis = dict(u.basis)
+    for i, c in v.basis.items():
+        basis[i] = basis.get(i, F(0)) + c
+    return Vector(u.model, u.side, basis, tuple(a + b for a, b in zip(u.augs, v.augs)))
+
+
+def scale_vector(v, c):
+    c = rat(c)
+    return Vector(
+        v.model, v.side, {i: c * x for i, x in v.basis.items()}, tuple(c * x for x in v.augs)
+    )
+
+
+def residue(sub, v):
+    """The sparse residue of the vector v modulo the subspace."""
+    if v.side != sub.side:
+        raise SideMismatch("vector and subspace sides differ")
+    if v.model is not sub.model and v.model != sub.model:
+        raise ModelMismatch("vector and subspace models differ")
+    return sub._reduce_row(v.to_sparse())
+
+
+def member(sub, v):
+    return not residue(sub, v)
+
+
+def random_vector_in(sub, rng, bound=10):
+    """Random `Vector` of the subspace, by `Vector` arithmetic and with the
+    draws of `sampling.random_row_in`: the reference for it."""
+    v = zero_vector(sub.model, sub.side)
+    for i in sub.aligned.members_below(bound):
+        if rng.random() < 0.35:
+            unit = Vector.basis_vector(sub.model, sub.side, i)
+            v = add_vectors(v, scale_vector(unit, rng.randrange(-2, 3) or 1))
+    for c in vectors(sub):
+        if rng.random() < 0.5:
+            v = add_vectors(v, scale_vector(c, rng.randrange(-2, 3) or 1))
+    if is_zero_vector(v) and not sub.is_zero():
+        i = sub.aligned.min_member()
+        if i is not None:
+            v = Vector.basis_vector(sub.model, sub.side, i)
+        elif sub.corrections:
+            v = vectors(sub)[0]
+    return v
+
+
+def chain_component(pred, succ, v):
+    """The component of the vector v in the pivot-rule complement of pred
+    inside succ: its residue modulo pred minus its residue modulo succ."""
+    return add_vectors(
+        Vector.from_sparse(v.model, v.side, residue(pred, v)),
+        scale_vector(Vector.from_sparse(v.model, v.side, residue(succ, v)), -1),
+    )
+
+
+def block_terms(x, t, gamma):
+    """The terms (v-bar, w-bar) of the image of x in the gamma-th diagonal
+    block of the couple t: the chain components of each term of x, the
+    reference for the block trace."""
+    fi, gj = t.c_pairs[gamma]
+    return [
+        (chain_component(*t.f_pair(fi), v), chain_component(*t.g_pair(gj), w))
+        for v, w in element_terms(x)
+    ]
+
+
+def form_to_vstar(v):
+    """phi(v): the functional <., v> of the declared form, as a V* vector:
+    the reference for the row map of `pairedspace.form_map_subspace`."""
+    model = v.model
+    if model.form_kind == "none":
+        raise NoFormOnModel("model carries no form")
+    if v.side != SIDE_V:
+        raise SideMismatch("form_to_vstar wants a V-side vector")
+    return Vector(
+        model, SIDE_W, {model.iota_of(j): c * model.form_sign(j) for j, c in v.basis.items()}
+    )
+
+
 def pair(v, g):
     """Exact pairing <v, g> of `Vector`s, v on the V side and g on the V*
     side: the reference for `pairedspace.pair_rows`."""
@@ -105,7 +223,7 @@ def pair(v, g):
 
 
 def form_to_v(g):
-    """Inverse of `pairedspace.form_to_vstar`."""
+    """Inverse of `form_to_vstar`."""
     model = g.model
     if model.form_kind == "none":
         raise NoFormOnModel("model carries no form")
@@ -230,8 +348,8 @@ def criterion_9_corpus():
     subspaces = [
         Subspace.span(plain, SIDE_V, None, []),
         Subspace.span(plain, SIDE_V, EpSet.from_residues(2, (0,))),
-        Subspace.span(plain, SIDE_V, EpSet.from_residues(3, (1,)),
-                      [Vector(plain, SIDE_V, {0: 1, 2: -2})]),
+        span(plain, SIDE_V, EpSet.from_residues(3, (1,)),
+             [Vector(plain, SIDE_V, {0: 1, 2: -2})]),
         Subspace.span(dense_line, SIDE_V, EpSet.naturals()),
         Subspace.span(dense_line, SIDE_W, EpSet.from_residues(2, (1,))),
         Subspace.span(split, SIDE_V, EpSet.from_residues(2, (0,))),

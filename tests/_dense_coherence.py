@@ -11,7 +11,7 @@ tests check that both give the same levels and checks.
 import random
 from dataclasses import dataclass
 
-from _corpus import row_space_basis
+from _corpus import row_space_basis, vectors
 from _dense import Dense
 from flagforge.coherence import (
     COUPLE_SAMPLES,
@@ -71,7 +71,7 @@ def truncate_vector(v, n: int) -> list:
 def truncate_subspace(a, n: int) -> list:
     """RREF basis rows of the truncated subspace."""
     width = n + len(a.model.augs(a.side))
-    rows = [truncate_vector(c, n) for c in a.corrections]
+    rows = [truncate_vector(c, n) for c in vectors(a)]
     for i in a.aligned.members_below(n):
         row = [QZERO] * width
         row[i] = QONE

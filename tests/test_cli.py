@@ -31,9 +31,11 @@ from _corpus import (
     random_element,
     random_session,
     rank_one,
+    span,
     tc_to_json,
     trivial_couple,
     upper_triangular_basis,
+    vectors,
 )
 from _dense import D
 from flagforge import coherence, epcore, finitary, finoracle, pairedspace, serial
@@ -446,6 +448,22 @@ def test_cli_exit_codes(tmp_path, capsys):
             "algebras": {"a": {"n": 2, "basis": [[["0", "1", "0"], ["0"] * 3, ["0"] * 3]]}},
         },
         "negative_n": {"algebras": {"a": {"n": -1, "basis": []}}},
+        # a side is "V" or "V*", and a correction lies on its subspace's side
+        "subspace_side_x": {
+            "models": {"m": {}},
+            "subspaces": {"s": {"model": "m", "side": "X"}},
+            "commands": [{"cmd": "truncate-compare", "object": "s", "levels": "auto"}],
+        },
+        "flag_side_x_empty_chain": {
+            "models": {"m": {}},
+            "flags": {"f": {"model": "m", "side": "X", "chain": []}},
+            "commands": [{"cmd": "classify-flag", "flag": "f"}],
+        },
+        "correction_on_the_other_side": {
+            "models": {"m": {}},
+            "subspaces": {"s": {"model": "m", "side": "V", "corrections": [
+                {"side": "V*", "basis": {"0": "1", "1": "1"}}]}},
+        },
     }
     for name, data in malformed.items():
         path = tmp_path / f"{name}.json"
@@ -605,13 +623,13 @@ def test_session_computes_each_annihilator_once_per_value(monkeypatch):
     inner = pairedspace._annihilator
 
     def counted(a):
-        computed.append((a.model, a.side, a.aligned, a.corrections))
+        computed.append((a.model, a._key()))
         return inner(a)
 
     monkeypatch.setattr(pairedspace, "_annihilator", counted)
     report = run_session(random_session(random.Random(3)))
     assert report["passed"], report
-    keys = [(id(m), side, aligned, corr) for m, side, aligned, corr in computed]
+    keys = [(id(m), key) for m, key in computed]
     assert keys and len(set(keys)) == len(keys)
 
 
@@ -674,7 +692,7 @@ def test_round_trip_serialization():
         again = serial.model_from_json(model_to_json(m))
         assert again == m
     m = dense_line_model()
-    sub = Subspace.span(
+    sub = span(
         m,
         SIDE_V,
         EpSet.from_residues(3, (0, 2)),
@@ -722,7 +740,7 @@ def _serial_case(kind):
     m = dense_line_model()
     mf = split_form_model("antisymmetric")
     t = augmented_couple()
-    sub = Subspace.span(
+    sub = span(
         m, SIDE_V, EpSet.from_residues(3, (0, 2)), [Vector(m, SIDE_V, {1: 2, 4: -1}, (1,))]
     )
     bflag = BasisOrderFlag(
@@ -742,7 +760,7 @@ def _serial_case(kind):
     cases = {
         "model": (mf, model_to_json, serial.model_from_json),
         "augmented_model": (m, model_to_json, serial.model_from_json),
-        "vector": (sub.corrections[0], serial.vector_to_json, partial(serial.vector_from_json, m)),
+        "vector": (vectors(sub)[0], serial.vector_to_json, partial(serial.vector_from_json, m)),
         "subspace": (sub, serial.subspace_to_json, partial(serial.subspace_from_json, m)),
         "flag": (t.f_flag, lambda f: {"flags": {"x": _flag_to_session(f)}},
                  _session_reader(m, "flags")),
@@ -796,8 +814,8 @@ VALID_SESSIONS = [AUGMENTED_SESSION, _full_surface_session(), _fd_session()]
 def _structural_mutations():
     """(session index, path, action, argument) for every structural mutation
     of the valid sessions: swap a value's type, drop a required field, point
-    a reference at nothing, give an algebra the wrong arity (drop a row of a
-    basis matrix, or raise n by one).  Expectations are not input and stay as
+    a reference at nothing, name the unknown side "X", give an algebra the
+    wrong arity (drop a row of a basis matrix, or raise n by one).  Expectations are not input and stay as
     they are."""
     out = []
 
@@ -810,6 +828,8 @@ def _structural_mutations():
             if key in REFERENCE_KEYS or path[-2:-1] == ("chain",):
                 if isinstance(value, str):
                     out.append((si, path, "set", "nowhere"))
+            if key == "side":
+                out.append((si, path, "set", "X"))
             # a section or a whole definition is not a field, nor is an
             # index key of a vector's basis
             is_field = len(path) > 2 and isinstance(key, str) and not key.isdigit()

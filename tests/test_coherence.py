@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _dense_coherence as dense_ref
-from _corpus import criterion_9_corpus
+from _corpus import criterion_9_corpus, span, vectors
 from flagforge import coherence, finitary
 from flagforge.coherence import compare_couple, compare_element, compare_subspace
 from flagforge.epcore import EpSeq, EpSet
@@ -53,7 +53,7 @@ def two_sided_model():
 
 def repro_subspace(m):
     """span(e_0, e_1 + v, e_i for i >= 3), v the V augmentation generator."""
-    return Subspace.span(m, SIDE_V, EpSet.make(3, 1, {0}, {0}), [Vector(m, SIDE_V, {1: 1}, (1,))])
+    return span(m, SIDE_V, EpSet.make(3, 1, {0}, {0}), [Vector(m, SIDE_V, {1: 1}, (1,))])
 
 
 def test_two_sided_repro_perp_and_coherence():
@@ -62,7 +62,7 @@ def test_two_sided_repro_perp_and_coherence():
     # by hand: e_i for i >= 3 force the V* augmentation coefficient to 0,
     # e_0 forces the f_0 coefficient to 0, and v pairs to 1 with every f_j,
     # so <e_1 + v, y_1 f_1 + y_2 f_2> = 2 y_1 + y_2
-    assert perp(a) == Subspace.span(m, SIDE_W, None, [Vector(m, SIDE_W, {1: 1, 2: -2})])
+    assert perp(a) == span(m, SIDE_W, None, [Vector(m, SIDE_W, {1: 1, 2: -2})])
     report = compare_subspace(a)
     assert report.levels == [5, 7, 9]
     assert report.ok, report.checks
@@ -80,7 +80,7 @@ def _spurious(m):
     "wrong_perp",
     [
         lambda m, pa: Subspace.zero(m, SIDE_W),  # drops the one generator
-        lambda m, pa: Subspace.span(m, SIDE_W, pa.aligned, pa.corrections + (_spurious(m),)),
+        lambda m, pa: span(m, SIDE_W, pa.aligned, vectors(pa) + (_spurious(m),)),
     ],
     ids=["drops-a-generator", "keeps-the-spurious-functional"],
 )
@@ -137,8 +137,8 @@ def test_wrong_pairing_is_reported(monkeypatch):
     "wrong_closure",
     [
         lambda m, a, ca: a,  # drops the generator that a lacks
-        lambda m, a, ca: Subspace.span(
-            m, SIDE_V, ca.aligned, ca.corrections + (Vector(m, SIDE_V, {2: 1}),)),
+        lambda m, a, ca: span(
+            m, SIDE_V, ca.aligned, vectors(ca) + (Vector(m, SIDE_V, {2: 1}),)),
     ],
     ids=["drops-a-generator", "one-vector-too-many"],
 )
@@ -181,9 +181,9 @@ vector_parts = st.tuples(
 @given(models, st.sampled_from([SIDE_V, SIDE_W]), aligned_sets, st.lists(vector_parts, max_size=2))
 def test_two_sided_models_are_coherent(m, side, aligned, parts):
     gens = [Vector(m, side, basis, (aug,)) for basis, aug in parts]
-    a = Subspace.span(m, side, aligned, gens)
+    a = span(m, side, aligned, gens)
     report = compare_subspace(a)
-    assert report.ok, (a, a.corrections, report.checks)
+    assert report.ok, (a, vectors(a), report.checks)
 
 
 # -- the sparse comparisons against the dense reference ----------------------
@@ -204,7 +204,7 @@ def _random_subspace(m, side, rng):
         basis = {rng.randrange(8): F(rng.randrange(-3, 4)) for _ in range(3)}
         augs = [F(rng.randrange(-1, 2)) for _ in range(n_aug)]
         gens.append(Vector(m, side, basis, augs))
-    return Subspace.span(m, side, aligned, gens)
+    return span(m, side, aligned, gens)
 
 
 def test_compare_subspace_matches_the_dense_reference():
@@ -221,7 +221,7 @@ def test_compare_subspace_matches_the_dense_reference():
                     assert _report(got) == _report(dense_ref.compare_subspace(a, levels))
                 skipped += got.checks[0]["check"] == "perp-representable"
     m = dense_line_model()
-    aug_line = Subspace.span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
+    aug_line = span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
     with pytest.raises(NotRepresentable):
         perp(aug_line)
     assert _report(compare_subspace(aug_line)) == _report(dense_ref.compare_subspace(aug_line))

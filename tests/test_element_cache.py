@@ -1,12 +1,12 @@
 """Elements built once, stabilizer verdicts kept per (element, flag) and
-block components per (element, couple, block).
+block traces per (element, couple, block).
 
 A `FinitaryElement` keeps the `in_stabilizer` verdict of each flag object it
-was tested against, and each block component of each couple object.  These
+was tested against, and each block trace of each couple object.  These
 tests check that the kept verdicts never change an answer (against fresh
 elements that keep nothing), that each flag's image tests run once per
-element, that each block component is computed once per element, couple
-and block, that an equal but distinct flag is computed on its own, and
+element, that each block trace is computed once per element, couple and
+block, that an equal but distinct flag is computed on its own, and
 that the samplers, which now build their element from all its terms at
 once, give the terms of the old one-term-at-a-time path.
 """
@@ -21,6 +21,8 @@ from _corpus import (
     augmented_couple,
     element_terms,
     evens_couple,
+    is_zero_vector,
+    member,
     random_element,
     random_plain_couple,
     random_vector_in,
@@ -34,7 +36,6 @@ from flagforge import finitary
 from flagforge.finitary import (
     FinitaryElement,
     TraceConditionSubalgebra,
-    block_component,
     block_trace,
     in_joint_stabilizer,
     in_nilradical,
@@ -159,13 +160,13 @@ def test_image_tests_run_once_per_element_and_flag_member(monkeypatch):
 
 def test_block_components_computed_once_per_element_couple_and_block(monkeypatch):
     calls = Counter()
-    compute = finitary._compute_block
+    compute = finitary._compute_block_trace
 
     def counting(x, t, gamma):
         calls[id(x), id(t), gamma] += 1
         return compute(x, t, gamma)
 
-    monkeypatch.setattr(finitary, "_compute_block", counting)
+    monkeypatch.setattr(finitary, "_compute_block_trace", counting)
     rng = random.Random(6)
     joint_seen = 0
     for t in [augmented_couple(), evens_couple()] + [random_plain_couple(rng) for _ in range(5)]:
@@ -180,7 +181,6 @@ def test_block_components_computed_once_per_element_couple_and_block(monkeypatch
                 if in_joint_stabilizer(x, t):
                     for gamma in range(len(t.c_pairs)):
                         block_trace(x, t, gamma)
-                        block_component(x, t, gamma)
             assert all(n == 1 for n in calls.values()), calls
             if in_joint_stabilizer(x, t):
                 joint_seen += 1
@@ -233,7 +233,7 @@ def _old_placed(t, rng, keep, terms):
         a, b = rng.choice(placements)
         v = random_vector_in(t.f_flag.chain[a + 1], rng)
         w = random_vector_in(t.g_flag.chain[b + 1], rng)
-        if not v.is_zero() and not w.is_zero():
+        if not is_zero_vector(v) and not is_zero_vector(w):
             out = out.add(rank_one(v, w))
     return out
 
@@ -246,7 +246,8 @@ def _old_units(t, gamma, want=2, bound=60):
     for i in range(bound):
         ei = Vector.basis_vector(t.model, SIDE_V, i)
         fj = Vector.basis_vector(t.model, SIDE_W, i)
-        if f_succ.member(ei) and not f_pred.member(ei) and g_succ.member(fj) and not g_pred.member(fj):
+        if (member(f_succ, ei) and not member(f_pred, ei)
+                and member(g_succ, fj) and not member(g_pred, fj)):
             found.append(rank_one(ei, fj))
             if len(found) == want:
                 break

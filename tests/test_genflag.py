@@ -6,7 +6,17 @@ import sys
 
 import pytest
 
-from _corpus import augmented_couple, evens_couple, pair, random_plain_couple, trivial_couple
+from _corpus import (
+    add_vectors,
+    augmented_couple,
+    evens_couple,
+    pair,
+    random_plain_couple,
+    span,
+    support_bound,
+    trivial_couple,
+    vectors,
+)
 from flagforge.epcore import EpSet, stabilization_window
 from flagforge.genflag import (
     OMEGA_UP,
@@ -45,7 +55,7 @@ ODDS = EpSet.from_residues(2, (1,))
 
 
 def sp(model, side, aligned=None, gens=()):
-    return Subspace.span(model, side, aligned, gens)
+    return span(model, side, aligned, gens)
 
 
 def ev(model, i):
@@ -227,7 +237,7 @@ def _split_form_pool(m):
     pool = [sp(m, SIDE_V, EpSet.from_residues(4, set(r)))
             for k in range(1, 4) for r in itertools.combinations(range(4), k)]
     pool += [sp(m, SIDE_V, gens=[ev(m, 0)]), sp(m, SIDE_V, gens=[ev(m, 0), ev(m, 2)]),
-             sp(m, SIDE_V, gens=[ev(m, 0).add(ev(m, 1))]),
+             sp(m, SIDE_V, gens=[add_vectors(ev(m, 0), ev(m, 1))]),
              sp(m, SIDE_V, gens=[ev(m, 0), ev(m, 1)]),
              sp(m, SIDE_V, EVENS.difference(EpSet.finite({0}))),
              sp(m, SIDE_V, EVENS.union(EpSet.finite({1}))),
@@ -323,24 +333,24 @@ def pairing_is_zero(a, b):
     model = a.model
     if not a.aligned.intersection(b.aligned).is_empty():
         return False
-    for va in a.corrections:
-        for wb in b.corrections:
+    for va in vectors(a):
+        for wb in vectors(b):
             if pair(va, wb):
                 return False
     rho = [aug.row for aug in model.v_augs]
     sigma = [aug.row for aug in model.w_augs]
     # corrections of a against the aligned part of b, and symmetrically;
     # the pairing against e_i / f_j is eventually periodic in the index
-    for va in a.corrections:
-        window = stabilization_window([b.aligned] + rho + [va.support_bound()])
+    for va in vectors(a):
+        window = stabilization_window([b.aligned] + rho + [support_bound(va)])
         for j in b.aligned.members_below(window[0] + window[1]):
             val = va.basis.get(j, 0)
             for u, r in zip(va.augs, rho):
                 val += u * r.value(j)
             if val:
                 return False
-    for wb in b.corrections:
-        window = stabilization_window([a.aligned] + sigma + [wb.support_bound()])
+    for wb in vectors(b):
+        window = stabilization_window([a.aligned] + sigma + [support_bound(wb)])
         for i in a.aligned.members_below(window[0] + window[1]):
             val = wb.basis.get(i, 0)
             for d, r in zip(wb.augs, sigma):

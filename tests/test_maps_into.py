@@ -15,15 +15,21 @@ their flags.  The image of each term is reduced exactly once per call.
 import random
 
 from _corpus import (
+    add_vectors,
     augmented_couple,
+    chain_component,
     element_terms,
     flip,
+    member,
     random_element,
     random_plain_couple,
     rank_one,
     sample_nilradical,
     sample_pminus,
     sample_pplus,
+    span,
+    support_bound,
+    vectors,
 )
 from flagforge import finitary
 from flagforge.epcore import EpSeq, EpSet, stabilization_window
@@ -53,13 +59,13 @@ def _maps_into_per_index(x, source, target):
         rows = [aug.row for aug in model.v_augs]
         coeff_vecs = [v for v, _ in element_terms(x)]
         act = x.act_on_vstar
-    support = max((c.support_bound() for c in coeff_vecs), default=0)
+    support = max(map(support_bound, coeff_vecs), default=0)
     n_star, p_star = stabilization_window([source.aligned, support] + rows)
     for i in source.aligned.members_below(n_star + p_star):
-        if not target.member(act(Vector.basis_vector(model, source.side, i))):
+        if not member(target, act(Vector.basis_vector(model, source.side, i))):
             return False
-    for corr in source.corrections:
-        if not target.member(act(corr)):
+    for corr in vectors(source):
+        if not member(target, act(corr)):
             return False
     return True
 
@@ -88,12 +94,12 @@ def _corrected_couples():
     e = lambda i: Vector.basis_vector(m, SIDE_V, i)  # noqa: E731
     evens = EpSet.from_residues(2, (0,))
     chains = [
-        [Subspace.span(m, SIDE_V, None, [e(0).add(e(1))])],
+        [span(m, SIDE_V, None, [add_vectors(e(0), e(1))])],
         [
-            Subspace.span(m, SIDE_V, None, [e(0).add(e(1))]),
-            Subspace.span(m, SIDE_V, evens, [e(1).add(e(3)), e(0).add(e(1))]),
+            span(m, SIDE_V, None, [add_vectors(e(0), e(1))]),
+            span(m, SIDE_V, evens, [add_vectors(e(1), e(3)), add_vectors(e(0), e(1))]),
         ],
-        [Subspace.span(m, SIDE_V, evens.intersection(EpSet.from_bound(4)), [e(1).add(e(5))])],
+        [span(m, SIDE_V, evens.intersection(EpSet.from_bound(4)), [add_vectors(e(1), e(5))])],
     ]
     out = []
     for chain in chains:
@@ -213,8 +219,7 @@ def test_chain_component_matches_residual_difference():
             for _ in range(10):
                 basis = {rng.randrange(12): rng.randrange(-2, 3) for _ in range(3)}
                 v = Vector(t.model, SIDE_V, basis, [rng.randrange(-1, 2) for _ in range(n_aug)])
-                want = Vector.from_sparse(t.model, SIDE_V, pred._reduce(v)).add(
-                    Vector.from_sparse(t.model, SIDE_V, succ._reduce(v)).scale(-1))
+                want = chain_component(pred, succ, v)
                 got = finitary._chain_component(pred, succ, v.to_sparse())
                 assert Vector.from_sparse(t.model, SIDE_V, got) == want
                 assert all(got.values())  # a sparse row keeps no zeros

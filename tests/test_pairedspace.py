@@ -6,20 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (
+    add_vectors,
     augmented_couple,
+    random_element,
     evens_couple,
     form_to_v,
+    form_to_vstar,
+    member,
     pair,
     random_plain_couple,
+    sample_nilradical,
+    sample_pminus,
+    sample_pplus,
+    scale_vector,
+    span,
+    support_bound,
     trivial_couple,
+    vectors,
 )
 from flagforge import pairedspace
 
 from flagforge.coherence import truncate_model, truncate_subspace
 from flagforge.epcore import EpSeq, EpSet
 from flagforge.exactnum import Echelon, kernel
-from flagforge.finitary import FinitaryElement
-from flagforge.genflag import classify_flag, collapsed_couple, fc_flag, make_taut_couple
+from flagforge.finitary import FinitaryElement, _maps_into
+from flagforge.genflag import (
+    classify_flag,
+    collapsed_couple,
+    fc_flag,
+    make_taut_couple,
+    quotient_basis,
+)
+from flagforge.serial import subspace_to_json
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
@@ -33,7 +51,6 @@ from flagforge.pairedspace import (
     closure,
     dense_line_model,
     form_perp,
-    form_to_vstar,
     is_closed,
     pair_rows,
     perp,
@@ -69,7 +86,7 @@ def test_validate_degenerate_duplicate_row():
     )
     report = validate_model(bad)
     assert not report.valid and report.radical_w.is_zero()
-    witness = report.radical_v.corrections[0]
+    witness = vectors(report.radical_v)[0]
     # the augmentation duplicates e_0, so aug - e_0 pairs to zero everywhere
     assert witness.augs == (F(1),)
     assert witness.basis == {0: F(-1)}
@@ -151,15 +168,15 @@ def test_act_on_a_vector_of_another_model():
 
 def test_sum_aligned_plus_correction():
     m = plain_model()
-    total = Subspace.span(m, SIDE_V, EVENS, [ev(m, 1)])
+    total = span(m, SIDE_V, EVENS, [ev(m, 1)])
     # a single basis vector is absorbed into the aligned part
     assert total.aligned == EVENS.union(EpSet.finite({1}))
-    assert total.corrections == ()
+    assert vectors(total) == ()
 
 
 def test_perp_single_vector():
     m = plain_model()
-    line = Subspace.span(m, SIDE_V, gens=[ev(m, 0)])
+    line = span(m, SIDE_V, gens=[ev(m, 0)])
     ann = perp(line)
     assert ann == Subspace.span(m, SIDE_W, EpSet.from_bound(1))
 
@@ -182,23 +199,23 @@ def test_perp_dense_subspace_in_augmented_model():
 def test_member_queries():
     m = plain_model()
     evens = Subspace.span(m, SIDE_V, EVENS)
-    assert evens.member(ev(m, 4))
-    assert not evens.member(ev(m, 1))
-    two = Subspace.span(m, SIDE_V, gens=[ev(m, 0), ev(m, 1)])
-    assert two.member(ev(m, 0).add(ev(m, 1)))
+    assert member(evens, ev(m, 4))
+    assert not member(evens, ev(m, 1))
+    two = span(m, SIDE_V, gens=[ev(m, 0), ev(m, 1)])
+    assert member(two, add_vectors(ev(m, 0), ev(m, 1)))
 
 
 def test_aug_not_in_standard_span():
     m = dense_line_model()
     v_std = Subspace.span(m, SIDE_V, EpSet.naturals())
     vtilde = Vector.aug_vector(m, SIDE_V, 0)
-    assert not v_std.member(vtilde)
-    assert Subspace.full(m, SIDE_V).member(vtilde)
+    assert not member(v_std, vtilde)
+    assert member(Subspace.full(m, SIDE_V), vtilde)
 
 
 def test_perp_not_representable():
     m = dense_line_model()
-    aug_line = Subspace.span(
+    aug_line = span(
         m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)]
     )
     with pytest.raises(NotRepresentable):
@@ -221,7 +238,7 @@ def _random_subspace(m, rng, side=SIDE_V):
     for _ in range(rng.randrange(3)):
         basis = {rng.randrange(8): F(rng.randrange(-3, 4)) for _ in range(3)}
         gens.append(Vector(m, side, basis))
-    return Subspace.span(m, side, aligned, gens)
+    return span(m, side, aligned, gens)
 
 
 def test_perp_laws_randomized():
@@ -295,7 +312,7 @@ def _window_levels(m, a):
 
     objs = [a.aligned]
     objs += [aug.row for aug in m.v_augs] + [aug.row for aug in m.w_augs]
-    support = max((c.support_bound() for c in a.corrections), default=0)
+    support = max(map(support_bound, vectors(a)), default=0)
     n_star, p_star = stabilization_window(objs)
     base = max(n_star, support, 1)
     return [base, base + p_star, base + 2 * p_star]
@@ -326,16 +343,30 @@ def test_form_maps_split_antisymmetric():
     m = split_form_model("antisymmetric")
     assert pair(ev(m, 0), form_to_vstar(ev(m, 1))) == 1
     assert pair(ev(m, 1), form_to_vstar(ev(m, 0))) == -1
-    x = ev(m, 2).add(ev(m, 5).scale(3))
-    y = ev(m, 4).add(ev(m, 3).scale(-1))
+    x = add_vectors(ev(m, 2), scale_vector(ev(m, 5), 3))
+    y = add_vectors(ev(m, 4), scale_vector(ev(m, 3), -1))
     assert pair(x, form_to_vstar(y)) == -pair(y, form_to_vstar(x))
+
+
+def test_form_map_of_corrections_matches_the_vector_reference():
+    rng = random.Random(31)
+    for kind in ("symmetric", "antisymmetric"):
+        m = split_form_model(kind)
+        seen = 0
+        for _ in range(40):
+            a = _random_subspace(m, rng)
+            image = pairedspace.form_map_subspace(a)
+            want = span(m, SIDE_W, image.aligned, [form_to_vstar(c) for c in vectors(a)])
+            assert image == want
+            seen += bool(a.corrections)
+        assert seen >= 5
 
 
 def test_form_perp_isotropic_evens():
     m = split_form_model("symmetric")
     evens = Subspace.span(m, SIDE_V, EVENS)
     assert form_perp(evens) == evens
-    line = Subspace.span(m, SIDE_V, gens=[ev(m, 0)])
+    line = span(m, SIDE_V, gens=[ev(m, 0)])
     ann = form_perp(line)
     # e_0 pairs only with e_1 under iota(0) = 1
     assert ann == Subspace.span(
@@ -371,11 +402,11 @@ def model_subspaces(draw):
         max_size=3,
     ))
     aligned = EpSet.from_residues(period, residues, threshold=threshold, pre=pre)
-    return Subspace.span(m, side, aligned, [Vector(m, side, b, a) for b, a in gens])
+    return span(m, side, aligned, [Vector(m, side, b, a) for b, a in gens])
 
 
 def _fresh(a):
-    return Subspace(a.model, a.side, a.aligned, a.corrections)
+    return Subspace(a.model, a.side, a.aligned, Echelon(a.corrections))
 
 
 @settings(max_examples=200, deadline=None)
@@ -401,7 +432,7 @@ def test_cached_perp_and_closure_match_fresh_copies(a):
 
 def test_second_perp_is_the_same_object():
     m = dense_line_model()
-    a = Subspace.span(m, SIDE_V, EVENS, [Vector(m, SIDE_V, {1: 1, 3: 2})])
+    a = span(m, SIDE_V, EVENS, [Vector(m, SIDE_V, {1: 1, 3: 2})])
     first = perp(a)
     assert perp(a) is first
     assert closure(a) is perp(first)
@@ -409,7 +440,7 @@ def test_second_perp_is_the_same_object():
 
 def test_cache_leaves_equality_and_hash_alone():
     m = plain_model()
-    a = Subspace.span(m, SIDE_V, EVENS, [ev(m, 1).add(ev(m, 3))])
+    a = span(m, SIDE_V, EVENS, [add_vectors(ev(m, 1), ev(m, 3))])
     twin = _fresh(a)
     before = hash(a)
     closure(a)
@@ -421,7 +452,7 @@ def test_cache_leaves_equality_and_hash_alone():
 
 def test_not_representable_raises_on_every_call():
     m = dense_line_model()
-    aug_line = Subspace.span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
+    aug_line = span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
     for _ in range(3):
         with pytest.raises(NotRepresentable):
             perp(aug_line)
@@ -433,7 +464,7 @@ def test_not_representable_raises_on_every_call():
 def test_perp_from_the_model_table_matches_a_fresh_annihilator(a):
     # perp of an equal subspace built later is answered from the model's
     # table (the same object comes back) and equals a fresh computation
-    key = (a.side, a.aligned, a.corrections)
+    key = a._key()
     try:
         want = pairedspace._annihilator(_fresh(a))
     except NotRepresentable:
@@ -472,8 +503,8 @@ def _old_annihilator(a):
         return model.cross_value(in_idx, out_idx)
 
     s = a.aligned
-    corr = [(c.to_sparse(), c.augs) for c in a.corrections]
-    support = max((c.support_bound() for c in a.corrections), default=0)
+    corr = [(c.to_sparse(), c.augs) for c in vectors(a)]
+    support = max(map(support_bound, vectors(a)), default=0)
     n_star, p_star = stabilization_window([s] + out_rows + in_rows)
     cut = max(n_star, support)
     for r in range(p_star):
@@ -524,7 +555,7 @@ def _old_annihilator(a):
                 basis[j] = val
         gens.append(Vector(model, out_side, basis, d))
     tail = s.complement().intersection(EpSet.from_bound(cut))
-    return Subspace.span(model, out_side, tail, gens)
+    return span(model, out_side, tail, gens)
 
 
 def _same_annihilator(a):
@@ -560,9 +591,9 @@ def test_cross_value_enters_the_annihilator():
     # a = span(e_i : i even, h + e_1).  For y = sum y_j f_j + d g, the e_i
     # force y_i = 0 for even i, so <h + e_1, y> = 3 d + y_1 + d
     m = _cross_model()
-    a = Subspace.span(m, SIDE_V, EVENS, [Vector(m, SIDE_V, {1: 1}, (1,))])
-    want = Subspace.span(m, SIDE_W, ODDS.difference(EpSet.finite({1})),
-                         [Vector(m, SIDE_W, {1: -4}, (1,))])
+    a = span(m, SIDE_V, EVENS, [Vector(m, SIDE_V, {1: 1}, (1,))])
+    want = span(m, SIDE_W, ODDS.difference(EpSet.finite({1})),
+                [Vector(m, SIDE_W, {1: -4}, (1,))])
     assert pairedspace._annihilator(a) == want == _old_annihilator(a)
 
 
@@ -595,12 +626,52 @@ def test_annihilator_matches_the_old_elimination_on_two_sided_models():
                            (rng.randrange(-1, 2),))
                     for _ in range(rng.randrange(3))
                 ]
-                a = Subspace.span(m, side, aligned, gens)
+                a = span(m, side, aligned, gens)
                 if _same_annihilator(a):
                     raised += 1
                 else:
                     kept += 1
     assert raised and kept > raised
+
+
+# --- the correction rows are shared ------------------------------------------
+
+
+def _shared_row_couples():
+    """The couples whose chains or perps carry corrections."""
+    from test_maps_into import _corrected_couples
+
+    return [augmented_couple()] + _corrected_couples()
+
+
+SHARED_ROW_COUPLES = _shared_row_couples()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(SHARED_ROW_COUPLES))), st.integers(0, 2**16))
+def test_readers_leave_the_shared_correction_rows_alone(index, seed):
+    # `corrections` hands out the echelon's own dicts: every reader of them
+    # must leave them as they were
+    t = SHARED_ROW_COUPLES[index]
+    members = t.f_flag.chain + t.g_flag.chain
+    members += tuple(perp(s) for s in members)
+    before = [[dict(c) for c in s.corrections] for s in members]
+    assert any(before)
+    rng = random.Random(seed)
+    elements = [
+        sample_pplus(t, rng), sample_nilradical(t, rng), sample_pminus(t, rng),
+        random_element(t.model, rng),
+    ]
+    for flag in (t.f_flag, t.g_flag):
+        for pred, succ in flag.pairs:
+            quotient_basis(pred, succ)
+            for x in elements:
+                _maps_into(x, succ, pred)
+                _maps_into(x, succ, succ)
+    for s in members:
+        perp(perp(s))
+        subspace_to_json(s)
+    assert [[dict(c) for c in s.corrections] for s in members] == before
 
 
 def _count_annihilators(monkeypatch):

@@ -10,9 +10,9 @@ tests call belongs in the tests, as a reference, or nowhere: no name is
 exempt.
 
 A method is matched by its attribute name alone, so it counts as reached
-when a method of the same name on any other class is: `MatSpan.member`
-would hide behind `Subspace.member`.  Such a method needs its callers
-looked up by hand.
+when a method of the same name on any other class is: a `Vector.add`
+would hide behind `Echelon.add`.  Such a method needs its callers looked
+up by hand.
 
 perfbench's `reference` module imports nothing of `flagforge`, so neither
 its own code nor an attribute read off it (`ref.direct_sum_basis`) counts:
