@@ -8,14 +8,17 @@ a form on the model.
 
 Each element is canonicalized once, when it is built, and is held as the
 sparse (V row, V* row) pairs of its terms; every pairing goes through
-`pair_rows`.  A stabilizer test reduces each term's image modulo the target
-once, and pairs against the source only the terms whose image falls
-outside it.  The element also keeps the stabilizer verdict of every
-`FinitePairFlag` and the block traces of every `TautCouple` it has been
-asked about, matched by identity, so the joint stabilizer that every
-membership kind starts from is decided once per element and flag, and each
-block trace is computed once per element, couple and block.  Elements,
-flags and couples must therefore not be mutated after construction.
+`pair_rows`.  The left factors are independent, with distinct pivots (a
+row's pivot is its smallest column); they are not unique and depend on the
+order of the terms, and equality needs only their independence.  A
+stabilizer test reduces each term's image modulo the target once, and
+pairs against the source only the terms whose image falls outside it.  The
+element also keeps the stabilizer verdict of every `FinitePairFlag` and
+the block traces of every `TautCouple` it has been asked about, matched by
+identity, so the joint stabilizer that every membership kind starts from
+is decided once per element and flag, and each block trace is computed
+once per element, couple and block.  Elements, flags and couples must
+therefore not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class WrongFormKind(ValueError):
 
 class FinitaryElement:
     """Finite-rank operator sum_t v_t (x) w_t, canonicalized so the left
-    tensor factors v_t are linearly independent.
+    tensor factors v_t are linearly independent, with distinct pivots, and
+    no w_t is zero; the factors depend on the order of the terms.
 
     The element is held as `_rows`, the sparse `(tag, idx)` rows (v_t, w_t)
     of its terms.  Beside them it keeps the `in_stabilizer` verdict of every
@@ -86,20 +90,25 @@ class FinitaryElement:
         return x
 
     def _canonicalize(self, model, rows):
-        # v_t = sum_p v_t[p] b_p over the reduced echelon basis b_p of the
-        # v_t, so sum_t v_t (x) w_t = sum_p b_p (x) (sum_t v_t[p] w_t)
-        echelon = Echelon(v for v, _ in rows)
-        out = []
-        for p, b in zip(echelon.pivots, echelon.rows()):
-            payload: dict = {}
-            for v, w in rows:
-                c = v.get(p)
-                if c:
-                    axpy(payload, c, w)
-            if payload:
-                out.append((b, payload))
+        # one semi-echelon pass: v_t is reduced against the rows b kept so
+        # far, smallest column first, and each step v_t -= c b moves c w_t
+        # onto b's payload, so sum_t v_t (x) w_t = sum_b b (x) payload_b
+        kept: dict = {}  # pivot, the row's smallest column -> (row, payload)
+        for v, w in rows:
+            own = False
+            while v:
+                p = min(v)
+                if p not in kept:
+                    kept[p] = (v, dict(w))
+                    break
+                b, payload = kept[p]
+                c = v[p] / b[p]
+                if not own:
+                    v, own = dict(v), True
+                axpy(v, -c, b)
+                axpy(payload, c, w)
         self.model = model
-        self._rows = out
+        self._rows = [row for row in kept.values() if row[1]]
         self._verdicts = []  # (flag, in_stabilizer verdict)
         self._blocks = []  # (couple, block trace or None per c-pair)
 
@@ -115,16 +124,19 @@ class FinitaryElement:
         return FinitaryElement._of(self.model, self._rows + _scaled(-1, other._rows))
 
     def _product_rows(self, other) -> list:
-        """Rows of the associative product: (v (x) w)(v' (x) w') =
-        v (x) <v', w> w'."""
+        """Rows of the associative product, one per term v (x) w of self:
+        (v (x) w)(sum_s v'_s (x) w'_s) = v (x) sum_s <v'_s, w> w'_s."""
         self._check(other)
         model = self.model
         out = []
         for v, w in self._rows:
+            payload: dict = {}
             for v2, w2 in other._rows:
                 c = pair_rows(model, v2, w)
                 if c:
-                    out.append((v, {k: c * val for k, val in w2.items()}))
+                    axpy(payload, c, w2)
+            if payload:
+                out.append((v, payload))
         return out
 
     def bracket(self, other) -> "FinitaryElement":

@@ -42,7 +42,10 @@ def rational_from_json(s) -> Fraction:
     if isinstance(s, bool):
         raise ValueError("expected a rational, got a boolean")
     if isinstance(s, (int, str)):
-        return rat(s if isinstance(s, str) else int(s))
+        try:
+            return rat(s if isinstance(s, str) else int(s))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     raise ValueError(f"expected a rational string, got {s!r}")
 
 
@@ -101,11 +104,11 @@ def vector_to_json(v: Vector) -> dict:
 
 
 def vector_from_json(model, d: dict) -> Vector:
+    basis = {int(i): rational_from_json(c) for i, c in d.get("basis", {}).items()}
+    if any(i < 0 for i in basis):
+        raise ValueError(f"negative basis index in {sorted(basis)}")
     return Vector(
-        model,
-        d["side"],
-        {int(i): rational_from_json(c) for i, c in d.get("basis", {}).items()},
-        tuple(rational_from_json(c) for c in d.get("augs", [])),
+        model, d["side"], basis, tuple(rational_from_json(c) for c in d.get("augs", []))
     )
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from _dense import Dense, solve
 from flagforge.epcore import EpSeq, EpSet
-from flagforge.exactnum import Echelon, dense, rat, sparse
+from flagforge.exactnum import Echelon, axpy, dense, rat, sparse
 from flagforge.finitary import FinitaryElement, TraceConditionSubalgebra
 from flagforge import finoracle
 from flagforge.finoracle import FdLieAlgebra
@@ -74,6 +74,43 @@ def element_terms(x):
         (Vector.from_sparse(x.model, SIDE_V, v), Vector.from_sparse(x.model, SIDE_W, w))
         for v, w in x._rows
     )
+
+
+def operator(terms):
+    """Entries of sum v (x) w over (V vector, V* vector) pairs, keyed by
+    (left key, right key) of their sparse rows."""
+    out = {}
+    for v, w in terms:
+        for a, x in v.to_sparse().items():
+            for b, y in w.to_sparse().items():
+                out[(a, b)] = out.get((a, b), F(0)) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def has_independent_rows(x):
+    """Whether the left factors of x have pairwise distinct smallest columns,
+    so they are independent, and no row is zero or holds a zero entry."""
+    pivots = {min(v) for v, _ in x._rows if v}
+    return len(pivots) == len(x._rows) and all(
+        w and all(v.values()) and all(w.values()) for v, w in x._rows
+    )
+
+
+def rref_element_rows(rows):
+    """The canonical term rows that `FinitaryElement` kept before its
+    semi-echelon pass: the reduced echelon basis b_p of the left factors
+    v_t, each with the payload sum_t v_t[p] w_t, zero payloads dropped."""
+    echelon = Echelon(v for v, _ in rows)
+    out = []
+    for p, b in zip(echelon.pivots, echelon.rows()):
+        payload = {}
+        for v, w in rows:
+            c = v.get(p)
+            if c:
+                axpy(payload, c, w)
+        if payload:
+            out.append((b, payload))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,19 @@ def test_cli_exit_codes(tmp_path, capsys):
             "subspaces": {"s": {"model": "m", "side": "V", "corrections": [
                 {"side": "V*", "basis": {"0": "1", "1": "1"}}]}},
         },
+        # a rational has a nonzero denominator, wherever it is read
+        "zero_denominator_in_repeat": {"models": {"m": {"v_augs": [{"repeat": ["1/0"]}]}}},
+        "zero_denominator_in_basis_entry": {
+            "algebras": {"a": {"n": 1, "basis": [[["1/0"]]]}},
+            "commands": [{"cmd": "fd", "op": "radical", "alg": "a"}],
+        },
+        # basis indices are 0-based
+        "negative_basis_index": {
+            "models": {"m": {}},
+            "elements": {"x": {"model": "m", "terms": [[
+                {"side": "V", "basis": {"-1": "1"}}, {"side": "V*", "basis": {"0": "1"}}]]}},
+            "commands": [{"cmd": "truncate-compare", "object": "x", "levels": "auto"}],
+        },
     }
     for name, data in malformed.items():
         path = tmp_path / f"{name}.json"

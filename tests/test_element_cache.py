@@ -8,7 +8,7 @@ elements that keep nothing), that each flag's image tests run once per
 element, that each block trace is computed once per element, couple and
 block, that an equal but distinct flag is computed on its own, and
 that the samplers, which now build their element from all its terms at
-once, give the terms of the old one-term-at-a-time path.
+once, give the operator of the old one-term-at-a-time path.
 """
 
 import math
@@ -21,8 +21,10 @@ from _corpus import (
     augmented_couple,
     element_terms,
     evens_couple,
+    has_independent_rows,
     is_zero_vector,
     member,
+    operator,
     random_element,
     random_plain_couple,
     random_vector_in,
@@ -301,7 +303,10 @@ def test_samplers_match_repeated_add(name, new, old):
         for seed in range(20):
             r_new, r_old = random.Random(seed), random.Random(seed)
             got, want = new(t, r_new), old(t, r_old)
-            assert element_terms(got) == element_terms(want), (name, seed)
+            # the left factors depend on the order of the terms: compare
+            # the operators, and check the form of the one-pass element
+            assert operator(element_terms(got)) == operator(element_terms(want)), (name, seed)
+            assert has_independent_rows(got), (name, seed)
             assert r_new.getstate() == r_old.getstate()
             nonzero += not got.is_zero()
     assert nonzero > 100
