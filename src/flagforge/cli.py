@@ -121,7 +121,7 @@ def _verdict(value):
 class _Command(dict):
     """A command's fields; a missing or mistyped one is a session error, not a
     per-command failure.  `gamma` is an integer, `levels` "auto" or a list of
-    integers, and every other field a string."""
+    integers >= 1, and every other field a string."""
 
     def __missing__(self, key):
         raise SessionError(f"command {dict.get(self, 'cmd')!r} lacks the field {key!r}")
@@ -130,7 +130,7 @@ class _Command(dict):
         value = super().__getitem__(key)
         if key == "levels":
             ok = value == "auto" or (
-                isinstance(value, list) and all(type(v) is int for v in value))
+                isinstance(value, list) and all(type(v) is int and v >= 1 for v in value))
         else:
             ok = type(value) is (int if key == "gamma" else str)
         if not ok:

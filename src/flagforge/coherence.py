@@ -6,9 +6,14 @@ further periods, so exact agreement at those levels certifies agreement at
 every higher level.  Annihilator comparisons hold modulo the degeneracy
 radical of the truncated pairing, which is reported, never an error.  The
 truncations of models, sparse rows, subspaces and elements live here as
-well, and `truncate_vector` truncates a boundary `Vector`.
+well.  An element is read through its operator only: its truncation
+applies `FinitaryElement.apply_row` to unit rows, and its supports, and so
+its window levels, come from `FinitaryElement.entries`, so equal elements
+get equal levels however their terms were written.
 
-Everything finite is a sparse row {coordinate: Fraction}, with coordinates
+No `Vector` is built here: a vector of the model is its sparse (tag, idx)
+row, the unit vectors being {(1, i): 1} and {(0, k): 1}.  Everything
+finite is a sparse row {coordinate: Fraction}, with coordinates
 [e_0..e_{n-1}, augs...]: the truncated pairing is held as sparse rows and
 columns, a truncated subspace is an `Echelon`, an element's truncation is
 the list of its sparse columns, and every null space comes from `kernel`.
@@ -21,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from .epcore import stabilization_window
-from .exactnum import QONE, QZERO, Echelon, axpy, kernel
+from .exactnum import QONE, QZERO, Echelon, axpy, combine, kernel
 from .finitary import FinitaryElement, in_joint_stabilizer, in_nilradical
 from .genflag import FinitePairFlag, TautCouple
 from .pairedspace import (
@@ -30,7 +35,6 @@ from .pairedspace import (
     NotRepresentable,
     PairedSpaceModel,
     Subspace,
-    Vector,
     closure,
     other_side,
     perp,
@@ -87,11 +91,6 @@ def _pairing_rows(model: PairedSpaceModel, n: int) -> list[dict]:
     return [{j: c for j, c in row.items() if c} for row in rows]
 
 
-def truncate_vector(v: Vector, n: int) -> dict:
-    """Sparse coordinates [e_0..e_{n-1}, augs...] of the truncated vector."""
-    return _truncate_row(v.to_sparse(), n)
-
-
 def _truncate_row(row: dict, n: int) -> dict:
     """Sparse coordinates [e_0..e_{n-1}, augs...] of the truncated sparse
     (tag, idx) row."""
@@ -108,11 +107,9 @@ def truncate_subspace(a: Subspace, n: int) -> Echelon:
 def truncate_element(x: FinitaryElement, n: int, side: str = SIDE_V) -> list[dict]:
     """Operator of x on the truncated space as sparse columns: entry j is
     the truncated image of coordinate j (basis then augs)."""
-    model = x.model
-    act = x.act_on_v if side == SIDE_V else x.act_on_vstar
-    units = [Vector.basis_vector(model, side, i) for i in range(n)]
-    units += [Vector.aug_vector(model, side, k) for k in range(len(model.augs(side)))]
-    return [truncate_vector(act(u), n) for u in units]
+    units = [{(1, i): QONE} for i in range(n)]
+    units += [{(0, k): QONE} for k in range(len(x.model.augs(side)))]
+    return [_truncate_row(x.apply_row(u, side), n) for u in units]
 
 
 def window_levels(model, objs) -> list[int]:
@@ -127,8 +124,8 @@ def window_levels(model, objs) -> list[int]:
         elif isinstance(obj, TautCouple):
             subspaces += obj.f_flag.chain + obj.g_flag.chain
         elif isinstance(obj, FinitaryElement):
-            for v, w in obj._rows:
-                items += [row_support(v), row_support(w)]
+            # one past the largest basis index of a nonzero entry, either side
+            items.append(row_support([key for ab in obj.entries() for key in ab]))
         elif isinstance(obj, int):
             items.append(obj)
     for s in subspaces:
@@ -142,19 +139,10 @@ def window_levels(model, objs) -> list[int]:
     return [base, base + p_star, base + 2 * p_star]
 
 
-def _times(row: dict, images: list) -> dict:
-    """The combination sum of row[j] * images[j] of sparse rows: a row times
-    a pairing, or an operator's columns applied to a vector."""
-    out = {}
-    for j, c in row.items():
-        axpy(out, c, images[j])
-    return out
-
-
 def _rows_into(images: list, source: Echelon, target: Echelon) -> bool:
     """Whether the operator with sparse columns images maps the span of
     source into the span of target."""
-    return not any(target.reduce(_times(r, images)) for r in source.rows())
+    return not any(target.reduce(combine(r, images)) for r in source.rows())
 
 
 @dataclass
@@ -171,7 +159,7 @@ class CoherenceReport:
 def _annihilator(rows, pairing, aligned, n_star: int, n: int, width: int) -> list:
     """Basis of the vectors y of length width with <r, y> = 0 for each row r,
     paired through pairing, and y_i = 0 for i in aligned with n_star <= i < n."""
-    eqs = [_times(r, pairing) for r in rows]
+    eqs = [combine(r, pairing) for r in rows]
     eqs += [{i: QONE} for i in range(n_star, n) if aligned.member(i)]
     return kernel(eqs, width)
 
@@ -225,16 +213,18 @@ def compare_subspace(a: Subspace, levels=None) -> CoherenceReport:
 
 def compare_element(x: FinitaryElement, levels=None) -> CoherenceReport:
     """The action of x on the first basis vectors, through the row pairing
-    of `act_on_v`, against the same action read off the truncated pairing
-    table.  For i < n, x(e_i) = sum_t <e_i, w_t> v_t, and row i of the
-    table holds every coordinate that e_i pairs with, so <e_i, w_t> is row
-    i times the truncated w_t, exactly."""
+    of `apply_row`, against the same action read off the entries of x and
+    the truncated pairing table.  For i < n, x(e_i) = sum_(a, b) M[a, b]
+    <e_i, b> a, and row i of the table holds every coordinate that e_i
+    pairs with, so <e_i, b> is row i at the truncated b, exactly."""
     model = x.model
     levels = levels or window_levels(model, [x])
     report = CoherenceReport("element", levels)
+    entries = x.entries()
     for n in levels:
         table = _pairing_rows(model, n)
-        terms = [(_truncate_row(v, n), _truncate_row(w, n)) for v, w in x._rows]
+        terms = [(_truncate_row({a: m}, n), _truncate_row({b: QONE}, n))
+                 for (a, b), m in entries.items()]
         ok = True
         for i in range(min(n, ELEMENT_SAMPLES)):
             want: dict = {}
@@ -242,7 +232,7 @@ def compare_element(x: FinitaryElement, levels=None) -> CoherenceReport:
                 c = sum((a * w[j] for j, a in table[i].items() if j in w), QZERO)
                 if c:
                     axpy(want, c, v)
-            got = truncate_vector(x.act_on_v(Vector.basis_vector(model, SIDE_V, i)), n)
+            got = _truncate_row(x.apply_row({(1, i): QONE}, SIDE_V), n)
             if got != want:
                 ok = False
         report.checks.append({"level": n, "check": "action", "ok": ok})

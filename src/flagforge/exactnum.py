@@ -132,6 +132,18 @@ def axpy(target: dict, coeff: Fraction, row: dict) -> None:
                 del target[k]
 
 
+def combine(coeffs: dict, rows) -> dict:
+    """sum_k coeffs[k] rows[k] on sparse rows, coeffs given as {k: c} and
+    rows as a list or a dict; zero coefficients, and keys that a dict of
+    rows lacks, contribute nothing."""
+    row_of = rows.get if isinstance(rows, dict) else rows.__getitem__
+    out: dict = {}
+    for k, c in coeffs.items():
+        if c and (row := row_of(k)):
+            axpy(out, c, row)
+    return out
+
+
 class Echelon:
     """Reduced echelon basis of sparse rows {column: Fraction}, grown one row
     at a time.

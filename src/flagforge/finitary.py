@@ -10,15 +10,19 @@ Each element is canonicalized once, when it is built, and is held as the
 sparse (V row, V* row) pairs of its terms; every pairing goes through
 `pair_rows`.  The left factors are independent, with distinct pivots (a
 row's pivot is its smallest column); they are not unique and depend on the
-order of the terms, and equality needs only their independence.  A
-stabilizer test reduces each term's image modulo the target once, and
-pairs against the source only the terms whose image falls outside it.  The
-element also keeps the stabilizer verdict of every `FinitePairFlag` and
-the block traces of every `TautCouple` it has been asked about, matched by
-identity, so the joint stabilizer that every membership kind starts from
-is decided once per element and flag, and each block trace is computed
-once per element, couple and block.  Elements, flags and couples must
-therefore not be mutated after construction.
+order of the terms, and equality needs only their independence.  Other
+modules read an element through its operator, never through its rows:
+`apply_row` applies it to a sparse row, and `entries` gives its nonzero
+entries, from which supports and truncation levels are taken, so these
+depend on the value and not on how it was written.  A stabilizer test
+reduces each term's image modulo the target once, and pairs against the
+source only the terms whose image falls outside it.  The element also
+keeps the stabilizer verdict of every `FinitePairFlag` and the block
+traces of every `TautCouple` it has been asked about, matched by identity,
+so the joint stabilizer that every membership kind starts from is decided
+once per element and flag, and each block trace is computed once per
+element, couple and block.  Elements, flags and couples must therefore
+not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from fractions import Fraction
 
 from .epcore import stabilization_window
-from .exactnum import Echelon, axpy, rat
+from .exactnum import Echelon, axpy, combine, rat
 from .genflag import (
     BasisOrderFlag,
     FinitePairFlag,
@@ -41,7 +45,6 @@ from .pairedspace import (
     NoFormOnModel,
     SideMismatch,
     Subspace,
-    Vector,
     pair_rows,
     row_support,
 )
@@ -63,11 +66,12 @@ class FinitaryElement:
     no w_t is zero; the factors depend on the order of the terms.
 
     The element is held as `_rows`, the sparse `(tag, idx)` rows (v_t, w_t)
-    of its terms.  Beside them it keeps the `in_stabilizer` verdict of every
-    `FinitePairFlag` and the block traces of every `TautCouple` it has
-    been asked about, matched by identity; neither takes part in equality.
-    Elements and the flags and couples they were tested against must
-    therefore not be mutated."""
+    of its terms, which only this module reads; other modules read the
+    operator through `apply_row` and `entries`.  Beside them it keeps the
+    `in_stabilizer` verdict of every `FinitePairFlag` and the block traces
+    of every `TautCouple` it has been asked about, matched by identity;
+    neither takes part in equality.  Elements and the flags and couples
+    they were tested against must therefore not be mutated."""
 
     __slots__ = ("model", "_rows", "_verdicts", "_blocks")
 
@@ -121,55 +125,49 @@ class FinitaryElement:
 
     def sub(self, other) -> "FinitaryElement":
         self._check(other)
-        return FinitaryElement._of(self.model, self._rows + _scaled(-1, other._rows))
+        return FinitaryElement._of(self.model, self._rows + _negated(other._rows))
 
     def _product_rows(self, other) -> list:
         """Rows of the associative product, one per term v (x) w of self:
-        (v (x) w)(sum_s v'_s (x) w'_s) = v (x) sum_s <v'_s, w> w'_s."""
+        (v (x) w)(sum_s v'_s (x) w'_s) = v (x) sum_s <v'_s, w> w'_s, whose
+        payload is minus `other.apply_row(w, SIDE_W)`."""
         self._check(other)
-        model = self.model
-        out = []
-        for v, w in self._rows:
-            payload: dict = {}
-            for v2, w2 in other._rows:
-                c = pair_rows(model, v2, w)
-                if c:
-                    axpy(payload, c, w2)
-            if payload:
-                out.append((v, payload))
-        return out
+        return _negated([(v, p) for v, w in self._rows if (p := other.apply_row(w, SIDE_W))])
 
     def bracket(self, other) -> "FinitaryElement":
+        # x y - y x, where -y x has the rows (v', x.apply_row(w', V*)) as they are
         return FinitaryElement._of(
             self.model,
-            self._product_rows(other) + _scaled(-1, other._product_rows(self)),
+            self._product_rows(other)
+            + [(v, p) for v, w in other._rows if (p := self.apply_row(w, SIDE_W))],
         )
 
     def trace(self) -> Fraction:
         model = self.model
         return sum((pair_rows(model, v, w) for v, w in self._rows), QZERO)
 
-    def act_on_v(self, u: Vector) -> Vector:
-        """x(u) = sum_t <u, w_t> v_t."""
-        self._check_vector(u, SIDE_V, "act_on_v wants a V-side vector")
-        model, row = self.model, u.to_sparse()
-        out: dict = {}
+    def apply_row(self, row: dict, side: str) -> dict:
+        """The sparse row of x(u) = sum_t <u, w_t> v_t for a V row u, and of
+        x . y = -sum_t <v_t, y> w_t for a V* row y."""
+        model, out = self.model, {}
         for v, w in self._rows:
-            c = pair_rows(model, row, w)
-            if c:
-                axpy(out, c, v)
-        return Vector.from_sparse(model, SIDE_V, out)
-
-    def act_on_vstar(self, y: Vector) -> Vector:
-        """x . y = -sum_t <v_t, y> w_t."""
-        self._check_vector(y, SIDE_W, "act_on_vstar wants a V*-side vector")
-        model, row = self.model, y.to_sparse()
-        out: dict = {}
-        for v, w in self._rows:
-            c = pair_rows(model, v, row)
-            if c:
+            if side == SIDE_V:
+                if c := pair_rows(model, row, w):
+                    axpy(out, c, v)
+            elif c := pair_rows(model, v, row):
                 axpy(out, -c, w)
-        return Vector.from_sparse(model, SIDE_W, out)
+        return out
+
+    def entries(self) -> dict:
+        """The nonzero entries M[a, b] = sum_t v_t[a] w_t[b] of the operator
+        x = sum_(a, b) M[a, b] a (x) b, keyed by pairs of (tag, idx) keys:
+        they depend on the operator alone, not on how it was written."""
+        out: dict = {}
+        for v, w in self._rows:
+            for a, c in v.items():
+                for b, d in w.items():
+                    out[a, b] = out.get((a, b), QZERO) + c * d
+        return {ab: val for ab, val in out.items() if val}
 
     def __eq__(self, other):
         return isinstance(other, FinitaryElement) and self.sub(other).is_zero()
@@ -183,18 +181,10 @@ class FinitaryElement:
         if self.model is not other.model and self.model != other.model:
             raise ModelMismatch("elements from different models")
 
-    def _check_vector(self, u: Vector, side: str, msg: str):
-        if u.side != side:
-            raise SideMismatch(msg)
-        if u.model is not self.model and u.model != self.model:
-            raise ModelMismatch("vector from a different model")
 
-
-def _scaled(c: Fraction, rows) -> list:
-    """The term rows with every V* row multiplied by c."""
-    if not c:
-        return []
-    return [(v, {k: c * val for k, val in w.items()}) for v, w in rows]
+def _negated(rows) -> list:
+    """The term rows with every V* row negated."""
+    return [(v, {k: -val for k, val in w.items()}) for v, w in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +257,7 @@ def _maps_into(x: FinitaryElement, source: Subspace, target: Subspace) -> bool:
         if len(span.pivots) == len(partners):
             break
         span.add(row)
-    for coeffs in span.rows():
-        combination: dict = {}
-        for t, c in coeffs.items():
-            axpy(combination, c, residues[t])
-        if combination:
-            return False
-    return True
+    return not any(combine(coeffs, residues) for coeffs in span.rows())
 
 
 def in_stabilizer(x: FinitaryElement, flag) -> bool:
@@ -305,18 +289,7 @@ def in_stabilizer(x: FinitaryElement, flag) -> bool:
 def _in_basis_flag_stabilizer(x: FinitaryElement, flag: BasisOrderFlag) -> bool:
     if x.model is not flag.model and x.model != flag.model:
         raise ModelMismatch("element and flag from different models")
-    return all(flag.leq(i, j) for i, j in _entries(x))
-
-
-def _entries(x: FinitaryElement) -> dict:
-    """The nonzero entries M[i, j] = sum_t v_t[i] w_t[j] of x on a
-    pure-basis model, where x = sum_(i, j) M[i, j] e_i (x) f_j."""
-    entries: dict = {}
-    for v, w in x._rows:
-        for (_, i), a in v.items():
-            for (_, j), b in w.items():
-                entries[i, j] = entries.get((i, j), QZERO) + a * b
-    return {ij: val for ij, val in entries.items() if val}
+    return all(flag.leq(i, j) for (_, i), (_, j) in x.entries())
 
 
 def in_joint_stabilizer(x: FinitaryElement, t: TautCouple) -> bool:
@@ -477,7 +450,7 @@ def in_algebra_of_form(x: FinitaryElement, kind: str) -> bool:
     if model.form_kind == "none":
         raise NoFormOnModel("model carries no form")
     sign = 1 if kind == "so" else -1
-    entries = _entries(x)
+    entries = {(a, b): val for ((_, a), (_, b)), val in x.entries().items()}
     for (a, b), val in entries.items():
         ia, ib = model.iota_of(a), model.iota_of(b)
         mirror = entries.get((ib, ia), QZERO) * model.form_sign(a) * model.form_sign(ib)

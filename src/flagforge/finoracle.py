@@ -50,6 +50,7 @@ from .exactnum import (
     Echelon,
     Matrix,
     axpy,
+    combine,
     dense,
     is_nilpotent,
     jordan_chevalley,
@@ -148,21 +149,12 @@ class MatSpan:
         """{sum_k c_k b_k : sum_k c_k images[k] = 0} over the basis rows b_k,
         for sparse rows images[k]: the b_k combined by each of `_relations`."""
         rows = self.echelon.rows()
-        return MatSpan(self.n, [_combine(c, rows) for c in _relations(images)])
+        return MatSpan(self.n, [combine(c, rows) for c in _relations(images)])
 
     def _coords(self, row: dict) -> dict:
         """The nonzero coordinates {k: c} of a row of the span: its entries
         at the pivots."""
         return {k: row[p] for k, p in enumerate(self.echelon.pivots) if p in row}
-
-
-def _combine(coeffs: dict, rows) -> dict:
-    """sum_k coeffs[k] rows[k] on sparse rows, coeffs given as {k: c}."""
-    out: dict = {}
-    for k, c in coeffs.items():
-        if c:
-            axpy(out, c, rows[k])
-    return out
 
 
 def _relations(images) -> list[dict]:
@@ -309,7 +301,7 @@ class FdLieAlgebra:
     def derived(self) -> MatSpan:
         """The derived algebra [g, g]."""
         basis = self.span.echelon.rows()
-        return MatSpan(self.n, [_combine(c, basis) for c in self.derived_coords()])
+        return MatSpan(self.n, [combine(c, basis) for c in self.derived_coords()])
 
     def __repr__(self):
         return f"FdLieAlgebra(n={self.n}, dim={self.dim})"
@@ -463,15 +455,6 @@ def _lines(a: dict, n: int, columns: bool = False) -> dict:
     return out
 
 
-def _apply(columns: dict, v: dict) -> dict:
-    """The image of the sparse vector v under the matrix of `columns`."""
-    out: dict = {}
-    for j, x in v.items():
-        if j in columns:
-            axpy(out, x, columns[j])
-    return out
-
-
 def spin(vectors, actions, dim) -> list[dict]:
     """RREF basis of the smallest subspace of Q^dim containing the sparse
     vectors and closed under the actions, flat sparse rows over dim."""
@@ -481,7 +464,7 @@ def spin(vectors, actions, dim) -> list[dict]:
     while queue:
         v = queue.pop()
         for cols in columns:
-            img = _apply(cols, v)
+            img = combine(v, cols)
             if span.add(img):
                 queue.append(img)
     return span.rows()
@@ -498,11 +481,7 @@ def _theta_battery(actions, rng, dim):
     for _ in range(_THETA_ROUNDS):
         if not mats:
             return
-        combo: dict = {}
-        for a in mats:
-            c = rng.randrange(-2, 3)
-            if c:
-                axpy(combo, c, a)
+        combo = combine(dict(enumerate(rng.randrange(-2, 3) for _ in mats)), mats)
         if rng.random() < 0.5 and len(mats) >= 2:
             x, y = (sparse_matrix(rng.choice(mats), dim) for _ in range(2))
             axpy(combo, QONE, sparse_product(x, y, dim))
@@ -583,7 +562,7 @@ def _section_series(actions, lower: Echelon, upper: Echelon, dim: int, rng) -> l
         cols = _lines(a, dim, columns=True)
         action: dict = {}
         for k, r in enumerate(basis):
-            col = residues.coords(lower.reduce(_apply(cols, r)))
+            col = residues.coords(lower.reduce(combine(r, cols)))
             if col is None:
                 raise CheckFailed("submodule is not invariant", (a, r))
             action.update((i * d + k, v) for i, v in enumerate(col) if v)
@@ -591,7 +570,7 @@ def _section_series(actions, lower: Echelon, upper: Echelon, dim: int, rng) -> l
     sub = find_proper_submodule(section, d, rng)
     if sub is None:
         return [upper]
-    mid = Echelon(lower.rows() + [_combine(s, basis) for s in sub])
+    mid = Echelon(lower.rows() + [combine(s, basis) for s in sub])
     return (_section_series(actions, lower, mid, dim, rng)
             + _section_series(actions, mid, upper, dim, rng))
 
@@ -671,7 +650,7 @@ def levi_component(g: FdLieAlgebra) -> FdLieAlgebra:
             raise CheckFailed("Levi lifting system is inconsistent", (g, level))
         sol = relations[-1]
         for i in range(m):
-            lifted = _combine({a: sol.get(i * width + a, QZERO) for a in range(width)}, ws)
+            lifted = combine({a: sol.get(i * width + a, QZERO) for a in range(width)}, ws)
             axpy(lifted, QONE, xs[i])
             xs[i] = lifted
     levi = FdLieAlgebra.on(MatSpan(n, xs))
@@ -780,7 +759,7 @@ def _commuting_correction(y: dict, torus_rows, nil_span: MatSpan) -> dict:
     rows = nil_span.echelon.rows() + [y]
     ts = [sparse_matrix(t, n) for t in torus_rows]
     found = _relations(_bracket_images([sparse_matrix(r, n) for r in rows], ts, n, Echelon()))
-    corrected = _combine(found[-1], rows) if found else {}
+    corrected = combine(found[-1], rows) if found else {}
     if not nil_span.echelon.reduce(corrected):
         raise CheckFailed("no commuting correction exists", y)
     return corrected

@@ -189,15 +189,6 @@ class Vector:
         v.model, v.side, v.basis, v.augs = model, side, basis, augs
         return v
 
-    @staticmethod
-    def basis_vector(model, side, i: int) -> "Vector":
-        return Vector(model, side, {i: 1})
-
-    @staticmethod
-    def aug_vector(model, side, k: int) -> "Vector":
-        n_aug = len(model.augs(side))
-        return Vector(model, side, {}, tuple(1 if j == k else 0 for j in range(n_aug)))
-
     def __eq__(self, other):
         return (
             isinstance(other, Vector)

@@ -49,6 +49,13 @@ def rational_from_json(s) -> Fraction:
     raise ValueError(f"expected a rational string, got {s!r}")
 
 
+def int_from_json(x, name: str) -> int:
+    """A JSON integer; a bool, a float or a string is malformed input."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def epset_to_json(s: EpSet) -> dict:
     return {
         "threshold": s.threshold,
@@ -60,10 +67,10 @@ def epset_to_json(s: EpSet) -> dict:
 
 def epset_from_json(d: dict) -> EpSet:
     return EpSet.make(
-        d.get("threshold", 0),
-        d.get("period", 1),
-        d.get("pre", ()),
-        d.get("residues", ()),
+        int_from_json(d.get("threshold", 0), "threshold"),
+        int_from_json(d.get("period", 1), "period"),
+        [int_from_json(i, "pre") for i in d.get("pre", ())],
+        [int_from_json(r, "residues") for r in d.get("residues", ())],
     )
 
 
@@ -83,7 +90,7 @@ def model_from_json(d: dict) -> PairedSpaceModel:
     if not cross and v_augs:
         cross = tuple(tuple() for _ in v_augs)
     iota = tuple(
-        IotaPiece(epset_from_json(p["indices"]), int(p["offset"]))
+        IotaPiece(epset_from_json(p["indices"]), int_from_json(p["offset"], "offset"))
         for p in d.get("iota", [])
     )
     return PairedSpaceModel(
@@ -163,7 +170,7 @@ def matrix_from_json(rows) -> Matrix:
 
 
 def algebra_from_json(d: dict) -> FdLieAlgebra:
-    return FdLieAlgebra(int(d["n"]), [matrix_from_json(b) for b in d.get("basis", [])])
+    return FdLieAlgebra(int_from_json(d["n"], "n"), [matrix_from_json(b) for b in d.get("basis", [])])
 
 
 def tc_from_json(couple, d: dict) -> TraceConditionSubalgebra:

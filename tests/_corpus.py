@@ -135,6 +135,35 @@ def span(model, side, aligned=None, gens=()):
     return Subspace.span(model, side, aligned, rows(gens))
 
 
+def basis_vector(model, side, i):
+    """The basis vector e_i of V, or f_i of V*."""
+    return Vector(model, side, {i: 1})
+
+
+def aug_vector(model, side, k):
+    """The k-th augmentation generator of the side."""
+    return Vector.from_sparse(model, side, {(0, k): F(1)})
+
+
+def _check_vector(x, u, side, msg):
+    if u.side != side:
+        raise SideMismatch(msg)
+    if u.model is not x.model and u.model != x.model:
+        raise ModelMismatch("vector from a different model")
+
+
+def act_on_v(x, u):
+    """x(u) = sum_t <u, w_t> v_t on a V-side `Vector`, through `apply_row`."""
+    _check_vector(x, u, SIDE_V, "act_on_v wants a V-side vector")
+    return Vector.from_sparse(x.model, SIDE_V, x.apply_row(u.to_sparse(), SIDE_V))
+
+
+def act_on_vstar(x, y):
+    """x . y = -sum_t <v_t, y> w_t on a V*-side `Vector`, through `apply_row`."""
+    _check_vector(x, y, SIDE_W, "act_on_vstar wants a V*-side vector")
+    return Vector.from_sparse(x.model, SIDE_W, x.apply_row(y.to_sparse(), SIDE_W))
+
+
 def zero_vector(model, side):
     return Vector(model, side)
 
@@ -185,7 +214,7 @@ def random_vector_in(sub, rng, bound=10):
     v = zero_vector(sub.model, sub.side)
     for i in sub.aligned.members_below(bound):
         if rng.random() < 0.35:
-            unit = Vector.basis_vector(sub.model, sub.side, i)
+            unit = basis_vector(sub.model, sub.side, i)
             v = add_vectors(v, scale_vector(unit, rng.randrange(-2, 3) or 1))
     for c in vectors(sub):
         if rng.random() < 0.5:
@@ -193,7 +222,7 @@ def random_vector_in(sub, rng, bound=10):
     if is_zero_vector(v) and not sub.is_zero():
         i = sub.aligned.min_member()
         if i is not None:
-            v = Vector.basis_vector(sub.model, sub.side, i)
+            v = basis_vector(sub.model, sub.side, i)
         elif sub.corrections:
             v = vectors(sub)[0]
     return v

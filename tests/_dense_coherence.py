@@ -11,7 +11,7 @@ tests check that both give the same levels and checks.
 import random
 from dataclasses import dataclass
 
-from _corpus import row_space_basis, vectors
+from _corpus import act_on_v, act_on_vstar, aug_vector, basis_vector, row_space_basis, vectors
 from _dense import Dense
 from flagforge.coherence import (
     COUPLE_SAMPLES,
@@ -22,7 +22,7 @@ from flagforge.coherence import (
 from flagforge.epcore import stabilization_window
 from flagforge.exactnum import QONE, QZERO, Echelon, dense, kernel, sparse
 from flagforge.finitary import in_joint_stabilizer, in_nilradical
-from flagforge.pairedspace import SIDE_V, SIDE_W, NotRepresentable, Vector, closure, perp
+from flagforge.pairedspace import SIDE_V, SIDE_W, NotRepresentable, closure, perp
 from flagforge.sampling import random_element, sample_nilradical, sample_pminus, sample_pplus
 
 
@@ -84,9 +84,9 @@ def truncate_element(x, n: int, side: str = SIDE_V) -> Dense:
     model = x.model
     augs = model.augs(side)
     dim = n + len(augs)
-    act = x.act_on_v if side == SIDE_V else x.act_on_vstar
-    cols = [truncate_vector(act(Vector.basis_vector(model, side, i)), n) for i in range(n)]
-    cols += [truncate_vector(act(Vector.aug_vector(model, side, k)), n) for k in range(len(augs))]
+    act = act_on_v if side == SIDE_V else act_on_vstar
+    cols = [truncate_vector(act(x, basis_vector(model, side, i)), n) for i in range(n)]
+    cols += [truncate_vector(act(x, aug_vector(model, side, k)), n) for k in range(len(augs))]
     return Dense(list(zip(*cols))) if dim else Dense([])
 
 
@@ -144,8 +144,8 @@ def compare_element(x, levels=None) -> CoherenceReport:
         mat = truncate_element(x, n, SIDE_V)
         ok = True
         for i in range(min(n, ELEMENT_SAMPLES)):
-            v = Vector.basis_vector(model, SIDE_V, i)
-            if truncate_vector(x.act_on_v(v), n) != mat.apply(truncate_vector(v, n)):
+            v = basis_vector(model, SIDE_V, i)
+            if truncate_vector(act_on_v(x, v), n) != mat.apply(truncate_vector(v, n)):
                 ok = False
         report.checks.append({"level": n, "check": "action", "ok": ok})
     return report

@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from _corpus import (
+    aug_vector,
     augmented_couple,
+    basis_vector,
     block_parabolic_basis,
     criterion_2_chains,
     criterion_9_corpus,
@@ -70,7 +72,6 @@ from flagforge.genflag import flag_from_chain, make_taut_couple, pair_leq
 from flagforge.pairedspace import (
     SIDE_V,
     SIDE_W,
-    Vector,
     perp,
 )
 
@@ -134,8 +135,8 @@ def _strict_lower_element(t, bound=12):
     model = t.model
     for i in range(bound):
         for j in range(bound):
-            ei = Vector.basis_vector(model, SIDE_V, i)
-            fj = Vector.basis_vector(model, SIDE_W, j)
+            ei = basis_vector(model, SIDE_V, i)
+            fj = basis_vector(model, SIDE_W, j)
             a = next(
                 (
                     idx
@@ -188,9 +189,9 @@ def test_criterion_3_sandwich_and_normalizer():
             ok = False
     # p+ strictly inside p' in the augmented model, witnessed explicitly
     t_aug = couples[0]
-    vtilde = Vector.aug_vector(t_aug.model, SIDE_V, 0)
+    vtilde = aug_vector(t_aug.model, SIDE_V, 0)
     witness = rank_one(
-        vtilde, Vector.basis_vector(t_aug.model, SIDE_W, 0)
+        vtilde, basis_vector(t_aug.model, SIDE_W, 0)
     )
     if in_joint_stabilizer(witness, t_aug) or not perp_parabolic_member(witness, t_aug):
         ok = False
@@ -208,7 +209,7 @@ def test_criterion_4_sl_infinity_parabolic():
     t = trivial_couple()
     m = t.model
     ok = True
-    e0, f0 = Vector.basis_vector(m, SIDE_V, 0), Vector.basis_vector(m, SIDE_W, 0)
+    e0, f0 = basis_vector(m, SIDE_V, 0), basis_vector(m, SIDE_W, 0)
     for i in range(1000):
         x = random_element(m, rng, terms=rng.randrange(1, 4))
         if i % 2:  # force tracelessness half the time

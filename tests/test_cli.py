@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from _corpus import (
     algebra_to_json,
+    aug_vector,
     augmented_couple,
     basis_flag_to_json,
+    basis_vector,
     element_to_json,
     epseq_to_json,
     evens_couple,
@@ -253,7 +255,7 @@ def _rarely_run_paths_session():
 
     def so_element(i, j):  # antisymmetrized under the form: lands in so(V)
         x = rank_one(
-            Vector.basis_vector(split, SIDE_V, i), Vector.basis_vector(split, SIDE_W, j))
+            basis_vector(split, SIDE_V, i), basis_vector(split, SIDE_W, j))
         return x.sub(flip(x))
 
     elements = {"x02": so_element(0, 2), "x00": so_element(0, 0)}
@@ -324,7 +326,7 @@ def _element_and_basis_flag_session():
 
     def r1(model, i, j):
         return rank_one(
-            Vector.basis_vector(model, SIDE_V, i), Vector.basis_vector(model, SIDE_W, j))
+            basis_vector(model, SIDE_V, i), basis_vector(model, SIDE_W, j))
 
     # each pair (i, j) tests flag.leq(i, j): inside the finite block, across
     # blocks, and both ways inside the omega-up and omega-down blocks
@@ -333,7 +335,7 @@ def _element_and_basis_flag_session():
     plain_elements["sum"] = r1(plain, 0, 1).add(r1(plain, 6, 4))
     dense_elements = {
         "aug": rank_one(
-            Vector.aug_vector(dense, SIDE_V, 0), Vector(dense, SIDE_W, {2: 1, 5: "-1/2"})),
+            aug_vector(dense, SIDE_V, 0), Vector(dense, SIDE_W, {2: 1, 5: "-1/2"})),
         "mixed": random_element(dense, random.Random(4), terms=3),
     }
     commands = []
@@ -492,6 +494,50 @@ def test_cli_exit_codes(tmp_path, capsys):
     ]
     failing.write_text(json.dumps(data))
     assert main(["run", str(failing), "--report", str(tmp_path / "r.json")]) == 1
+
+
+def _split_model(evens_offset=1, odds_offset=-1):
+    return {"form_kind": "symmetric", "iota": [
+        {"indices": {"period": 2, "residues": [0]}, "offset": evens_offset},
+        {"indices": {"period": 2, "residues": [1]}, "offset": odds_offset}]}
+
+
+def _aligned_session(aligned):
+    return {"models": {"m": {}}, "subspaces": {"s": {"model": "m", "side": "V", "aligned": aligned}}}
+
+
+# each integer field of a session, given a JSON value that is not an integer
+_NOT_INTEGERS = {
+    "n_float": {"algebras": {"a": {"n": 2.5, "basis": []}}},
+    "n_string": {"algebras": {"a": {"n": "2", "basis": []}}},
+    "offset_float": {"models": {"m": _split_model(evens_offset=1.0)}},
+    "offset_truncated": {"models": {"m": _split_model(odds_offset=-1.9)}},
+    "threshold_float": _aligned_session({"threshold": 1.5, "period": 1, "residues": [0]}),
+    "period_bool": _aligned_session({"period": True, "residues": [0]}),
+    "pre_float": _aligned_session({"threshold": 2, "pre": [1.0]}),
+    "residues_float": _aligned_session({"period": 2, "residues": [0.5]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_INTEGERS))
+def test_integer_fields_take_json_integers_only(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_NOT_INTEGERS[name]))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an integer" in err, err
+
+
+@pytest.mark.parametrize("obj", ["x", "s"])
+def test_truncation_levels_below_one_are_a_session_error(obj, tmp_path, capsys):
+    data = json.loads(json.dumps(AUGMENTED_SESSION))
+    data["subspaces"]["s"] = {"model": "m", "side": "V", "aligned": {"period": 2, "residues": [0]}}
+    for levels in ([-2, 0], [0], [3, 0]):
+        data["commands"] = [{"cmd": "truncate-compare", "object": obj, "levels": levels}]
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 2, levels
+        assert "malformed 'levels'" in capsys.readouterr().err
 
 
 def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
@@ -765,7 +811,7 @@ def _serial_case(kind):
         ),
     )
     x = random_element(m, random.Random(9), terms=3).add(
-        rank_one(Vector.aug_vector(m, SIDE_V, 0), Vector(m, SIDE_W, {2: "1/3"}))
+        rank_one(aug_vector(m, SIDE_V, 0), Vector(m, SIDE_W, {2: "1/3"}))
     )
     g = FdLieAlgebra(3, upper_triangular_basis(3))
     te = evens_couple()

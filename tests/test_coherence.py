@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _dense_coherence as dense_ref
-from _corpus import criterion_9_corpus, span, vectors
+from _corpus import aug_vector, criterion_9_corpus, span, vectors
 from flagforge import coherence, finitary
 from flagforge.coherence import compare_couple, compare_element, compare_subspace
 from flagforge.epcore import EpSeq, EpSet
@@ -126,7 +126,7 @@ def test_wrong_pairing_is_reported(monkeypatch):
     m = two_sided_model()
     # e_0 (x) g, g the V* augmentation generator: x(e_i) = <e_i, g> e_0,
     # which is e_0 for even i
-    x = FinitaryElement(m, [(Vector(m, SIDE_V, {0: 1}), Vector.aug_vector(m, SIDE_W, 0))])
+    x = FinitaryElement(m, [(Vector(m, SIDE_V, {0: 1}), aug_vector(m, SIDE_W, 0))])
     assert compare_element(x).ok
     monkeypatch.setattr(finitary, "pair_rows", _pairing_without_augmentation_terms)
     report = compare_element(x)
@@ -221,7 +221,7 @@ def test_compare_subspace_matches_the_dense_reference():
                     assert _report(got) == _report(dense_ref.compare_subspace(a, levels))
                 skipped += got.checks[0]["check"] == "perp-representable"
     m = dense_line_model()
-    aug_line = span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
+    aug_line = span(m, SIDE_V, gens=[aug_vector(m, SIDE_V, 0)])
     with pytest.raises(NotRepresentable):
         perp(aug_line)
     assert _report(compare_subspace(aug_line)) == _report(dense_ref.compare_subspace(aug_line))

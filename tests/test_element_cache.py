@@ -19,6 +19,7 @@ import pytest
 
 from _corpus import (
     augmented_couple,
+    basis_vector,
     element_terms,
     evens_couple,
     has_independent_rows,
@@ -246,8 +247,8 @@ def _old_units(t, gamma, want=2, bound=60):
     g_pred, g_succ = t.g_pair(gj)
     found = []
     for i in range(bound):
-        ei = Vector.basis_vector(t.model, SIDE_V, i)
-        fj = Vector.basis_vector(t.model, SIDE_W, i)
+        ei = basis_vector(t.model, SIDE_V, i)
+        fj = basis_vector(t.model, SIDE_W, i)
         if (member(f_succ, ei) and not member(f_pred, ei)
                 and member(g_succ, fj) and not member(g_pred, fj)):
             found.append(rank_one(ei, fj))

@@ -4,11 +4,14 @@ kept before.
 An element is canonicalized by one semi-echelon pass over its left factors
 that carries the right factors along.  Its left factors are independent,
 with distinct smallest columns, but they are not unique: they depend on the
-order of the terms.  These tests check, on the plain, the dense-line and
-both split-form models, that the pass gives the operator of the old reduced
-echelon form (`_corpus.rref_element_rows`), that its rows have that form,
-and that shuffling the terms changes no action, verdict or block trace.
-A product gives one row per term of its left factor.
+order of the terms.  What is read off an element goes through its operator
+(`apply_row`, `entries`), so it must not depend on the rows.  These tests
+check, on the plain, the dense-line and both split-form models, that the
+pass gives the operator of the old reduced echelon form
+(`_corpus.rref_element_rows`), that `entries` is that operator, that its
+rows have that form, and that shuffling the terms changes no action,
+verdict or block trace.  A product gives one row per term of its left
+factor.  `test_metamorphic` rewrites elements in more ways than a shuffle.
 """
 
 import random
@@ -20,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (
+    act_on_v,
     augmented_couple,
+    basis_vector,
     element_terms,
     evens_couple,
     has_independent_rows,
@@ -30,6 +35,7 @@ from _corpus import (
     rref_element_rows,
     trivial_couple,
 )
+from flagforge.coherence import window_levels
 from flagforge.exactnum import Echelon, axpy
 from flagforge.finitary import FinitaryElement
 from flagforge.pairedspace import (
@@ -127,7 +133,7 @@ def _answers(x, couples):
 
 
 def _actions(x, model):
-    return [x.act_on_v(Vector.basis_vector(model, SIDE_V, i)) for i in UNITS]
+    return [act_on_v(x, basis_vector(model, SIDE_V, i)) for i in UNITS]
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -140,7 +146,7 @@ def test_rows_match_the_reduced_echelon_reference(name, data):
     x = FinitaryElement(model, _vectors(model, rows))
     ref = rref_element_rows(rows)
     assert operator(element_terms(x)) == operator(_vectors(model, ref))
-    assert operator(element_terms(x)) == operator(_vectors(model, rows))
+    assert operator(element_terms(x)) == operator(_vectors(model, rows)) == x.entries()
     assert has_independent_rows(x)
     # the left factors stay inside the span of the given ones
     given_span = Echelon(v for v, _ in rows)
@@ -167,16 +173,16 @@ def test_product_rows_one_per_left_term(name, data):
     assert all(w for _, w in product)
     z = x.bracket(y)
     assert has_independent_rows(z)
-    for u in (Vector.basis_vector(model, SIDE_V, i) for i in UNITS):
-        want = x.act_on_v(y.act_on_v(u)).to_sparse()
-        axpy(want, F(-1), y.act_on_v(x.act_on_v(u)).to_sparse())
-        assert z.act_on_v(u).to_sparse() == want
+    for u in (basis_vector(model, SIDE_V, i) for i in UNITS):
+        want = act_on_v(x, act_on_v(y, u)).to_sparse()
+        axpy(want, F(-1), act_on_v(y, act_on_v(x, u)).to_sparse())
+        assert act_on_v(z, u).to_sparse() == want
 
 
 def test_product_sums_the_right_factors_of_each_left_term():
     m = plain_model()
-    e = lambda i: Vector.basis_vector(m, SIDE_V, i)  # noqa: E731
-    f = lambda i: Vector.basis_vector(m, SIDE_W, i)  # noqa: E731
+    e = lambda i: basis_vector(m, SIDE_V, i)  # noqa: E731
+    f = lambda i: basis_vector(m, SIDE_W, i)  # noqa: E731
     # (e_0 (x) (f_0 + f_1)) (e_0 (x) f_2 + e_1 (x) f_3) = e_0 (x) (f_2 + f_3)
     x = rank_one(e(0), Vector(m, SIDE_W, {0: 1, 1: 1}))
     y = rank_one(e(0), f(2)).add(rank_one(e(1), f(3)))
@@ -185,8 +191,8 @@ def test_product_sums_the_right_factors_of_each_left_term():
 
 @pytest.mark.parametrize("model", [dense_line_model(), split_form_model("symmetric")])
 def test_rows_depend_on_term_order_and_equality_does_not(model):
-    e = lambda i: Vector.basis_vector(model, SIDE_V, i)  # noqa: E731
-    f = lambda i: Vector.basis_vector(model, SIDE_W, i)  # noqa: E731
+    e = lambda i: basis_vector(model, SIDE_V, i)  # noqa: E731
+    f = lambda i: basis_vector(model, SIDE_W, i)  # noqa: E731
     e01 = Vector(model, SIDE_V, {0: 1, 1: 1})
     terms = [(e01, f(0)), (e(0), f(2))]
     x = FinitaryElement(model, terms)
@@ -197,3 +203,5 @@ def test_rows_depend_on_term_order_and_equality_does_not(model):
     assert y._rows == [({(1, 0): 1}, {(1, 0): 1, (1, 2): 1}), ({(1, 1): 1}, {(1, 0): 1})]
     assert has_independent_rows(x) and has_independent_rows(y)
     assert x == y and x.sub(y).is_zero()
+    assert x.entries() == y.entries()
+    assert window_levels(model, [x]) == window_levels(model, [y])

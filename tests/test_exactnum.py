@@ -588,3 +588,16 @@ def test_matrix_arithmetic_matches_fraction_loops(args):
         assert mat.entries == want[op], op
         assert (mat.rows, mat.cols) == (len(want[op]), len(want[op][0])), op
         assert all(type(v) is Fraction for row in mat.entries for v in row), op
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.dictionaries(st.integers(0, 4), st.integers(-2, 2).map(Fraction), max_size=5),
+    rows=st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool).map(Fraction),
+                                  max_size=3), min_size=5, max_size=5),
+)
+def test_combine_matches_the_dense_sum(coeffs, rows):
+    want = [sum((c * rows[k].get(j, 0) for k, c in coeffs.items()), QZERO) for j in range(6)]
+    for given_rows in (rows, {k: r for k, r in enumerate(rows) if r}):
+        got = exactnum.combine(coeffs, given_rows)
+        assert dense(got, 6) == want and all(got.values())

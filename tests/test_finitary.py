@@ -7,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (
+    act_on_v,
+    act_on_vstar,
     add_vectors,
+    aug_vector,
     augmented_couple,
+    basis_vector,
     block_terms,
     evens_couple,
     flip,
     is_zero_vector,
     matrix_trace,
+    member,
     random_element,
     random_plain_couple,
-    member,
     rank_one,
     residue,
     sample_nilradical,
@@ -70,11 +74,11 @@ EVENS = EpSet.from_residues(2, (0,))
 
 
 def ev(m, i):
-    return Vector.basis_vector(m, SIDE_V, i)
+    return basis_vector(m, SIDE_V, i)
 
 
 def fw(m, j):
-    return Vector.basis_vector(m, SIDE_W, j)
+    return basis_vector(m, SIDE_W, j)
 
 
 def r1(m, i, j):
@@ -89,7 +93,7 @@ def block_matrix(x, t, gamma):
     assert quotient is not None, "the block is infinite-dimensional"
     cols = []
     for row in quotient.rows():
-        image = x.act_on_v(Vector.from_sparse(x.model, SIDE_V, row))
+        image = act_on_v(x, Vector.from_sparse(x.model, SIDE_V, row))
         image = Vector.from_sparse(x.model, SIDE_V, residue(f_pred, image))
         coords = quotient.coords(image.to_sparse())
         assert coords is not None, "the image left the block"
@@ -111,10 +115,10 @@ def test_bracket_gl2_identity():
 
 def test_rank_one_action():
     m = plain_model()
-    assert r1(m, 0, 1).act_on_v(ev(m, 1)) == ev(m, 0)
-    assert is_zero_vector(r1(m, 0, 1).act_on_v(ev(m, 0)))
+    assert act_on_v(r1(m, 0, 1), ev(m, 1)) == ev(m, 0)
+    assert is_zero_vector(act_on_v(r1(m, 0, 1), ev(m, 0)))
     # dual action carries the minus sign
-    assert r1(m, 0, 1).act_on_vstar(fw(m, 0)) == scale_vector(fw(m, 1), -1)
+    assert act_on_vstar(r1(m, 0, 1), fw(m, 0)) == scale_vector(fw(m, 1), -1)
 
 
 def test_canonicalization_merges_terms():
@@ -267,7 +271,7 @@ def test_sandwich_random():
 def _outside(succ, pred, bound=40):
     """A vector of succ outside pred: a basis vector or correction of succ."""
     cands = [
-        Vector.basis_vector(succ.model, succ.side, i) for i in succ.aligned.members_below(bound)
+        basis_vector(succ.model, succ.side, i) for i in succ.aligned.members_below(bound)
     ]
     return next(v for v in cands + list(vectors(succ)) if not member(pred, v))
 
@@ -427,7 +431,7 @@ def test_normalizer_probe_agrees():
 def test_pprime_strictly_contains_pplus_in_augmented_model():
     t = augmented_couple()
     m = t.model
-    vtilde = Vector.aug_vector(m, SIDE_V, 0)
+    vtilde = aug_vector(m, SIDE_V, 0)
     x = rank_one(vtilde, fw(m, 0))
     # x moves V inside the closure, so it fails the original couple but
     # stabilizes the collapsed one
@@ -512,7 +516,7 @@ def test_truncate_element():
     # e_0 (x) f_1 sends e_1 to e_0 and kills e_0 and e_2
     assert cols == [{}, {0: 1}, {}]
     md = dense_line_model()
-    vtilde = Vector.aug_vector(md, SIDE_V, 0)
+    vtilde = aug_vector(md, SIDE_V, 0)
     y = rank_one(vtilde, fw(md, 0))
     cols2 = truncate_element(y, 2)
     # e_0 and the augmentation generator, which pairs to 1 with f_0, go to

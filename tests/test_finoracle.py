@@ -32,6 +32,7 @@ from flagforge import finoracle
 from flagforge.exactnum import (
     CheckFailed,
     Echelon,
+    combine,
     dense,
     is_nilpotent,
     kernel,
@@ -714,14 +715,14 @@ def _tagged_null_combinations(rows, images):
         row[w + k] = F(1)
         resid = ech.reduce(row)
         if min(resid) >= w:
-            out.append(finoracle._combine({t - w: c for t, c in resid.items()}, rows))
+            out.append(combine({t - w: c for t, c in resid.items()}, rows))
         else:
             ech.add(resid)
     return out
 
 
 def _relation_combinations(rows, images):
-    return [finoracle._combine(c, rows) for c in finoracle._relations(images)]
+    return [combine(c, rows) for c in finoracle._relations(images)]
 
 
 def _kernel_intersect(a, b):
@@ -1030,7 +1031,7 @@ def _monte_carlo_maximal_solvable(b_span, ambient, rng, tries):
         if is_solvable_span(finoracle._lie_closure(ambient.n, rows + [x])[0]):
             return False
     for _ in range(tries):
-        x = finoracle._combine({k: rng.randrange(-1, 2) for k in range(len(basis))}, basis)
+        x = combine({k: rng.randrange(-1, 2) for k in range(len(basis))}, basis)
         if b_span.echelon.reduce(x) and is_solvable_span(
                 finoracle._lie_closure(ambient.n, rows + [x])[0]):
             return False
@@ -1081,7 +1082,7 @@ def _borel_cases(draw):
         return g, nilradical.intersect(g.span), False
     rows = borel.echelon.rows()
     coeffs = st.lists(st.integers(-1, 2), min_size=len(rows), max_size=len(rows))
-    gens = [of_flat(finoracle._combine(dict(enumerate(draw(coeffs))), rows), n)
+    gens = [of_flat(combine(dict(enumerate(draw(coeffs))), rows), n)
             for _ in range(draw(st.integers(1, 2)))]
     b = lie_close(n, gens).span
     return g, b, b == borel
@@ -1175,7 +1176,7 @@ def _levi_by_dense_solve(g):
             sol = solve(Dense(eq_rows), rhs)
             assert sol is not None
             for i in range(m):
-                lifted = finoracle._combine(dict(enumerate(sol[i * width:(i + 1) * width])), ws)
+                lifted = combine(dict(enumerate(sol[i * width:(i + 1) * width])), ws)
                 finoracle.axpy(lifted, F(1), xs[i])
                 xs[i] = lifted
     return MatSpan(n, xs)

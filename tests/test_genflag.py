@@ -9,6 +9,7 @@ import pytest
 from _corpus import (
     add_vectors,
     augmented_couple,
+    basis_vector,
     evens_couple,
     pair,
     random_plain_couple,
@@ -42,7 +43,6 @@ from flagforge.pairedspace import (
     SIDE_W,
     SideMismatch,
     Subspace,
-    Vector,
     closure,
     dense_line_model,
     form_perp,
@@ -59,7 +59,7 @@ def sp(model, side, aligned=None, gens=()):
 
 
 def ev(model, i):
-    return Vector.basis_vector(model, SIDE_V, i)
+    return basis_vector(model, SIDE_V, i)
 
 
 def test_flag_from_chain_dedup_and_endpoints():
@@ -147,7 +147,7 @@ def test_make_taut_couple_trivial():
 def test_make_taut_couple_rejects_bad_partner():
     m = plain_model()
     f, _ = _evens_couple(m)
-    g = flag_from_chain(m, SIDE_W, [sp(m, SIDE_W, gens=[Vector.basis_vector(m, SIDE_W, 0)])])
+    g = flag_from_chain(m, SIDE_W, [sp(m, SIDE_W, gens=[basis_vector(m, SIDE_W, 0)])])
     with pytest.raises(NotTaut):
         make_taut_couple(f, g)
 

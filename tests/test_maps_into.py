@@ -13,10 +13,15 @@ their flags.  The image of each term is reduced exactly once per call.
 """
 
 import random
+from functools import partial
 
 from _corpus import (
+    act_on_v,
+    act_on_vstar,
     add_vectors,
+    aug_vector,
     augmented_couple,
+    basis_vector,
     chain_component,
     element_terms,
     flip,
@@ -54,15 +59,15 @@ def _maps_into_per_index(x, source, target):
     if source.side == SIDE_V:
         rows = [aug.row for aug in model.w_augs]
         coeff_vecs = [w for _, w in element_terms(x)]
-        act = x.act_on_v
+        act = partial(act_on_v, x)
     else:
         rows = [aug.row for aug in model.v_augs]
         coeff_vecs = [v for v, _ in element_terms(x)]
-        act = x.act_on_vstar
+        act = partial(act_on_vstar, x)
     support = max(map(support_bound, coeff_vecs), default=0)
     n_star, p_star = stabilization_window([source.aligned, support] + rows)
     for i in source.aligned.members_below(n_star + p_star):
-        if not member(target, act(Vector.basis_vector(model, source.side, i))):
+        if not member(target, act(basis_vector(model, source.side, i))):
             return False
     for corr in vectors(source):
         if not member(target, act(corr)):
@@ -91,7 +96,7 @@ def _corrected_couples():
     are not aligned, and the mirror of the augmented couple, whose V* is
     extended by a vector pairing to 1 with every even basis vector."""
     m = plain_model()
-    e = lambda i: Vector.basis_vector(m, SIDE_V, i)  # noqa: E731
+    e = lambda i: basis_vector(m, SIDE_V, i)  # noqa: E731
     evens = EpSet.from_residues(2, (0,))
     chains = [
         [span(m, SIDE_V, None, [add_vectors(e(0), e(1))])],
@@ -153,9 +158,9 @@ def _elements(t, rng):
         out += [x.add(flip(x)) for x in (random_element(t.model, rng) for _ in range(4))]
     for j in range(3):
         if t.model.v_augs:
-            v, w = Vector.aug_vector(t.model, SIDE_V, 0), Vector.basis_vector(t.model, SIDE_W, j)
+            v, w = aug_vector(t.model, SIDE_V, 0), basis_vector(t.model, SIDE_W, j)
         elif t.model.w_augs:
-            v, w = Vector.basis_vector(t.model, SIDE_V, j), Vector.aug_vector(t.model, SIDE_W, 0)
+            v, w = basis_vector(t.model, SIDE_V, j), aug_vector(t.model, SIDE_W, 0)
         else:
             break
         out.append(rank_one(v, w))

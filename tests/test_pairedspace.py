@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (
+    act_on_v,
+    act_on_vstar,
     add_vectors,
+    aug_vector,
     augmented_couple,
-    random_element,
+    basis_vector,
     evens_couple,
     form_to_v,
     form_to_vstar,
     member,
     pair,
+    random_element,
     random_plain_couple,
     sample_nilradical,
     sample_pminus,
@@ -65,11 +69,11 @@ ODDS = EpSet.from_residues(2, (1,))
 
 
 def ev(model, i):
-    return Vector.basis_vector(model, SIDE_V, i)
+    return basis_vector(model, SIDE_V, i)
 
 
 def fw(model, j):
-    return Vector.basis_vector(model, SIDE_W, j)
+    return basis_vector(model, SIDE_W, j)
 
 
 def test_validate_plain_model():
@@ -101,7 +105,7 @@ def test_pair_deltas():
 
 def test_pair_augmented_row_of_ones():
     m = dense_line_model()
-    vtilde = Vector.aug_vector(m, SIDE_V, 0)
+    vtilde = aug_vector(m, SIDE_V, 0)
     for pairing in (pair, _pair_by_rows):
         assert pairing(vtilde, fw(m, 7)) == 1
         assert pairing(vtilde, fw(m, 0)) == 1
@@ -151,9 +155,9 @@ def test_pair_side_mismatch():
         pair(fw(m, 0), ev(m, 0))
     x = FinitaryElement(m, [(ev(m, 0), fw(m, 1))])
     with pytest.raises(SideMismatch):
-        x.act_on_v(fw(m, 1))
+        act_on_v(x, fw(m, 1))
     with pytest.raises(SideMismatch):
-        x.act_on_vstar(ev(m, 0))
+        act_on_vstar(x, ev(m, 0))
 
 
 def test_act_on_a_vector_of_another_model():
@@ -161,9 +165,9 @@ def test_act_on_a_vector_of_another_model():
     x = FinitaryElement(m, [(ev(m, 0), fw(m, 1))])
     other = dense_line_model()
     with pytest.raises(ModelMismatch):
-        x.act_on_v(ev(other, 1))
+        act_on_v(x, ev(other, 1))
     with pytest.raises(ModelMismatch):
-        x.act_on_vstar(fw(other, 0))
+        act_on_vstar(x, fw(other, 0))
 
 
 def test_sum_aligned_plus_correction():
@@ -208,7 +212,7 @@ def test_member_queries():
 def test_aug_not_in_standard_span():
     m = dense_line_model()
     v_std = Subspace.span(m, SIDE_V, EpSet.naturals())
-    vtilde = Vector.aug_vector(m, SIDE_V, 0)
+    vtilde = aug_vector(m, SIDE_V, 0)
     assert not member(v_std, vtilde)
     assert member(Subspace.full(m, SIDE_V), vtilde)
 
@@ -216,7 +220,7 @@ def test_aug_not_in_standard_span():
 def test_perp_not_representable():
     m = dense_line_model()
     aug_line = span(
-        m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)]
+        m, SIDE_V, gens=[aug_vector(m, SIDE_V, 0)]
     )
     with pytest.raises(NotRepresentable):
         perp(aug_line)
@@ -452,7 +456,7 @@ def test_cache_leaves_equality_and_hash_alone():
 
 def test_not_representable_raises_on_every_call():
     m = dense_line_model()
-    aug_line = span(m, SIDE_V, gens=[Vector.aug_vector(m, SIDE_V, 0)])
+    aug_line = span(m, SIDE_V, gens=[aug_vector(m, SIDE_V, 0)])
     for _ in range(3):
         with pytest.raises(NotRepresentable):
             perp(aug_line)
