@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import coherence, finitary, finoracle, serial
 from .genflag import (
@@ -107,8 +106,6 @@ class Session:
 
 def _verdict(value):
     """Make a command's raw output JSON-ready; run once per result."""
-    if isinstance(value, Fraction):
-        return serial.rational_to_json(value)
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
@@ -120,8 +117,8 @@ def _verdict(value):
 
 class _Command(dict):
     """A command's fields; a missing or mistyped one is a session error, not a
-    per-command failure.  `gamma` is an integer, `levels` "auto" or a list of
-    integers >= 1, and every other field a string."""
+    per-command failure.  `gamma` is an integer, `levels` "auto" or a nonempty
+    list of integers >= 1, and every other field a string."""
 
     def __missing__(self, key):
         raise SessionError(f"command {dict.get(self, 'cmd')!r} lacks the field {key!r}")
@@ -129,8 +126,8 @@ class _Command(dict):
     def __getitem__(self, key):
         value = super().__getitem__(key)
         if key == "levels":
-            ok = value == "auto" or (
-                isinstance(value, list) and all(type(v) is int and v >= 1 for v in value))
+            ok = value == "auto" or (isinstance(value, list) and value != []
+                                     and all(type(v) is int and v >= 1 for v in value))
         else:
             ok = type(value) is (int if key == "gamma" else str)
         if not ok:
@@ -238,7 +235,8 @@ class Runner:
     def cmd_block_trace(self, cmd):
         x = self.s._lookup(self.s.elements, cmd["elem"])
         couple = self.s._lookup(self.s.couples, cmd["couple"])
-        return {"trace": finitary.block_trace(x, couple, cmd["gamma"])}
+        trace = finitary.block_trace(x, couple, cmd["gamma"])
+        return {"trace": serial.rational_to_json(trace)}
 
     def cmd_fc_flag(self, cmd):
         flag = self.s._lookup(self.s.flags, cmd["flag"])

@@ -13,7 +13,7 @@ get equal levels however their terms were written.
 
 No `Vector` is built here: a vector of the model is its sparse (tag, idx)
 row, the unit vectors being {(1, i): 1} and {(0, k): 1}.  Everything
-finite is a sparse row {coordinate: Fraction}, with coordinates
+finite is a sparse row {coordinate: rational}, with coordinates
 [e_0..e_{n-1}, augs...]: the truncated pairing is held as sparse rows and
 columns, a truncated subspace is an `Echelon`, an element's truncation is
 the list of its sparse columns, and every null space comes from `kernel`.

@@ -18,7 +18,6 @@ All index bookkeeping is 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -174,8 +173,8 @@ def _pointwise(a: EpSet, b: EpSet, op: str) -> EpSet:
 class EpSeq:
     """Eventually periodic rational sequence in canonical form."""
 
-    pre: tuple[Fraction, ...]
-    repeat: tuple[Fraction, ...]
+    pre: tuple
+    repeat: tuple
 
     @staticmethod
     def make(pre, repeat) -> "EpSeq":
@@ -198,7 +197,7 @@ class EpSeq:
     def constant(value) -> "EpSeq":
         return EpSeq.make((), (value,))
 
-    def value(self, n: int) -> Fraction:
+    def value(self, n: int):
         if n < len(self.pre):
             return self.pre[n]
         return self.repeat[(n - len(self.pre)) % len(self.repeat)]

@@ -1,7 +1,12 @@
 """Exact rational arithmetic and exact linear algebra.
 
-Everything here works over the rationals (``fractions.Fraction``), with no
-floating point anywhere.  Elimination has one kernel, `Echelon`: a reduced
+Everything here works over the rationals, with no floating point anywhere,
+under one number rule: a rational is a Python `int` when it is integral and
+a `fractions.Fraction` otherwise, so integer arithmetic pays no gcd.
+`rat` brings a value in under the rule, and `div` is the one division:
+`/` on two ints would give a float.  Mixed arithmetic may still produce an
+integral `Fraction`; that is slower, not wrong, since `==` and `hash` agree
+across the two types.  Elimination has one kernel, `Echelon`: a reduced
 echelon basis of sparse rows grown one row at a time, for reducing vectors
 against a span, reading their coordinates, rank and pivots, and testing
 membership.  `kernel`, the one null-space routine, builds one `Echelon`
@@ -9,14 +14,14 @@ from its equation rows; a reduced row echelon form is unique, so it
 returns what any correct elimination returns.
 
 A square matrix has one form in the computations: the flat sparse row
-{i * n + j: Fraction} next to its size n.  Products and brackets go through
+{i * n + j: rational} next to its size n.  Products and brackets go through
 one kernel on integer row dicts over a common denominator
 (`sparse_matrix`), and `minpoly`, `jordan_chevalley`, `is_nilpotent` and
 `poly_eval_matrix` take and return flat rows.  `Matrix` is the validated
-value that callers hand in and read out: rectangular rows of Fractions.
+value that callers hand in and read out: rectangular rows of rationals.
 
-Polynomials are dense coefficient lists, index = degree: `Fraction`s for
-the `poly_*` helpers over Q, plain ints for `poly_factor_zz` over Z.
+Polynomials are dense coefficient lists, index = degree: rationals for the
+`poly_*` helpers over Q, ints for `poly_factor_zz` over Z.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
 
-QZERO = Fraction(0)
-QONE = Fraction(1)
+QZERO = 0
+QONE = 1
 
 
 class CheckFailed(AssertionError):
@@ -45,18 +50,30 @@ class CheckFailed(AssertionError):
         super().__init__(check)
 
 
-def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+def rat(x):
+    """Coerce ints, strings like '3/4', and Fractions to a rational under
+    the number rule."""
     if isinstance(x, Fraction):
-        return x
+        num, den = x.as_integer_ratio()  # one call, where two properties cost two
+        return num if den == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return rat(Fraction(x))
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def format_rational(x: Fraction) -> str:
+def div(a, b):
+    """a / b under the number rule, for rationals a and b != 0: the one
+    division of the package."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def format_rational(x) -> str:
     """Serialize as 'p/q', omitting '/q' when q == 1."""
     if x.denominator == 1:
         return str(x.numerator)
@@ -64,9 +81,9 @@ def format_rational(x: Fraction) -> str:
 
 
 class Matrix:
-    """Rectangular rows of Fractions, validated on construction and
-    immutable by convention: the value read in from callers and handed
-    back out to them."""
+    """Rectangular rows of rationals, validated and brought under the number
+    rule by `rat` on construction, and immutable by convention: the value
+    read in from callers and handed back out to them."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -80,7 +97,7 @@ class Matrix:
 
     @classmethod
     def _of(cls, entries) -> "Matrix":
-        """Wrap rectangular rows that already hold Fractions, without
+        """Wrap rectangular rows that already hold rationals, without
         coercing or validating them again."""
         m = object.__new__(cls)
         m.entries = entries
@@ -103,7 +120,7 @@ class Matrix:
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def flatten(self) -> list[Fraction]:
+    def flatten(self) -> list:
         return [v for row in self.entries for v in row]
 
 
@@ -112,12 +129,12 @@ def sparse(vec) -> dict:
     return {j: v for j, v in enumerate(vec) if v}
 
 
-def dense(row: dict, width: int) -> list[Fraction]:
+def dense(row: dict, width: int) -> list:
     """The dense vector of length width with the entries of a sparse row."""
     return [row.get(j, QZERO) for j in range(width)]
 
 
-def axpy(target: dict, coeff: Fraction, row: dict) -> None:
+def axpy(target: dict, coeff, row: dict) -> None:
     """target += coeff * row on sparse rows, in place.  coeff is nonzero and
     row holds no zeros; entries that cancel are dropped from target."""
     for k, v in row.items():
@@ -145,8 +162,8 @@ def combine(coeffs: dict, rows) -> dict:
 
 
 class Echelon:
-    """Reduced echelon basis of sparse rows {column: Fraction}, grown one row
-    at a time.
+    """Reduced echelon basis of sparse rows {column: rational}, grown one row
+    at a time; `add` scales a new row by its pivot through `div`.
 
     Columns are any sortable keys.  Every row's pivot is its smallest column,
     every pivot is 1 and is cleared from the other rows, so the coordinates
@@ -189,7 +206,7 @@ class Echelon:
         p = min(new)
         pv = new[p]
         if pv != 1:
-            new = {k: v / pv for k, v in new.items()}
+            new = {k: div(v, pv) for k, v in new.items()}
         for other in self._rows.values():
             c = other.get(p)
             if c:
@@ -217,14 +234,14 @@ def kernel(rows, width: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# square matrices as flat sparse rows {i * n + j: Fraction}
+# square matrices as flat sparse rows {i * n + j: rational}
 # ---------------------------------------------------------------------------
 
 
 def sparse_matrix(row: dict, n: int) -> tuple:
     """The sparse matrix of a flat sparse row {i * n + j: v}: a common
     denominator d and the integer row dicts {i: {j: d * v}}, so that the
-    kernel multiplies Python ints and forms one Fraction per entry."""
+    kernel multiplies Python ints and divides once per entry."""
     den = 1
     for v in row.values():
         den = lcm(den, v.denominator)
@@ -251,7 +268,9 @@ def _product_into(out: dict, a: dict, b: dict, n: int, sign: int) -> None:
 
 def _over(out: dict, den: int) -> dict:
     """The flat sparse row out / den, without its zeros."""
-    return {k: Fraction(v, den) for k, v in out.items() if v}
+    if den == 1:
+        return {k: v for k, v in out.items() if v}
+    return {k: div(v, den) for k, v in out.items() if v}
 
 
 def sparse_product(a: tuple, b: tuple, n: int) -> dict:
@@ -269,7 +288,7 @@ def sparse_bracket(a: tuple, b: tuple, n: int) -> dict:
     return _over(out, a[0] * b[0])
 
 
-def _scalar(c: Fraction, n: int) -> dict:
+def _scalar(c, n: int) -> dict:
     """c times the n x n identity, as a flat sparse row."""
     return {i * n + i: c for i in range(n)} if c else {}
 
@@ -299,11 +318,6 @@ def poly_sub(p, q):
     return poly_add(p, [-v for v in q])
 
 
-def poly_scale(p, c):
-    c = rat(c)
-    return poly_trim([c * v for v in p])
-
-
 def poly_mul(p, q):
     if not p or not q:
         return []
@@ -327,7 +341,7 @@ def poly_divmod(p, q):
         rem = poly_trim(rem)
         if len(rem) < len(q):
             break
-        c = rem[-1] / lead
+        c = div(rem[-1], lead)
         d = len(rem) - len(q)
         quo[d] = c
         for i, b in enumerate(q):
@@ -347,7 +361,7 @@ def poly_gcd(p, q):
         a, b = b, poly_mod(a, b)
     if a:
         lead = a[-1]
-        a = [v / lead for v in a]
+        a = [div(v, lead) for v in a]
     return a
 
 
@@ -363,9 +377,7 @@ def poly_xgcd(p, q):
         ta, tb = tb, poly_sub(ta, poly_mul(quo, tb))
     if a:
         lead = a[-1]
-        a = [v / lead for v in a]
-        sa = poly_scale(sa, 1 / lead)
-        ta = poly_scale(ta, 1 / lead)
+        a, sa, ta = ([div(v, lead) for v in r] for r in (a, sa, ta))
     return a, sa, ta
 
 
@@ -379,7 +391,7 @@ def poly_squarefree_part(p):
     # g is the gcd by exact Euclidean division, so it divides p: no remainder
     q = poly_divmod(p, g)[0]
     if q:
-        q = [v / q[-1] for v in q]
+        q = [div(v, q[-1]) for v in q]
     return q
 
 
@@ -576,7 +588,7 @@ def _factor_mod_p(f, p, rng):
 # ---------------------------------------------------------------------------
 
 
-def minpoly(m: dict, n: int) -> list[Fraction]:
+def minpoly(m: dict, n: int) -> list:
     """Monic minimal polynomial of the n x n matrix m, found by the first
     linear dependency among I, m, m^2, ...
 
@@ -628,7 +640,7 @@ def jordan_chevalley(m: dict, n: int) -> tuple[dict, dict]:
                 break
             # refine u toward the inverse of q'(s) mod mu
             dqs = _compose_mod(dq, s, mu)
-            u = poly_mod(poly_mul(u, poly_sub([Fraction(2)], poly_mul(dqs, u))), mu)
+            u = poly_mod(poly_mul(u, poly_sub([2], poly_mul(dqs, u))), mu)
             s = poly_mod(poly_sub(s, poly_mul(qs, u)), mu)
         else:
             raise CheckFailed("Newton lifting did not stabilize", m)
@@ -640,7 +652,7 @@ def jordan_chevalley(m: dict, n: int) -> tuple[dict, dict]:
 
 def _compose_mod(p, s, mod):
     """p(s(t)) reduced modulo mod, by Horner on polynomials."""
-    acc: list[Fraction] = []
+    acc: list = []
     for c in reversed(p):
         acc = poly_mod(poly_mul(acc, s), mod)
         if c:

@@ -28,10 +28,9 @@ not be mutated after construction.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .epcore import stabilization_window
-from .exactnum import Echelon, axpy, combine, rat
+from .exactnum import QZERO, Echelon, axpy, combine, div, rat
 from .genflag import (
     BasisOrderFlag,
     FinitePairFlag,
@@ -48,8 +47,6 @@ from .pairedspace import (
     pair_rows,
     row_support,
 )
-
-QZERO = Fraction(0)
 
 
 class NotInJointStabilizer(ValueError):
@@ -106,7 +103,7 @@ class FinitaryElement:
                     kept[p] = (v, dict(w))
                     break
                 b, payload = kept[p]
-                c = v[p] / b[p]
+                c = div(v[p], b[p])
                 if not own:
                     v, own = dict(v), True
                 axpy(v, -c, b)
@@ -142,7 +139,7 @@ class FinitaryElement:
             + [(v, p) for v, w in other._rows if (p := self.apply_row(w, SIDE_W))],
         )
 
-    def trace(self) -> Fraction:
+    def trace(self):
         model = self.model
         return sum((pair_rows(model, v, w) for v, w in self._rows), QZERO)
 
@@ -312,11 +309,11 @@ def _chain_component(chain_pred: Subspace, chain_succ: Subspace, row: dict) -> d
     """Sparse component of the sparse row in the pivot-rule complement of
     pred inside succ."""
     out = chain_pred._reduce_row(row)
-    axpy(out, Fraction(-1), chain_succ._reduce_row(row))
+    axpy(out, -1, chain_succ._reduce_row(row))
     return out
 
 
-def block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
+def block_trace(x: FinitaryElement, t: TautCouple, gamma: int):
     """Trace of the image of x in the gamma-th diagonal block of the joint
     stabilizer, the matched pair F''/F' x G''/G'.
 
@@ -330,7 +327,7 @@ def block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
     return _block_trace(x, t, gamma)
 
 
-def _block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
+def _block_trace(x: FinitaryElement, t: TautCouple, gamma: int):
     """The gamma-th block trace of x, computed once per element, couple and
     gamma and kept on x for the couple object."""
     for seen, traces in x._blocks:
@@ -344,7 +341,7 @@ def _block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
     return traces[gamma]
 
 
-def _compute_block_trace(x: FinitaryElement, t: TautCouple, gamma: int) -> Fraction:
+def _compute_block_trace(x: FinitaryElement, t: TautCouple, gamma: int):
     fi, gj = t.c_pairs[gamma]
     f_pred, f_succ = t.f_pair(fi)
     g_pred, g_succ = t.g_pair(gj)

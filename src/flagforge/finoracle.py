@@ -7,7 +7,7 @@ components, locally reductive parts, Cartan-subalgebra tests, invariant
 taut couples from composition series, and parabolic checks at desk scale.
 
 An element of gl_n has one representation from input to report, the flat
-sparse row {i * n + j: Fraction}, and a subspace is a `MatSpan`, the
+sparse row {i * n + j: rational}, and a subspace is a `MatSpan`, the
 reduced echelon basis of such rows.  Every subspace cut out by linear
 conditions (radical, nilradical, centralizers, normalizers, Fitting
 components, intersections, flag stabilizers, Levi lifts) is the set of
@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .exactnum import (
@@ -52,6 +51,7 @@ from .exactnum import (
     axpy,
     combine,
     dense,
+    div,
     is_nilpotent,
     jordan_chevalley,
     kernel,
@@ -110,7 +110,7 @@ class MatSpan:
         return self._sparse
 
     @property
-    def rows(self) -> list[list[Fraction]]:
+    def rows(self) -> list[list]:
         """The basis as dense RREF rows of length n^2."""
         return [dense(r, self.n * self.n) for r in self.echelon.rows()]
 
@@ -289,7 +289,7 @@ class FdLieAlgebra:
                 row = kill[i]
                 for j, y in partners:
                     row[j] += x * y
-        return [{j: Fraction(v, den * den) for j, v in enumerate(row) if v} for row in kill]
+        return [{j: div(v, den * den) for j, v in enumerate(row) if v} for row in kill]
 
     def derived_coords(self) -> list[dict]:
         """Reduced echelon basis of [g, g] in basis coordinates, as sparse
@@ -426,7 +426,7 @@ def _associative_closure(rows, n: int) -> list[tuple]:
     return basis
 
 
-def _trace_of_product(a: tuple, b: tuple) -> Fraction:
+def _trace_of_product(a: tuple, b: tuple):
     """tr(a b) of sparse matrices."""
     brows = b[1]
     total = 0
@@ -435,7 +435,7 @@ def _trace_of_product(a: tuple, b: tuple) -> Fraction:
             w = brows.get(j, {}).get(i)
             if w:
                 total += v * w
-    return Fraction(total, a[0] * b[0])
+    return div(total, a[0] * b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +495,7 @@ def _min_poly_factors(theta: dict, dim: int):
     denominators cleared."""
     coeffs = minpoly(theta, dim)
     den = lcm(*(c.denominator for c in coeffs))
-    _, factors = poly_factor_zz([int(c * den) for c in coeffs])
-    return [([Fraction(c) for c in f], mult) for f, mult in factors]
+    return poly_factor_zz([int(c * den) for c in coeffs])[1]
 
 
 def find_proper_submodule(actions, dim, rng):

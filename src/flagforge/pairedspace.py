@@ -7,7 +7,7 @@ eventually periodic sequences.  A nondegenerate symmetric or antisymmetric
 form identifying V* with V can be declared through an index involution.
 
 Inside the package a vector of either side is a sparse row {(tag, idx):
-Fraction}: (0, k) is the k-th augmentation generator and (1, i) the i-th
+rational}: (0, k) is the k-th augmentation generator and (1, i) the i-th
 basis vector, so augmentation coordinates sort first.  `Vector` is the
 value that crosses the boundary: what a caller hands in and reads out, as
 `exactnum.Matrix` is for the oracle.  `to_sparse` and `from_sparse`
@@ -33,15 +33,12 @@ hand out, must therefore not be mutated after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .epcore import EpSeq, EpSet, stabilization_window
-from .exactnum import QONE, Echelon, kernel, rat
+from .exactnum import QONE, QZERO, Echelon, kernel, rat
 
 SIDE_V = "V"
 SIDE_W = "V*"
-
-QZERO = Fraction(0)
 
 
 class SideMismatch(ValueError):
@@ -78,7 +75,7 @@ class IotaPiece:
 class PairedSpaceModel:
     v_augs: tuple[Augmentation, ...] = ()
     w_augs: tuple[Augmentation, ...] = ()
-    cross: tuple[tuple[Fraction, ...], ...] = ()
+    cross: tuple[tuple, ...] = ()
     form_kind: str = "none"  # none | symmetric | antisymmetric
     iota: tuple[IotaPiece, ...] = ()
     # perp by the value (side, aligned, corrections) of the subspace asked
@@ -120,17 +117,17 @@ class PairedSpaceModel:
                 return i + piece.offset
         raise ValueError(f"index {i} not covered by iota")
 
-    def form_sign(self, j: int) -> Fraction:
+    def form_sign(self, j: int) -> int:
         if self.form_kind == "symmetric":
-            return Fraction(1)
+            return 1
         if self.form_kind == "antisymmetric":
-            return Fraction(1) if j > self.iota_of(j) else Fraction(-1)
+            return 1 if j > self.iota_of(j) else -1
         raise NoFormOnModel("model carries no form")
 
     def augs(self, side: str) -> tuple[Augmentation, ...]:
         return self.v_augs if side == SIDE_V else self.w_augs
 
-    def cross_value(self, v_idx: int, w_idx: int) -> Fraction:
+    def cross_value(self, v_idx: int, w_idx: int):
         return self.cross[v_idx][w_idx]
 
 
@@ -183,7 +180,7 @@ class Vector:
 
     @staticmethod
     def _of(model, side, basis: dict, augs: tuple) -> "Vector":
-        """Internal constructor on parts already in canonical form: Fraction
+        """Internal constructor on parts already in canonical form: rational
         values, no zero basis entry, augs of the model's length."""
         v = object.__new__(Vector)
         v.model, v.side, v.basis, v.augs = model, side, basis, augs
@@ -214,7 +211,7 @@ class Vector:
 
     @staticmethod
     def from_sparse(model, side, row: dict) -> "Vector":
-        """The vector of a sparse row with Fraction values; zeros are dropped."""
+        """The vector of a sparse row with rational values; zeros are dropped."""
         augs = [QZERO] * len(model.augs(side))
         basis = {}
         for (tag, idx), v in row.items():
@@ -230,7 +227,7 @@ def row_support(row: dict) -> int:
     return 1 + max((i for tag, i in row if tag), default=-1)
 
 
-def pair_rows(model: PairedSpaceModel, v: dict, w: dict) -> Fraction:
+def pair_rows(model: PairedSpaceModel, v: dict, w: dict):
     """Exact pairing <v, w> of a sparse V row v and a sparse V* row w of the
     model: basis against basis, an augmentation coordinate of either side
     against the other side's basis through its pairing row, and the two
@@ -273,7 +270,7 @@ class Subspace:
     @staticmethod
     def span(model, side, aligned: EpSet = None, gens=()) -> "Subspace":
         """Canonicalize the span of aligned basis vectors and generators,
-        given as sparse (tag, idx) rows with Fraction values."""
+        given as sparse (tag, idx) rows with rational values."""
         if side not in (SIDE_V, SIDE_W):
             raise SideMismatch(f"unknown side {side!r}")
         aligned = aligned if aligned is not None else EpSet.empty()
@@ -388,7 +385,7 @@ def _annihilator(a: Subspace) -> Subspace:
     out_rows = [aug.row for aug in model.augs(out_side)]
     in_rows = [aug.row for aug in model.augs(a.side)]
 
-    def out_pairing(k: int, tag: int, i: int) -> Fraction:
+    def out_pairing(k: int, tag: int, i: int):
         """The pairing of the k-th out augmentation with coordinate (tag, i)."""
         if tag:
             return out_rows[k].value(i)
@@ -400,7 +397,7 @@ def _annihilator(a: Subspace) -> Subspace:
     n_star, p_star = stabilization_window([s] + out_rows + in_rows)
     cut = max(n_star, support)
 
-    def aug_part(c: dict, j: int) -> Fraction:
+    def aug_part(c: dict, j: int):
         """The pairing of c's augmentation part with the j-th out basis vector."""
         return sum((u * in_rows[l].value(j) for (tag, l), u in c.items() if not tag), QZERO)
 

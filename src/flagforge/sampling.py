@@ -9,14 +9,11 @@ are built from row terms.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exactnum import QONE, axpy
 from .finitary import FinitaryElement
 from .genflag import TautCouple, pair_leq, pair_order
 from .pairedspace import Subspace
-
-F = Fraction
 
 
 def random_row_in(sub: Subspace, rng, bound: int = 10) -> dict:
@@ -24,10 +21,10 @@ def random_row_in(sub: Subspace, rng, bound: int = 10) -> dict:
     row: dict = {}
     for i in sub.aligned.members_below(bound):
         if rng.random() < 0.35:
-            row[1, i] = F(rng.randrange(-2, 3) or 1)
+            row[1, i] = rng.randrange(-2, 3) or 1
     for c in sub.corrections:
         if rng.random() < 0.5:
-            axpy(row, F(rng.randrange(-2, 3) or 1), c)
+            axpy(row, rng.randrange(-2, 3) or 1, c)
     if not row and not sub.is_zero():
         i = sub.aligned.min_member()
         if i is not None:
@@ -101,7 +98,7 @@ def sample_pminus(t: TautCouple, rng, ambient: str = "gl", terms: int = 2):
                 out += [({(1, i): QONE}, {(1, i): QONE}), ({(1, j): -QONE}, {(1, j): QONE})]
         else:
             i = units[0]
-            out.append(({(1, i): F(rng.randrange(1, 3))}, {(1, i): QONE}))
+            out.append(({(1, i): rng.randrange(1, 3)}, {(1, i): QONE}))
     return FinitaryElement._of(t.model, out)
 
 
@@ -109,7 +106,7 @@ def random_element(model, rng, terms: int = 2, bound: int = 8) -> FinitaryElemen
     """Unconstrained random finite-rank element."""
     out = []
     for _ in range(terms):
-        v = {(1, rng.randrange(bound)): F(rng.randrange(-2, 3) or 1) for _ in range(2)}
-        w = {(1, rng.randrange(bound)): F(rng.randrange(-2, 3) or 1) for _ in range(2)}
+        v = {(1, rng.randrange(bound)): rng.randrange(-2, 3) or 1 for _ in range(2)}
+        w = {(1, rng.randrange(bound)): rng.randrange(-2, 3) or 1 for _ in range(2)}
         out.append((v, w))
     return FinitaryElement._of(model, out)

@@ -4,17 +4,19 @@ values a report holds: rationals, subspaces and matrices.
 A session names flags as chains of subspaces and couples by the names of
 their two flags, so both are read in `cli.Session`, not here.
 
-Rationals serialize as strings "p/q" (just "p" when the denominator is 1).
-All index I/O is 0-based.  Decoding validates shapes and raises ValueError
+Rationals serialize as strings "p/q" (just "p" when the denominator is 1),
+and only these spellings, or a JSON integer, read back.  A basis index is
+an object key spelled as a decimal integer >= 0 with no leading zero.  All
+index I/O is 0-based.  Decoding validates shapes and raises ValueError
 with a readable message on malformed input.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 
 from .epcore import EpSeq, EpSet
-from .exactnum import Matrix, format_rational, rat
+from .exactnum import Matrix, div, format_rational
 from .finitary import FinitaryElement, TraceConditionSubalgebra
 from .finoracle import FdLieAlgebra
 from .genflag import (
@@ -34,19 +36,32 @@ from .pairedspace import (
 )
 
 
-def rational_to_json(x: Fraction) -> str:
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+
+
+def rational_to_json(x) -> str:
     return format_rational(x)
 
 
-def rational_from_json(s) -> Fraction:
-    if isinstance(s, bool):
-        raise ValueError("expected a rational, got a boolean")
-    if isinstance(s, (int, str)):
-        try:
-            return rat(s if isinstance(s, str) else int(s))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {s!r}") from None
-    raise ValueError(f"expected a rational string, got {s!r}")
+def rational_from_json(s):
+    if type(s) is int:
+        return s
+    if isinstance(s, str) and (m := _RATIONAL.fullmatch(s)):
+        num, den = m.groups()
+        if den is None:
+            return int(num)
+        if not int(den):
+            raise ValueError(f"zero denominator in {s!r}")
+        return div(int(num), int(den))
+    raise ValueError(f"expected a rational 'p' or 'p/q', got {s!r}")
+
+
+def _index_from_json(key) -> int:
+    """A basis index: an object key spelled as a decimal integer >= 0."""
+    if not (isinstance(key, str) and _INDEX.fullmatch(key)):
+        raise ValueError(f"malformed basis index {key!r}")
+    return int(key)
 
 
 def int_from_json(x, name: str) -> int:
@@ -111,9 +126,7 @@ def vector_to_json(v: Vector) -> dict:
 
 
 def vector_from_json(model, d: dict) -> Vector:
-    basis = {int(i): rational_from_json(c) for i, c in d.get("basis", {}).items()}
-    if any(i < 0 for i in basis):
-        raise ValueError(f"negative basis index in {sorted(basis)}")
+    basis = {_index_from_json(i): rational_from_json(c) for i, c in d.get("basis", {}).items()}
     return Vector(
         model, d["side"], basis, tuple(rational_from_json(c) for c in d.get("augs", []))
     )

@@ -39,6 +39,18 @@ EVENS = EpSet.from_residues(2, (0,))
 ODDS = EpSet.from_residues(2, (1,))
 
 
+def is_canonical(v) -> bool:
+    """v is a rational in the package's canonical form: an int when it is
+    integral, otherwise a Fraction; never a float or a bool."""
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
+
+
+def is_exact(v) -> bool:
+    """v is an int or a Fraction, never a float or a bool: mixed arithmetic
+    may leave an integral Fraction, which is exact but not canonical."""
+    return type(v) in (int, Fraction)
+
+
 def row_space_basis(rows, cols):
     """RREF basis of the span of the given rational rows of length cols."""
     return [dense(r, cols) for r in Echelon(sparse(map(rat, row)) for row in rows).rows()]

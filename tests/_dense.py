@@ -7,14 +7,14 @@ as the tests' reference.
 `dense_jordan_chevalley`, `dense_is_nilpotent` and `dense_poly_eval_matrix`
 are the dense versions of the sparse `exactnum` functions, each checked
 against them.  `flat` and `of_flat` convert between a `Matrix` and the
-flat sparse row {i * n + j: v} of the program.
+flat sparse row {i * n + j: v} of the program.  Its zero and one are its
+own `Fraction`s, not the program's ints, so the reference computes over
+`Fraction` whatever the program's number rule.
 """
 
 from fractions import Fraction
 
 from flagforge.exactnum import (
-    QONE,
-    QZERO,
     CheckFailed,
     Echelon,
     Matrix,
@@ -29,6 +29,9 @@ from flagforge.exactnum import (
     rat,
     sparse,
 )
+
+QZERO = Fraction(0)
+QONE = Fraction(1)
 
 
 class Dense(Matrix):

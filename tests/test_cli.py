@@ -540,6 +540,53 @@ def test_truncation_levels_below_one_are_a_session_error(obj, tmp_path, capsys):
         assert "malformed 'levels'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj", ["x", "s"])
+def test_empty_truncation_levels_are_a_session_error(obj, tmp_path, capsys):
+    data = json.loads(json.dumps(AUGMENTED_SESSION))
+    data["subspaces"]["s"] = {"model": "m", "side": "V", "aligned": {"period": 2, "residues": [0]}}
+    data["commands"] = [{"cmd": "truncate-compare", "object": obj, "levels": []}]
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    assert "malformed 'levels'" in capsys.readouterr().err
+
+
+def _one_term_session(v_basis):
+    return {
+        "models": {"m": {}},
+        "elements": {"x": {"model": "m", "terms": [[
+            {"side": "V", "basis": v_basis}, {"side": "V*", "basis": {"0": "1"}}]]}},
+        "commands": [{"cmd": "truncate-compare", "object": "x", "levels": "auto"}],
+    }
+
+
+# spellings that Python's Fraction(str) reads as rationals and a session does not
+@pytest.mark.parametrize("spelling", ["1e2", "1.5", "1_0", " 3 "])
+def test_rationals_are_spelled_p_or_p_over_q(spelling, tmp_path, capsys):
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(_one_term_session({"0": spelling})))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected a rational" in err, err
+
+
+# spellings that Python's int() reads as indices and a session does not
+@pytest.mark.parametrize("key", ["1_0", " 2 ", "+1", "01", "-1"])
+def test_basis_indices_are_spelled_as_decimal_integers(key, tmp_path, capsys):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(_one_term_session({key: "1"})))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed basis index" in err, err
+
+
+def test_plain_spellings_still_read(tmp_path, capsys):
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(_one_term_session({"0": "-3/4", "10": 2, "2": "0"})))
+    assert main(["run", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
 def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
     # the parser is built once per process; each call parses only its argv
     path = tmp_path / "session.json"

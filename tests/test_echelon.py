@@ -321,7 +321,7 @@ def plain_coords(rows, vec, width):
     """Solve sum_k c_k rows[k] = vec by plain Fraction Gauss-Jordan
     elimination on the dense augmented system; None when inconsistent."""
     k = len(rows)
-    aug = [[dense(r, width)[i] for r in rows] + [vec[i]] for i in range(width)]
+    aug = [[Fraction(r.get(i, QZERO)) for r in rows] + [Fraction(vec[i])] for i in range(width)]
     piv_cols = []
     r = 0
     for c in range(k):

@@ -11,6 +11,7 @@ from _corpus import (
     block_parabolic_basis,
     direct_sum_basis,
     gl_basis,
+    is_exact,
     sl_basis,
     upper_triangular_basis,
 )
@@ -73,16 +74,17 @@ def min_poly(m):
 
 
 def charpoly(m: Dense) -> list[Fraction]:
-    """Monic characteristic polynomial via Faddeev-LeVerrier."""
+    """Monic characteristic polynomial via Faddeev-LeVerrier, over its own
+    `Fraction`s."""
     n = m.rows
     if n == 0:
-        return [QONE]
-    coeffs = [QZERO] * (n + 1)
-    coeffs[n] = QONE
+        return [F(1)]
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
     mk = Dense.identity(n)
     for k in range(1, n + 1):
         mk = m * mk
-        ck = -sum((mk.entries[i][i] for i in range(n)), QZERO) / k
+        ck = -sum((mk.entries[i][i] for i in range(n)), F(0)) / k
         coeffs[n - k] = ck
         if k < n:
             mk = mk + Dense.identity(n).scale(ck)
@@ -242,7 +244,7 @@ def test_sparse_kernel_matches_the_dense_reference(m, poly):
     assert nilpotent(m) == dense_is_nilpotent(m)
     assert of_flat(poly_eval_matrix(poly, flat(m), n), n) == dense_poly_eval_matrix(poly, m)
     for part in jordan_chevalley(flat(m), n):
-        assert all(isinstance(v, Fraction) and v for v in part.values())
+        assert all(is_exact(v) and v for v in part.values())
 
 
 def test_sparse_kernel_on_empty_and_one_by_one_matrices():
@@ -587,7 +589,7 @@ def test_matrix_arithmetic_matches_fraction_loops(args):
     for op, mat in got.items():
         assert mat.entries == want[op], op
         assert (mat.rows, mat.cols) == (len(want[op]), len(want[op][0])), op
-        assert all(type(v) is Fraction for row in mat.entries for v in row), op
+        assert all(is_exact(v) for row in mat.entries for v in row), op
 
 
 @settings(max_examples=60, deadline=None)
